@@ -14,16 +14,14 @@ boxes that provably contain the minimal-norm solution (the coupling of the
 connection widens reachable frequencies by at most its own band per order).
 """
 
-import itertools
-
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .base_forms import FourierForm
 from .bigraded import (
     BigradedForm,
     DeltaPolynomial,
+    TruncationLayout,
     apply_d_component,
     apply_dstar_component,
     bigraded_inner_product,
@@ -50,7 +48,6 @@ class Tolerances:
         formal=1e-10,
         rank=1e-10,
         spectral=1e-8,
-        page_residual=1e-9,
         solver=1e-12,
         near_zero_cut=0.02,
         slope_window=0.3,
@@ -59,7 +56,6 @@ class Tolerances:
         self.formal = float(formal)
         self.rank = float(rank)
         self.spectral = float(spectral)
-        self.page_residual = float(page_residual)
         self.solver = float(solver)
         self.near_zero_cut = float(near_zero_cut)
         self.slope_window = float(slope_window)
@@ -151,19 +147,6 @@ def _truncate_box(form, bands):
         if kept:
             out.components[slot] = kept
     return out
-
-
-def _box_cut_norm(form, bands):
-    cut = BigradedForm(form.geometry, form.alg)
-    for slot, table in form.components.items():
-        dropped = {
-            key: val
-            for key, val in table.items()
-            if not all(abs(k) <= b for k, b in zip(key, bands))
-        }
-        if dropped:
-            cut.components[slot] = dropped
-    return bigraded_norm(cut)
 
 
 class _StackSpace:
@@ -298,61 +281,6 @@ def solve_corrections(conn, v, order, tolerances=None, constraints=None):
     return [w.prune() for w in ws]
 
 
-# -- slot coordinates ------------------------------------------------------------
-
-
-class SlotCoords:
-    """Orthonormal coordinates on one (i, j)-slot over a frequency box."""
-
-    def __init__(self, geometry, alg, slot, bands):
-        self.geometry = geometry
-        self.alg = alg
-        self.slot = slot
-        self.bands = tuple(bands)
-        i, j = slot
-        self.nb = num_indices(geometry.n, i)
-        self.nf = num_indices(alg.dim, j)
-        self.keys = list(itertools.product(*[range(-b, b + 1) for b in self.bands]))
-        self.key_pos = {k: pos for pos, k in enumerate(self.keys)}
-        self.dim = len(self.keys) * self.nb * self.nf
-        self._lb = geometry.chol(i)
-        self._lf = alg.chol(j)
-        self._lb_invT = np.linalg.inv(self._lb).T
-        self._lf_inv = np.linalg.inv(self._lf)
-        self._sqrt_vol = np.sqrt(geometry.volume)
-
-    def vector(self, form):
-        """(coordinates of the in-box slot content, cut norm outside box)."""
-        vec = np.zeros(self.dim, dtype=complex)
-        cut_sq = 0.0
-        table = form.components.get(self.slot, {})
-        gb = self.geometry.gram(self.slot[0])
-        gf = self.alg.gram(self.slot[1])
-        block = self.nb * self.nf
-        for key, val in table.items():
-            if key in self.key_pos:
-                hat = self._sqrt_vol * (self._lb.T @ val @ self._lf)
-                start = self.key_pos[key] * block
-                vec[start : start + block] = hat.reshape(-1)
-            else:
-                cut_sq += self.geometry.volume * float(
-                    np.sum(np.conj(val) * (gb @ val @ gf)).real
-                )
-        return vec, float(np.sqrt(max(cut_sq, 0.0)))
-
-    def form(self, vec):
-        out = BigradedForm(self.geometry, self.alg)
-        block = self.nb * self.nf
-        table = {}
-        for pos, key in enumerate(self.keys):
-            hat = vec[pos * block : (pos + 1) * block].reshape(self.nb, self.nf)
-            if np.any(hat):
-                table[key] = (self._lb_invT @ hat @ self._lf_inv) / self._sqrt_vol
-        if table:
-            out.components[self.slot] = table
-        return out
-
-
 # -- the page recursion ------------------------------------------------------------
 
 
@@ -395,7 +323,7 @@ class PageRecursion:
             if num_indices(n, i) and num_indices(m, j)
         ]
         self.coords = {
-            slot: SlotCoords(self.geometry, self.alg, slot, self.bands)
+            slot: TruncationLayout(self.geometry, self.alg, [slot], self.bands)
             for slot in self.slots
         }
         # bases[K][slot] -> complex matrix (slot_dim, r); lifts[K][slot][col]
@@ -442,7 +370,8 @@ class PageRecursion:
             if harm.shape[1] == 0 or coords.dim == 0:
                 continue
             hat = self.alg.chol(j).T @ harm  # orthonormal columns
-            basis = np.kron(np.eye(len(coords.keys) * coords.nb), hat).astype(complex)
+            nb, _ = coords.shapes[slot]
+            basis = np.kron(np.eye(len(coords.keys) * nb), hat).astype(complex)
             bases[slot] = basis
             lifts[slot] = [[] for _ in range(basis.shape[1])]
         self.bases[1] = bases
@@ -451,7 +380,7 @@ class PageRecursion:
     # ---- generic step ----------------------------------------------------
 
     def _column_form(self, K, slot, col):
-        return self.coords[slot].form(self.bases[K][slot][:, col])
+        return self.coords[slot].form_from_vector(self.bases[K][slot][:, col])
 
     def _column_lift(self, K, slot, col):
         v = self._column_form(K, slot, col)
@@ -474,6 +403,7 @@ class PageRecursion:
         """Compute page K+1 from page K."""
         self._ensure_lifts(K)
         bases = self.bases[K]
+        adjoints = {slot: basis.conj().T for slot, basis in bases.items() if basis.shape[1]}
         mat_d = {}
         mat_s = {}
         for slot, basis in bases.items():
@@ -491,8 +421,8 @@ class PageRecursion:
                 sig = dstar_delta(lift, self.conn).coefficient(K)
                 rho_cols.append(rho)
                 sig_cols.append(sig)
-            mat_d[slot] = self._project_columns(rho_cols, t_d, K)
-            mat_s[slot] = self._project_columns(sig_cols, t_s, K)
+            mat_d[slot] = self._project_columns(rho_cols, t_d, adjoints)
+            mat_s[slot] = self._project_columns(sig_cols, t_s, adjoints)
         # assemble the page Laplacian per slot and cut its kernel
         new_bases = {}
         new_lifts = {}
@@ -506,18 +436,18 @@ class PageRecursion:
             t_d = (i + K, j - K + 1)
             lap = np.zeros((r, r), dtype=complex)
             m_out = mat_d.get(slot)
-            if m_out is not None and m_out[0] is not None:
-                lap += m_out[0].conj().T @ m_out[0]
+            if m_out is not None:
+                lap += m_out.conj().T @ m_out
             m_in = mat_d.get(s_in)
-            if m_in is not None and m_in[0] is not None and s_in in bases:
-                lap += m_in[0] @ m_in[0].conj().T
+            if m_in is not None and s_in in bases:
+                lap += m_in @ m_in.conj().T
             # adjoint-consistency: the projected codifferential matrix must be
             # the conjugate transpose of the projected differential matrix
             m_s = mat_s.get(slot)
-            if m_s is not None and m_s[0] is not None and m_in is not None and m_in[0] is not None:
+            if m_s is not None and m_in is not None:
                 consistency = max(
                     consistency,
-                    float(np.max(np.abs(m_s[0] - m_in[0].conj().T), initial=0.0)),
+                    float(np.max(np.abs(m_s - m_in.conj().T), initial=0.0)),
                 )
             lap = 0.5 * (lap + lap.conj().T)
             evals, evecs = np.linalg.eigh(lap)
@@ -551,38 +481,36 @@ class PageRecursion:
         for slot in mat_d:
             i, j = slot
             mid = (i + K, j - K + 1)
-            if mid in mat_d and mat_d[slot][0] is not None and mat_d[mid][0] is not None:
-                prod = mat_d[mid][0] @ mat_d[slot][0]
+            if mid in mat_d and mat_d[slot] is not None and mat_d[mid] is not None:
+                prod = mat_d[mid] @ mat_d[slot]
                 if prod.size:
                     scale = 1.0 + float(
-                        np.linalg.norm(mat_d[mid][0]) * np.linalg.norm(mat_d[slot][0])
+                        np.linalg.norm(mat_d[mid]) * np.linalg.norm(mat_d[slot])
                     )
                     dsq = max(dsq, float(np.linalg.norm(prod)) / scale)
         self.diagnostics["dsq_residual"] = dsq
         self.bases[K + 1] = new_bases
         self.lifts[K + 1] = new_lifts
 
-    def _project_columns(self, forms, target_slot, K):
+    def _project_columns(self, forms, target_slot, adjoints):
         """Project leading coefficients onto the target page slot.
 
-        Returns (matrix, diagnostics); also accumulates the off-slot and
-        out-of-box masses, which the page theory says must vanish.
+        ``adjoints`` maps each nonempty page slot to the conjugate transpose
+        of its basis.  Returns the matrix, or None when the target slot has
+        no page; also accumulates the off-slot and out-of-box masses, which
+        the page theory says must vanish.
         """
-        bases = self.bases[K]
-        target = bases.get(target_slot)
         cols = []
         for form in forms:
             if form is None:
                 form = BigradedForm.zero(self.geometry, self.alg)
             scale = 1.0 + bigraded_norm(form)
-            for slot, basis in bases.items():
-                if basis.shape[1] == 0 or slot not in self.coords:
-                    continue
-                vec, cut = self.coords[slot].vector(form)
+            for slot, adjoint in adjoints.items():
+                vec, cut = self.coords[slot].vector_from_form(form)
                 self.diagnostics["projection_cut"] = max(
                     self.diagnostics["projection_cut"], cut / scale
                 )
-                proj = basis.conj().T @ vec
+                proj = adjoint @ vec
                 if slot == target_slot:
                     cols.append(proj)
                 else:
@@ -590,9 +518,9 @@ class PageRecursion:
                     self.diagnostics["offslot_residual"] = max(
                         self.diagnostics["offslot_residual"], off
                     )
-        if target is None or not cols:
-            return (None, None)
-        return (np.stack(cols, axis=1), None)
+        if target_slot not in adjoints or not cols:
+            return None
+        return np.stack(cols, axis=1)
 
     def _op_scale(self):
         total = 1.0
@@ -657,7 +585,7 @@ class PageRecursion:
                 for idx in range(coords.dim):
                     unit = np.zeros(coords.dim, dtype=complex)
                     unit[idx] = 1.0
-                    v = coords.form(unit)
+                    v = coords.form_from_vector(unit)
                     entries.append((v, DeltaPolynomial([v])))
         else:
             for slot, basis in self.bases.get(K, {}).items():
@@ -836,7 +764,7 @@ def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
         mat = galerkin_operator(conn, total_degree, delta, bands)
         herm = 0.5 * (mat + mat.conj().T)
         try:
-            evals = np.linalg.eigvalsh(herm)
+            evals = np.linalg.eigvalsh(herm.toarray())
         except np.linalg.LinAlgError as err:
             raise SolverFailure(f"eigensolver failed at delta = {delta}: {err}")
         rows.append(np.maximum(evals, 0.0))
@@ -885,27 +813,26 @@ def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
     return SpectrumReport(deltas, eigen, norms, branches, close)
 
 
-def near_zero_count(conn, total_degree, delta, bands, threshold_rel, sparse=None, k_hint=24, seed=0):
-    """Number of eigenvalues below threshold_rel x spectral norm at one delta."""
-    layout_dim = None
-    if sparse is None:
-        from .bigraded import TruncationLayout
+def near_zero_count(conn, total_degree, delta, bands, threshold_rel):
+    """Number of eigenvalues below threshold_rel x spectral norm at one delta.
 
-        layout = TruncationLayout(conn.geometry, conn.alg, total_degree, tuple(bands))
-        layout_dim = layout.dim
-        sparse = layout.dim > 6000
-    if not sparse:
-        mat = galerkin_operator(conn, total_degree, delta, bands)
-        herm = 0.5 * (mat + mat.conj().T)
-        evals = np.linalg.eigvalsh(herm)
+    Up to dimension 6000 the dense spectrum is computed; above it, where a
+    dense matrix no longer fits comfortably in memory, shift-invert Lanczos
+    finds the eigenvalues nearest zero, doubling their number until the
+    count falls below it.
+    """
+    mat = galerkin_operator(conn, total_degree, delta, bands)
+    herm = 0.5 * (mat + mat.conj().T)
+    dim = herm.shape[0]
+    if dim <= 6000:
+        evals = np.linalg.eigvalsh(herm.toarray())
         top = float(np.max(np.abs(evals))) if evals.size else 0.0
         return int(np.sum(evals <= threshold_rel * max(top, 1e-300))), top
-    mat = galerkin_operator(conn, total_degree, delta, bands, sparse=True)
-    herm = (0.5 * (mat + mat.conj().T)).tocsc()
+    herm = herm.tocsc()
     top = float(
         scipy.sparse.linalg.eigsh(herm, k=1, which="LA", return_eigenvectors=False)[0]
     )
-    k = min(k_hint, herm.shape[0] - 2)
+    k = min(24, dim - 2)
     while True:
         try:
             vals = scipy.sparse.linalg.eigsh(
@@ -917,11 +844,10 @@ def near_zero_count(conn, total_degree, delta, bands, threshold_rel, sparse=None
             )
         except Exception as err:
             raise SolverFailure(f"sparse eigensolver failed: {err}")
-        vals = np.sort(vals)
         count = int(np.sum(vals <= threshold_rel * top))
-        if count < k or k >= herm.shape[0] - 2:
+        if count < k or k >= dim - 2:
             return count, top
-        k = min(2 * k, herm.shape[0] - 2)
+        k = min(2 * k, dim - 2)
 
 
 # -- recovering the base primitive from the order-4 constraint ---------------------

@@ -27,6 +27,14 @@ Rescaling by delta^i per base degree turns the total differential into the
 polynomial family d_delta = d^(0,1) + delta d^(1,0) + delta^2 d^(2,-1);
 DeltaPolynomial holds form-valued polynomials in delta, and all polynomial
 operations here are exact (bands grow, nothing is truncated).
+
+Truncated forms have one coordinate map, TruncationLayout: orthonormal
+coordinates over a list of slots and a per-axis frequency box.  Its cut
+norm counts only the mass of the layout's own slots outside the box.  The
+compressed (Galerkin) Laplacian is assembled from sparse matrices of the
+three components in these coordinates, each a sum of (frequency diagonal
+or shift) x (base matrix) x (fiber matrix) blocks; there the codifferential
+of a component is the conjugate transpose of its matrix.
 """
 
 import itertools
@@ -770,12 +778,18 @@ def random_bigraded(geometry, alg, total_degree, bands, rng, batch=None):
 
 
 class TruncationLayout:
-    """Flat orthonormal coordinates on the band-limited degree-p subspace."""
+    """Flat orthonormal coordinates on band-limited forms over a list of slots.
 
-    def __init__(self, geometry, alg, total_degree, bands):
+    The (i, j)-value at frequency k is stored as sqrt(vol) Lb^T val Lf, with
+    Lb, Lf the Cholesky factors of the base and fiber Gram matrices, so the
+    Euclidean product of coordinate vectors is the bigraded inner product.
+    Coordinates run by slot, then frequency key (lexicographic over the
+    per-axis box), then base index, then fiber index.
+    """
+
+    def __init__(self, geometry, alg, slots, bands):
         self.geometry = geometry
         self.alg = alg
-        self.p = int(total_degree)
         self.bands = tuple(int(b) for b in bands)
         self.keys = list(itertools.product(*[range(-b, b + 1) for b in self.bands]))
         self.key_pos = {k: pos for pos, k in enumerate(self.keys)}
@@ -783,52 +797,50 @@ class TruncationLayout:
         offset = 0
         self.offsets = {}
         self.shapes = {}
-        for i in range(min(geometry.n, self.p) + 1):
-            j = self.p - i
-            if j < 0 or j > alg.dim:
-                continue
+        self.factors = {}  # slot -> (Lb, Lf, Lb^-T, Lf^-1)
+        for i, j in slots:
             nb = num_indices(geometry.n, i)
             nf = num_indices(alg.dim, j)
             if nb == 0 or nf == 0:
                 continue
+            lb = geometry.chol(i)
+            lf = alg.chol(j)
             self.slots.append((i, j))
             self.offsets[(i, j)] = offset
             self.shapes[(i, j)] = (nb, nf)
+            self.factors[(i, j)] = (lb, lf, np.linalg.inv(lb).T, np.linalg.inv(lf))
             offset += len(self.keys) * nb * nf
         self.dim = offset
         self._sqrt_vol = np.sqrt(geometry.volume)
 
-    def _transforms(self, slot):
-        i, j = slot
-        lb = self.geometry.chol(i)
-        lf = self.alg.chol(j)
-        return lb, lf
+    @classmethod
+    def of_degree(cls, geometry, alg, total_degree, bands):
+        """Every slot with i + j = total_degree."""
+        slots = [(i, total_degree - i) for i in range(total_degree + 1)]
+        return cls(geometry, alg, slots, bands)
 
-    def vector_from_form(self, form, out=None):
+    def vector_from_form(self, form):
         """Orthonormal coordinates of the in-box part; returns (vector, cut norm).
 
-        The cut norm is the norm of the content outside the frequency box,
-        reported so truncation is never silent.
+        The cut norm is the norm of the layout's own slots outside the
+        frequency box, reported so truncation is never silent; other slots
+        are ignored.
         """
-        vec = np.zeros(self.dim, dtype=complex) if out is None else out
+        vec = np.zeros(self.dim, dtype=complex)
         cut_sq = 0.0
-        for slot, table in form.components.items():
-            if slot not in self.offsets:
-                if table:
-                    extra = BigradedForm(self.geometry, self.alg, {slot: table})
-                    cut_sq += bigraded_inner_product(extra, extra).real
-                continue
-            lb, lf = self._transforms(slot)
+        for slot in self.slots:
+            lb, lf, _, _ = self.factors[slot]
             nb, nf = self.shapes[slot]
             base = self.offsets[slot]
-            for key, val in table.items():
-                if key in self.key_pos:
+            gb = self.geometry.gram(slot[0])
+            gf = self.alg.gram(slot[1])
+            for key, val in form.components.get(slot, {}).items():
+                pos = self.key_pos.get(key)
+                if pos is not None:
                     hat = self._sqrt_vol * (lb.T @ val @ lf)
-                    start = base + self.key_pos[key] * nb * nf
-                    vec[start : start + nb * nf] += hat.reshape(-1)
+                    start = base + pos * nb * nf
+                    vec[start : start + nb * nf] = hat.reshape(-1)
                 else:
-                    gb = self.geometry.gram(slot[0])
-                    gf = self.alg.gram(slot[1])
                     cut_sq += self.geometry.volume * float(
                         np.sum(np.conj(val) * (gb @ val @ gf)).real
                     )
@@ -838,9 +850,7 @@ class TruncationLayout:
         out = BigradedForm(self.geometry, self.alg)
         for slot in self.slots:
             nb, nf = self.shapes[slot]
-            lb, lf = self._transforms(slot)
-            lb_invT = np.linalg.inv(lb).T
-            lf_inv = np.linalg.inv(lf)
+            _, _, lb_invT, lf_inv = self.factors[slot]
             base = self.offsets[slot]
             table = {}
             for pos, key in enumerate(self.keys):
@@ -852,11 +862,74 @@ class TruncationLayout:
                 out.components[slot] = table
         return out
 
-def galerkin_polynomial(conn, total_degree, bands, sparse=False):
-    """Coefficient matrices M_r with compressed L_delta = sum_r delta^r M_r.
 
-    Columns are computed by exact operator application (bands grow through
-    the composition) followed by orthogonal projection back to the box.
+def _component_terms(conn, which, i, j, keys):
+    """Terms (shift q, coefficient, base B, fiber F) of one component on the
+    (i, j)-slot, with the same signs as the form-level operators: the value
+    at key k contributes coefficient * B val F^T at k + q.  The coefficient
+    is a scalar, or per key (rows of ``keys``) for the derivative i k_l."""
+    n = conn.geometry.n
+    alg = conn.alg
+    zero = (0,) * n
+    if which == 0:
+        return [(zero, 1.0, np.eye(num_indices(n, i)), _vert_sign(i) * alg.d_matrix(j))]
+    if which == 1:
+        eye = np.eye(num_indices(alg.dim, j))
+        return [(zero, 1j * keys[:, l], wedge_axis_matrix(n, i, l), eye) for l in range(n)] + [
+            (q, v, wedge_axis_matrix(n, i, l), alg.coadjoint_matrix(c, j))
+            for q, l, c, v in conn.a_entries()
+        ]
+    return [
+        (q, _plus_sign(i) * v, wedge_pair_matrix(n, i, axes), alg.iota_matrix(c, j))
+        for q, axes, c, v in conn.f_entries()
+    ]
+
+
+def d_component_matrix(conn, which, src, dst):
+    """Sparse matrix of the component d^(which) from layout src to layout dst.
+
+    Output outside dst (its slots and its box) is dropped, which is the
+    orthogonal projection.  Each term is (frequency diagonal or shift) x
+    (base matrix B) x (fiber matrix F), with B and F conjugated into
+    orthonormal coordinates as L_out^T B L_in^-T; the codifferential
+    component from dst to src is the conjugate transpose.
+    """
+    if which not in (0, 1, 2):
+        raise ConfigError("component index must be 0, 1 or 2")
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
+    keys = np.array(src.keys, dtype=float)
+    for i, j in src.slots:
+        target = [(i, j + 1), (i + 1, j), (i + 2, j - 1)][which]
+        if target not in dst.offsets:
+            continue
+        lb_out, lf_out, _, _ = dst.factors[target]
+        _, _, lb_invT, lf_inv = src.factors[(i, j)]
+        for q, coeff, base, fiber in _component_terms(conn, which, i, j, keys):
+            local = np.kron(lb_out.T @ base @ lb_invT, lf_out.T @ fiber @ lf_inv.T)
+            coeffs = np.broadcast_to(np.asarray(coeff, dtype=complex), len(keys))
+            moved = [dst.key_pos.get(tuple(k + s for k, s in zip(key, q))) for key in src.keys]
+            hit = [p for p, r in enumerate(moved) if r is not None and coeffs[p] != 0.0]
+            freq = scipy.sparse.coo_matrix(
+                (coeffs[hit], ([moved[p] for p in hit], hit)),
+                shape=(len(dst.keys), len(src.keys)),
+            )
+            block = scipy.sparse.kron(freq, local, format="coo")
+            rows.append(block.row + dst.offsets[target])
+            cols.append(block.col + src.offsets[(i, j)])
+            vals.append(block.data)
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dst.dim, src.dim),
+    )
+
+
+def galerkin_polynomial(conn, total_degree, bands):
+    """Sparse coefficient matrices M_r with compressed L_delta = sum_r delta^r M_r.
+
+    With c the coupling band, S_a maps the box X in degree p to X + c in
+    degree p + 1 and T_a maps X + c in degree p - 1 to X; then
+    M_r = sum_{a+b=r} T_a T_b^H + S_b^H S_a.  This is exact: neither d_a nor
+    d*_b moves an in-box vector out of X + c.
     """
     bands = tuple(bands)
     entries = conn.a_entries() + conn.f_entries()
@@ -870,41 +943,28 @@ def galerkin_polynomial(conn, total_degree, bands, sparse=False):
                 "frequency box too small: every coupling of the connection "
                 "would be projected away"
             )
-    layout = TruncationLayout(conn.geometry, conn.alg, total_degree, bands)
-    n_mat = 5
-    if sparse:
-        mats = [scipy.sparse.lil_matrix((layout.dim, layout.dim), dtype=complex) for _ in range(n_mat)]
-    else:
-        mats = [np.zeros((layout.dim, layout.dim), dtype=complex) for _ in range(n_mat)]
-    unit = np.zeros(layout.dim, dtype=complex)
-    for col in range(layout.dim):
-        unit[col] = 1.0
-        v = layout.form_from_vector(unit)
-        unit[col] = 0.0
-        ups = [apply_d_component(v, conn, a) for a in range(3)]
-        downs = [apply_dstar_component(v, conn, b) for b in range(3)]
-        for a in range(3):
-            for b in range(3):
-                term = apply_d_component(downs[b], conn, a) + apply_dstar_component(
-                    ups[a], conn, b
-                )
-                colvec, _ = layout.vector_from_form(term)
-                if sparse:
-                    nz = np.nonzero(colvec)[0]
-                    for row in nz:
-                        mats[a + b][row, col] += colvec[row]
-                else:
-                    mats[a + b][:, col] += colvec
-    if sparse:
-        mats = [m.tocsr() for m in mats]
+    geo, alg = conn.geometry, conn.alg
+    wide = tuple(b + c for b, c in zip(bands, conn.coupling_bands()))
+    layout = TruncationLayout.of_degree(geo, alg, total_degree, bands)
+    up = TruncationLayout.of_degree(geo, alg, total_degree + 1, wide)
+    down = TruncationLayout.of_degree(geo, alg, total_degree - 1, wide)
+    s = [d_component_matrix(conn, a, layout, up) for a in range(3)]
+    t = [d_component_matrix(conn, a, down, layout) for a in range(3)]
+    mats = []
+    for r in range(5):
+        total = scipy.sparse.csr_matrix((layout.dim, layout.dim), dtype=complex)
+        for a in range(max(r - 2, 0), min(r, 2) + 1):
+            b = r - a
+            total = total + t[a] @ t[b].conj().T + s[b].conj().T @ s[a]
+        mats.append(total)
     return layout, mats
 
 
-def galerkin_operator(conn, total_degree, delta, bands, sparse=False):
-    """Symmetric matrix of the compressed rescaled Laplacian at numeric delta."""
-    cache_key = ("galerkin", total_degree, tuple(bands), bool(sparse))
+def galerkin_operator(conn, total_degree, delta, bands):
+    """Sparse Hermitian matrix of the compressed rescaled Laplacian at numeric delta."""
+    cache_key = ("galerkin", total_degree, tuple(bands))
     if cache_key not in conn._cache:
-        conn._cache[cache_key] = galerkin_polynomial(conn, total_degree, bands, sparse)
+        conn._cache[cache_key] = galerkin_polynomial(conn, total_degree, bands)
     _, mats = conn._cache[cache_key]
     total = mats[0] * (float(delta) ** 0)
     for r in range(1, 5):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bundlehodge.adiabatic_ss import (
-    SlotCoords,
     Tolerances,
     harmonic_limit,
     near_zero_count,
@@ -29,6 +28,7 @@ from bundlehodge.bigraded import (
     BigradedForm,
     Connection,
     DeltaPolynomial,
+    TruncationLayout,
     bigraded_inner_product,
     bigraded_norm,
     covariant_d,
@@ -232,6 +232,14 @@ def test_pages_match_galerkin_zero_count():
         assert count == total
 
 
+def test_near_zero_count_sparse_branch():
+    # box (20, 1, 1) in degree 3 has dimension 7380 > 6000: shift-invert eigsh
+    conn = su2_t3_connection()
+    count, top = near_zero_count(conn, 3, 0.5, (20, 1, 1), 1e-8)
+    assert count == 2
+    assert top > 0.0
+
+
 # -- harmonic limits --------------------------------------------------------------
 
 
@@ -298,38 +306,16 @@ def dense_canonical(conn, v, order, constraints):
             for a, k in enumerate(key):
                 reach[a] = max(reach[a], abs(k))
 
-    def coords_for(p, bands):
-        out = []
-        for i in range(min(geo.n, p) + 1):
-            j = p - i
-            if 0 <= j <= alg.dim and num_indices(geo.n, i) and num_indices(alg.dim, j):
-                sc = SlotCoords(geo, alg, (i, j), bands)
-                if sc.dim:
-                    out.append(sc)
-        return out
-
-    unknown = []
-    for t in range(1, order + 1):
+    def layout(p, t):
         bands = tuple(reach[a] + t * coupling[a] for a in range(geo.n))
-        unknown.append(coords_for(degree, bands))
-    eq_spaces = []
-    for t in range(1, order + 1):
-        bands = tuple(reach[a] + (t + 1) * coupling[a] for a in range(geo.n))
-        eq_spaces.append((coords_for(degree + 1, bands), coords_for(degree - 1, bands)))
+        return TruncationLayout.of_degree(geo, alg, p, bands)
 
-    def to_vec(form, coords):
-        segs = [sc.vector(form)[0] for sc in coords]
-        return np.concatenate(segs) if segs else np.zeros(0, dtype=complex)
+    unknown = [layout(degree, t) for t in range(1, order + 1)]
+    eq_spaces = [
+        (layout(degree + 1, t + 1), layout(degree - 1, t + 1)) for t in range(1, order + 1)
+    ]
 
-    def to_form(vec, coords):
-        out = BigradedForm.zero(geo, alg)
-        off = 0
-        for sc in coords:
-            out = out + sc.form(vec[off : off + sc.dim])
-            off += sc.dim
-        return out
-
-    sizes = [sum(sc.dim for sc in cs) for cs in unknown]
+    sizes = [lay.dim for lay in unknown]
     total = sum(sizes)
     f_forms = conn.curvature_forms()
 
@@ -344,8 +330,8 @@ def dense_canonical(conn, v, order, constraints):
             if t - 3 >= 0:
                 eq_d = eq_d + curvature_contraction(ws[t - 3], f_forms)
                 eq_s = eq_s + curvature_contraction_star(ws[t - 3], f_forms)
-            rows.append(to_vec(eq_d, eq_spaces[t - 1][0]))
-            rows.append(to_vec(eq_s, eq_spaces[t - 1][1]))
+            rows.append(eq_spaces[t - 1][0].vector_from_form(eq_d)[0])
+            rows.append(eq_spaces[t - 1][1].vector_from_form(eq_s)[0])
         cons_rows = []
         for cons in constraints:
             for t in range(order):
@@ -358,7 +344,7 @@ def dense_canonical(conn, v, order, constraints):
             unit = np.zeros(sizes[t], dtype=complex)
             unit[idx] = 1.0
             ws = [
-                to_form(unit, unknown[s]) if s == t else BigradedForm.zero(geo, alg)
+                unknown[s].form_from_vector(unit) if s == t else BigradedForm.zero(geo, alg)
                 for s in range(order)
             ]
             cols.append(forward(ws))
@@ -373,15 +359,15 @@ def dense_canonical(conn, v, order, constraints):
         if t == 2:
             eq_d = (-1.0) * curvature_contraction(v, f_forms)
             eq_s = (-1.0) * curvature_contraction_star(v, f_forms)
-        rhs_rows.append(to_vec(eq_d, eq_spaces[t - 1][0]))
-        rhs_rows.append(to_vec(eq_s, eq_spaces[t - 1][1]))
+        rhs_rows.append(eq_spaces[t - 1][0].vector_from_form(eq_d)[0])
+        rhs_rows.append(eq_spaces[t - 1][1].vector_from_form(eq_s)[0])
     rhs_rows.append(np.zeros(len(constraints) * order, dtype=complex))
     rhs = np.concatenate(rhs_rows)
     sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     out = []
     off = 0
     for t in range(order):
-        out.append(to_form(sol[off : off + sizes[t]], unknown[t]))
+        out.append(unknown[t].form_from_vector(sol[off : off + sizes[t]]))
         off += sizes[t]
     return out
 

@@ -7,6 +7,7 @@ from bundlehodge.base_forms import (
     FourierForm,
     TorusGeometry,
     constant_form,
+    cos_wave,
     random_form,
     sin_wave,
 )
@@ -14,16 +15,21 @@ from bundlehodge.bigraded import (
     BigradedForm,
     Connection,
     DeltaPolynomial,
+    TruncationLayout,
+    apply_d_component,
+    apply_dstar_component,
     bigraded_inner_product,
     bigraded_norm,
     covariant_d,
     covariant_dstar,
     curvature_contraction,
     curvature_contraction_star,
+    d_component_matrix,
     d_delta,
     dstar_delta,
     from_fourier,
     galerkin_operator,
+    galerkin_polynomial,
     laplacian_delta,
     random_bigraded,
     rho_scale,
@@ -32,7 +38,7 @@ from bundlehodge.bigraded import (
     vertical_dstar,
 )
 from bundlehodge.errors import ConfigError
-from bundlehodge.lie_algebra import harmonic_subspace, make_su2, make_u1
+from bundlehodge.lie_algebra import LieAlgebraData, harmonic_subspace, make_su2, make_u1
 
 
 def su2_connection(geo, amplitudes=(0.8, 0.9, 1.1)):
@@ -278,11 +284,77 @@ def test_laplacian_delta_symmetry_nonnegativity():
 def test_galerkin_symmetric_psd():
     geo = TorusGeometry(4)
     conn = su2_connection(geo)
-    mat = galerkin_operator(conn, 1, 0.5, (1, 1, 1, 1))
+    mat = galerkin_operator(conn, 1, 0.5, (1, 1, 1, 1)).toarray()
     scale = np.linalg.norm(mat, 2)
     assert np.linalg.norm(mat - mat.conj().T, 2) <= 1e-11 * scale
     evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
     assert evals.min() >= -1e-10 * scale
+
+
+def _fixture_connection(name):
+    from bundlehodge.harness import load_scenario, packaged_scenario_path
+
+    return load_scenario(packaged_scenario_path(name)).connection
+
+
+def _skewed_abelian_connection():
+    # non-diagonal base and fiber metrics, so every Cholesky factor is a
+    # full triangle and a transposed factor would show
+    geo = TorusGeometry(3, metric=[[1.0, 0.3, 0.1], [0.3, 1.2, 0.2], [0.1, 0.2, 0.9]])
+    alg = LieAlgebraData(2, np.zeros((2, 2, 2)), [[1.0, 0.4], [0.4, 1.5]])
+    return Connection(
+        alg,
+        [
+            sin_wave(geo, 1, (1, 0, 0), (1,), 0.5) + constant_form(geo, 1, (2,), 0.2),
+            cos_wave(geo, 1, (0, 1, 0), (2,), 0.3),
+        ],
+    )
+
+
+# su(2) over T^3; scale-0.2 su(2) over T^4, whose Gram matrices are not the
+# identity; abelian with a curvature override; abelian on skewed metrics
+GALERKIN_ORACLE_CASES = [
+    pytest.param(lambda: _fixture_connection("t3_su2_pages"), (2, 1, 1), id="t3_su2_pages"),
+    pytest.param(lambda: _fixture_connection("t4_su2_cs3"), (1, 1, 0, 0), id="t4_su2_cs3"),
+    pytest.param(lambda: _fixture_connection("t2_u1_c1nonzero"), (2, 2), id="t2_u1_c1nonzero"),
+    pytest.param(_skewed_abelian_connection, (1, 1, 1), id="skewed_u1x2"),
+]
+
+
+@pytest.mark.parametrize("make_conn, box", GALERKIN_ORACLE_CASES)
+def test_galerkin_matrices_match_form_level_operators(make_conn, box):
+    """Matrix layer against the form-level operators on random real forms."""
+    conn = make_conn()
+    geo, alg = conn.geometry, conn.alg
+    wide = tuple(b + c for b, c in zip(box, conn.coupling_bands()))
+    rng = np.random.default_rng(11)
+    for p in range(geo.n + alg.dim + 1):
+        layout, mats = galerkin_polynomial(conn, p, box)
+        w = random_bigraded(geo, alg, p, box, rng)
+        vec, cut = layout.vector_from_form(w)
+        assert cut == 0.0
+        lap = laplacian_delta(DeltaPolynomial([w]), conn)
+        refs = []
+        for r in range(5):
+            coeff = lap.coefficient(r)
+            refs.append(
+                np.zeros(layout.dim) if coeff is None else layout.vector_from_form(coeff)[0]
+            )
+        scale = max(max(np.linalg.norm(ref) for ref in refs), 1e-300)
+        for r in range(5):
+            assert np.linalg.norm(mats[r] @ vec - refs[r]) <= 1e-12 * scale
+        up = TruncationLayout.of_degree(geo, alg, p + 1, wide)
+        down = TruncationLayout.of_degree(geo, alg, p - 1, wide)
+        for a in range(3):
+            s_ref, s_cut = up.vector_from_form(apply_d_component(w, conn, a))
+            t_ref, t_cut = down.vector_from_form(apply_dstar_component(w, conn, a))
+            s_got = d_component_matrix(conn, a, layout, up) @ vec
+            t_got = d_component_matrix(conn, a, down, layout).conj().T @ vec
+            size = 1.0 + np.linalg.norm(vec)
+            # d_a and d*_a of an in-box form stay inside box + coupling
+            assert s_cut <= 1e-13 * size and t_cut <= 1e-13 * size
+            assert np.linalg.norm(s_got - s_ref) <= 1e-12 * max(np.linalg.norm(s_ref), 1.0)
+            assert np.linalg.norm(t_got - t_ref) <= 1e-12 * max(np.linalg.norm(t_ref), 1.0)
 
 
 def test_galerkin_band_too_small():
