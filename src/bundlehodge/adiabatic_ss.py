@@ -256,8 +256,8 @@ def solve_corrections(conn, v, order, tolerances=None, constraints=None):
     rhs_d[0] = -1.0 * covariant_d(v, conn)
     rhs_s[0] = -1.0 * covariant_dstar(v, conn)
     if order >= 2:
-        rhs_d[1] = -1.0 * curvature_contraction(v, conn.curvature_forms())
-        rhs_s[1] = -1.0 * curvature_contraction_star(v, conn.curvature_forms())
+        rhs_d[1] = -1.0 * curvature_contraction(v, conn)
+        rhs_s[1] = -1.0 * curvature_contraction_star(v, conn)
     rhs = (rhs_d, rhs_s, np.zeros(n_cons * order, dtype=complex))
     scale = 1.0 + np.sqrt(max(sys_dot(rhs, rhs).real, 0.0))
     ws, res, converged = _cgls(
@@ -758,6 +758,8 @@ def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
     deltas = sorted(float(x) for x in deltas)
     if any(not 0 < x <= 1 for x in deltas):
         raise ConfigError("sweep values must lie in (0, 1]")
+    if len(set(deltas)) < 2:
+        raise ConfigError("decay slopes need at least two distinct sweep values")
     rows = []
     norms = []
     for delta in deltas:

@@ -23,6 +23,13 @@ Adjoints are assembled as true matrix adjoints of these operators with
 respect to the product inner product (base Gram x fiber Gram x volume), so
 adjointness holds by construction.
 
+The form-level operators accumulate per destination slot: each output
+frequency is one row of one array, numbered in first-seen order (the source
+keys, then the image of each shift q as q first appears).  The unshifted
+term lands first, then per q the sum of coefficient x moved block over the
+(base, algebra) groups, in group order, with one vectorized add.  Rows that
+are exactly zero are dropped; rows holding a NaN or an infinity are kept.
+
 Rescaling by delta^i per base degree turns the total differential into the
 polynomial family d_delta = d^(0,1) + delta d^(1,0) + delta^2 d^(2,-1);
 DeltaPolynomial holds form-valued polynomials in delta, and all polynomial
@@ -38,6 +45,7 @@ of a component is the conjugate transpose of its matrix.
 """
 
 import itertools
+from operator import add
 
 import numpy as np
 import scipy.sparse
@@ -80,15 +88,6 @@ def _apply_base_stacked(mat, stacked):
     if stacked.ndim == 3:
         return np.einsum("ab,kbf->kaf", mat, stacked)
     return np.einsum("ab,kbft->kaft", mat, stacked)
-
-
-def _scatter(dest, keys, stacked, shift=None):
-    if shift is None:
-        for pos, key in enumerate(keys):
-            _acc(dest, key, stacked[pos])
-    else:
-        for pos, key in enumerate(keys):
-            _acc(dest, tuple(ka + qa for ka, qa in zip(key, shift)), stacked[pos])
 
 
 def _acc(table, key, arr):
@@ -184,9 +183,11 @@ class BigradedForm:
         return self.components.get(slot, {}).get(tuple(key))
 
     def prune(self, tol=0.0):
+        """Drop the blocks whose every entry is at most tol in modulus; a
+        block holding a NaN is kept."""
         comps = {}
         for slot, table in self.components.items():
-            kept = {k: v for k, v in table.items() if np.max(np.abs(v), initial=0.0) > tol}
+            kept = {k: v for k, v in table.items() if not np.all(np.abs(v) <= tol)}
             if kept:
                 comps[slot] = kept
         self.components = comps
@@ -418,15 +419,18 @@ def bigraded_inner_product(a, b):
     total = 0.0 + 0.0j
     for slot in sorted(set(a.components) & set(b.components)):
         i, j = slot
-        gb = geo.gram(i)
-        gf = alg.gram(j)
         ta = a.components[slot]
         tb = b.components[slot]
-        for key in sorted(set(ta) & set(tb)):
-            u, v = ta[key], tb[key]
-            if u.ndim != 2 or v.ndim != 2:
-                raise ConfigError("inner product needs unbatched forms")
-            total += np.sum(np.conj(u) * (gb @ v @ gf))
+        keys = sorted(set(ta) & set(tb))
+        if not keys:
+            continue
+        u = np.stack([ta[key] for key in keys])
+        v = np.stack([tb[key] for key in keys])
+        if u.ndim != 3 or v.ndim != 3:
+            raise ConfigError("inner product needs unbatched forms")
+        # one sum per key, added in sorted key order
+        for part in np.sum(np.conj(u) * (geo.gram(i) @ v @ alg.gram(j)), axis=(1, 2)).tolist():
+            total += part
     return geo.volume * total
 
 
@@ -472,9 +476,8 @@ def vertical_d(form):
         if not mat.size:
             continue
         keys, stacked = _stack_table(table)
-        dest = out.components.setdefault((i, j + 1), {})
-        _scatter(dest, keys, _apply_fiber_stacked(mat, stacked))
-    return out.prune()
+        _put(out, (i, j + 1), _accumulate(keys, _apply_fiber_stacked(mat, stacked)))
+    return out
 
 
 def vertical_dstar(form):
@@ -487,16 +490,121 @@ def vertical_dstar(form):
         if not mat.size:
             continue
         keys, stacked = _stack_table(table)
-        dest = out.components.setdefault((i, j - 1), {})
-        _scatter(dest, keys, _apply_fiber_stacked(mat, stacked))
-    return out.prune()
+        _put(out, (i, j - 1), _accumulate(keys, _apply_fiber_stacked(mat, stacked)))
+    return out
 
 
-def _grouped_entries(entries):
+def _grouped_entries(entries, adjoint=False):
+    """Connection or curvature entries grouped by (base index, algebra index)
+    as lists of (shift, coefficient); the adjoint shifts by -q with the
+    conjugate coefficient."""
     groups = {}
     for q, pos, c, v in entries:
+        if adjoint:
+            q, v = tuple(-x for x in q), np.conj(v)
         groups.setdefault((pos, c), []).append((q, v))
     return groups
+
+
+def _connection_groups(conn, adjoint):
+    """Grouped connection entries, cached on the connection."""
+    key = ("a_groups", adjoint)
+    if key not in conn._cache:
+        conn._cache[key] = _grouped_entries(conn.a_entries(), adjoint)
+    return conn._cache[key]
+
+
+def _curvature_groups(f_forms, adjoint):
+    """Grouped curvature entries of a Connection (cached on it) or of a list
+    of curvature 2-forms."""
+    if isinstance(f_forms, Connection):
+        key = ("f_groups", adjoint)
+        if key not in f_forms._cache:
+            f_forms._cache[key] = _grouped_entries(f_forms.f_entries(), adjoint)
+        return f_forms._cache[key]
+    entries = [
+        (key, idx, c, val) for c, f in enumerate(f_forms) for key, idx, val in f.entries()
+    ]
+    return _grouped_entries(entries, adjoint)
+
+
+def _derivative_term(keys, mats, stacked, factor):
+    """sum_l factor * k_l * (mats[l] applied to the base index), or None."""
+    extra = (1,) * (stacked.ndim - 1)
+    total = None
+    for l, mat in enumerate(mats):
+        kvals = np.array([key[l] for key in keys], dtype=float)
+        if not np.any(kvals):
+            continue
+        term = (factor * kvals).reshape((-1,) + extra) * _apply_base_stacked(mat, stacked)
+        total = term if total is None else total + term
+    return total
+
+
+def _accumulate(keys, unshifted, groups=None, move=None):
+    """Frequency table of one destination slot.
+
+    ``unshifted`` (or None) lands on the source ``keys``; for each group of
+    ``groups``, ``move(*group)`` is the moved stack (None skips the group),
+    and each (q, v) of the group adds v * moved at key + q.  Every
+    destination frequency gets one output row, numbered in first-seen order
+    (the source keys, then each shift q as it first appears), and each row
+    sums its contributions in that same order: the unshifted term, then per
+    q the group sum sum_g v_gq moved_g.  The rows of one q are distinct, so
+    each q lands with one vectorized add.  Rows that are exactly zero are
+    dropped; rows holding a NaN are kept.
+    """
+    moved, shifts = [], {}
+    for group, qvs in (groups or {}).items():
+        arr = move(*group)
+        if arr is None:
+            continue
+        for q, v in qvs:
+            shifts.setdefault(q, []).append((len(moved), v))
+        moved.append(arr)
+    if not shifts:
+        if unshifted is None:
+            return {}
+        return _nonzero_rows(keys, unshifted)
+    nk = len(keys)
+    row_of = {} if unshifted is None else dict(zip(keys, range(nk)))
+    places = []
+    for q in shifts:
+        start = len(row_of)
+        rows = [row_of.setdefault(tuple(map(add, key, q)), len(row_of)) for key in keys]
+        # rows new to this q are numbered start, start + 1, ... in key order
+        places.append(slice(start, start + nk) if len(row_of) - start == nk else np.array(rows))
+    parts = moved[:1] if unshifted is None else [moved[0], unshifted]
+    # -0.0 is the exact additive identity (x + -0.0 == x, signed zeros
+    # included), so a row's first contribution lands unchanged
+    shape = (len(row_of),) + moved[0].shape[1:]
+    out = np.full(shape, complex(-0.0, -0.0), dtype=np.result_type(complex, *parts))
+    if unshifted is not None:
+        out[:nk] = unshifted
+    for terms, place in zip(shifts.values(), places):
+        g, v = terms[0]
+        acc = v * moved[g]
+        for g, v in terms[1:]:
+            acc += v * moved[g]
+        if isinstance(place, slice):
+            out[place] = acc
+        else:
+            out[place] += acc
+        del acc
+    return _nonzero_rows(list(row_of), out)
+
+
+def _nonzero_rows(keys, stacked):
+    """{key: row} for the rows of ``stacked`` that are not exactly zero."""
+    keep = stacked.reshape(len(keys), -1).any(axis=1)
+    if keep.all():
+        return dict(zip(keys, stacked))
+    return {key: row for key, row, hit in zip(keys, stacked, keep.tolist()) if hit}
+
+
+def _put(out, slot, table):
+    if table:
+        out.components[slot] = table
 
 
 def covariant_d(form, conn):
@@ -504,37 +612,22 @@ def covariant_d(form, conn):
     alg = form.alg
     n = geo.n
     out = BigradedForm(geo, alg)
-    groups = _grouped_entries(conn.a_entries())
+    groups = _connection_groups(conn, adjoint=False)
     for (i, j), table in form.components.items():
         if i >= n or not table:
             continue
         keys, stacked = _stack_table(table)
-        dest = out.components.setdefault((i + 1, j), {})
         axis_mats = [wedge_axis_matrix(n, i, l) for l in range(n)]
-        extra = (1,) * (stacked.ndim - 1)
-        total = None
-        for l in range(n):
-            kvals = np.array([key[l] for key in keys], dtype=float)
-            if not np.any(kvals):
-                continue
-            term = (1j * kvals).reshape((-1,) + extra) * _apply_base_stacked(
-                axis_mats[l], stacked
-            )
-            total = term if total is None else total + term
-        if total is not None:
-            _scatter(dest, keys, total)
-        shifted = {}
-        for (l, c), qvs in groups.items():
+
+        def move(l, c):
             rc = alg.coadjoint_matrix(c, j)
             if not rc.size:
-                continue
-            moved = _apply_base_stacked(axis_mats[l], _apply_fiber_stacked(rc, stacked))
-            for q, v in qvs:
-                cur = shifted.get(q)
-                shifted[q] = v * moved if cur is None else cur + v * moved
-        for q, arr in shifted.items():
-            _scatter(dest, keys, arr, shift=q)
-    return out.prune()
+                return None
+            return _apply_base_stacked(axis_mats[l], _apply_fiber_stacked(rc, stacked))
+
+        unshifted = _derivative_term(keys, axis_mats, stacked, 1j)
+        _put(out, (i + 1, j), _accumulate(keys, unshifted, groups, move))
+    return out
 
 
 def covariant_dstar(form, conn):
@@ -542,112 +635,71 @@ def covariant_dstar(form, conn):
     alg = form.alg
     n = geo.n
     out = BigradedForm(geo, alg)
-    groups = _grouped_entries(conn.a_entries())
+    groups = _connection_groups(conn, adjoint=True)
     for (i, j), table in form.components.items():
         if i < 1 or not table:
             continue
         keys, stacked = _stack_table(table)
-        dest = out.components.setdefault((i - 1, j), {})
         adj_mats = [_axis_adj(geo, l, i - 1) for l in range(n)]
-        extra = (1,) * (stacked.ndim - 1)
-        total = None
-        for l in range(n):
-            kvals = np.array([key[l] for key in keys], dtype=float)
-            if not np.any(kvals):
-                continue
-            term = (-1j * kvals).reshape((-1,) + extra) * _apply_base_stacked(
-                adj_mats[l], stacked
-            )
-            total = term if total is None else total + term
-        if total is not None:
-            _scatter(dest, keys, total)
-        shifted = {}
-        for (l, c), qvs in groups.items():
+
+        def move(l, c):
             rc = _coad_adj(alg, c, j)
             if not rc.size:
-                continue
-            moved = _apply_base_stacked(adj_mats[l], _apply_fiber_stacked(rc, stacked))
-            for q, v in qvs:
-                mq = tuple(-x for x in q)
-                cur = shifted.get(mq)
-                shifted[mq] = np.conj(v) * moved if cur is None else cur + np.conj(v) * moved
-        for q, arr in shifted.items():
-            _scatter(dest, keys, arr, shift=q)
-    return out.prune()
+                return None
+            return _apply_base_stacked(adj_mats[l], _apply_fiber_stacked(rc, stacked))
+
+        unshifted = _derivative_term(keys, adj_mats, stacked, -1j)
+        _put(out, (i - 1, j), _accumulate(keys, unshifted, groups, move))
+    return out
 
 
 def curvature_contraction(form, f_forms):
     """Contraction against a Lie-algebra-valued curvature 2-form."""
-    if isinstance(f_forms, Connection):
-        f_forms = f_forms.curvature_forms()
-    entries = []
-    for c, f in enumerate(f_forms):
-        for key, idx, val in f.entries():
-            entries.append((key, idx, c, val))
-    return _contraction_from_entries(form, entries)
-
-
-def _contraction_from_entries(form, entries):
     geo = form.geometry
     alg = form.alg
     n = geo.n
     out = BigradedForm(geo, alg)
-    groups = _grouped_entries(entries)
+    groups = _curvature_groups(f_forms, adjoint=False)
     for (i, j), table in form.components.items():
         if j < 1 or i + 2 > n or not table:
             continue
         keys, stacked = _stack_table(table)
-        dest = out.components.setdefault((i + 2, j - 1), {})
         sign = _plus_sign(i)
-        shifted = {}
-        for (axes, c), qvs in groups.items():
+
+        def move(axes, c):
             ic = alg.iota_matrix(c, j)
             if not ic.size:
-                continue
-            moved = sign * _apply_base_stacked(
+                return None
+            return sign * _apply_base_stacked(
                 wedge_pair_matrix(n, i, axes), _apply_fiber_stacked(ic, stacked)
             )
-            for q, v in qvs:
-                cur = shifted.get(q)
-                shifted[q] = v * moved if cur is None else cur + v * moved
-        for q, arr in shifted.items():
-            _scatter(dest, keys, arr, shift=q)
-    return out.prune()
+
+        _put(out, (i + 2, j - 1), _accumulate(keys, None, groups, move))
+    return out
 
 
 def curvature_contraction_star(form, f_forms):
-    if isinstance(f_forms, Connection):
-        f_forms = f_forms.curvature_forms()
-    entries = []
-    for c, f in enumerate(f_forms):
-        for key, idx, val in f.entries():
-            entries.append((key, idx, c, val))
     geo = form.geometry
     alg = form.alg
     n = geo.n
     out = BigradedForm(geo, alg)
-    groups = _grouped_entries(entries)
+    groups = _curvature_groups(f_forms, adjoint=True)
     for (i, j), table in form.components.items():
         if i < 2 or j + 1 > alg.dim or not table:
             continue
         keys, stacked = _stack_table(table)
-        dest = out.components.setdefault((i - 2, j + 1), {})
         sign = _plus_sign(i - 2)
-        shifted = {}
-        for (axes, c), qvs in groups.items():
+
+        def move(axes, c):
             ic = _iota_adj(alg, c, j)
             if not ic.size:
-                continue
-            moved = sign * _apply_base_stacked(
+                return None
+            return sign * _apply_base_stacked(
                 _pair_adj(geo, axes, i - 2), _apply_fiber_stacked(ic, stacked)
             )
-            for q, v in qvs:
-                mq = tuple(-x for x in q)
-                cur = shifted.get(mq)
-                shifted[mq] = np.conj(v) * moved if cur is None else cur + np.conj(v) * moved
-        for q, arr in shifted.items():
-            _scatter(dest, keys, arr, shift=q)
-    return out.prune()
+
+        _put(out, (i - 2, j + 1), _accumulate(keys, None, groups, move))
+    return out
 
 
 def _plus_sign(i):
@@ -669,7 +721,6 @@ def rho_scale(form, delta, inverse=False):
 
 def d_delta(poly, conn):
     """Exact polynomial action of d^(0,1) + delta d^(1,0) + delta^2 d^(2,-1)."""
-    f_forms = conn.curvature_forms()
     out = []
     for m in range(len(poly.coefficients) + 2):
         terms = []
@@ -681,7 +732,7 @@ def d_delta(poly, conn):
             terms.append(covariant_d(c1, conn))
         c2 = poly.coefficient(m - 2)
         if c2 is not None:
-            terms.append(curvature_contraction(c2, f_forms))
+            terms.append(curvature_contraction(c2, conn))
         if terms:
             total = terms[0]
             for t in terms[1:]:
@@ -695,7 +746,6 @@ def d_delta(poly, conn):
 
 
 def dstar_delta(poly, conn):
-    f_forms = conn.curvature_forms()
     out = []
     for m in range(len(poly.coefficients) + 2):
         terms = []
@@ -707,7 +757,7 @@ def dstar_delta(poly, conn):
             terms.append(covariant_dstar(c1, conn))
         c2 = poly.coefficient(m - 2)
         if c2 is not None:
-            terms.append(curvature_contraction_star(c2, f_forms))
+            terms.append(curvature_contraction_star(c2, conn))
         if terms:
             total = terms[0]
             for t in terms[1:]:
@@ -732,7 +782,7 @@ def apply_d_component(form, conn, which):
     if which == 1:
         return covariant_d(form, conn)
     if which == 2:
-        return curvature_contraction(form, conn.curvature_forms())
+        return curvature_contraction(form, conn)
     raise ConfigError("component index must be 0, 1 or 2")
 
 
@@ -742,7 +792,7 @@ def apply_dstar_component(form, conn, which):
     if which == 1:
         return covariant_dstar(form, conn)
     if which == 2:
-        return curvature_contraction_star(form, conn.curvature_forms())
+        return curvature_contraction_star(form, conn)
     raise ConfigError("component index must be 0, 1 or 2")
 
 

@@ -460,6 +460,16 @@ def test_spectrum_rejects_bad_deltas():
         spectrum_sweep(conn, 1, [0.5, 2.0], (2, 2))
 
 
+@pytest.mark.parametrize("deltas", [[0.5], [0.5, 0.5]])
+def test_spectrum_rejects_grid_without_two_distinct_deltas(deltas):
+    # a decay slope fitted through one point is meaningless
+    conn = abelian_t2(mean=True)
+    from bundlehodge.errors import ConfigError
+
+    with pytest.raises(ConfigError):
+        spectrum_sweep(conn, 1, deltas, (2, 2))
+
+
 # -- order-4 recovery ----------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from bundlehodge.base_forms import (
     TorusGeometry,
     constant_form,
     cos_wave,
+    monomial,
     random_form,
     sin_wave,
 )
@@ -311,13 +312,46 @@ def _skewed_abelian_connection():
     )
 
 
+def _many_mode_su2_connection(modes=6, seed=12):
+    # seeded real su(2) connection on T^4, scale 0.2: each component has
+    # `modes` band-1 Fourier modes (frequency pair +-k, axis, amplitude), so
+    # many (k, q) pairs of an operator land on one output frequency, which
+    # no fixture connection does; the frequencies lie in the x1-x2 plane to
+    # keep the coupling band, and with it the Galerkin side, small
+    geo = TorusGeometry(4)
+    bands = (1, 1, 0, 0)
+    rng = np.random.default_rng(seed)
+    half = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0)]
+    choices = [(k, axis) for k in half for axis in range(4)]
+    forms = []
+    for _ in range(3):
+        total = FourierForm.zero(geo, 1, bands)
+        for pick in rng.choice(len(choices), size=modes, replace=False):
+            k, axis = choices[pick]
+            amp = complex(*rng.uniform(-0.5, 0.5, size=2))
+            minus = tuple(-x for x in k)
+            total = total + monomial(geo, 1, k, (axis,), amp, bands)
+            total = total + monomial(geo, 1, minus, (axis,), amp.conjugate(), bands)
+        forms.append(total)
+    return Connection(make_su2(0.2), forms)
+
+
+def assert_no_zero_blocks(form):
+    for table in form.components.values():
+        assert table
+        for val in table.values():
+            assert np.any(val)
+
+
 # su(2) over T^3; scale-0.2 su(2) over T^4, whose Gram matrices are not the
-# identity; abelian with a curvature override; abelian on skewed metrics
+# identity; abelian with a curvature override; abelian on skewed metrics;
+# many-mode su(2) over T^4, where shifted blocks collide
 GALERKIN_ORACLE_CASES = [
     pytest.param(lambda: _fixture_connection("t3_su2_pages"), (2, 1, 1), id="t3_su2_pages"),
     pytest.param(lambda: _fixture_connection("t4_su2_cs3"), (1, 1, 0, 0), id="t4_su2_cs3"),
     pytest.param(lambda: _fixture_connection("t2_u1_c1nonzero"), (2, 2), id="t2_u1_c1nonzero"),
     pytest.param(_skewed_abelian_connection, (1, 1, 1), id="skewed_u1x2"),
+    pytest.param(_many_mode_su2_connection, (1, 1, 0, 0), id="many_mode_su2"),
 ]
 
 
@@ -346,8 +380,12 @@ def test_galerkin_matrices_match_form_level_operators(make_conn, box):
         up = TruncationLayout.of_degree(geo, alg, p + 1, wide)
         down = TruncationLayout.of_degree(geo, alg, p - 1, wide)
         for a in range(3):
-            s_ref, s_cut = up.vector_from_form(apply_d_component(w, conn, a))
-            t_ref, t_cut = down.vector_from_form(apply_dstar_component(w, conn, a))
+            d_w = apply_d_component(w, conn, a)
+            dstar_w = apply_dstar_component(w, conn, a)
+            assert_no_zero_blocks(d_w)
+            assert_no_zero_blocks(dstar_w)
+            s_ref, s_cut = up.vector_from_form(d_w)
+            t_ref, t_cut = down.vector_from_form(dstar_w)
             s_got = d_component_matrix(conn, a, layout, up) @ vec
             t_got = d_component_matrix(conn, a, down, layout).conj().T @ vec
             size = 1.0 + np.linalg.norm(vec)
@@ -366,34 +404,52 @@ def test_galerkin_band_too_small():
 
 
 def test_batched_operators_match_unbatched():
-    geo = TorusGeometry(4)
-    conn = su2_connection(geo)
-    rng = np.random.default_rng(8)
-    batch = random_bigraded(geo, conn.alg, 3, (1, 1, 1, 1), rng, batch=3)
-    # slice out sample 1 as an unbatched form
-    single = BigradedForm(geo, conn.alg)
-    for slot, table in batch.components.items():
-        for key, val in table.items():
-            single.set_value(slot, key, val[:, :, 1])
-    F = conn.curvature_forms()
-    for op in (
-        vertical_d,
-        vertical_dstar,
-        lambda f: covariant_d(f, conn),
-        lambda f: covariant_dstar(f, conn),
-        lambda f: curvature_contraction(f, F),
-        lambda f: curvature_contraction_star(f, F),
-    ):
-        out_b = op(batch)
-        out_s = op(single)
-        sliced = BigradedForm(geo, conn.alg)
-        for slot, table in out_b.components.items():
+    # the many-mode connection runs the batched path through colliding shifts
+    for conn in (su2_connection(TorusGeometry(4)), _many_mode_su2_connection()):
+        geo = conn.geometry
+        rng = np.random.default_rng(8)
+        batch = random_bigraded(geo, conn.alg, 3, (1, 1, 1, 1), rng, batch=3)
+        # slice out sample 1 as an unbatched form
+        single = BigradedForm(geo, conn.alg)
+        for slot, table in batch.components.items():
             for key, val in table.items():
-                sliced.set_value(slot, key, val[:, :, 1])
-        assert bigraded_norm(sliced - out_s) <= 1e-13 * max(bigraded_norm(out_s), 1.0)
-    norms = sq_norms_batch(batch)
-    assert norms.shape == (3,)
-    assert abs(norms[1] - bigraded_norm(single) ** 2) <= 1e-10 * norms[1]
+                single.set_value(slot, key, val[:, :, 1])
+        F = conn.curvature_forms()
+        for op in (
+            vertical_d,
+            vertical_dstar,
+            lambda f: covariant_d(f, conn),
+            lambda f: covariant_dstar(f, conn),
+            lambda f: curvature_contraction(f, F),
+            lambda f: curvature_contraction_star(f, F),
+        ):
+            out_b = op(batch)
+            out_s = op(single)
+            assert_no_zero_blocks(out_b)
+            assert_no_zero_blocks(out_s)
+            sliced = BigradedForm(geo, conn.alg)
+            for slot, table in out_b.components.items():
+                for key, val in table.items():
+                    sliced.set_value(slot, key, val[:, :, 1])
+            assert bigraded_norm(sliced - out_s) <= 1e-13 * max(bigraded_norm(out_s), 1.0)
+        norms = sq_norms_batch(batch)
+        assert norms.shape == (3,)
+        assert abs(norms[1] - bigraded_norm(single) ** 2) <= 1e-10 * norms[1]
+
+
+def test_nan_block_is_kept_not_read_as_zero():
+    # a NaN residual must show as a NaN norm, never as an exact zero
+    geo = TorusGeometry(4)
+    alg = make_su2()
+    form = BigradedForm(geo, alg)
+    val = np.zeros((1, 3), dtype=complex)
+    val[0, 0] = np.nan
+    form.set_value((0, 1), (1, 0, 0, 0), val)
+    image = vertical_d(form)
+    assert image.slots() == [(0, 2)]
+    assert np.isnan(bigraded_norm(image))
+    assert np.isnan(bigraded_norm(image.copy().prune(tol=1.0)))
+    assert np.isnan(bigraded_norm(form.copy().prune()))
 
 
 def test_inner_product_mismatch_raises():

@@ -192,3 +192,11 @@ def test_cli_verify_cs3_nonsemisimple_is_config_error(tmp_path):
         )
         == 2
     )
+
+
+def test_cli_spectrum_one_point_grid_is_config_error(tmp_path):
+    # t3_su2_pages declares delta_grid ["0.5"]: no decay slope can be fitted
+    assert (
+        cli_main(["spectrum", "--scenario", "t3_su2_pages", "--out", str(tmp_path), "--quiet"])
+        == 2
+    )
