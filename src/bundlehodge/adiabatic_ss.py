@@ -4,32 +4,30 @@ The page E_K^{i,j} collects band-limited forms admitting polynomial lifts
 omega + delta omega_1 + ... whose rescaled differential and codifferential
 both vanish through order delta^(K-1).  Each next page is the kernel of a
 Hodge-style Laplacian built from the projected leading coefficients; lifts
-are extended by solving the correction systems by least squares (conjugate
-gradient on the normal equations, which converges to the minimal-norm
-solution, the canonical representative).
+are extended by solving the correction systems by least squares: LSMR,
+started from zero, on the stacked sparse component matrices of the
+bigraded layer, which converges to the minimal-norm solution, the canonical
+representative.  The order-4 recovery of the base primitive is solved the
+same way, on the matrices of d_M and its adjoint over the (3,0) slot.
 
 Only the final projections onto the band box are truncated; every operator
 application on lifts is exact, with corrections confined to frequency
 boxes that provably contain the minimal-norm solution (the coupling of the
-connection widens reachable frequencies by at most its own band per order).
+connection widens reachable frequencies by at most its own band per order),
+and each equation posed over a box that holds it whole.
 """
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
 
-from .base_forms import FourierForm
 from .bigraded import (
     BigradedForm,
     DeltaPolynomial,
     TruncationLayout,
-    apply_d_component,
-    apply_dstar_component,
     bigraded_inner_product,
     bigraded_norm,
-    covariant_d,
-    covariant_dstar,
-    curvature_contraction,
-    curvature_contraction_star,
+    d_component_matrix,
     d_delta,
     dstar_delta,
     galerkin_operator,
@@ -74,12 +72,14 @@ def residual_orders(poly, conn):
     return d_list, s_list
 
 
-def verify_formal_harmonic(poly, conn, order):
-    """Check that both residuals vanish at every order below ``order``."""
+def verify_formal_harmonic(poly, conn, order, tolerances=None):
+    """Check that both residuals vanish at every order below ``order``, up
+    to tolerances.formal relative to the size of the polynomial."""
     from .bigraded import poly_norm
 
+    tolerances = tolerances or Tolerances()
     d_list, s_list = residual_orders(poly, conn)
-    tol = 1e-10 * (1.0 + poly_norm(poly))
+    tol = tolerances.formal * (1.0 + poly_norm(poly))
     report = {
         "order": order,
         "tolerance": tol,
@@ -95,87 +95,90 @@ def verify_formal_harmonic(poly, conn, order):
     return report
 
 
-# -- generic conjugate-gradient least squares -----------------------------------
+# -- correction systems on the sparse matrix layer -----------------------------
 
 
-def _cgls(apply_a, apply_at, b, dot_dom, comb_dom, dot_ran, comb_ran, zero_dom, tol_abs, maxiter):
-    """Minimal-norm least squares via CG on the normal equations.
+def _lsmr(mat, rhs, tolerances):
+    """Minimal-norm least-squares solution of mat x = rhs by LSMR from zero.
 
-    Domain and range may be different structured vector spaces, each with
-    its own inner product and axpy.  Starting from zero keeps every iterate
-    in the range of the adjoint, so the limit is the minimal-norm solution
-    in the domain inner product.  Returns (x, residual_norm, converged).
+    Started from zero, every iterate stays in the range of the adjoint, so
+    the limit is the minimal-norm solution.  Returns (x, residual, converged),
+    the residual recomputed as |rhs - mat x|, and converged meaning it is at
+    most tolerances.solver * (1 + |rhs|).
     """
-    x = zero_dom()
-    r = b
-    s = apply_at(r)
-    p = s
-    gamma = dot_dom(s, s).real
-    b_norm = np.sqrt(max(dot_ran(b, b).real, 0.0))
+    b_norm = float(np.linalg.norm(rhs))
+    tol_abs = tolerances.solver * (1.0 + b_norm)
     if b_norm <= tol_abs:
-        return x, b_norm, True
-    for _ in range(maxiter):
-        r_norm = np.sqrt(max(dot_ran(r, r).real, 0.0))
-        if r_norm <= tol_abs:
-            return x, r_norm, True
-        if gamma <= (1e-16 * b_norm) ** 2:
-            return x, r_norm, False
-        q = apply_a(p)
-        qq = dot_ran(q, q).real
-        if qq <= 0.0:
-            return x, r_norm, False
-        alpha = gamma / qq
-        x = comb_dom(x, alpha, p)
-        r = comb_ran(r, -alpha, q)
-        s = apply_at(r)
-        gamma_new = dot_dom(s, s).real
-        p = comb_dom(s, gamma_new / gamma, p)
-        gamma = gamma_new
-    r_norm = np.sqrt(max(dot_ran(r, r).real, 0.0))
-    return x, r_norm, r_norm <= tol_abs
+        return np.zeros(mat.shape[1], dtype=complex), b_norm, True
+    # atol = 0 and conlim = 0 leave the residual test (or machine precision,
+    # or max_iterations) as the only stop
+    x = scipy.sparse.linalg.lsmr(
+        mat, rhs, atol=0.0, btol=tol_abs / b_norm, conlim=0.0,
+        maxiter=tolerances.max_iterations,
+    )[0]
+    res = float(np.linalg.norm(rhs - mat @ x))
+    return x, res, res <= tol_abs
 
 
-def _truncate_box(form, bands):
-    """Drop frequencies outside the per-axis box; in-place-free."""
-    out = BigradedForm(form.geometry, form.alg)
-    for slot, table in form.components.items():
-        kept = {
-            key: val
-            for key, val in table.items()
-            if all(abs(k) <= b for k, b in zip(key, bands))
-        }
-        if kept:
-            out.components[slot] = kept
-    return out
+def _layout(conn, degree, box):
+    """TruncationLayout of one total degree over one box, cached on the connection."""
+    key = ("layout", degree, box)
+    if key not in conn._cache:
+        conn._cache[key] = TruncationLayout.of_degree(conn.geometry, conn.alg, degree, box)
+    return conn._cache[key]
 
 
-class _StackSpace:
-    """List-of-bigraded-forms vector space for the correction systems."""
+def _component(conn, which, src, dst):
+    """d_component_matrix between two (degree, box) layouts, cached on the connection."""
+    key = ("component", which, src, dst)
+    if key not in conn._cache:
+        conn._cache[key] = d_component_matrix(
+            conn, which, _layout(conn, *src), _layout(conn, *dst)
+        )
+    return conn._cache[key]
 
-    def __init__(self, geometry, alg, length):
-        self.geometry = geometry
-        self.alg = alg
-        self.length = length
 
-    def zero(self):
-        return [BigradedForm.zero(self.geometry, self.alg) for _ in range(self.length)]
+def _correction_system(conn, degree, reach, order):
+    """Stacked correction operator for lifts of degree-p vectors supported in
+    the box ``reach``, cached on the connection.
 
-    @staticmethod
-    def dot(xs, ys):
-        return sum(bigraded_inner_product(x, y) for x, y in zip(xs, ys))
-
-    @staticmethod
-    def combine(xs, alpha, ys):
-        return [x + alpha * y for x, y in zip(xs, ys)]
+    The unknown w_s (s = 0 .. order, w_0 the vector itself) lives in the
+    box reach + s c, c the coupling band; equation t = 1 .. order asks that
+    sum_a d_a w_(t-a) and sum_a d*_a w_(t-a) vanish, in the degree p + 1 and
+    p - 1 layouts over the box reach + t c, which hold them whole.  Block
+    (t, s) is d_(t-s), or d*_(t-s) as the conjugate transpose of the matrix
+    from degree p - 1.  Returns (layouts of w_0 .. w_order, matrix on
+    w_1 .. w_order, matrix on w_0).
+    """
+    key = ("corrections", degree, reach, order)
+    if key not in conn._cache:
+        boxes = [
+            tuple(r + s * c for r, c in zip(reach, conn.coupling_bands()))
+            for s in range(order + 1)
+        ]
+        rows = []
+        for t in range(1, order + 1):
+            up, down = (degree + 1, boxes[t]), (degree - 1, boxes[t])
+            row_d, row_s = [None] * (order + 1), [None] * (order + 1)
+            for s in range(max(t - 2, 0), t + 1):
+                row_d[s] = _component(conn, t - s, (degree, boxes[s]), up)
+                row_s[s] = _component(conn, t - s, down, (degree, boxes[s])).conj().T
+            rows += [row_d, row_s]
+        full = scipy.sparse.bmat(rows, format="csr")
+        unknowns = [_layout(conn, degree, box) for box in boxes]
+        n0 = unknowns[0].dim
+        conn._cache[key] = (unknowns, full[:, n0:], full[:, :n0])
+    return conn._cache[key]
 
 
 def solve_corrections(conn, v, order, tolerances=None, constraints=None):
     """Corrections w_1..w_order with residual orders 1..order all zero.
 
-    The unknown at order t is confined to the frequency box of v widened by
-    t times the coupling band of the connection, which contains the
-    minimal-norm solution.  ``constraints`` is an optional list of
-    bigraded forms each correction must stay orthogonal to.
+    ``v`` has one total degree.  The unknown at order t is confined to the
+    frequency box of v widened by t times the coupling band of the
+    connection, which contains the minimal-norm solution.  ``constraints``
+    is an optional list of bigraded forms each correction must stay
+    orthogonal to.
 
     Raises SolverFailure when the stacked least-squares system cannot be
     driven to zero (the vector is not actually on the page).
@@ -184,101 +187,40 @@ def solve_corrections(conn, v, order, tolerances=None, constraints=None):
     if order <= 0:
         return []
     geo, alg = v.geometry, v.alg
-    coupling = conn.coupling_bands()
-    base_reach = [0] * geo.n
+    degrees = {i + j for i, j in v.slots()}
+    if len(degrees) > 1:
+        raise ConfigError("corrections are solved one total degree at a time")
+    if not degrees:
+        return [BigradedForm.zero(geo, alg) for _ in range(order)]
+    reach = [0] * geo.n
     for table in v.components.values():
         for key in table:
             for a, k in enumerate(key):
-                base_reach[a] = max(base_reach[a], abs(k))
-    boxes = [
-        tuple(base_reach[a] + (t + 1) * coupling[a] for a in range(geo.n))
-        for t in range(order)
-    ]
-    space = _StackSpace(geo, alg, order)
-    n_cons = len(constraints) if constraints else 0
-
-    def forward(ws):
-        eqs_d, eqs_s = [], []
-        for t in range(1, order + 1):
-            terms_d, terms_s = [], []
-            for a in range(3):
-                idx = t - a - 1
-                if 0 <= idx < order:
-                    terms_d.append(apply_d_component(ws[idx], conn, a))
-                    terms_s.append(apply_dstar_component(ws[idx], conn, a))
-            eq_d = terms_d[0]
-            for term in terms_d[1:]:
-                eq_d = eq_d + term
-            eq_s = terms_s[0]
-            for term in terms_s[1:]:
-                eq_s = eq_s + term
-            eqs_d.append(eq_d)
-            eqs_s.append(eq_s)
-        scalars = np.zeros(n_cons * order, dtype=complex)
-        if constraints:
-            for s, cons in enumerate(constraints):
-                for t in range(order):
-                    scalars[s * order + t] = bigraded_inner_product(cons, ws[t])
-        return (eqs_d, eqs_s, scalars)
-
-    def adjoint(system):
-        eqs_d, eqs_s, scalars = system
-        out = []
-        for t in range(order):
-            acc = BigradedForm.zero(geo, alg)
-            for a in range(3):
-                idx = t + a  # equation order t + a + 1 has index t + a
-                if idx < order:
-                    acc = acc + apply_dstar_component(eqs_d[idx], conn, a)
-                    acc = acc + apply_d_component(eqs_s[idx], conn, a)
-            if constraints:
-                for s, cons in enumerate(constraints):
-                    z = scalars[s * order + t]
-                    if z != 0.0:
-                        acc = acc + z * cons
-            out.append(_truncate_box(acc, boxes[t]))
-        return out
-
-    def sys_dot(x, y):
-        total = _StackSpace.dot(x[0], y[0]) + _StackSpace.dot(x[1], y[1])
-        total += complex(np.vdot(x[2], y[2]))
-        return total
-
-    def sys_combine(x, alpha, y):
-        return (
-            _StackSpace.combine(x[0], alpha, y[0]),
-            _StackSpace.combine(x[1], alpha, y[1]),
-            x[2] + alpha * y[2],
-        )
-
-    rhs_d = [BigradedForm.zero(geo, alg) for _ in range(order)]
-    rhs_s = [BigradedForm.zero(geo, alg) for _ in range(order)]
-    rhs_d[0] = -1.0 * covariant_d(v, conn)
-    rhs_s[0] = -1.0 * covariant_dstar(v, conn)
-    if order >= 2:
-        rhs_d[1] = -1.0 * curvature_contraction(v, conn)
-        rhs_s[1] = -1.0 * curvature_contraction_star(v, conn)
-    rhs = (rhs_d, rhs_s, np.zeros(n_cons * order, dtype=complex))
-    scale = 1.0 + np.sqrt(max(sys_dot(rhs, rhs).real, 0.0))
-    ws, res, converged = _cgls(
-        forward,
-        adjoint,
-        rhs,
-        dot_dom=_StackSpace.dot,
-        comb_dom=_StackSpace.combine,
-        dot_ran=sys_dot,
-        comb_ran=sys_combine,
-        zero_dom=space.zero,
-        tol_abs=tolerances.solver * scale,
-        maxiter=tolerances.max_iterations,
-    )
+                reach[a] = max(reach[a], abs(k))
+    unknowns, mat, lead = _correction_system(conn, degrees.pop(), tuple(reach), order)
+    rhs = -(lead @ unknowns[0].vector_from_form(v)[0])
+    if constraints:
+        # rows <cons, w_t>, one per constraint and order
+        cons_rows = [
+            scipy.sparse.block_diag(
+                [layout.vector_from_form(cons)[0].conj()[None] for layout in unknowns[1:]]
+            )
+            for cons in constraints
+        ]
+        mat = scipy.sparse.vstack([mat] + cons_rows, format="csr")
+        rhs = np.concatenate([rhs, np.zeros(len(constraints) * order, dtype=complex)])
+    x, res, converged = _lsmr(mat, rhs, tolerances)
     if not converged:
         raise SolverFailure(
             f"correction system through order {order} stalled at residual {res:.3e}",
             order=order,
             residual=res,
         )
-    return [w.prune() for w in ws]
+    splits = np.cumsum([layout.dim for layout in unknowns[1:]])[:-1]
+    return [
+        layout.form_from_vector(part)
+        for layout, part in zip(unknowns[1:], np.split(x, splits))
+    ]
 
 
 # -- the page recursion ------------------------------------------------------------
@@ -675,7 +617,9 @@ def harmonic_limit(conn, total_degree, bands=None, k_max=6, tolerances=None, rec
             if table:
                 coeff.components[slot] = {k: v.copy() for k, v in table.items()}
             poly_coeffs.append(coeff)
-        report = verify_formal_harmonic(DeltaPolynomial(poly_coeffs), conn, total_degree)
+        report = verify_formal_harmonic(
+            DeltaPolynomial(poly_coeffs), conn, total_degree, tolerances
+        )
         if not report["passed"]:
             raise SolverFailure(
                 "harmonic limit candidate fails the formal residual check",
@@ -859,20 +803,14 @@ def recover_omega3(conn, cs3_poly, tolerances=None):
     """Solve the order-4 cancellation for the (3,0) term of the degree-3 lift.
 
     The constraint is d_M x = -(degree-4 characteristic form), with x
-    coclosed and orthogonal to the harmonic 3-forms; solved by least
-    squares on the stacked system, independently of the closed-form
-    primitive construction.
+    coclosed and orthogonal to the harmonic 3-forms; solved by LSMR on the
+    stacked sparse system, independently of the closed-form primitive
+    construction.
     """
-    from .base_forms import (
-        codifferential as base_codif,
-        d as base_d,
-        hodge_decompose,
-        _inner_complex,
-        norm as base_norm,
-    )
+    from .base_forms import hodge_decompose, norm as base_norm
 
     tolerances = tolerances or Tolerances()
-    geo = conn.geometry
+    geo, alg = conn.geometry, conn.alg
     if geo.n < 4:
         raise ConfigError("the degree-3 recovery needs a 4-dimensional base")
     residual = d_delta(cs3_poly, conn).coefficient(4)
@@ -881,53 +819,30 @@ def recover_omega3(conn, cs3_poly, tolerances=None):
     rhs_form = to_fourier(residual, 4)
     _, _, harm = hodge_decompose(rhs_form)
     scale = base_norm(rhs_form)
-    if base_norm(harm) > 1e-10 * max(scale, 1e-300):
+    if base_norm(harm) > tolerances.formal * max(scale, 1e-300):
         raise NotExact(
             "order-4 constraint has a harmonic component; the degree-4 class is nonzero",
             harmonic_norm=base_norm(harm),
         )
-
-    bands = rhs_form.bands
-
-    def harmonic_part(x):
-        _, _, h = hodge_decompose(x)
-        return h
-
-    def forward(x):
-        return (base_d(x), base_codif(x), harmonic_part(x))
-
-    def adjoint(y):
-        d_part, co_part, h_part = y
-        return (
-            base_codif(d_part) + base_d(co_part) + harmonic_part(h_part)
-        )
-
-    def dot(x, y):
-        if isinstance(x, tuple):
-            return sum(_inner_complex(a, b) for a, b in zip(x, y))
-        return _inner_complex(x, y)
-
-    def combine(x, alpha, y):
-        if isinstance(x, tuple):
-            return tuple(a + alpha * b for a, b in zip(x, y))
-        return x + alpha * y
-
-    zero3 = FourierForm.zero(geo, 3, bands)
-    rhs = (-1.0 * rhs_form, FourierForm.zero(geo, 2, bands), FourierForm.zero(geo, 3, bands))
-    x, res, converged = _cgls(
-        forward,
-        adjoint,
-        rhs,
-        dot_dom=dot,
-        comb_dom=combine,
-        dot_ran=dot,
-        comb_ran=combine,
-        zero_dom=lambda: zero3,
-        tol_abs=tolerances.solver * (1.0 + scale),
-        maxiter=tolerances.max_iterations,
+    # on pulled-back base forms the covariant derivative is d_M (ad* vanishes
+    # on Lambda^0), and the harmonic part is the zero-frequency block
+    layouts = {
+        i: TruncationLayout(geo, alg, [(i, 0)], rhs_form.bands) for i in (2, 3, 4)
+    }
+    d_mat = d_component_matrix(conn, 1, layouts[3], layouts[4])
+    dstar_mat = d_component_matrix(conn, 1, layouts[2], layouts[3]).conj().T
+    nb = num_indices(geo.n, 3)
+    zero_freq = layouts[3].key_pos[(0,) * geo.n] * nb + np.arange(nb)
+    harmonic_mat = scipy.sparse.csr_matrix(
+        (np.ones(nb), (np.arange(nb), zero_freq)), shape=(nb, layouts[3].dim)
     )
+    mat = scipy.sparse.vstack([d_mat, dstar_mat, harmonic_mat], format="csr")
+    rhs = np.concatenate(
+        [-layouts[4].vector_from_form(residual)[0], np.zeros(layouts[2].dim + nb, dtype=complex)]
+    )
+    x, res, converged = _lsmr(mat, rhs, tolerances)
     if not converged:
         raise SolverFailure(
             f"order-4 recovery stalled at residual {res:.3e}", order=4, residual=res
         )
-    return x.trim()
+    return to_fourier(layouts[3].form_from_vector(x), 3).trim()

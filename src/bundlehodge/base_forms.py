@@ -199,10 +199,11 @@ class FourierForm:
         return bool(np.max(np.abs(self.coeffs - flipped), initial=0.0) <= tol * max(scale, 1.0))
 
     def entries(self, tol=0.0):
-        """Nonzero coefficients as (k_tuple, multi_index, value)."""
+        """Coefficients of modulus above tol as (k_tuple, multi_index, value);
+        a NaN coefficient is kept, not read as zero."""
         idxs = multi_indices(self.geometry.n, self.degree)
         out = []
-        for pos in np.argwhere(np.abs(self.coeffs) > tol):
+        for pos in np.argwhere(~(np.abs(self.coeffs) <= tol)):
             k = tuple(int(p - b) for p, b in zip(pos[:-1], self.bands))
             out.append((k, idxs[pos[-1]], self.coeffs[tuple(pos)]))
         return out

@@ -947,26 +947,34 @@ def d_component_matrix(conn, which, src, dst):
     if which not in (0, 1, 2):
         raise ConfigError("component index must be 0, 1 or 2")
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
-    keys = np.array(src.keys, dtype=float)
+    keys = np.array(src.keys, dtype=int)
+    float_keys = keys.astype(float)
+    dst_bands = np.array(dst.bands)
+    dst_dims = tuple(2 * b + 1 for b in dst.bands)
     for i, j in src.slots:
         target = [(i, j + 1), (i + 1, j), (i + 2, j - 1)][which]
         if target not in dst.offsets:
             continue
         lb_out, lf_out, _, _ = dst.factors[target]
         _, _, lb_invT, lf_inv = src.factors[(i, j)]
-        for q, coeff, base, fiber in _component_terms(conn, which, i, j, keys):
-            local = np.kron(lb_out.T @ base @ lb_invT, lf_out.T @ fiber @ lf_inv.T)
+        blocks = {}  # nonzeros of the conjugated local block, per (B, F) pair
+        for q, coeff, base, fiber in _component_terms(conn, which, i, j, float_keys):
+            pair = (id(base), id(fiber))
+            if pair not in blocks:
+                local = np.kron(lb_out.T @ base @ lb_invT, lf_out.T @ fiber @ lf_inv.T)
+                l_row, l_col = np.nonzero(local)
+                blocks[pair] = (local.shape, l_row, l_col, local[l_row, l_col])
+            (n_row, n_col), l_row, l_col, l_val = blocks[pair]
+            if not l_val.size:
+                continue
+            # entries run by source key, then row-major over the local block
+            shifted = keys + np.array(q, dtype=int)
             coeffs = np.broadcast_to(np.asarray(coeff, dtype=complex), len(keys))
-            moved = [dst.key_pos.get(tuple(k + s for k, s in zip(key, q))) for key in src.keys]
-            hit = [p for p, r in enumerate(moved) if r is not None and coeffs[p] != 0.0]
-            freq = scipy.sparse.coo_matrix(
-                (coeffs[hit], ([moved[p] for p in hit], hit)),
-                shape=(len(dst.keys), len(src.keys)),
-            )
-            block = scipy.sparse.kron(freq, local, format="coo")
-            rows.append(block.row + dst.offsets[target])
-            cols.append(block.col + src.offsets[(i, j)])
-            vals.append(block.data)
+            hit = np.nonzero(np.all(np.abs(shifted) <= dst_bands, axis=1) & (coeffs != 0.0))[0]
+            moved = np.ravel_multi_index(tuple((shifted[hit] + dst_bands).T), dst_dims)
+            rows.append((moved[:, None] * n_row + l_row).ravel() + dst.offsets[target])
+            cols.append((hit[:, None] * n_col + l_col).ravel() + src.offsets[(i, j)])
+            vals.append((coeffs[hit][:, None] * l_val).ravel())
     return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dst.dim, src.dim),

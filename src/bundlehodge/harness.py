@@ -79,17 +79,18 @@ ACCEPTANCE_MAP = {
 
 
 def _number(value, what="value"):
-    """Scenario numbers are decimal strings; accept plain ints for counts."""
+    """Scenario numbers are finite decimal strings; accept plain ints for counts."""
     if isinstance(value, bool):
         raise ConfigError(f"{what} must be a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{what} is not a decimal string: {value!r}")
-    raise ConfigError(f"{what} has unsupported type {type(value).__name__}")
+    if not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{what} has unsupported type {type(value).__name__}")
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{what} is not a decimal number: {value!r}")
+    if not np.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def _matrix(rows, what="matrix"):
@@ -421,6 +422,10 @@ def cmd_verify_cs3(scenario, out_dir=None, quiet=False):
         raise ConfigError("the degree-3 check needs a 4-torus base")
     pair = scenario.polynomial()
     alpha = cs3(pair, conn)
+    if (2, 1) not in alpha.components:
+        raise ConfigError(
+            "the connection has zero curvature: its degree-3 form has no (2,1) part to check"
+        )
     w4 = cw4(pair, conn)
     out_dir = out_dir or scenario.output_dir
     report = {
@@ -466,7 +471,10 @@ def cmd_verify_cs3(scenario, out_dir=None, quiet=False):
     nobeta3 = (
         bigraded_norm(s_nobeta.coefficient(3)) if s_nobeta.coefficient(3) else 0.0
     )
-    necessity_ok = abs(nobeta3 - witness) <= 1e-10 * max(witness, 1.0) and witness > 1e-4
+    necessity_ok = (
+        abs(nobeta3 - witness) <= scenario.tolerances.formal * max(witness, 1.0)
+        and witness > 1e-4
+    )
     recovered = recover_omega3(
         conn, DeltaPolynomial([a03, zero.copy(), a21]), scenario.tolerances
     )

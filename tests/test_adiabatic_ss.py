@@ -36,6 +36,7 @@ from bundlehodge.bigraded import (
     curvature_contraction,
     curvature_contraction_star,
     from_fourier,
+    poly_norm,
     vertical_d,
     vertical_dstar,
 )
@@ -142,6 +143,16 @@ def test_verify_formal_harmonic_detects_failure():
     # the bare secondary form alone is not formally harmonic past order 1
     report = verify_formal_harmonic(DeltaPolynomial([alpha]), conn, order=4)
     assert not report["passed"]
+
+
+def test_declared_formal_tolerance_is_applied():
+    conn = su2_t4_connection()
+    pair = make_polynomial(conn.alg, "second_chern")
+    poly = DeltaPolynomial([cs3(pair, conn)])
+    loose = Tolerances(formal=1e6)
+    report = verify_formal_harmonic(poly, conn, order=4, tolerances=loose)
+    assert report["passed"]
+    assert report["tolerance"] == 1e6 * (1.0 + poly_norm(poly))
 
 
 # -- page dimensions -------------------------------------------------------------
@@ -393,11 +404,15 @@ def test_lift_uniqueness_curved_t3():
     entries = rec.infinity_entries(3)
     constraints = [v for _, v, _ in entries]
     slot0, v, _ = [e for e in entries if e[0] == (0, 3)][0]
-    route_a = solve_corrections(conn, v, 2, constraints=constraints)
-    route_b = dense_canonical(conn, v, 2, constraints)
-    for wa, wb in zip(route_a, route_b):
-        scale = 1.0 + bigraded_norm(wa)
-        assert bigraded_norm(wa - wb) <= 1e-8 * scale
+    # order 3 puts the curvature contraction d_2 on the unknown w_1
+    for order in (2, 3):
+        route_a = solve_corrections(conn, v, order, constraints=constraints)
+        route_b = dense_canonical(conn, v, order, constraints)
+        assert len(route_a) == order
+        for wa, wb in zip(route_a, route_b):
+            scale = 1.0 + bigraded_norm(wa)
+            assert bigraded_norm(wa - wb) <= 1e-8 * scale
+    assert bigraded_norm(route_a[2]) > 0.1
 
 
 def test_corrections_reproduce_primitive():

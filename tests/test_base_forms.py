@@ -16,6 +16,7 @@ from bundlehodge.base_forms import (
     hodge_decompose,
     hodge_star,
     inner_product,
+    monomial,
     norm,
     random_form,
     sin_wave,
@@ -305,6 +306,15 @@ def test_serialization_rejects_nonreal():
     data = {"degree": 0, "band": 1, "entries": [[[1, 0], [], 1.0, 0.0]]}
     with pytest.raises(ConfigError):
         form_from_dict(geo, data)
+
+
+def test_nan_coefficient_is_an_entry_not_a_zero():
+    geo = TorusGeometry(2)
+    entries = monomial(geo, 1, (1, 0), (0,), np.nan).entries()
+    assert len(entries) == 1
+    key, index, value = entries[0]
+    assert (key, index) == ((1, 0), (0,))
+    assert np.isnan(value)
 
 
 def test_trim_and_pad():

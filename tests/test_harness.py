@@ -200,3 +200,36 @@ def test_cli_spectrum_one_point_grid_is_config_error(tmp_path):
         cli_main(["spectrum", "--scenario", "t3_su2_pages", "--out", str(tmp_path), "--quiet"])
         == 2
     )
+
+
+def test_cli_verify_cs3_flat_connection_is_config_error(tmp_path):
+    # a flat connection's degree-3 form has no (2,1) part to check
+    assert (
+        cli_main(["verify-cs3", "--scenario", "t4_su2_flat", "--out", str(tmp_path), "--quiet"])
+        == 2
+    )
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("connection", None, "nan"),
+        ("tolerances", "tau_formal", "nan"),
+        ("tolerances", "tau_formal", "inf"),
+        ("polynomial", "normalization", "nan"),
+        ("polynomial", "normalization", 10**400),
+    ],
+    ids=["amplitude-nan", "tau_formal-nan", "tau_formal-inf", "normalization-nan", "huge-int"],
+)
+def test_cli_non_finite_number_is_config_error(tmp_path, section, field, value):
+    with open(packaged_scenario_path("t2_u1_c1zero")) as fh:
+        cfg = json.load(fh)
+    if section == "connection":
+        for entry in cfg["connection"]["components"][0][1]["entries"]:
+            entry[3] = value
+    else:
+        cfg[section][field] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "out")
+    assert cli_main(["verify-cs1", "--scenario", str(path), "--out", out, "--quiet"]) == 2
