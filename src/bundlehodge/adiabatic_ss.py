@@ -10,6 +10,9 @@ bigraded layer, which converges to the minimal-norm solution, the canonical
 representative.  The order-4 recovery of the base primitive is solved the
 same way, on the matrices of d_M and its adjoint over the (3,0) slot.
 
+The recursion itself runs on coordinate matrices, with lifts over the box
+of each slot basis' frequency support; forms are built only for output.
+
 Only the final projections onto the band box are truncated; every operator
 application on lifts is exact, with corrections confined to frequency
 boxes that provably contain the minimal-norm solution (the coupling of the
@@ -39,24 +42,20 @@ from .multiindex import num_indices
 
 
 class Tolerances:
-    """Numerical thresholds used across the page computation."""
+    """Numerical thresholds used across the page computation.
 
-    def __init__(
-        self,
-        formal=1e-10,
-        rank=1e-10,
-        spectral=1e-8,
-        solver=1e-12,
-        near_zero_cut=0.02,
-        slope_window=0.3,
-        max_iterations=6000,
-    ):
+    The solver residual, the near-zero cut of a spectrum and the window
+    around an even decay slope are fixed; the others can be declared.
+    """
+
+    solver = 1e-12
+    near_zero_cut = 0.02
+    slope_window = 0.3
+
+    def __init__(self, formal=1e-10, rank=1e-10, spectral=1e-8, max_iterations=6000):
         self.formal = float(formal)
         self.rank = float(rank)
         self.spectral = float(spectral)
-        self.solver = float(solver)
-        self.near_zero_cut = float(near_zero_cut)
-        self.slope_window = float(slope_window)
         self.max_iterations = int(max_iterations)
 
 
@@ -138,6 +137,30 @@ def _component(conn, which, src, dst):
     return conn._cache[key]
 
 
+def _boxes(conn, reach, order):
+    """The boxes reach + s c, s = 0 .. order, c the coupling band."""
+    coupling = conn.coupling_bands()
+    return [tuple(r + s * c for r, c in zip(reach, coupling)) for s in range(order + 1)]
+
+
+def _reach(keys, n):
+    """Per-axis reach max |k_a| of a collection of frequency keys."""
+    keys = np.array(list(keys), dtype=int).reshape(-1, n)
+    return tuple(int(r) for r in np.max(np.abs(keys), axis=0, initial=0))
+
+
+def _split_rows(layout, slot, box):
+    """Rows of one slot of a layout with frequency inside / outside a box.
+
+    A box lists its keys in lexicographic order, so the inside rows of a
+    wider layout run in the order of the box's own coordinates.
+    """
+    nb, nf = layout.shapes[slot]
+    inside = np.all(np.abs(np.array(layout.keys)) <= np.array(box), axis=1)
+    rows = layout.offsets[slot] + np.arange(inside.size * nb * nf).reshape(inside.size, -1)
+    return rows[inside].ravel(), rows[~inside].ravel()
+
+
 def _correction_system(conn, degree, reach, order):
     """Stacked correction operator for lifts of degree-p vectors supported in
     the box ``reach``, cached on the connection.
@@ -152,10 +175,7 @@ def _correction_system(conn, degree, reach, order):
     """
     key = ("corrections", degree, reach, order)
     if key not in conn._cache:
-        boxes = [
-            tuple(r + s * c for r, c in zip(reach, conn.coupling_bands()))
-            for s in range(order + 1)
-        ]
+        boxes = _boxes(conn, reach, order)
         rows = []
         for t in range(1, order + 1):
             up, down = (degree + 1, boxes[t]), (degree - 1, boxes[t])
@@ -169,6 +189,40 @@ def _correction_system(conn, degree, reach, order):
         n0 = unknowns[0].dim
         conn._cache[key] = (unknowns, full[:, n0:], full[:, :n0])
     return conn._cache[key]
+
+
+def _solve_columns(conn, degree, reach, lead, order, tolerances, constraints=None):
+    """Minimal-norm corrections of the columns of ``lead``, coordinates of
+    degree-p vectors over the layout of the box ``reach``.
+
+    One LSMR per column on the stacked correction system; each constraint
+    form adds the rows <constraint, w_t>, one per order.  Returns
+    [W_1 .. W_order], W_t the corrections over the box reach + t c with one
+    column per column of ``lead``.  Raises SolverFailure when a column's
+    system cannot be driven to zero (it is not on the page).
+    """
+    unknowns, mat, lead_mat = _correction_system(conn, degree, reach, order)
+    rhs = -(lead_mat @ lead)
+    if constraints:
+        # rows <cons, w_t>, one per constraint and order
+        cons_rows = [
+            scipy.sparse.block_diag(
+                [layout.vector_from_form(cons)[0].conj()[None] for layout in unknowns[1:]]
+            )
+            for cons in constraints
+        ]
+        mat = scipy.sparse.vstack([mat] + cons_rows, format="csr")
+        rhs = np.vstack([rhs, np.zeros((len(constraints) * order, rhs.shape[1]), dtype=complex)])
+    x = np.empty((mat.shape[1], rhs.shape[1]), dtype=complex)
+    for col, b in enumerate(np.ascontiguousarray(rhs.T)):
+        x[:, col], res, converged = _lsmr(mat, b, tolerances)
+        if not converged:
+            raise SolverFailure(
+                f"correction system through order {order} stalled at residual {res:.3e}",
+                order=order,
+                residual=res,
+            )
+    return np.split(x, np.cumsum([layout.dim for layout in unknowns[1:]])[:-1])
 
 
 def solve_corrections(conn, v, order, tolerances=None, constraints=None):
@@ -192,34 +246,13 @@ def solve_corrections(conn, v, order, tolerances=None, constraints=None):
         raise ConfigError("corrections are solved one total degree at a time")
     if not degrees:
         return [BigradedForm.zero(geo, alg) for _ in range(order)]
-    reach = [0] * geo.n
-    for table in v.components.values():
-        for key in table:
-            for a, k in enumerate(key):
-                reach[a] = max(reach[a], abs(k))
-    unknowns, mat, lead = _correction_system(conn, degrees.pop(), tuple(reach), order)
-    rhs = -(lead @ unknowns[0].vector_from_form(v)[0])
-    if constraints:
-        # rows <cons, w_t>, one per constraint and order
-        cons_rows = [
-            scipy.sparse.block_diag(
-                [layout.vector_from_form(cons)[0].conj()[None] for layout in unknowns[1:]]
-            )
-            for cons in constraints
-        ]
-        mat = scipy.sparse.vstack([mat] + cons_rows, format="csr")
-        rhs = np.concatenate([rhs, np.zeros(len(constraints) * order, dtype=complex)])
-    x, res, converged = _lsmr(mat, rhs, tolerances)
-    if not converged:
-        raise SolverFailure(
-            f"correction system through order {order} stalled at residual {res:.3e}",
-            order=order,
-            residual=res,
-        )
-    splits = np.cumsum([layout.dim for layout in unknowns[1:]])[:-1]
+    degree = degrees.pop()
+    reach = _reach((key for table in v.components.values() for key in table), geo.n)
+    lead = _layout(conn, degree, reach).vector_from_form(v)[0][:, None]
+    ws = _solve_columns(conn, degree, reach, lead, order, tolerances, constraints)
     return [
-        layout.form_from_vector(part)
-        for layout, part in zip(unknowns[1:], np.split(x, splits))
+        _layout(conn, degree, box).form_from_vector(w[:, 0])
+        for box, w in zip(_boxes(conn, reach, order)[1:], ws)
     ]
 
 
@@ -248,6 +281,14 @@ class PageRecursion:
     and acts only on the fiber index, so its kernel is (box) x (base
     indices) x (fiber harmonic subspace) on every slot.  Later pages use
     projected leading coefficients of exactly-computed lifts.
+
+    Everything runs on coordinate matrices with one column per basis
+    vector.  The lift terms of a page slot are one matrix per order, solved
+    on the cached correction systems over the box of the slot basis'
+    frequency support; the leading coefficients are products with the
+    cached component matrices over a box that holds them whole and contains
+    the page box, so projecting onto the page is a row selection.  Forms
+    are built only when page_basis or infinity_entries hand lifts out.
     """
 
     def __init__(self, conn, bands, k_max=6, tolerances=None):
@@ -268,7 +309,8 @@ class PageRecursion:
             slot: TruncationLayout(self.geometry, self.alg, [slot], self.bands)
             for slot in self.slots
         }
-        # bases[K][slot] -> complex matrix (slot_dim, r); lifts[K][slot][col]
+        # bases[K][slot] -> complex matrix (slot_dim, r); lifts[K][slot] ->
+        # (support box, [W_1 .. W_(K-1)]), filled on first use
         self.bases = {}
         self.lifts = {}
         self.dims_history = []
@@ -285,103 +327,136 @@ class PageRecursion:
     # ---- dimensions ------------------------------------------------------
 
     def full_dims(self):
-        return {
-            slot: self.coords[slot].dim
-            for slot in self.slots
-            if self.coords[slot].dim
-        }
+        return {slot: self.coords[slot].dim for slot in self.slots}
 
     def dims_at(self, K):
         if K == 0:
             return self.full_dims()
-        return {
-            slot: mat.shape[1]
-            for slot, mat in self.bases[K].items()
-            if mat.shape[1]
-        }
+        return {slot: mat.shape[1] for slot, mat in self.bases[K].items()}
 
     # ---- page 1 ----------------------------------------------------------
 
     def _seed_first_page(self):
         bases = {}
-        lifts = {}
         for slot in self.slots:
             i, j = slot
             coords = self.coords[slot]
             harm = harmonic_subspace(self.alg, j)
-            if harm.shape[1] == 0 or coords.dim == 0:
+            if harm.shape[1] == 0:
                 continue
             hat = self.alg.chol(j).T @ harm  # orthonormal columns
             nb, _ = coords.shapes[slot]
-            basis = np.kron(np.eye(len(coords.keys) * nb), hat).astype(complex)
-            bases[slot] = basis
-            lifts[slot] = [[] for _ in range(basis.shape[1])]
+            bases[slot] = np.kron(np.eye(len(coords.keys) * nb), hat).astype(complex)
         self.bases[1] = bases
-        self.lifts[1] = lifts
+
+    # ---- lifts and leading coefficients -----------------------------------
+
+    def _embed(self, slot, basis, box):
+        """Basis columns as coordinates over the degree layout of a box that
+        holds their support."""
+        layout = _layout(self.conn, sum(slot), box)
+        inside, _ = _split_rows(self.coords[slot], slot, box)
+        out = np.zeros((layout.dim, basis.shape[1]), dtype=complex)
+        start = layout.offsets[slot]
+        out[start : start + inside.size] = basis[inside]
+        return out
+
+    def _lifts(self, K):
+        """Per slot of page K, (support box, [W_1 .. W_(K-1)]): the
+        minimal-norm lift terms of every basis column, solved on first use."""
+        if K not in self.lifts:
+            lifts = {}
+            for slot, basis in self.bases[K].items():
+                coords = self.coords[slot]
+                support = np.any(basis.reshape(len(coords.keys), -1) != 0, axis=1)
+                box = _reach(np.array(coords.keys)[support], self.geometry.n)
+                ws = []
+                if K >= 2:
+                    lead = self._embed(slot, basis, box)
+                    ws = _solve_columns(self.conn, sum(slot), box, lead, K - 1, self.tol)
+                    self.diagnostics["corrections_solved"] += basis.shape[1]
+                lifts[slot] = (box, ws)
+            self.lifts[K] = lifts
+        return self.lifts[K]
+
+    def _leading(self, K, degree, box, w, up):
+        """Order-K coefficient of d_delta (``up``) or d*_delta on the lifts
+        w = [W_0 .. W_(K-1)] of degree-p columns supported in ``box``:
+        sum over s = max(K - 2, 0) .. K - 1 of d_(K-s) W_s.  Returns the
+        degree p +- 1 layout over max(box + K c, page box), which holds the
+        coefficient whole and contains the page box, and its coordinates."""
+        boxes = _boxes(self.conn, box, K)
+        outer = (degree + 1 if up else degree - 1, tuple(map(max, boxes[K], self.bands)))
+        total = 0
+        for s in range(max(K - 2, 0), K):
+            inner = (degree, boxes[s])
+            if up:
+                total = total + _component(self.conn, K - s, inner, outer) @ w[s]
+            else:
+                total = total + _component(self.conn, K - s, outer, inner).conj().T @ w[s]
+        return _layout(self.conn, *outer), total
+
+    def _project(self, layout, coeff, target, adjoints):
+        """Project the columns of a leading coefficient onto the target page
+        slot, or return None when it has no page.  ``adjoints`` maps each page
+        slot to the conjugate transpose of its basis.  Also accumulates the
+        off-slot and out-of-box (cut) masses, which the page theory says must
+        vanish, relative to the column norms."""
+        scale = 1.0 + np.linalg.norm(coeff, axis=0)
+        out = None
+        for slot, adjoint in adjoints.items():
+            if slot not in layout.offsets:
+                continue
+            inside, outside = _split_rows(layout, slot, self.bands)
+            cut = np.linalg.norm(coeff[outside], axis=0) / scale
+            self.diagnostics["projection_cut"] = max(
+                self.diagnostics["projection_cut"], float(np.max(cut))
+            )
+            proj = adjoint @ coeff[inside]
+            if slot == target:
+                out = proj
+            else:
+                off = np.linalg.norm(proj, axis=0) / scale
+                self.diagnostics["offslot_residual"] = max(
+                    self.diagnostics["offslot_residual"], float(np.max(off))
+                )
+        return out
 
     # ---- generic step ----------------------------------------------------
 
-    def _column_form(self, K, slot, col):
-        return self.coords[slot].form_from_vector(self.bases[K][slot][:, col])
-
-    def _column_lift(self, K, slot, col):
-        v = self._column_form(K, slot, col)
-        return DeltaPolynomial([v] + list(self.lifts[K][slot][col]))
-
-    def _ensure_lifts(self, K):
-        """Fresh canonical corrections through order K-1 for every column."""
-        if K < 2:
-            return
-        for slot, basis in self.bases[K].items():
-            for col in range(basis.shape[1]):
-                if len(self.lifts[K][slot][col]) >= K - 1:
-                    continue
-                v = self._column_form(K, slot, col)
-                ws = solve_corrections(self.conn, v, K - 1, self.tol)
-                self.lifts[K][slot][col] = ws
-                self.diagnostics["corrections_solved"] += 1
-
     def _step(self, K):
         """Compute page K+1 from page K."""
-        self._ensure_lifts(K)
         bases = self.bases[K]
-        adjoints = {slot: basis.conj().T for slot, basis in bases.items() if basis.shape[1]}
-        mat_d = {}
-        mat_s = {}
+        lifts = self._lifts(K)
+        adjoints = {slot: basis.conj().T for slot, basis in bases.items()}
+        degrees = {i + j for i, j in bases}
+        mat_d, mat_s = {}, {}
         for slot, basis in bases.items():
-            r = basis.shape[1]
-            if r == 0:
-                continue
             i, j = slot
-            t_d = (i + K, j - K + 1)
-            t_s = (i - K, j + K - 1)
-            rho_cols = []
-            sig_cols = []
-            for col in range(r):
-                lift = self._column_lift(K, slot, col)
-                rho = d_delta(lift, self.conn).coefficient(K)
-                sig = dstar_delta(lift, self.conn).coefficient(K)
-                rho_cols.append(rho)
-                sig_cols.append(sig)
-            mat_d[slot] = self._project_columns(rho_cols, t_d, adjoints)
-            mat_s[slot] = self._project_columns(sig_cols, t_s, adjoints)
+            box, ws = lifts[slot]
+            w = [self._embed(slot, basis, box)] + ws
+            for up, mats, target in (
+                (True, mat_d, (i + K, j - K + 1)),
+                (False, mat_s, (i - K, j + K - 1)),
+            ):
+                if i + j + (1 if up else -1) not in degrees:
+                    continue
+                proj = self._project(*self._leading(K, i + j, box, w, up), target, adjoints)
+                if proj is not None:
+                    mats[slot] = proj
         # assemble the page Laplacian per slot and cut its kernel
         new_bases = {}
-        new_lifts = {}
         consistency = self.diagnostics["adjoint_consistency"]
         for slot, basis in bases.items():
             r = basis.shape[1]
-            if r == 0:
-                continue
             i, j = slot
             s_in = (i - K, j + K - 1)
-            t_d = (i + K, j - K + 1)
             lap = np.zeros((r, r), dtype=complex)
             m_out = mat_d.get(slot)
             if m_out is not None:
                 lap += m_out.conj().T @ m_out
             m_in = mat_d.get(s_in)
-            if m_in is not None and s_in in bases:
+            if m_in is not None:
                 lap += m_in @ m_in.conj().T
             # adjoint-consistency: the projected codifferential matrix must be
             # the conjugate transpose of the projected differential matrix
@@ -402,67 +477,19 @@ class PageRecursion:
                 kernel = evecs[:, keep]
             if kernel.shape[1]:
                 new_bases[slot] = basis @ kernel
-                cols = []
-                for cnew in range(kernel.shape[1]):
-                    combo = []
-                    max_terms = max(
-                        (len(self.lifts[K][slot][c]) for c in range(r)), default=0
-                    )
-                    for t in range(max_terms):
-                        acc = BigradedForm.zero(self.geometry, self.alg)
-                        for c in range(r):
-                            terms = self.lifts[K][slot][c]
-                            if t < len(terms) and kernel[c, cnew] != 0.0:
-                                acc = acc + kernel[c, cnew] * terms[t]
-                        combo.append(acc.prune())
-                    cols.append(combo)
-                new_lifts[slot] = cols
         self.diagnostics["adjoint_consistency"] = consistency
         # record the (pi_K d_K)^2 residual across two hops
         dsq = self.diagnostics["dsq_residual"]
-        for slot in mat_d:
+        for slot, m_first in mat_d.items():
             i, j = slot
-            mid = (i + K, j - K + 1)
-            if mid in mat_d and mat_d[slot] is not None and mat_d[mid] is not None:
-                prod = mat_d[mid] @ mat_d[slot]
+            m_second = mat_d.get((i + K, j - K + 1))
+            if m_second is not None:
+                prod = m_second @ m_first
                 if prod.size:
-                    scale = 1.0 + float(
-                        np.linalg.norm(mat_d[mid]) * np.linalg.norm(mat_d[slot])
-                    )
+                    scale = 1.0 + float(np.linalg.norm(m_second) * np.linalg.norm(m_first))
                     dsq = max(dsq, float(np.linalg.norm(prod)) / scale)
         self.diagnostics["dsq_residual"] = dsq
         self.bases[K + 1] = new_bases
-        self.lifts[K + 1] = new_lifts
-
-    def _project_columns(self, forms, target_slot, adjoints):
-        """Project leading coefficients onto the target page slot.
-
-        ``adjoints`` maps each nonempty page slot to the conjugate transpose
-        of its basis.  Returns the matrix, or None when the target slot has
-        no page; also accumulates the off-slot and out-of-box masses, which
-        the page theory says must vanish.
-        """
-        cols = []
-        for form in forms:
-            if form is None:
-                form = BigradedForm.zero(self.geometry, self.alg)
-            scale = 1.0 + bigraded_norm(form)
-            for slot, adjoint in adjoints.items():
-                vec, cut = self.coords[slot].vector_from_form(form)
-                self.diagnostics["projection_cut"] = max(
-                    self.diagnostics["projection_cut"], cut / scale
-                )
-                proj = adjoint @ vec
-                if slot == target_slot:
-                    cols.append(proj)
-                else:
-                    off = float(np.linalg.norm(proj)) / scale
-                    self.diagnostics["offslot_residual"] = max(
-                        self.diagnostics["offslot_residual"], off
-                    )
-        if target_slot not in adjoints or not cols:
-            return None
-        return np.stack(cols, axis=1)
 
     def _op_scale(self):
         total = 1.0
@@ -475,9 +502,7 @@ class PageRecursion:
     def _possible_later_differential(self, dims, K_from):
         n, m = self.geometry.n, self.alg.dim
         for K in range(K_from, min(n, m + 1) + 1):
-            for (i, j), r in dims.items():
-                if r == 0:
-                    continue
+            for i, j in dims:
                 if dims.get((i + K, j - K + 1), 0) > 0:
                     return True
         return False
@@ -513,10 +538,23 @@ class PageRecursion:
         dims = self.dims_at(K)
         return {slot: r for slot, r in dims.items() if slot[0] + slot[1] == degree}
 
+    def _entries(self, K, degree):
+        """(slot, vector, lift) for every basis column of one degree at page K."""
+        lifts = self._lifts(K)
+        out = []
+        for slot, basis in self.bases[K].items():
+            if sum(slot) != degree:
+                continue
+            box, ws = lifts[slot]
+            layouts = [_layout(self.conn, degree, b) for b in _boxes(self.conn, box, len(ws))[1:]]
+            for col in range(basis.shape[1]):
+                v = self.coords[slot].form_from_vector(basis[:, col])
+                terms = [layout.form_from_vector(w[:, col]) for layout, w in zip(layouts, ws)]
+                out.append((slot, v, DeltaPolynomial([v] + terms)))
+        return out
+
     def page_basis(self, degree, K):
         """Materialize a PageBasis for one degree at one page."""
-        if K >= 2:
-            self._ensure_lifts(K)
         dims = self.dims_for_degree(K, degree)
         entries = []
         if K == 0:
@@ -530,26 +568,13 @@ class PageRecursion:
                     v = coords.form_from_vector(unit)
                     entries.append((v, DeltaPolynomial([v])))
         else:
-            for slot, basis in self.bases.get(K, {}).items():
-                if slot[0] + slot[1] != degree:
-                    continue
-                for col in range(basis.shape[1]):
-                    v = self._column_form(K, slot, col)
-                    entries.append((v, self._column_lift(K, slot, col)))
+            entries = [(v, lift) for _, v, lift in self._entries(K, degree)]
         return PageBasis(degree, K, entries, dims, dict(self.diagnostics))
 
     def infinity_entries(self, degree):
         """Basis and lifts of the stabilized page in one degree, with lifts
         extended through order k_stop - 1."""
-        K = self.k_stop
-        self._ensure_lifts(K)
-        out = []
-        for slot, basis in self.bases.get(K, {}).items():
-            if slot[0] + slot[1] != degree:
-                continue
-            for col in range(basis.shape[1]):
-                out.append((slot, self._column_form(K, slot, col), self._column_lift(K, slot, col)))
-        return out
+        return self._entries(self.k_stop, degree)
 
 
 def compute_pages(conn, total_degree, k_max=6, bands=None, tolerances=None):

@@ -61,18 +61,6 @@ from .multiindex import (
 # -- small dense helpers ------------------------------------------------------
 
 
-def _apply_fiber(mat, val):
-    if val.ndim == 2:
-        return np.einsum("gf,bf->bg", mat, val)
-    return np.einsum("gf,bft->bgt", mat, val)
-
-
-def _apply_base(mat, val):
-    if val.ndim == 2:
-        return np.einsum("ab,bf->af", mat, val)
-    return np.einsum("ab,bft->aft", mat, val)
-
-
 def _stack_table(table):
     keys = list(table.keys())
     return keys, np.stack([table[k] for k in keys])
@@ -220,13 +208,6 @@ class BigradedForm:
         if self.geometry != other.geometry or self.alg is not other.alg:
             raise ConfigError("bigraded forms live on different bundles")
 
-    def max_band(self):
-        reach = 0
-        for table in self.components.values():
-            for key in table:
-                reach = max(reach, max((abs(k) for k in key), default=0))
-        return reach
-
 
 def from_fourier(form, alg, fiber_degree=0, fiber_coeffs=None):
     """Lift a base FourierForm into the bigraded complex.
@@ -297,10 +278,6 @@ class Connection:
                     raise ConfigError("curvature override must be 2-forms on the base")
         self.curvature_override = curvature_override
         self._cache = {}
-
-    @property
-    def band(self):
-        return max(self.bands) if self.bands else 0
 
     def curvature_forms(self):
         """F = dA + (1/2)[A ^ A], one 2-form per algebra index."""
@@ -387,15 +364,6 @@ class DeltaPolynomial:
 
     def __sub__(self, other):
         return self + (-1.0) * other
-
-    def shift(self, power):
-        """Multiply by delta^power."""
-        if not self.coefficients:
-            return DeltaPolynomial([])
-        zero = BigradedForm.zero(
-            self.coefficients[0].geometry, self.coefficients[0].alg
-        )
-        return DeltaPolynomial([zero.copy() for _ in range(power)] + self.coefficients)
 
     def evaluate(self, delta):
         if not self.coefficients:

@@ -70,8 +70,9 @@ def main(argv=None):
         if args.seed is not None:
             scenario.seed = args.seed
         if args.band is not None:
+            if args.band < 0:
+                raise ConfigError(f"--band must be at least 0, got {args.band}")
             scenario.bands = (args.band,) * scenario.geometry.n
-            scenario.spectrum_bands = scenario.bands
         kwargs = {"out_dir": args.out, "quiet": args.quiet}
         if args.command in ("pages", "spectrum") and args.degree is not None:
             kwargs["degree"] = args.degree

@@ -93,6 +93,28 @@ def _number(value, what="value"):
     return number
 
 
+def _integer(value, what="value", minimum=None):
+    """Scenario counts and indices: integers, plain or as decimal strings."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        number = value
+    else:
+        number = _number(value, what)
+        if not number.is_integer():
+            raise ConfigError(f"{what} must be an integer, got {value!r}")
+        number = int(number)
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{what} must be at least {minimum}, got {value!r}")
+    return number
+
+
+def _section(config, key, kind, default):
+    """An optional scenario field that must have one JSON type."""
+    value = config.get(key, default)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
 def _matrix(rows, what="matrix"):
     try:
         return np.array([[_number(x, what) for x in row] for row in rows], dtype=float)
@@ -113,7 +135,7 @@ class Scenario:
             conn_cfg = config["connection"]
         except KeyError as err:
             raise ConfigError(f"scenario is missing the {err.args[0]!r} section")
-        n = int(geo_cfg.get("dim", 0))
+        n = _integer(geo_cfg.get("dim", 0), "geometry dim")
         if not 2 <= n <= 4:
             raise ConfigError("geometry dim must be 2, 3 or 4")
         metric = (
@@ -124,22 +146,23 @@ class Scenario:
         self.geometry = TorusGeometry(n, metric=metric)
         self.algebra = self._build_algebra(alg_cfg)
         self.connection = self._build_connection(conn_cfg)
-        poly_cfg = config.get("polynomial", {})
+        poly_cfg = _section(config, "polynomial", dict, {})
         self.polynomial_kind = poly_cfg.get("kind")
         self.polynomial_normalization = _number(
             poly_cfg.get("normalization", "1.0"), "normalization"
         )
         self.delta_grid = [
-            _number(x, "delta value") for x in config.get("delta_grid", [])
+            _number(x, "delta value") for x in _section(config, "delta_grid", list, [])
         ]
         if any(not 0 < x <= 1 for x in self.delta_grid):
             raise ConfigError("delta values must lie in (0, 1]")
-        self.bands = self._bands(config.get("band", 1))
-        self.galerkin_bands = self._bands(config.get("galerkin_bands", self.bands))
-        self.spectrum_bands = self._bands(config.get("spectrum_bands", self.bands))
-        self.degree = int(config.get("degree", 1))
-        self.k_max = int(config.get("k_max", 6))
-        tol_cfg = config.get("tolerances", {})
+        self.bands = self._bands(config.get("band", 1), "band")
+        self.galerkin_bands = self._bands(
+            config.get("galerkin_bands", self.bands), "galerkin_bands"
+        )
+        self.degree = _integer(config.get("degree", 1), "degree", minimum=0)
+        self.k_max = _integer(config.get("k_max", 6), "k_max", minimum=1)
+        tol_cfg = _section(config, "tolerances", dict, {})
         self.tolerances = Tolerances(
             formal=_number(tol_cfg.get("tau_formal", "1e-10"), "tau_formal"),
             rank=_number(tol_cfg.get("tau_rank", "1e-10"), "tau_rank"),
@@ -153,14 +176,13 @@ class Scenario:
             if val <= 0:
                 raise ConfigError(f"{label} must be positive")
         self.output_dir = config.get("output_dir", "out")
-        self.seed = int(config.get("seed", 0))
+        self.seed = _integer(config.get("seed", 0), "seed")
 
-    def _bands(self, raw):
+    def _bands(self, raw, what):
         n = self.geometry.n
-        if isinstance(raw, (int, str)):
-            b = int(raw)
-            return (b,) * n
-        bands = tuple(int(x) for x in raw)
+        if not isinstance(raw, (list, tuple)):
+            return (_integer(raw, what, minimum=0),) * n
+        bands = tuple(_integer(x, what, minimum=0) for x in raw)
         if len(bands) != n:
             raise ConfigError("per-axis band list has wrong length")
         return bands
@@ -173,13 +195,16 @@ class Scenario:
         if name == "su3":
             return make_su3(scale)
         if name == "u1":
-            return make_u1(int(cfg.get("rank", 1)), scale)
+            return make_u1(_integer(cfg.get("rank", 1), "algebra rank", minimum=1), scale)
         if name is not None:
             raise ConfigError(f"unknown algebra constructor {name!r}")
-        dim = int(cfg.get("dim", 0))
+        dim = _integer(cfg.get("dim", 0), "algebra dim", minimum=1)
         c = np.zeros((dim, dim, dim))
         for i, j, k, val in cfg.get("structure_constants", []):
-            c[int(i), int(j), int(k)] = _number(val, "structure constant")
+            index = tuple(_integer(x, "structure constant index", minimum=0) for x in (i, j, k))
+            if max(index) >= dim:
+                raise ConfigError(f"structure constant index {index} out of range for dim {dim}")
+            c[index] = _number(val, "structure constant")
         metric = _matrix(cfg["metric"], "algebra metric") if "metric" in cfg else np.eye(dim)
         return LieAlgebraData(dim, c, metric)
 
@@ -514,7 +539,7 @@ def _pages_payload(recursion, degree):
 
 def cmd_pages(scenario, degree=None, out_dir=None, quiet=False, consistency=True):
     """Page dimensions, harmonic limits, and the zero-count consistency."""
-    degree = scenario.degree if degree is None else int(degree)
+    degree = scenario.degree if degree is None else _integer(degree, "degree", minimum=0)
     conn = scenario.connection
     recursion = run_page_recursion(
         conn, scenario.bands, k_max=scenario.k_max, tolerances=scenario.tolerances
@@ -574,12 +599,12 @@ def cmd_pages(scenario, degree=None, out_dir=None, quiet=False, consistency=True
 
 def cmd_spectrum(scenario, degree=None, out_dir=None, quiet=False):
     """Eigenvalue sweep, decay exponents, and comparison with page counts."""
-    degree = scenario.degree if degree is None else int(degree)
+    degree = scenario.degree if degree is None else _integer(degree, "degree", minimum=0)
     conn = scenario.connection
     if not scenario.delta_grid:
         raise ConfigError("spectrum command needs a delta grid")
     sweep = spectrum_sweep(
-        conn, degree, scenario.delta_grid, scenario.spectrum_bands, scenario.tolerances
+        conn, degree, scenario.delta_grid, scenario.bands, scenario.tolerances
     )
     recursion = run_page_recursion(
         conn, scenario.bands, k_max=scenario.k_max, tolerances=scenario.tolerances
@@ -640,7 +665,7 @@ def cmd_spectrum(scenario, degree=None, out_dir=None, quiet=False):
         "command": "spectrum",
         "seed": scenario.seed,
         "degree": degree,
-        "bands": list(scenario.spectrum_bands),
+        "bands": list(scenario.bands),
         "deltas": sweep.deltas,
         "spectral_norms": sweep.spectral_norms,
         "close_gap_flags": sweep.close_gap_flags,

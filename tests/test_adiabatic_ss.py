@@ -415,6 +415,39 @@ def test_lift_uniqueness_curved_t3():
     assert bigraded_norm(route_a[2]) > 0.1
 
 
+@pytest.mark.parametrize(
+    "make_conn, bands",
+    [
+        (su2_t3_connection, (1, 1, 1)),
+        (lambda: abelian_t2(mean=True), (2, 2)),
+        (su2_t4_connection, (1, 1, 0, 0)),
+    ],
+    ids=["su2-t3", "u1-t2-mean", "su2-t4-flat-axes"],
+)
+def test_recursion_lifts_match_solve_corrections(make_conn, bands):
+    """Every lift term the recursion hands out is the minimal-norm
+    correction that solve_corrections finds for its leading vector.
+
+    The recursion solves per slot on the box of the basis' frequency
+    support and widens its leading coefficients to the page box on axes the
+    connection does not couple (the t4 case with box (1, 1, 0, 0)).
+    """
+    conn = make_conn()
+    rec = run_page_recursion(conn, bands)
+    checked = 0
+    for K in range(2, rec.k_stop + 1):
+        for p in range(conn.geometry.n + conn.alg.dim + 1):
+            for v, lift in rec.page_basis(p, K).entries:
+                ws = solve_corrections(conn, v, K - 1)
+                assert len(lift) <= K
+                for t, w in enumerate(ws, start=1):
+                    term = lift.coefficient(t)
+                    gap = bigraded_norm(w if term is None else term - w)
+                    assert gap <= 1e-10 * (1.0 + bigraded_norm(w))
+                    checked += 1
+    assert checked > 0
+
+
 def test_corrections_reproduce_primitive():
     """The first correction of the fiber class is minus the base primitive.
 

@@ -181,6 +181,10 @@ def test_cli_exit_codes(tmp_path):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps({"name": "x", "geometry": {"dim": 9}, "algebra": {"name": "u1"}, "connection": {"components": []}}))
     assert cli_main(["verify-cs1", "--scenario", str(bad2), "--out", out, "--quiet"]) == 2
+    # negative degree and band overrides
+    for flag in ("--degree", "--band"):
+        argv = ["pages", "--scenario", "t2_u1_c1nonzero", flag, "-1", "--out", out, "--quiet"]
+        assert cli_main(argv) == 2
     # report over the produced directory
     assert cli_main(["report", out, "--quiet"]) == 0
 
@@ -233,3 +237,51 @@ def test_cli_non_finite_number_is_config_error(tmp_path, section, field, value):
     path.write_text(json.dumps(cfg))
     out = str(tmp_path / "out")
     assert cli_main(["verify-cs1", "--scenario", str(path), "--out", out, "--quiet"]) == 2
+
+
+def _su2_constants(index):
+    """su(2) structure constants, the index 2 of [e_0, e_1] written as ``index``."""
+    return [
+        [0, 1, index, "1"], [1, 0, index, "-1"],
+        [1, 2, 0, "1"], [2, 1, 0, "-1"],
+        [2, 0, 1, "1"], [0, 2, 1, "-1"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"degree": "one"},
+        {"degree": 1.7},
+        {"degree": -1},
+        {"k_max": "six"},
+        {"k_max": 0},
+        {"seed": "x"},
+        {"band": "wide"},
+        {"band": None},
+        {"band": -1},
+        {"galerkin_bands": ["a", 1]},
+        {"geometry": {"dim": "two"}},
+        {"algebra": {"name": "u1", "rank": "one"}},
+        {"algebra": {"dim": 3, "structure_constants": _su2_constants(5)}},
+        {"algebra": {"dim": 3, "structure_constants": _su2_constants(-1)}},
+        {"delta_grid": None},
+        {"tolerances": []},
+        {"polynomial": []},
+    ],
+    ids=[
+        "degree-word", "degree-fraction", "degree-negative", "k_max-word", "k_max-zero",
+        "seed-word", "band-word", "band-null", "band-negative", "galerkin_bands-word",
+        "dim-word", "rank-word", "structure-index-too-large", "structure-index-negative",
+        "delta_grid-null", "tolerances-list", "polynomial-list",
+    ],
+)
+def test_cli_malformed_field_is_config_error(tmp_path, patch):
+    with open(packaged_scenario_path("t2_u1_c1zero")) as fh:
+        cfg = json.load(fh)
+    cfg.update(patch)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "out")
+    # lie-check runs on any algebra, so only the parsing can fail
+    assert cli_main(["lie-check", "--scenario", str(path), "--out", out, "--quiet"]) == 2
