@@ -37,17 +37,13 @@ from .bigraded import (
     BigradedForm,
     Connection,
     DeltaPolynomial,
+    apply_d_component,
+    apply_dstar_component,
     bigraded_inner_product,
-    covariant_d,
-    covariant_dstar,
-    curvature_contraction,
-    curvature_contraction_star,
     d_delta,
     dstar_delta,
     galerkin_operator,
     laplacian_delta,
-    vertical_d,
-    vertical_dstar,
 )
 from .chern_weil import (
     InvariantPolynomial,

@@ -313,6 +313,7 @@ class PageRecursion:
         # (support box, [W_1 .. W_(K-1)]), filled on first use
         self.bases = {}
         self.lifts = {}
+        self._handout = {}  # (K, degree) -> infinity_entries
         self.dims_history = []
         self.diagnostics = {
             "projection_cut": 0.0,
@@ -573,8 +574,12 @@ class PageRecursion:
 
     def infinity_entries(self, degree):
         """Basis and lifts of the stabilized page in one degree, with lifts
-        extended through order k_stop - 1."""
-        return self._entries(self.k_stop, degree)
+        extended through order k_stop - 1.  The forms are built once per
+        degree and shared by every caller, which must not modify them."""
+        key = (self.k_stop, degree)
+        if key not in self._handout:
+            self._handout[key] = self._entries(self.k_stop, degree)
+        return self._handout[key]
 
 
 def compute_pages(conn, total_degree, k_max=6, bands=None, tolerances=None):

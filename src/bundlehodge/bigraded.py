@@ -19,16 +19,23 @@ where (ad*_a psi)(x_1..x_j) = -sum_l psi(x_1, ..., [e_a, x_l], ..., x_j).
 The vertical sign is opposite to the bare fiber differential because the
 complex is written in the frame of right-invariant vertical covectors.
 
-Adjoints are assembled as true matrix adjoints of these operators with
-respect to the product inner product (base Gram x fiber Gram x volume), so
-adjointness holds by construction.
+Each component is one list of terms (shift q, coefficient, base matrix B,
+fiber matrix F): the value at frequency k contributes coefficient x
+B val F^T at k + q.  The fiber differential and the base derivative i k_l
+act at k itself (Fourier multipliers); the connection and curvature terms
+multiply by one mode and shift by its frequency.  The form-level operators
+and the sparse component matrices read the same list.  The codifferential
+is derived from it, not written out: each term becomes (-q, conjugate
+coefficient, B*, F*) with B* = G_in^-1 B^H G_out the adjoint for the Gram
+inner products (the same for F), so adjointness for the product inner
+product (base Gram x fiber Gram x volume) holds by construction.
 
 The form-level operators accumulate per destination slot: each output
 frequency is one row of one array, numbered in first-seen order (the source
-keys, then the image of each shift q as q first appears).  The unshifted
-term lands first, then per q the sum of coefficient x moved block over the
-(base, algebra) groups, in group order, with one vectorized add.  Rows that
-are exactly zero are dropped; rows holding a NaN or an infinity are kept.
+keys, then the image of each shift q as q first appears).  The multiplier
+terms land first, then per q the sum of coefficient x moved block over the
+(B, F) groups, in group order, with one vectorized add.  Rows that are
+exactly zero are dropped; rows holding a NaN or an infinity are kept.
 
 Rescaling by delta^i per base degree turns the total differential into the
 polynomial family d_delta = d^(0,1) + delta d^(1,0) + delta^2 d^(2,-1);
@@ -81,51 +88,6 @@ def _apply_base_stacked(mat, stacked):
 def _acc(table, key, arr):
     cur = table.get(key)
     table[key] = arr if cur is None else cur + arr
-
-
-def _fiber_cached(alg, key, builder):
-    return alg._cached(("bigraded",) + key, builder)
-
-
-def _base_cached(geo, key, builder):
-    return geo._cached(("bigraded",) + key, builder)
-
-
-def _coad_adj(alg, a, j):
-    def build():
-        gram = alg.gram(j)
-        return np.linalg.solve(gram, alg.coadjoint_matrix(a, j).T @ gram)
-
-    return _fiber_cached(alg, ("coad_adj", a, j), build)
-
-
-def _iota_adj(alg, a, j):
-    """Adjoint of iota_a : Lambda^(j+1) -> Lambda^j, mapping Lambda^j up."""
-
-    def build():
-        return np.linalg.solve(alg.gram(j + 1), alg.iota_matrix(a, j + 1).T @ alg.gram(j))
-
-    return _fiber_cached(alg, ("iota_adj", a, j), build)
-
-
-def _axis_adj(geo, l, i):
-    """Adjoint of dx^l ^ (.) : Lambda^i -> Lambda^(i+1), mapping down."""
-
-    def build():
-        return np.linalg.solve(
-            geo.gram(i), wedge_axis_matrix(geo.n, i, l).T @ geo.gram(i + 1)
-        )
-
-    return _base_cached(geo, ("axis_adj", l, i), build)
-
-
-def _pair_adj(geo, axes, i):
-    def build():
-        return np.linalg.solve(
-            geo.gram(i), wedge_pair_matrix(geo.n, i, axes).T @ geo.gram(i + 2)
-        )
-
-    return _base_cached(geo, ("pair_adj", axes, i), build)
 
 
 # -- data types ----------------------------------------------------------------
@@ -434,102 +396,184 @@ def _vert_sign(i):
     return -1.0 if i % 2 == 0 else 1.0
 
 
-def vertical_d(form):
-    out = BigradedForm(form.geometry, form.alg)
-    alg = form.alg
+def _plus_sign(i):
+    # the contraction carries +(-1)^i
+    return 1.0 if i % 2 == 0 else -1.0
+
+
+# bidegree of each component d^(which)
+_BIDEGREES = ((0, 1), (1, 0), (2, -1))
+
+
+def _component_terms(conn, which, i, j, keys):
+    """Terms (shift q, coefficient, base key, fiber key) of the component
+    d^(which) on the (i, j)-slot: the value at key k contributes
+    coefficient * B val F^T at k + q, with B = _factor(geometry, base key)
+    and F = _factor(algebra, fiber key).
+
+    The Fourier multipliers come first, with q None: they act at k itself.
+    They are the fiber differential (coefficient 1) and the base derivative
+    i k_l (coefficient per row of ``keys``).  The coupling terms follow:
+    each multiplies by one mode of the connection or the curvature and
+    shifts by its frequency.
+    """
+    return _multiplier_terms(conn.geometry.n, which, i, j, keys) + _coupling_terms(
+        conn, which, i, j
+    )
+
+
+def _multiplier_terms(n, which, i, j, keys):
+    if which == 0:
+        return [(None, 1.0, ("eye", i, i, None), ("d", j, j + 1, _vert_sign(i)))]
+    if which == 1:
+        eye = ("eye", j, j, None)
+        return [(None, 1j * keys[:, l], ("axis", i, i + 1, l), eye) for l in range(n)]
+    return []
+
+
+def _coupling_terms(conn, which, i, j):
+    if which == 1:
+        return [
+            (q, v, ("axis", i, i + 1, l), ("coad", j, j, c)) for q, l, c, v in conn.a_entries()
+        ]
+    if which == 2:
+        return [
+            (q, _plus_sign(i) * v, ("pair", i, i + 2, axes), ("iota", j, j - 1, c))
+            for q, axes, c, v in conn.f_entries()
+        ]
+    return []
+
+
+def _adjoint_term(term):
+    """The codifferential term of a component term: shift -q, conjugate
+    coefficient, adjoint factors."""
+    q, coeff, base, fiber = term
+    if q is not None:
+        q = tuple(-x for x in q)
+    return q, np.conj(coeff), _adjoint_key(base), _adjoint_key(fiber)
+
+
+def _adjoint_key(key):
+    # the identity is its own adjoint
+    return key if key[0] == "eye" else ("adjoint",) + key
+
+
+def _factor(space, key):
+    """Base (TorusGeometry) or fiber (LieAlgebraData) matrix of a term,
+    cached on the space under its key (kind, degree in, degree out,
+    parameter).  ("adjoint",) + key is G_in^-1 M^H G_out, the adjoint of M
+    for the Gram inner products of its source and target degrees."""
+
+    def build():
+        if key[0] == "adjoint":
+            _, _, deg_in, deg_out, _ = key
+            mat = _factor(space, key[1:])
+            return np.linalg.solve(space.gram(deg_in), mat.conj().T @ space.gram(deg_out))
+        kind, deg, _, param = key
+        if kind == "eye":
+            return np.eye(len(space.gram(deg)))
+        if kind == "axis":
+            return wedge_axis_matrix(space.n, deg, param)
+        if kind == "pair":
+            return wedge_pair_matrix(space.n, deg, param)
+        if kind == "d":
+            return param * space.d_matrix(deg)
+        if kind == "coad":
+            return space.coadjoint_matrix(param, deg)
+        return space.iota_matrix(param, deg)
+
+    return space._cached(("bigraded",) + key, build)
+
+
+def _slot_terms(conn, which, slot, keys, adjoint):
+    """The multiplier terms and the coupling groups {(base, fiber): [(q,
+    coefficient)]} of d^(which) on ``slot``; with ``adjoint``, of the
+    derived codifferential terms, which map back onto ``slot``.  The groups
+    are cached on the connection."""
+    multipliers = _multiplier_terms(conn.geometry.n, which, *slot, keys)
+    cache_key = ("groups", which, slot, adjoint)
+    if cache_key not in conn._cache:
+        groups = {}
+        for term in _coupling_terms(conn, which, *slot):
+            q, coeff, base, fiber = _adjoint_term(term) if adjoint else term
+            groups.setdefault((base, fiber), []).append((q, coeff))
+        conn._cache[cache_key] = groups
+    if adjoint:
+        multipliers = [_adjoint_term(term) for term in multipliers]
+    return multipliers, conn._cache[cache_key]
+
+
+def _move(geo, alg, base, fiber, stacked):
+    """B val F^T on every stacked value; identity factors are skipped."""
+    if fiber[0] != "eye":
+        stacked = _apply_fiber_stacked(_factor(alg, fiber), stacked)
+    if base[0] != "eye":
+        stacked = _apply_base_stacked(_factor(geo, base), stacked)
+    return stacked
+
+
+def _apply_component(form, conn, which, adjoint):
+    """d^(which) or its adjoint on a form, one destination slot at a time."""
+    if which not in (0, 1, 2):
+        raise ConfigError("component index must be 0, 1 or 2")
+    geo, alg = form.geometry, form.alg
+    di, dj = _BIDEGREES[which]
+    if adjoint:
+        di, dj = -di, -dj
+    out = BigradedForm(geo, alg)
     for (i, j), table in form.components.items():
-        if j >= alg.dim or not table:
-            continue
-        mat = _vert_sign(i) * alg.d_matrix(j)
-        if not mat.size:
+        target = (i + di, j + dj)
+        if not table or not num_indices(geo.n, target[0]) or not num_indices(alg.dim, target[1]):
             continue
         keys, stacked = _stack_table(table)
-        _put(out, (i, j + 1), _accumulate(keys, _apply_fiber_stacked(mat, stacked)))
+        # only the base derivative reads the keys
+        fkeys = np.array(keys, dtype=float) if which == 1 else None
+        multipliers, groups = _slot_terms(conn, which, target if adjoint else (i, j), fkeys, adjoint)
+        unshifted = None
+        for _, coeff, base, fiber in multipliers:
+            if not np.any(coeff):
+                continue
+            term = _move(geo, alg, base, fiber, stacked)
+            if np.ndim(coeff):  # per key; the fiber differential's scalar 1 is not applied
+                term = coeff.reshape((-1,) + (1,) * (stacked.ndim - 1)) * term
+            unshifted = term if unshifted is None else unshifted + term
+
+        def move(base, fiber):
+            return _move(geo, alg, base, fiber, stacked)
+
+        _put(out, target, _accumulate(keys, unshifted, groups, move))
     return out
 
 
-def vertical_dstar(form):
-    out = BigradedForm(form.geometry, form.alg)
-    alg = form.alg
-    for (i, j), table in form.components.items():
-        if j < 1 or not table:
-            continue
-        mat = _vert_sign(i) * alg.dstar_matrix(j)
-        if not mat.size:
-            continue
-        keys, stacked = _stack_table(table)
-        _put(out, (i, j - 1), _accumulate(keys, _apply_fiber_stacked(mat, stacked)))
-    return out
+def apply_d_component(form, conn, which):
+    """Single bidegree component d^(which) of the differential: which = 0
+    (vertical), 1 (covariant horizontal) or 2 (curvature contraction)."""
+    return _apply_component(form, conn, which, adjoint=False)
 
 
-def _grouped_entries(entries, adjoint=False):
-    """Connection or curvature entries grouped by (base index, algebra index)
-    as lists of (shift, coefficient); the adjoint shifts by -q with the
-    conjugate coefficient."""
-    groups = {}
-    for q, pos, c, v in entries:
-        if adjoint:
-            q, v = tuple(-x for x in q), np.conj(v)
-        groups.setdefault((pos, c), []).append((q, v))
-    return groups
+def apply_dstar_component(form, conn, which):
+    """Adjoint of apply_d_component, from the same terms."""
+    return _apply_component(form, conn, which, adjoint=True)
 
 
-def _connection_groups(conn, adjoint):
-    """Grouped connection entries, cached on the connection."""
-    key = ("a_groups", adjoint)
-    if key not in conn._cache:
-        conn._cache[key] = _grouped_entries(conn.a_entries(), adjoint)
-    return conn._cache[key]
-
-
-def _curvature_groups(f_forms, adjoint):
-    """Grouped curvature entries of a Connection (cached on it) or of a list
-    of curvature 2-forms."""
-    if isinstance(f_forms, Connection):
-        key = ("f_groups", adjoint)
-        if key not in f_forms._cache:
-            f_forms._cache[key] = _grouped_entries(f_forms.f_entries(), adjoint)
-        return f_forms._cache[key]
-    entries = [
-        (key, idx, c, val) for c, f in enumerate(f_forms) for key, idx, val in f.entries()
-    ]
-    return _grouped_entries(entries, adjoint)
-
-
-def _derivative_term(keys, mats, stacked, factor):
-    """sum_l factor * k_l * (mats[l] applied to the base index), or None."""
-    extra = (1,) * (stacked.ndim - 1)
-    total = None
-    for l, mat in enumerate(mats):
-        kvals = np.array([key[l] for key in keys], dtype=float)
-        if not np.any(kvals):
-            continue
-        term = (factor * kvals).reshape((-1,) + extra) * _apply_base_stacked(mat, stacked)
-        total = term if total is None else total + term
-    return total
-
-
-def _accumulate(keys, unshifted, groups=None, move=None):
+def _accumulate(keys, unshifted, groups, move):
     """Frequency table of one destination slot.
 
     ``unshifted`` (or None) lands on the source ``keys``; for each group of
-    ``groups``, ``move(*group)`` is the moved stack (None skips the group),
-    and each (q, v) of the group adds v * moved at key + q.  Every
-    destination frequency gets one output row, numbered in first-seen order
-    (the source keys, then each shift q as it first appears), and each row
-    sums its contributions in that same order: the unshifted term, then per
-    q the group sum sum_g v_gq moved_g.  The rows of one q are distinct, so
-    each q lands with one vectorized add.  Rows that are exactly zero are
-    dropped; rows holding a NaN are kept.
+    ``groups``, ``move(*group)`` is the moved stack, and each (q, v) of the
+    group adds v * moved at key + q.  Every destination frequency gets one
+    output row, numbered in first-seen order (the source keys, then each
+    shift q as it first appears), and each row sums its contributions in
+    that same order: the unshifted term, then per q the group sum
+    sum_g v_gq moved_g.  The rows of one q are distinct, so each q lands
+    with one vectorized add.  Rows that are exactly zero are dropped; rows
+    holding a NaN are kept.
     """
     moved, shifts = [], {}
-    for group, qvs in (groups or {}).items():
-        arr = move(*group)
-        if arr is None:
-            continue
+    for group, qvs in groups.items():
         for q, v in qvs:
             shifts.setdefault(q, []).append((len(moved), v))
-        moved.append(arr)
+        moved.append(move(*group))
     if not shifts:
         if unshifted is None:
             return {}
@@ -575,106 +619,6 @@ def _put(out, slot, table):
         out.components[slot] = table
 
 
-def covariant_d(form, conn):
-    geo = form.geometry
-    alg = form.alg
-    n = geo.n
-    out = BigradedForm(geo, alg)
-    groups = _connection_groups(conn, adjoint=False)
-    for (i, j), table in form.components.items():
-        if i >= n or not table:
-            continue
-        keys, stacked = _stack_table(table)
-        axis_mats = [wedge_axis_matrix(n, i, l) for l in range(n)]
-
-        def move(l, c):
-            rc = alg.coadjoint_matrix(c, j)
-            if not rc.size:
-                return None
-            return _apply_base_stacked(axis_mats[l], _apply_fiber_stacked(rc, stacked))
-
-        unshifted = _derivative_term(keys, axis_mats, stacked, 1j)
-        _put(out, (i + 1, j), _accumulate(keys, unshifted, groups, move))
-    return out
-
-
-def covariant_dstar(form, conn):
-    geo = form.geometry
-    alg = form.alg
-    n = geo.n
-    out = BigradedForm(geo, alg)
-    groups = _connection_groups(conn, adjoint=True)
-    for (i, j), table in form.components.items():
-        if i < 1 or not table:
-            continue
-        keys, stacked = _stack_table(table)
-        adj_mats = [_axis_adj(geo, l, i - 1) for l in range(n)]
-
-        def move(l, c):
-            rc = _coad_adj(alg, c, j)
-            if not rc.size:
-                return None
-            return _apply_base_stacked(adj_mats[l], _apply_fiber_stacked(rc, stacked))
-
-        unshifted = _derivative_term(keys, adj_mats, stacked, -1j)
-        _put(out, (i - 1, j), _accumulate(keys, unshifted, groups, move))
-    return out
-
-
-def curvature_contraction(form, f_forms):
-    """Contraction against a Lie-algebra-valued curvature 2-form."""
-    geo = form.geometry
-    alg = form.alg
-    n = geo.n
-    out = BigradedForm(geo, alg)
-    groups = _curvature_groups(f_forms, adjoint=False)
-    for (i, j), table in form.components.items():
-        if j < 1 or i + 2 > n or not table:
-            continue
-        keys, stacked = _stack_table(table)
-        sign = _plus_sign(i)
-
-        def move(axes, c):
-            ic = alg.iota_matrix(c, j)
-            if not ic.size:
-                return None
-            return sign * _apply_base_stacked(
-                wedge_pair_matrix(n, i, axes), _apply_fiber_stacked(ic, stacked)
-            )
-
-        _put(out, (i + 2, j - 1), _accumulate(keys, None, groups, move))
-    return out
-
-
-def curvature_contraction_star(form, f_forms):
-    geo = form.geometry
-    alg = form.alg
-    n = geo.n
-    out = BigradedForm(geo, alg)
-    groups = _curvature_groups(f_forms, adjoint=True)
-    for (i, j), table in form.components.items():
-        if i < 2 or j + 1 > alg.dim or not table:
-            continue
-        keys, stacked = _stack_table(table)
-        sign = _plus_sign(i - 2)
-
-        def move(axes, c):
-            ic = _iota_adj(alg, c, j)
-            if not ic.size:
-                return None
-            return sign * _apply_base_stacked(
-                _pair_adj(geo, axes, i - 2), _apply_fiber_stacked(ic, stacked)
-            )
-
-        _put(out, (i - 2, j + 1), _accumulate(keys, None, groups, move))
-    return out
-
-
-def _plus_sign(i):
-    # the contraction carries +(-1)^i
-    return 1.0 if i % 2 == 0 else -1.0
-
-
 # -- rescaled polynomial family --------------------------------------------------
 
 
@@ -687,20 +631,15 @@ def rho_scale(form, delta, inverse=False):
     return out
 
 
-def d_delta(poly, conn):
-    """Exact polynomial action of d^(0,1) + delta d^(1,0) + delta^2 d^(2,-1)."""
+def _delta_series(poly, conn, apply):
+    # coefficient m collects component a applied to coefficient m - a
     out = []
     for m in range(len(poly.coefficients) + 2):
-        terms = []
-        c0 = poly.coefficient(m)
-        if c0 is not None:
-            terms.append(vertical_d(c0))
-        c1 = poly.coefficient(m - 1)
-        if c1 is not None:
-            terms.append(covariant_d(c1, conn))
-        c2 = poly.coefficient(m - 2)
-        if c2 is not None:
-            terms.append(curvature_contraction(c2, conn))
+        terms = [
+            apply(poly.coefficient(m - a), conn, a)
+            for a in range(3)
+            if poly.coefficient(m - a) is not None
+        ]
         if terms:
             total = terms[0]
             for t in terms[1:]:
@@ -711,57 +650,21 @@ def d_delta(poly, conn):
                 BigradedForm.zero(poly.coefficients[0].geometry, poly.coefficients[0].alg)
             )
     return DeltaPolynomial(out)
+
+
+def d_delta(poly, conn):
+    """Exact polynomial action of d^(0,1) + delta d^(1,0) + delta^2 d^(2,-1)."""
+    return _delta_series(poly, conn, apply_d_component)
 
 
 def dstar_delta(poly, conn):
-    out = []
-    for m in range(len(poly.coefficients) + 2):
-        terms = []
-        c0 = poly.coefficient(m)
-        if c0 is not None:
-            terms.append(vertical_dstar(c0))
-        c1 = poly.coefficient(m - 1)
-        if c1 is not None:
-            terms.append(covariant_dstar(c1, conn))
-        c2 = poly.coefficient(m - 2)
-        if c2 is not None:
-            terms.append(curvature_contraction_star(c2, conn))
-        if terms:
-            total = terms[0]
-            for t in terms[1:]:
-                total = total + t
-            out.append(total)
-        elif poly.coefficients:
-            out.append(
-                BigradedForm.zero(poly.coefficients[0].geometry, poly.coefficients[0].alg)
-            )
-    return DeltaPolynomial(out)
+    """Exact polynomial action of the adjoint, d*_delta."""
+    return _delta_series(poly, conn, apply_dstar_component)
 
 
 def laplacian_delta(poly, conn):
     """d_delta d*_delta + d*_delta d_delta, exactly as polynomials."""
     return d_delta(dstar_delta(poly, conn), conn) + dstar_delta(d_delta(poly, conn), conn)
-
-
-def apply_d_component(form, conn, which):
-    """Single bidegree component: which = 0, 1 or 2."""
-    if which == 0:
-        return vertical_d(form)
-    if which == 1:
-        return covariant_d(form, conn)
-    if which == 2:
-        return curvature_contraction(form, conn)
-    raise ConfigError("component index must be 0, 1 or 2")
-
-
-def apply_dstar_component(form, conn, which):
-    if which == 0:
-        return vertical_dstar(form)
-    if which == 1:
-        return covariant_dstar(form, conn)
-    if which == 2:
-        return curvature_contraction_star(form, conn)
-    raise ConfigError("component index must be 0, 1 or 2")
 
 
 # -- random forms -----------------------------------------------------------------
@@ -881,28 +784,6 @@ class TruncationLayout:
         return out
 
 
-def _component_terms(conn, which, i, j, keys):
-    """Terms (shift q, coefficient, base B, fiber F) of one component on the
-    (i, j)-slot, with the same signs as the form-level operators: the value
-    at key k contributes coefficient * B val F^T at k + q.  The coefficient
-    is a scalar, or per key (rows of ``keys``) for the derivative i k_l."""
-    n = conn.geometry.n
-    alg = conn.alg
-    zero = (0,) * n
-    if which == 0:
-        return [(zero, 1.0, np.eye(num_indices(n, i)), _vert_sign(i) * alg.d_matrix(j))]
-    if which == 1:
-        eye = np.eye(num_indices(alg.dim, j))
-        return [(zero, 1j * keys[:, l], wedge_axis_matrix(n, i, l), eye) for l in range(n)] + [
-            (q, v, wedge_axis_matrix(n, i, l), alg.coadjoint_matrix(c, j))
-            for q, l, c, v in conn.a_entries()
-        ]
-    return [
-        (q, _plus_sign(i) * v, wedge_pair_matrix(n, i, axes), alg.iota_matrix(c, j))
-        for q, axes, c, v in conn.f_entries()
-    ]
-
-
 def d_component_matrix(conn, which, src, dst):
     """Sparse matrix of the component d^(which) from layout src to layout dst.
 
@@ -920,23 +801,24 @@ def d_component_matrix(conn, which, src, dst):
     dst_bands = np.array(dst.bands)
     dst_dims = tuple(2 * b + 1 for b in dst.bands)
     for i, j in src.slots:
-        target = [(i, j + 1), (i + 1, j), (i + 2, j - 1)][which]
+        target = (i + _BIDEGREES[which][0], j + _BIDEGREES[which][1])
         if target not in dst.offsets:
             continue
         lb_out, lf_out, _, _ = dst.factors[target]
         _, _, lb_invT, lf_inv = src.factors[(i, j)]
         blocks = {}  # nonzeros of the conjugated local block, per (B, F) pair
         for q, coeff, base, fiber in _component_terms(conn, which, i, j, float_keys):
-            pair = (id(base), id(fiber))
+            pair = (base, fiber)
             if pair not in blocks:
-                local = np.kron(lb_out.T @ base @ lb_invT, lf_out.T @ fiber @ lf_inv.T)
+                b_mat, f_mat = _factor(conn.geometry, base), _factor(conn.alg, fiber)
+                local = np.kron(lb_out.T @ b_mat @ lb_invT, lf_out.T @ f_mat @ lf_inv.T)
                 l_row, l_col = np.nonzero(local)
                 blocks[pair] = (local.shape, l_row, l_col, local[l_row, l_col])
             (n_row, n_col), l_row, l_col, l_val = blocks[pair]
             if not l_val.size:
                 continue
             # entries run by source key, then row-major over the local block
-            shifted = keys + np.array(q, dtype=int)
+            shifted = keys if q is None else keys + np.array(q, dtype=int)
             coeffs = np.broadcast_to(np.asarray(coeff, dtype=complex), len(keys))
             hit = np.nonzero(np.all(np.abs(shifted) <= dst_bands, axis=1) & (coeffs != 0.0))[0]
             moved = np.ravel_multi_index(tuple((shifted[hit] + dst_bands).T), dst_dims)

@@ -20,7 +20,7 @@ from .base_forms import (
 from .bigraded import (
     BigradedForm,
     Connection,
-    covariant_dstar,
+    apply_dstar_component,
 )
 from .errors import ConfigError, DegreeError, NotSemisimple
 from .lie_algebra import cs3_fiber_term
@@ -194,7 +194,8 @@ def primitive_h(cw_form):
 
 def beta_correction(conn, pair):
     """The (1,2) correction: the unique fiber-exact beta with
-    vertical_dstar(beta) = covariant_dstar(alpha^{2,1}) and vertical_d(beta) = 0."""
+    d*_0 beta = d*_1 alpha^{2,1} and d_0 beta = 0 (apply_dstar_component and
+    apply_d_component)."""
     alg = conn.alg
     if not alg.is_semisimple():
         raise NotSemisimple("correction term needs a semisimple fiber algebra")
@@ -202,7 +203,7 @@ def beta_correction(conn, pair):
     alpha21 = BigradedForm(
         conn.geometry, alg, {(2, 1): alpha.components.get((2, 1), {})}
     )
-    psi = covariant_dstar(alpha21, conn)
+    psi = apply_dstar_component(alpha21, conn, 1)
     table = psi.components.get((1, 1), {})
     out = BigradedForm(conn.geometry, alg)
     if not table:

@@ -33,9 +33,9 @@ from .bigraded import (
     BigradedForm,
     Connection,
     DeltaPolynomial,
+    apply_dstar_component,
     bigraded_norm,
     bigraded_to_dict,
-    covariant_dstar,
     d_delta,
     dstar_delta,
     from_fourier,
@@ -107,6 +107,12 @@ def _integer(value, what="value", minimum=None):
     return number
 
 
+def _integers(value, what):
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list of integers")
+    return [_integer(x, what) for x in value]
+
+
 def _section(config, key, kind, default):
     """An optional scenario field that must have one JSON type."""
     value = config.get(key, default)
@@ -115,11 +121,44 @@ def _section(config, key, kind, default):
     return value
 
 
+def _rows(value, what, width=None):
+    """A JSON list of lists, each with ``width`` entries when one is given."""
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and (width is None or len(row) == width) for row in value
+    ):
+        shape = "lists" if width is None else f"{width}-entry lists"
+        raise ConfigError(f"{what} must be a list of {shape}")
+    return value
+
+
 def _matrix(rows, what="matrix"):
-    try:
-        return np.array([[_number(x, what) for x in row] for row in rows], dtype=float)
-    except TypeError:
-        raise ConfigError(f"{what} must be a list of rows")
+    rows = _rows(rows, what)
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigError(f"{what} rows must have equal lengths")
+    return np.array([[_number(x, what) for x in row] for row in rows], dtype=float)
+
+
+def _form_data(data, what, degree):
+    """A base form of the given degree: an object with an optional band and
+    entries [frequency, multi-index, re, im] of integers and finite numbers."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    if _integer(data.get("degree"), f"{what} degree") != degree:
+        raise ConfigError(f"{what} must be a {degree}-form")
+    entries = []
+    for key, idx, re, im in _rows(_section(data, "entries", list, []), f"{what} entries", 4):
+        entries.append(
+            [
+                _integers(key, f"{what} frequency"),
+                _integers(idx, f"{what} multi-index"),
+                _number(re, f"{what} amplitude"),
+                _number(im, f"{what} amplitude"),
+            ]
+        )
+    clean = {"degree": degree, "entries": entries}
+    if "band" in data:
+        clean["band"] = _integer(data["band"], f"{what} band", minimum=0)
+    return clean
 
 
 class Scenario:
@@ -128,13 +167,13 @@ class Scenario:
     def __init__(self, config):
         if not isinstance(config, dict):
             raise ConfigError("scenario file must contain a JSON object")
-        try:
-            self.name = config["name"]
-            geo_cfg = config["geometry"]
-            alg_cfg = config["algebra"]
-            conn_cfg = config["connection"]
-        except KeyError as err:
-            raise ConfigError(f"scenario is missing the {err.args[0]!r} section")
+        for key in ("name", "geometry", "algebra", "connection"):
+            if key not in config:
+                raise ConfigError(f"scenario is missing the {key!r} section")
+        self.name = config["name"]
+        geo_cfg = _section(config, "geometry", dict, None)
+        alg_cfg = _section(config, "algebra", dict, None)
+        conn_cfg = _section(config, "connection", dict, None)
         n = _integer(geo_cfg.get("dim", 0), "geometry dim")
         if not 2 <= n <= 4:
             raise ConfigError("geometry dim must be 2, 3 or 4")
@@ -176,6 +215,8 @@ class Scenario:
             if val <= 0:
                 raise ConfigError(f"{label} must be positive")
         self.output_dir = config.get("output_dir", "out")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
         self.seed = _integer(config.get("seed", 0), "seed")
 
     def _bands(self, raw, what):
@@ -200,7 +241,8 @@ class Scenario:
             raise ConfigError(f"unknown algebra constructor {name!r}")
         dim = _integer(cfg.get("dim", 0), "algebra dim", minimum=1)
         c = np.zeros((dim, dim, dim))
-        for i, j, k, val in cfg.get("structure_constants", []):
+        constants = _section(cfg, "structure_constants", list, [])
+        for i, j, k, val in _rows(constants, "structure constants", 4):
             index = tuple(_integer(x, "structure constant index", minimum=0) for x in (i, j, k))
             if max(index) >= dim:
                 raise ConfigError(f"structure constant index {index} out of range for dim {dim}")
@@ -210,15 +252,17 @@ class Scenario:
 
     def _build_connection(self, cfg):
         if "abelian_flux" in cfg:
-            flux = form_from_dict(self.geometry, cfg["abelian_flux"])
+            flux = form_from_dict(self.geometry, _form_data(cfg["abelian_flux"], "abelian_flux", 2))
             conn, _ = abelian_scenario(flux, self.geometry, self.algebra)
             return conn
         components = [FourierForm.zero(self.geometry, 1) for _ in range(self.algebra.dim)]
-        for index, data in cfg.get("components", []):
-            index = int(index)
+        entries = _rows(_section(cfg, "components", list, []), "connection components", 2)
+        for index, data in entries:
+            index = _integer(index, "connection component index")
             if not 0 <= index < self.algebra.dim:
                 raise ConfigError(f"connection component index {index} out of range")
-            components[index] = components[index] + form_from_dict(self.geometry, data)
+            form = form_from_dict(self.geometry, _form_data(data, "connection component", 1))
+            components[index] = components[index] + form
         return Connection(self.algebra, components)
 
     def polynomial(self):
@@ -492,7 +536,7 @@ def cmd_verify_cs3(scenario, out_dir=None, quiet=False):
     # exactly the covariant coderivative of the (2,1) part
     series_nobeta = DeltaPolynomial([a03, zero.copy(), a21, (-1.0) * h_lift])
     s_nobeta = dstar_delta(series_nobeta, conn)
-    witness = bigraded_norm(covariant_dstar(a21, conn))
+    witness = bigraded_norm(apply_dstar_component(a21, conn, 1))
     nobeta3 = (
         bigraded_norm(s_nobeta.coefficient(3)) if s_nobeta.coefficient(3) else 0.0
     )

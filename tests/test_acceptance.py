@@ -15,14 +15,10 @@ from bundlehodge.base_forms import (
 )
 from bundlehodge.bigraded import (
     Connection,
-    covariant_d,
-    covariant_dstar,
-    curvature_contraction,
-    curvature_contraction_star,
+    apply_d_component,
+    apply_dstar_component,
     random_bigraded,
     sq_norms_batch,
-    vertical_d,
-    vertical_dstar,
 )
 from bundlehodge.chern_weil import cw4, make_polynomial
 from bundlehodge.harness import (
@@ -93,28 +89,15 @@ def test_ac2_bigraded_exactness_suite():
     scenario = fixture("t4_su2_cs3")
     conn = scenario.connection
     geo, alg = scenario.geometry, scenario.algebra
-    F = conn.curvature_forms()
     rng = np.random.default_rng(0)
     batch = random_bigraded(geo, alg, 3, (2, 2, 2, 2), rng, batch=100)
     scales = np.sqrt(sq_norms_batch(batch))
 
     def D(f, a):
-        return (
-            vertical_d(f)
-            if a == 0
-            else covariant_d(f, conn)
-            if a == 1
-            else curvature_contraction(f, F)
-        )
+        return apply_d_component(f, conn, a)
 
     def S(f, a):
-        return (
-            vertical_dstar(f)
-            if a == 0
-            else covariant_dstar(f, conn)
-            if a == 1
-            else curvature_contraction_star(f, F)
-        )
+        return apply_dstar_component(f, conn, a)
 
     worst = 0.0
     for op in (D, S):

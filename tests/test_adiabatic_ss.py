@@ -31,14 +31,8 @@ from bundlehodge.bigraded import (
     TruncationLayout,
     bigraded_inner_product,
     bigraded_norm,
-    covariant_d,
-    covariant_dstar,
-    curvature_contraction,
-    curvature_contraction_star,
     from_fourier,
     poly_norm,
-    vertical_d,
-    vertical_dstar,
 )
 from bundlehodge.chern_weil import (
     abelian_scenario,
@@ -52,6 +46,8 @@ from bundlehodge.chern_weil import (
 from bundlehodge.errors import NotExact, SolverFailure
 from bundlehodge.lie_algebra import make_su2, make_u1
 from bundlehodge.multiindex import num_indices
+
+from bigraded_reference import reference_d, reference_dstar
 
 
 def su2_t4_connection():
@@ -328,19 +324,18 @@ def dense_canonical(conn, v, order, constraints):
 
     sizes = [lay.dim for lay in unknown]
     total = sum(sizes)
-    f_forms = conn.curvature_forms()
 
     def forward(ws):
         rows = []
         for t in range(1, order + 1):
-            eq_d = vertical_d(ws[t - 1])
-            eq_s = vertical_dstar(ws[t - 1])
+            eq_d = reference_d(ws[t - 1], conn, 0)
+            eq_s = reference_dstar(ws[t - 1], conn, 0)
             if t - 2 >= 0 and t - 2 < order:
-                eq_d = eq_d + covariant_d(ws[t - 2], conn)
-                eq_s = eq_s + covariant_dstar(ws[t - 2], conn)
+                eq_d = eq_d + reference_d(ws[t - 2], conn, 1)
+                eq_s = eq_s + reference_dstar(ws[t - 2], conn, 1)
             if t - 3 >= 0:
-                eq_d = eq_d + curvature_contraction(ws[t - 3], f_forms)
-                eq_s = eq_s + curvature_contraction_star(ws[t - 3], f_forms)
+                eq_d = eq_d + reference_d(ws[t - 3], conn, 2)
+                eq_s = eq_s + reference_dstar(ws[t - 3], conn, 2)
             rows.append(eq_spaces[t - 1][0].vector_from_form(eq_d)[0])
             rows.append(eq_spaces[t - 1][1].vector_from_form(eq_s)[0])
         cons_rows = []
@@ -365,11 +360,11 @@ def dense_canonical(conn, v, order, constraints):
         eq_d = BigradedForm.zero(geo, alg)
         eq_s = BigradedForm.zero(geo, alg)
         if t == 1:
-            eq_d = (-1.0) * covariant_d(v, conn)
-            eq_s = (-1.0) * covariant_dstar(v, conn)
+            eq_d = (-1.0) * reference_d(v, conn, 1)
+            eq_s = (-1.0) * reference_dstar(v, conn, 1)
         if t == 2:
-            eq_d = (-1.0) * curvature_contraction(v, f_forms)
-            eq_s = (-1.0) * curvature_contraction_star(v, f_forms)
+            eq_d = (-1.0) * reference_d(v, conn, 2)
+            eq_s = (-1.0) * reference_dstar(v, conn, 2)
         rhs_rows.append(eq_spaces[t - 1][0].vector_from_form(eq_d)[0])
         rhs_rows.append(eq_spaces[t - 1][1].vector_from_form(eq_s)[0])
     rhs_rows.append(np.zeros(len(constraints) * order, dtype=complex))

@@ -23,10 +23,6 @@ from bundlehodge.bigraded import (
     apply_dstar_component,
     bigraded_inner_product,
     bigraded_norm,
-    covariant_d,
-    covariant_dstar,
-    curvature_contraction,
-    curvature_contraction_star,
     d_component_matrix,
     d_delta,
     dstar_delta,
@@ -37,11 +33,11 @@ from bundlehodge.bigraded import (
     random_bigraded,
     rho_scale,
     sq_norms_batch,
-    vertical_d,
-    vertical_dstar,
 )
 from bundlehodge.errors import ConfigError
 from bundlehodge.lie_algebra import LieAlgebraData, harmonic_subspace, make_su2, make_u1
+
+from bigraded_reference import reference_d, reference_dstar
 
 
 def su2_connection(geo, amplitudes=(0.8, 0.9, 1.1)):
@@ -64,103 +60,83 @@ def setup():
 
 
 def identity_residuals(form, conn):
-    F = conn.curvature_forms()
-
-    def D0(f):
-        return vertical_d(f)
-
-    def D1(f):
-        return covariant_d(f, conn)
-
-    def D2(f):
-        return curvature_contraction(f, F)
+    def D(f, a):
+        return apply_d_component(f, conn, a)
 
     return [
-        D0(D0(form)),
-        D0(D1(form)) + D1(D0(form)),
-        D1(D1(form)) + D0(D2(form)) + D2(D0(form)),
-        D1(D2(form)) + D2(D1(form)),
-        D2(D2(form)),
+        D(D(form, 0), 0),
+        D(D(form, 1), 0) + D(D(form, 0), 1),
+        D(D(form, 1), 1) + D(D(form, 2), 0) + D(D(form, 0), 2),
+        D(D(form, 2), 1) + D(D(form, 1), 2),
+        D(D(form, 2), 2),
     ]
 
 
 def adjoint_identity_residuals(form, conn):
-    F = conn.curvature_forms()
-
-    def S0(f):
-        return vertical_dstar(f)
-
-    def S1(f):
-        return covariant_dstar(f, conn)
-
-    def S2(f):
-        return curvature_contraction_star(f, F)
+    def S(f, a):
+        return apply_dstar_component(f, conn, a)
 
     return [
-        S0(S0(form)),
-        S0(S1(form)) + S1(S0(form)),
-        S1(S1(form)) + S0(S2(form)) + S2(S0(form)),
-        S1(S2(form)) + S2(S1(form)),
-        S2(S2(form)),
+        S(S(form, 0), 0),
+        S(S(form, 1), 0) + S(S(form, 0), 1),
+        S(S(form, 1), 1) + S(S(form, 2), 0) + S(S(form, 0), 2),
+        S(S(form, 2), 1) + S(S(form, 1), 2),
+        S(S(form, 2), 2),
     ]
+
+
+def _identity_connections(setup):
+    # the fixture su(2) has Gram matrices that are multiples of the identity;
+    # the two skewed connections have Gram matrices that commute with none
+    # of the base and fiber factors, so a derived adjoint with its Gram
+    # factors misplaced shows there
+    return [setup[2], _skewed_abelian_connection(), _skewed_su2_connection()]
 
 
 def test_five_anticommutation_identities(setup):
-    geo, alg, conn = setup
     rng = np.random.default_rng(0)
-    for p in (2, 3, 4):
-        form = random_bigraded(geo, alg, p, (1, 1, 1, 1), rng)
-        scale = bigraded_norm(form)
-        for res in identity_residuals(form, conn):
-            assert bigraded_norm(res) <= 1e-11 * scale
+    for conn in _identity_connections(setup):
+        geo, alg = conn.geometry, conn.alg
+        for p in (2, 3, 4):
+            form = random_bigraded(geo, alg, p, (1,) * geo.n, rng)
+            scale = bigraded_norm(form)
+            for res in identity_residuals(form, conn):
+                assert bigraded_norm(res) <= 1e-11 * scale
 
 
 def test_five_adjoint_identities(setup):
-    geo, alg, conn = setup
     rng = np.random.default_rng(1)
-    for p in (2, 3, 4):
-        form = random_bigraded(geo, alg, p, (1, 1, 1, 1), rng)
-        scale = bigraded_norm(form)
-        for res in adjoint_identity_residuals(form, conn):
-            assert bigraded_norm(res) <= 1e-11 * scale
+    for conn in _identity_connections(setup):
+        geo, alg = conn.geometry, conn.alg
+        for p in (2, 3, 4):
+            form = random_bigraded(geo, alg, p, (1,) * geo.n, rng)
+            scale = bigraded_norm(form)
+            for res in adjoint_identity_residuals(form, conn):
+                assert bigraded_norm(res) <= 1e-11 * scale
 
 
 def test_adjointness_of_all_three_pairs(setup):
-    geo, alg, conn = setup
-    F = conn.curvature_forms()
     rng = np.random.default_rng(2)
-    pairs = [
-        (vertical_d, vertical_dstar, 1),
-        (lambda f: covariant_d(f, conn), lambda f: covariant_dstar(f, conn), 1),
-        (
-            lambda f: curvature_contraction(f, F),
-            lambda f: curvature_contraction_star(f, F),
-            1,
-        ),
-    ]
-    for p in (2, 3):
-        w = random_bigraded(geo, alg, p, (1, 1, 1, 1), rng)
-        u = random_bigraded(geo, alg, p + 1, (2, 1, 1, 1), rng)
-        for op, opstar, _ in pairs:
-            lhs = bigraded_inner_product(op(w), u)
-            rhs = bigraded_inner_product(w, opstar(u))
-            scale = bigraded_norm(w) * bigraded_norm(u)
-            assert abs(lhs - rhs) <= 1e-11 * scale
+    for conn in _identity_connections(setup):
+        geo, alg = conn.geometry, conn.alg
+        for p in (2, 3):
+            w = random_bigraded(geo, alg, p, (1,) * geo.n, rng)
+            u = random_bigraded(geo, alg, p + 1, (2,) + (1,) * (geo.n - 1), rng)
+            for a in range(3):
+                lhs = bigraded_inner_product(apply_d_component(w, conn, a), u)
+                rhs = bigraded_inner_product(w, apply_dstar_component(u, conn, a))
+                scale = bigraded_norm(w) * bigraded_norm(u)
+                assert abs(lhs - rhs) <= 1e-11 * scale
 
 
 def test_signature_of_operators(setup):
     geo, alg, conn = setup
     rng = np.random.default_rng(3)
     form = random_bigraded(geo, alg, 3, (1, 1, 1, 1), rng)
-    F = conn.curvature_forms()
-    checks = [
-        (vertical_d(form), (0, 1)),
-        (vertical_dstar(form), (0, -1)),
-        (covariant_d(form, conn), (1, 0)),
-        (covariant_dstar(form, conn), (-1, 0)),
-        (curvature_contraction(form, F), (2, -1)),
-        (curvature_contraction_star(form, F), (-2, 1)),
-    ]
+    checks = []
+    for a, step in enumerate([(0, 1), (1, 0), (2, -1)]):
+        checks.append((apply_d_component(form, conn, a), step))
+        checks.append((apply_dstar_component(form, conn, a), (-step[0], -step[1])))
     source = set(form.slots())
     for image, (di, dj) in checks:
         for slot in image.slots():
@@ -171,7 +147,8 @@ def test_vertical_squares_to_zero_alone(setup):
     geo, alg, conn = setup
     rng = np.random.default_rng(4)
     form = random_bigraded(geo, alg, 2, (1, 1, 1, 1), rng)
-    assert bigraded_norm(vertical_d(vertical_d(form))) <= 1e-13 * bigraded_norm(form)
+    twice = apply_d_component(apply_d_component(form, conn, 0), conn, 0)
+    assert bigraded_norm(twice) <= 1e-13 * bigraded_norm(form)
 
 
 def test_covariant_leibniz_against_scalar_wedge(setup):
@@ -187,8 +164,8 @@ def test_covariant_leibniz_against_scalar_wedge(setup):
         for key, val in table.items():
             for fk, _, fv in f.entries():
                 fw.set_value(slot, tuple(k + q for k, q in zip(key, fk)), fv * val)
-    lhs = covariant_d(fw, conn)
-    rhs = covariant_d(w, conn)
+    lhs = apply_d_component(fw, conn, 1)
+    rhs = apply_d_component(w, conn, 1)
     rhs_scaled = BigradedForm(geo, alg)
     for slot, table in rhs.components.items():
         for key, val in table.items():
@@ -255,19 +232,18 @@ def test_rho_conjugation_consistency():
     conn = su2_connection(geo)
     rng = np.random.default_rng(6)
     form = random_bigraded(geo, conn.alg, 3, (1, 1, 1, 1), rng)
-    F = conn.curvature_forms()
-    total_d = (
-        vertical_d(form) + covariant_d(form, conn) + curvature_contraction(form, F)
-    )
+
+    def total_d(f):
+        return (
+            apply_d_component(f, conn, 0)
+            + apply_d_component(f, conn, 1)
+            + apply_d_component(f, conn, 2)
+        )
+
     for delta in (1.0, 0.5, 0.1):
         via_poly = d_delta(DeltaPolynomial([form]), conn).evaluate(delta)
-        via_rho = rho_scale(
-            vertical_d(rho_scale(form, delta, inverse=True))
-            + covariant_d(rho_scale(form, delta, inverse=True), conn)
-            + curvature_contraction(rho_scale(form, delta, inverse=True), F),
-            delta,
-        )
-        assert bigraded_norm(via_poly - via_rho) <= 1e-12 * bigraded_norm(total_d)
+        via_rho = rho_scale(total_d(rho_scale(form, delta, inverse=True)), delta)
+        assert bigraded_norm(via_poly - via_rho) <= 1e-12 * bigraded_norm(total_d(form))
 
 
 def test_laplacian_delta_symmetry_nonnegativity():
@@ -314,6 +290,25 @@ def _skewed_abelian_connection():
     )
 
 
+def _skewed_su2_connection():
+    # su(2) in the non-orthonormal basis f_a = sum_b P_ab e_b, so its
+    # invariant metric P (0.5 I) P^T is not diagonal, over a torus with a
+    # non-diagonal metric; the connection has constant and oscillating modes
+    geo = TorusGeometry(3, metric=[[1.0, 0.3, 0.1], [0.3, 1.2, 0.2], [0.1, 0.2, 0.9]])
+    su2 = make_su2(0.5)
+    p = np.array([[1.0, 0.3, 0.0], [0.2, 1.0, 0.4], [0.0, 0.1, 1.0]])
+    c = np.einsum("ai,bj,ijm,mk->abk", p, p, su2.c, np.linalg.inv(p))
+    alg = LieAlgebraData(3, c, p @ su2.metric @ p.T)
+    return Connection(
+        alg,
+        [
+            sin_wave(geo, 1, (1, 0, 0), (1,), 0.5) + constant_form(geo, 1, (2,), 0.2),
+            cos_wave(geo, 1, (0, 1, 0), (2,), 0.3),
+            constant_form(geo, 1, (0,), 0.4) + sin_wave(geo, 1, (0, 1, 1), (0,), 0.2),
+        ],
+    )
+
+
 def _many_mode_su2_connection(modes=5, seed=12):
     # seeded real su(2) connection on T^4, scale 0.2: each component has
     # `modes` band-1 Fourier modes (frequency pair +-k, axis, amplitude), so
@@ -346,20 +341,22 @@ def assert_no_zero_blocks(form):
 
 
 # su(2) over T^3; scale-0.2 su(2) over T^4, whose Gram matrices are not the
-# identity; abelian with a curvature override; abelian on skewed metrics;
-# many-mode su(2) over T^4, where shifted blocks collide
+# identity; abelian with a curvature override; abelian and su(2) on skewed
+# metrics; many-mode su(2) over T^4, where shifted blocks collide
 GALERKIN_ORACLE_CASES = [
     pytest.param(lambda: _fixture_connection("t3_su2_pages"), (2, 1, 1), id="t3_su2_pages"),
     pytest.param(lambda: _fixture_connection("t4_su2_cs3"), (1, 1, 0, 0), id="t4_su2_cs3"),
     pytest.param(lambda: _fixture_connection("t2_u1_c1nonzero"), (2, 2), id="t2_u1_c1nonzero"),
     pytest.param(_skewed_abelian_connection, (1, 1, 1), id="skewed_u1x2"),
+    pytest.param(_skewed_su2_connection, (1, 1, 1), id="skewed_su2"),
     pytest.param(_many_mode_su2_connection, (1, 1, 0, 0), id="many_mode_su2"),
 ]
 
 
 @pytest.mark.parametrize("make_conn, box", GALERKIN_ORACLE_CASES)
 def test_galerkin_matrices_match_form_level_operators(make_conn, box):
-    """Matrix layer against the form-level operators on random real forms."""
+    """Matrix layer on random real forms: M_r against laplacian_delta, each
+    d_a and d*_a against the per-key reference."""
     conn = make_conn()
     geo, alg = conn.geometry, conn.alg
     wide = tuple(b + c for b, c in zip(box, conn.coupling_bands()))
@@ -382,12 +379,8 @@ def test_galerkin_matrices_match_form_level_operators(make_conn, box):
         up = TruncationLayout.of_degree(geo, alg, p + 1, wide)
         down = TruncationLayout.of_degree(geo, alg, p - 1, wide)
         for a in range(3):
-            d_w = apply_d_component(w, conn, a)
-            dstar_w = apply_dstar_component(w, conn, a)
-            assert_no_zero_blocks(d_w)
-            assert_no_zero_blocks(dstar_w)
-            s_ref, s_cut = up.vector_from_form(d_w)
-            t_ref, t_cut = down.vector_from_form(dstar_w)
+            s_ref, s_cut = up.vector_from_form(reference_d(w, conn, a))
+            t_ref, t_cut = down.vector_from_form(reference_dstar(w, conn, a))
             s_got = d_component_matrix(conn, a, layout, up) @ vec
             t_got = d_component_matrix(conn, a, down, layout).conj().T @ vec
             size = 1.0 + np.linalg.norm(vec)
@@ -395,6 +388,25 @@ def test_galerkin_matrices_match_form_level_operators(make_conn, box):
             assert s_cut <= 1e-13 * size and t_cut <= 1e-13 * size
             assert np.linalg.norm(s_got - s_ref) <= 1e-12 * max(np.linalg.norm(s_ref), 1.0)
             assert np.linalg.norm(t_got - t_ref) <= 1e-12 * max(np.linalg.norm(t_ref), 1.0)
+
+
+@pytest.mark.parametrize("make_conn, box", GALERKIN_ORACLE_CASES)
+def test_reference_operators_match_production(make_conn, box):
+    """The per-key reference pins apply_d_component / apply_dstar_component,
+    every component on every degree."""
+    conn = make_conn()
+    geo, alg = conn.geometry, conn.alg
+    rng = np.random.default_rng(12)
+    for p in range(geo.n + alg.dim + 1):
+        w = random_bigraded(geo, alg, p, box, rng)
+        for a in range(3):
+            for op, ref in ((apply_d_component, reference_d), (apply_dstar_component, reference_dstar)):
+                got = op(w, conn, a)
+                want = ref(w, conn, a)
+                assert_no_zero_blocks(got)
+                assert got.slots() == want.slots()
+                scale = bigraded_norm(want) + bigraded_norm(w)
+                assert bigraded_norm(got - want) <= 1e-13 * scale
 
 
 def test_galerkin_band_too_small():
@@ -416,17 +428,9 @@ def test_batched_operators_match_unbatched():
         for slot, table in batch.components.items():
             for key, val in table.items():
                 single.set_value(slot, key, val[:, :, 1])
-        F = conn.curvature_forms()
-        for op in (
-            vertical_d,
-            vertical_dstar,
-            lambda f: covariant_d(f, conn),
-            lambda f: covariant_dstar(f, conn),
-            lambda f: curvature_contraction(f, F),
-            lambda f: curvature_contraction_star(f, F),
-        ):
-            out_b = op(batch)
-            out_s = op(single)
+        for op, a in itertools.product((apply_d_component, apply_dstar_component), range(3)):
+            out_b = op(batch, conn, a)
+            out_s = op(single, conn, a)
             assert_no_zero_blocks(out_b)
             assert_no_zero_blocks(out_s)
             sliced = BigradedForm(geo, conn.alg)
@@ -443,11 +447,12 @@ def test_nan_block_is_kept_not_read_as_zero():
     # a NaN residual must show as a NaN norm, never as an exact zero
     geo = TorusGeometry(4)
     alg = make_su2()
+    conn = Connection(alg, [FourierForm.zero(geo, 1) for _ in range(3)])
     form = BigradedForm(geo, alg)
     val = np.zeros((1, 3), dtype=complex)
     val[0, 0] = np.nan
     form.set_value((0, 1), (1, 0, 0, 0), val)
-    image = vertical_d(form)
+    image = apply_d_component(form, conn, 0)
     assert image.slots() == [(0, 2)]
     assert np.isnan(bigraded_norm(image))
     assert np.isnan(bigraded_norm(image.copy().prune(tol=1.0)))

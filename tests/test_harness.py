@@ -1,9 +1,11 @@
 """Scenario parsing, command reports, output formats, CLI exit codes."""
 
+import copy
 import csv
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundlehodge.cli import main as cli_main
 from bundlehodge.errors import ConfigError
@@ -268,12 +270,21 @@ def _su2_constants(index):
         {"delta_grid": None},
         {"tolerances": []},
         {"polynomial": []},
+        {"geometry": {"dim": 2, "metric": [["1", "0"], ["0"]]}},
+        {"geometry": [2]},
+        {"algebra": "u1"},
+        {"connection": []},
+        {"connection": {"components": [[0]]}},
+        {"connection": {"components": [["zero", {"degree": 1, "entries": []}]]}},
+        {"output_dir": 5},
     ],
     ids=[
         "degree-word", "degree-fraction", "degree-negative", "k_max-word", "k_max-zero",
         "seed-word", "band-word", "band-null", "band-negative", "galerkin_bands-word",
         "dim-word", "rank-word", "structure-index-too-large", "structure-index-negative",
-        "delta_grid-null", "tolerances-list", "polynomial-list",
+        "delta_grid-null", "tolerances-list", "polynomial-list", "metric-ragged",
+        "geometry-list", "algebra-string", "connection-list", "component-short",
+        "component-index-word", "output_dir-number",
     ],
 )
 def test_cli_malformed_field_is_config_error(tmp_path, patch):
@@ -285,3 +296,54 @@ def test_cli_malformed_field_is_config_error(tmp_path, patch):
     out = str(tmp_path / "out")
     # lie-check runs on any algebra, so only the parsing can fail
     assert cli_main(["lie-check", "--scenario", str(path), "--out", out, "--quiet"]) == 2
+
+
+# what a mutated scenario node may become: wrong types, wrong shapes and
+# near-valid sections, so that replacements reach every parser
+_REPLACEMENTS = [
+    None, True, 0, 1, -1, 5, 0.5, "0", "1", "-1", "nan", "inf", "x", "", "u1", "su2",
+    [], [0], [None], ["1", "0"], [[1, 0], [0]], [[1, 0], [0, 1]], [[0]],
+    [0, {"degree": 1, "entries": []}], [[[1, 0], [0], "0", "1"]], [[[9, 9], [5], "x", "0"]],
+    {}, {"dim": 2}, {"degree": 1}, {"degree": 2, "entries": [[[0, 0], [0, 1], "1", "0"]]},
+    {"name": "u1", "rank": "2"}, {"components": [[0]]}, {"entries": [[0]]},
+    {"dim": 3, "structure_constants": [[0, 1, 2, "1"]]},
+]
+
+
+def _choose(draw, options):
+    """One of ``options``, picked by boolean draws only: hypothesis mixes
+    constants read from the loaded source files into integer, float and
+    string draws (and caches them under .hypothesis/), never into booleans,
+    so the examples depend on nothing but the seed and no file is written."""
+    index = 0
+    for _ in range((len(options) - 1).bit_length()):
+        index = 2 * index + draw(st.booleans())
+    return options[index % len(options)]
+
+
+@st.composite
+def _mutated_scenario(draw):
+    """t2_u1_c1zero with one to four nodes replaced or deleted."""
+    with open(packaged_scenario_path("t2_u1_c1zero")) as fh:
+        config = json.load(fh)
+    for _ in range(_choose(draw, [1, 2, 3, 4])):
+        parent, key, node = None, None, config
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            key = _choose(draw, sorted(node) if isinstance(node, dict) else range(len(node)))
+            parent, node = node, node[key]
+        if parent is None:
+            continue
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(_choose(draw, _REPLACEMENTS))
+    return config
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_mutated_scenario())
+def test_mutated_scenario_builds_or_is_config_error(config):
+    try:
+        Scenario(config)
+    except ConfigError:
+        pass
