@@ -32,7 +32,10 @@ product (base Gram x fiber Gram x volume) holds by construction.
 
 The form-level operators accumulate per destination slot: each output
 frequency is one row of one array, numbered in first-seen order (the source
-keys, then the image of each shift q as q first appears).  The multiplier
+keys, then the image of each shift q as q first appears).  Frequencies are
+numbered by a raveled code over the bounding box of the destination keys,
+so each shift is one integer offset on the source codes, and a lookup
+table over the box gives every code its row.  The multiplier
 terms land first, then per q the sum of coefficient x moved block over the
 (B, F) groups, in group order, with one vectorized add.  Rows that are
 exactly zero are dropped; rows holding a NaN or an infinity are kept.
@@ -52,7 +55,6 @@ of a component is the conjugate transpose of its matrix.
 """
 
 import itertools
-from operator import add
 
 import numpy as np
 import scipy.sparse
@@ -579,17 +581,40 @@ def _accumulate(keys, unshifted, groups, move):
             return {}
         return _nonzero_rows(keys, unshifted)
     nk = len(keys)
-    row_of = {} if unshifted is None else dict(zip(keys, range(nk)))
+    karr = np.array(keys, dtype=np.int64)
+    qarr = np.array(list(shifts), dtype=np.int64)
+    # keys as raveled codes over the bounding box of every destination key,
+    # so a shift is one integer offset; row_at maps a code to its row
+    q_lo, q_hi = qarr.min(axis=0), qarr.max(axis=0)
+    if unshifted is not None:
+        q_lo, q_hi = np.minimum(q_lo, 0), np.maximum(q_hi, 0)
+    lo = karr.min(axis=0) + q_lo
+    dims = karr.max(axis=0) + q_hi - lo + 1
+    strides = np.cumprod(np.append(1, dims[:0:-1]))[::-1]
+    kcode = (karr - lo) @ strides
+    row_at = np.full(int(np.prod(dims)), -1, dtype=np.int64)
+    codes, count = [], 0
+    if unshifted is not None:
+        row_at[kcode] = np.arange(nk)
+        codes, count = [kcode], nk
     places = []
-    for q in shifts:
-        start = len(row_of)
-        rows = [row_of.setdefault(tuple(map(add, key, q)), len(row_of)) for key in keys]
-        # rows new to this q are numbered start, start + 1, ... in key order
-        places.append(slice(start, start + nk) if len(row_of) - start == nk else np.array(rows))
+    for qcode in (qarr @ strides).tolist():
+        dest = kcode + qcode
+        rows = row_at[dest]
+        new = rows < 0
+        fresh = int(np.count_nonzero(new))
+        if fresh:
+            rows[new] = np.arange(count, count + fresh)
+            row_at[dest[new]] = rows[new]
+            codes.append(dest[new])
+        # a slice only when every row is new: a zero shift's rows 0..nk-1
+        # are consecutive too, but hold the unshifted term
+        places.append(slice(count, count + nk) if fresh == nk else rows)
+        count += fresh
     parts = moved[:1] if unshifted is None else [moved[0], unshifted]
     # -0.0 is the exact additive identity (x + -0.0 == x, signed zeros
     # included), so a row's first contribution lands unchanged
-    shape = (len(row_of),) + moved[0].shape[1:]
+    shape = (count,) + moved[0].shape[1:]
     out = np.full(shape, complex(-0.0, -0.0), dtype=np.result_type(complex, *parts))
     if unshifted is not None:
         out[:nk] = unshifted
@@ -603,7 +628,9 @@ def _accumulate(keys, unshifted, groups, move):
         else:
             out[place] += acc
         del acc
-    return _nonzero_rows(list(row_of), out)
+    axes = np.unravel_index(np.concatenate(codes), dims)
+    out_keys = list(zip(*[(axis + low).tolist() for axis, low in zip(axes, lo)]))
+    return _nonzero_rows(out_keys, out)
 
 
 def _nonzero_rows(keys, stacked):

@@ -113,6 +113,18 @@ def _integers(value, what):
     return [_integer(x, what) for x in value]
 
 
+def _file_name(value):
+    """The scenario name, which prefixes every report file in the output
+    directory: one non-empty path component, not ``.`` or ``..``."""
+    if (
+        not isinstance(value, str)
+        or value in ("", ".", "..")
+        or any(sep and sep in value for sep in ("/", os.sep, os.altsep, "\0"))
+    ):
+        raise ConfigError(f"scenario name must be a plain file name, got {value!r}")
+    return value
+
+
 def _section(config, key, kind, default):
     """An optional scenario field that must have one JSON type."""
     value = config.get(key, default)
@@ -170,7 +182,7 @@ class Scenario:
         for key in ("name", "geometry", "algebra", "connection"):
             if key not in config:
                 raise ConfigError(f"scenario is missing the {key!r} section")
-        self.name = config["name"]
+        self.name = _file_name(config["name"])
         geo_cfg = _section(config, "geometry", dict, None)
         alg_cfg = _section(config, "algebra", dict, None)
         conn_cfg = _section(config, "connection", dict, None)

@@ -112,10 +112,9 @@ def gram_matrix(metric_on_lines, k):
     covectors e^a; the Lambda^k inner product of e^I and e^J is
     det(metric_on_lines[I, J]).
     """
-    n = metric_on_lines.shape[0]
-    idxs = multi_indices(n, k)
-    gram = np.empty((len(idxs), len(idxs)))
-    for i, I in enumerate(idxs):
-        for j, J in enumerate(idxs):
-            gram[i, j] = np.linalg.det(metric_on_lines[np.ix_(I, J)]) if k else 1.0
-    return gram
+    idxs = multi_indices(metric_on_lines.shape[0], k)
+    if not k or not idxs:
+        return np.ones((len(idxs), len(idxs)))
+    # every minor metric_on_lines[I, J] at once: shape (m, m, k, k)
+    idx = np.array(idxs)
+    return np.linalg.det(metric_on_lines[idx[:, None, :, None], idx[None, :, None, :]])

@@ -14,6 +14,9 @@ Gram x fiber Gram x volume): a piece that sends the value at k to
 c M val at k + q has the adjoint that sends the value at k to
 conj(c) M* val at k - q, where M* = G_src^-1 M^T G_dst is the adjoint of the
 real matrix M : Lambda^src -> Lambda^dst.
+
+``reference_accumulate`` is a per-key dict reading of the contract of the
+production frequency accumulator ``bigraded._accumulate``.
 """
 
 import numpy as np
@@ -119,3 +122,30 @@ def reference_dstar(form, conn, which):
     """The adjoint of reference_d(., conn, which), piece by piece."""
     return _apply(form, conn, which, adjoint=True)
 
+
+def reference_accumulate(keys, unshifted, groups, move):
+    """Destination table of ``bigraded._accumulate``, one key at a time.
+
+    Keys appear in first-seen order: the source keys when ``unshifted`` is
+    given, then for each shift q, in the order the shifts first appear over
+    the groups, the images key + q in key order.  A row is the unshifted
+    value, then per q the group sum sum_g v_gq moved_g taken in group order.
+    Rows that are exactly zero are dropped; a row holding a NaN is kept.
+    """
+    moved = {group: move(*group) for group in groups}
+    shifts = {}
+    for group, qvs in groups.items():
+        for q, v in qvs:
+            shifts.setdefault(q, []).append((group, v))
+    table = {}
+    if unshifted is not None:
+        table.update(zip(keys, unshifted))
+    for q, terms in shifts.items():
+        for row, key in enumerate(keys):
+            total = None
+            for group, v in terms:
+                part = v * moved[group][row]
+                total = part if total is None else total + part
+            dest = tuple(k + s for k, s in zip(key, q))
+            table[dest] = table[dest] + total if dest in table else total
+    return {key: val for key, val in table.items() if np.any(val)}

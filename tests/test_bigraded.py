@@ -19,6 +19,7 @@ from bundlehodge.bigraded import (
     Connection,
     DeltaPolynomial,
     TruncationLayout,
+    _accumulate,
     apply_d_component,
     apply_dstar_component,
     bigraded_inner_product,
@@ -37,7 +38,7 @@ from bundlehodge.bigraded import (
 from bundlehodge.errors import ConfigError
 from bundlehodge.lie_algebra import LieAlgebraData, harmonic_subspace, make_su2, make_u1
 
-from bigraded_reference import reference_d, reference_dstar
+from bigraded_reference import reference_accumulate, reference_d, reference_dstar
 
 
 def su2_connection(geo, amplitudes=(0.8, 0.9, 1.1)):
@@ -457,6 +458,72 @@ def test_nan_block_is_kept_not_read_as_zero():
     assert np.isnan(bigraded_norm(image))
     assert np.isnan(bigraded_norm(image.copy().prune(tol=1.0)))
     assert np.isnan(bigraded_norm(form.copy().prune()))
+
+
+# keys, whether an unshifted term is given, and per coupling group its shifts
+_ACCUMULATE_CASES = {
+    # the zero shift lands on the source rows, on top of the unshifted term
+    "zero-shift-on-unshifted": dict(
+        keys=[(0, 0), (1, 0), (0, 1)], unshifted=True, shifts=[[(0, 0)], [(0, 0), (1, 0)]],
+    ),
+    # images hit source keys and one another, across shifts and groups
+    "colliding-images": dict(
+        keys=[(0, 0), (1, 0), (2, 0), (1, 1)], unshifted=True,
+        shifts=[[(1, 0), (-1, 0)], [(2, 0), (0, 1), (1, 0)]],
+    ),
+    "no-unshifted-term": dict(
+        keys=[(0, 0), (1, 0), (2, 0)], unshifted=False,
+        shifts=[[(1, 0), (-1, 0)], [(0, 0), (2, 0)]],
+    ),
+    "negative-keys": dict(
+        keys=[(-3, -1, 0), (-1, -2, 4), (0, 0, -5), (-2, 0, -4)], unshifted=True,
+        shifts=[[(-2, 1, 0), (1, 1, 1)], [(-1, -1, -1), (2, 0, 1)]],
+    ),
+    "batched": dict(
+        keys=[(0, 1), (1, 0), (-1, -1)], unshifted=True,
+        shifts=[[(1, 1), (0, 0)], [(-1, 0)]], batch=(2,),
+    ),
+    "nan-row": dict(
+        keys=[(0, 0), (1, 0)], unshifted=False, shifts=[[(1, 0)], [(-1, 0)]], nan_rows=[0],
+    ),
+    "zero-row": dict(
+        keys=[(0, 0), (5, 5)], unshifted=False, shifts=[[(1, 0)]], zero_rows=[1],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ACCUMULATE_CASES))
+def test_accumulate_matches_per_key_reference(case):
+    spec = _ACCUMULATE_CASES[case]
+    rng = np.random.default_rng(7)
+    keys = spec["keys"]
+    shape = (len(keys), 2, 3) + spec.get("batch", ())
+
+    def draw():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    stacked = draw()
+    stacked[spec.get("nan_rows", []), 0, 0] = np.nan
+    stacked[spec.get("zero_rows", [])] = 0
+    unshifted = draw() if spec["unshifted"] else None
+    factors = [rng.standard_normal((2, 2)) for _ in spec["shifts"]]
+    groups = {
+        ("group", g): [(q, complex(*rng.standard_normal(2))) for q in qs]
+        for g, qs in enumerate(spec["shifts"])
+    }
+
+    def move(_, g):
+        return np.einsum("ab,kb...->ka...", factors[g], stacked)
+
+    got = _accumulate(keys, unshifted, groups, move)
+    want = reference_accumulate(keys, unshifted, groups, move)
+    assert list(got) == list(want)
+    for key, val in want.items():
+        assert np.array_equal(got[key], val, equal_nan=True)
+    if "nan_rows" in spec:
+        assert np.isnan(got[(1, 0)]).any()
+    if "zero_rows" in spec:
+        assert list(got) == [(1, 0)]
 
 
 def test_inner_product_mismatch_raises():

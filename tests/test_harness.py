@@ -277,6 +277,10 @@ def _su2_constants(index):
         {"connection": {"components": [[0]]}},
         {"connection": {"components": [["zero", {"degree": 1, "entries": []}]]}},
         {"output_dir": 5},
+        {"name": "../escaped"},
+        {"name": "a/b"},
+        {"name": ""},
+        {"name": 3},
     ],
     ids=[
         "degree-word", "degree-fraction", "degree-negative", "k_max-word", "k_max-zero",
@@ -284,7 +288,8 @@ def _su2_constants(index):
         "dim-word", "rank-word", "structure-index-too-large", "structure-index-negative",
         "delta_grid-null", "tolerances-list", "polynomial-list", "metric-ragged",
         "geometry-list", "algebra-string", "connection-list", "component-short",
-        "component-index-word", "output_dir-number",
+        "component-index-word", "output_dir-number", "name-parent-dir", "name-separator",
+        "name-empty", "name-number",
     ],
 )
 def test_cli_malformed_field_is_config_error(tmp_path, patch):
@@ -296,6 +301,8 @@ def test_cli_malformed_field_is_config_error(tmp_path, patch):
     out = str(tmp_path / "out")
     # lie-check runs on any algebra, so only the parsing can fail
     assert cli_main(["lie-check", "--scenario", str(path), "--out", out, "--quiet"]) == 2
+    # nothing is written beside the output directory
+    assert {p.name for p in tmp_path.iterdir()} <= {"scenario.json", "out"}
 
 
 # what a mutated scenario node may become: wrong types, wrong shapes and
