@@ -4,11 +4,11 @@ The page E_K^{i,j} collects band-limited forms admitting polynomial lifts
 omega + delta omega_1 + ... whose rescaled differential and codifferential
 both vanish through order delta^(K-1).  Each next page is the kernel of a
 Hodge-style Laplacian built from the projected leading coefficients; lifts
-are extended by solving the correction systems by least squares: LSMR,
-started from zero, on the stacked sparse component matrices of the
-bigraded layer, which converges to the minimal-norm solution, the canonical
-representative.  The order-4 recovery of the base primitive is solved the
-same way, on the matrices of d_M and its adjoint over the (3,0) slot.
+are the minimal-norm (canonical) least-squares solutions of the stacked
+sparse correction systems, and the order-4 recovery of the base primitive
+solves d_M and its adjoint over the (3,0) slot the same way.  Each sparse
+system, and the compressed Laplacian, splits exactly into the connected
+components of its pattern, solved densely, one stacked call per shape.
 
 The recursion itself runs on coordinate matrices, with lifts over the box
 of each slot basis' frequency support; forms are built only for output.
@@ -22,7 +22,7 @@ and each equation posed over a box that holds it whole.
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components
 
 from .bigraded import (
     BigradedForm,
@@ -44,19 +44,18 @@ from .multiindex import num_indices
 class Tolerances:
     """Numerical thresholds used across the page computation.
 
-    The solver residual, the near-zero cut of a spectrum and the window
-    around an even decay slope are fixed; the others can be declared.
+    The residual bound of the exact block solves, the near-zero cut of a
+    spectrum and the decay slope window are fixed; the others can be declared.
     """
 
     solver = 1e-12
     near_zero_cut = 0.02
     slope_window = 0.3
 
-    def __init__(self, formal=1e-10, rank=1e-10, spectral=1e-8, max_iterations=6000):
+    def __init__(self, formal=1e-10, rank=1e-10, spectral=1e-8):
         self.formal = float(formal)
         self.rank = float(rank)
         self.spectral = float(spectral)
-        self.max_iterations = int(max_iterations)
 
 
 # -- residual orders and formal verification -----------------------------------
@@ -97,26 +96,50 @@ def verify_formal_harmonic(poly, conn, order, tolerances=None):
 # -- correction systems on the sparse matrix layer -----------------------------
 
 
-def _lsmr(mat, rhs, tolerances):
-    """Minimal-norm least-squares solution of mat x = rhs by LSMR from zero.
+def _blocks(pattern):
+    """Blocks of a sparse pattern, the connected components of its graph joining row r
+    to column c when it holds (r, c): index arrays (count, nr) and (count, nc) per
+    block shape (nr, nc).  A zero row is a (1, 0) block, a zero column a (0, 1) block."""
+    m, n = pattern.shape
+    coo = scipy.sparse.coo_matrix(pattern)
+    graph = scipy.sparse.coo_matrix((np.ones(coo.nnz), (coo.row, m + coo.col)), (m + n,) * 2)
+    count, labels = connected_components(graph, connection="weak")
+    sizes = np.stack([np.bincount(part, minlength=count) for part in (labels[:m], labels[m:])], 1)
+    shapes, group, counts = np.unique(sizes, axis=0, return_inverse=True, return_counts=True)
+    # nodes by shape group, then component, then index; rows before columns
+    order = np.lexsort((labels, group[labels]))
+    bounds = np.cumsum(counts[:, None] * shapes, axis=0)[:-1]
+    rows = np.split(order[order < m], bounds[:, 0])
+    cols = np.split(order[order >= m] - m, bounds[:, 1])
+    groups = zip(shapes, counts, rows, cols)
+    return [(r.reshape(k, nr), c.reshape(k, nc)) for (nr, nc), k, r, c in groups]
 
-    Started from zero, every iterate stays in the range of the adjoint, so
-    the limit is the minimal-norm solution.  Returns (x, residual, converged),
-    the residual recomputed as |rhs - mat x|, and converged meaning it is at
-    most tolerances.solver * (1 + |rhs|).
-    """
-    b_norm = float(np.linalg.norm(rhs))
-    tol_abs = tolerances.solver * (1.0 + b_norm)
-    if b_norm <= tol_abs:
-        return np.zeros(mat.shape[1], dtype=complex), b_norm, True
-    # atol = 0 and conlim = 0 leave the residual test (or machine precision,
-    # or max_iterations) as the only stop
-    x = scipy.sparse.linalg.lsmr(
-        mat, rhs, atol=0.0, btol=tol_abs / b_norm, conlim=0.0,
-        maxiter=tolerances.max_iterations,
-    )[0]
-    res = float(np.linalg.norm(rhs - mat @ x))
-    return x, res, res <= tol_abs
+
+def _gather(mat, rows, cols):
+    """The dense blocks mat[rows[b]][:, cols[b]] of one shape group, stacked."""
+    (count, nr), nc = rows.shape, cols.shape[1]
+    sub = scipy.sparse.coo_matrix(mat.tocsr()[rows.ravel()][:, cols.ravel()])
+    stack = np.zeros((count, nr, nc), dtype=mat.dtype)
+    np.add.at(stack, (sub.row // nr, sub.row % nr, sub.col % nc), sub.data)
+    return stack
+
+
+def _block_pinv(mat):
+    """(rows, cols, stacked pseudoinverses) per block shape, cut as lstsq(rcond=None)."""
+    return [(r, c, np.linalg.pinv(_gather(mat, r, c), rtol=None)) for r, c in _blocks(mat)]
+
+
+def _block_solve(mat, pinvs, rhs, tolerances, what, order):
+    """Minimal-norm least-squares solutions of mat x = rhs from its block pseudoinverses;
+    SolverFailure when a residual |rhs - mat x| exceeds tolerances.solver * (1 + |rhs|)."""
+    x = np.zeros((mat.shape[1], rhs.shape[1]), dtype=complex)
+    for rows, cols, pinv in pinvs:
+        x[cols] = pinv @ rhs[rows]
+    tol_abs = tolerances.solver * (1.0 + np.linalg.norm(rhs, axis=0))
+    res = np.linalg.norm(rhs - mat @ x, axis=0)
+    for r in res[res > tol_abs][:1]:
+        raise SolverFailure(f"{what} stalled at residual {r:.3e}", order=order, residual=float(r))
+    return x
 
 
 def _layout(conn, degree, box):
@@ -171,7 +194,7 @@ def _correction_system(conn, degree, reach, order):
     p - 1 layouts over the box reach + t c, which hold them whole.  Block
     (t, s) is d_(t-s), or d*_(t-s) as the conjugate transpose of the matrix
     from degree p - 1.  Returns (layouts of w_0 .. w_order, matrix on
-    w_1 .. w_order, matrix on w_0).
+    w_1 .. w_order, matrix on w_0, block pseudoinverses of the former).
     """
     key = ("corrections", degree, reach, order)
     if key not in conn._cache:
@@ -187,7 +210,7 @@ def _correction_system(conn, degree, reach, order):
         full = scipy.sparse.bmat(rows, format="csr")
         unknowns = [_layout(conn, degree, box) for box in boxes]
         n0 = unknowns[0].dim
-        conn._cache[key] = (unknowns, full[:, n0:], full[:, :n0])
+        conn._cache[key] = (unknowns, full[:, n0:], full[:, :n0], _block_pinv(full[:, n0:]))
     return conn._cache[key]
 
 
@@ -195,13 +218,13 @@ def _solve_columns(conn, degree, reach, lead, order, tolerances, constraints=Non
     """Minimal-norm corrections of the columns of ``lead``, coordinates of
     degree-p vectors over the layout of the box ``reach``.
 
-    One LSMR per column on the stacked correction system; each constraint
-    form adds the rows <constraint, w_t>, one per order.  Returns
+    All columns are solved at once on the stacked correction system; each
+    constraint form adds the rows <constraint, w_t>, one per order.  Returns
     [W_1 .. W_order], W_t the corrections over the box reach + t c with one
     column per column of ``lead``.  Raises SolverFailure when a column's
     system cannot be driven to zero (it is not on the page).
     """
-    unknowns, mat, lead_mat = _correction_system(conn, degree, reach, order)
+    unknowns, mat, lead_mat, pinvs = _correction_system(conn, degree, reach, order)
     rhs = -(lead_mat @ lead)
     if constraints:
         # rows <cons, w_t>, one per constraint and order
@@ -213,15 +236,8 @@ def _solve_columns(conn, degree, reach, lead, order, tolerances, constraints=Non
         ]
         mat = scipy.sparse.vstack([mat] + cons_rows, format="csr")
         rhs = np.vstack([rhs, np.zeros((len(constraints) * order, rhs.shape[1]), dtype=complex)])
-    x = np.empty((mat.shape[1], rhs.shape[1]), dtype=complex)
-    for col, b in enumerate(np.ascontiguousarray(rhs.T)):
-        x[:, col], res, converged = _lsmr(mat, b, tolerances)
-        if not converged:
-            raise SolverFailure(
-                f"correction system through order {order} stalled at residual {res:.3e}",
-                order=order,
-                residual=res,
-            )
+        pinvs = _block_pinv(mat)
+    x = _block_solve(mat, pinvs, rhs, tolerances, f"correction system through order {order}", order)
     return np.split(x, np.cumsum([layout.dim for layout in unknowns[1:]])[:-1])
 
 
@@ -707,9 +723,13 @@ def _realify(forms, conn, tolerances):
 
 
 class SpectrumReport:
-    def __init__(self, deltas, eigenvalues, spectral_norms, branches, close_gap_flags):
+    def __init__(
+        self, deltas, eigenvalues, spectral_norms, branches, close_gap_flags, minima, floors
+    ):
         self.deltas = deltas
-        self.eigenvalues = eigenvalues  # shape (len(deltas), dim), ascending
+        self.eigenvalues = eigenvalues  # shape (len(deltas), dim), ascending, clamped at 0
+        self.min_eigenvalues = minima  # per delta, before the clamp
+        self.eigen_floors = floors  # per delta, the bound of group "inf"
         self.spectral_norms = spectral_norms
         self.branches = branches
         self.close_gap_flags = close_gap_flags
@@ -719,6 +739,22 @@ class SpectrumReport:
         for branch in self.branches:
             counts[branch["group"]] = counts.get(branch["group"], 0) + 1
         return counts
+
+
+def _galerkin_spectrum(conn, total_degree, delta, bands):
+    """Ascending eigenvalues of the Hermitian compressed Laplacian at one delta: a stacked
+    eigvalsh per block shape of sum_r |M_r|, cached beside the Galerkin polynomial."""
+    mat = galerkin_operator(conn, total_degree, delta, bands)
+    herm = 0.5 * (mat + mat.conj().T)
+    key = ("galerkin_blocks", total_degree, tuple(bands))
+    if key not in conn._cache:
+        pattern = sum(abs(m) for m in conn._cache[("galerkin",) + key[1:]][1])
+        conn._cache[key] = _blocks(pattern + pattern.T + scipy.sparse.identity(herm.shape[0]))
+    try:
+        evals = [np.linalg.eigvalsh(_gather(herm, r, c)).ravel() for r, c in conn._cache[key]]
+    except np.linalg.LinAlgError as err:
+        raise SolverFailure(f"eigensolver failed at delta = {delta}: {err}")
+    return np.sort(np.concatenate([np.zeros(0)] + evals))
 
 
 def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
@@ -734,18 +770,9 @@ def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
         raise ConfigError("sweep values must lie in (0, 1]")
     if len(set(deltas)) < 2:
         raise ConfigError("decay slopes need at least two distinct sweep values")
-    rows = []
-    norms = []
-    for delta in deltas:
-        mat = galerkin_operator(conn, total_degree, delta, bands)
-        herm = 0.5 * (mat + mat.conj().T)
-        try:
-            evals = np.linalg.eigvalsh(herm.toarray())
-        except np.linalg.LinAlgError as err:
-            raise SolverFailure(f"eigensolver failed at delta = {delta}: {err}")
-        rows.append(np.maximum(evals, 0.0))
-        norms.append(float(np.max(np.abs(evals))) if evals.size else 0.0)
-    eigen = np.stack(rows)
+    raw = np.stack([_galerkin_spectrum(conn, total_degree, delta, bands) for delta in deltas])
+    norms = [float(np.max(np.abs(row), initial=0.0)) for row in raw]
+    eigen = np.maximum(raw, 0.0)  # clamped for the fits; the report keeps the minima
     dim = eigen.shape[1]
     # flag deltas where consecutive branch gaps are too small for sorted
     # matching to be trustworthy
@@ -753,7 +780,7 @@ def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
     for row, top in zip(eigen, norms):
         gaps = np.diff(row)
         close.append(bool(np.any(gaps < 1e-3 * max(top, 1e-300))))
-    floor_tol = 1e-12
+    floors = 1e-12 * np.maximum(norms, 1e-300)
     d_min_idx = 0  # deltas sorted ascending: smallest first
     # the near-zero cut is anchored at the largest delta so it stays
     # meaningful when the whole spectrum decays (abelian fibers)
@@ -762,7 +789,7 @@ def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
     logs = np.log(np.asarray(deltas))
     for b in range(dim):
         values = eigen[:, b]
-        is_floor = bool(np.all(values <= floor_tol * np.maximum(norms, 1e-300)))
+        is_floor = bool(np.all(values <= floors))
         near_zero = values[d_min_idx] <= tolerances.near_zero_cut * reference_norm
         slope = None
         group = None
@@ -786,44 +813,16 @@ def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
                 "within_tolerance": within,
             }
         )
-    return SpectrumReport(deltas, eigen, norms, branches, close)
+    minima = [float(row[0]) if row.size else 0.0 for row in raw]
+    return SpectrumReport(deltas, eigen, norms, branches, close, minima, floors.tolist())
 
 
 def near_zero_count(conn, total_degree, delta, bands, threshold_rel):
-    """Number of eigenvalues below threshold_rel x spectral norm at one delta.
-
-    Up to dimension 6000 the dense spectrum is computed; above it, where a
-    dense matrix no longer fits comfortably in memory, shift-invert Lanczos
-    finds the eigenvalues nearest zero, doubling their number until the
-    count falls below it.
-    """
-    mat = galerkin_operator(conn, total_degree, delta, bands)
-    herm = 0.5 * (mat + mat.conj().T)
-    dim = herm.shape[0]
-    if dim <= 6000:
-        evals = np.linalg.eigvalsh(herm.toarray())
-        top = float(np.max(np.abs(evals))) if evals.size else 0.0
-        return int(np.sum(evals <= threshold_rel * max(top, 1e-300))), top
-    herm = herm.tocsc()
-    top = float(
-        scipy.sparse.linalg.eigsh(herm, k=1, which="LA", return_eigenvectors=False)[0]
-    )
-    k = min(24, dim - 2)
-    while True:
-        try:
-            vals = scipy.sparse.linalg.eigsh(
-                herm,
-                k=k,
-                sigma=-1e-3 * max(top, 1.0),
-                which="LM",
-                return_eigenvectors=False,
-            )
-        except Exception as err:
-            raise SolverFailure(f"sparse eigensolver failed: {err}")
-        count = int(np.sum(vals <= threshold_rel * top))
-        if count < k or k >= dim - 2:
-            return count, top
-        k = min(2 * k, dim - 2)
+    """Number of eigenvalues below threshold_rel x spectral norm at one delta,
+    and the spectral norm, from the whole spectrum computed block by block."""
+    evals = _galerkin_spectrum(conn, total_degree, delta, bands)
+    top = float(np.max(np.abs(evals))) if evals.size else 0.0
+    return int(np.sum(evals <= threshold_rel * max(top, 1e-300))), top
 
 
 # -- recovering the base primitive from the order-4 constraint ---------------------
@@ -833,9 +832,9 @@ def recover_omega3(conn, cs3_poly, tolerances=None):
     """Solve the order-4 cancellation for the (3,0) term of the degree-3 lift.
 
     The constraint is d_M x = -(degree-4 characteristic form), with x
-    coclosed and orthogonal to the harmonic 3-forms; solved by LSMR on the
-    stacked sparse system, independently of the closed-form primitive
-    construction.
+    coclosed and orthogonal to the harmonic 3-forms; the minimal-norm
+    solution of the stacked sparse system, independently of the closed-form
+    primitive construction.
     """
     from .base_forms import hodge_decompose, norm as base_norm
 
@@ -870,9 +869,5 @@ def recover_omega3(conn, cs3_poly, tolerances=None):
     rhs = np.concatenate(
         [-layouts[4].vector_from_form(residual)[0], np.zeros(layouts[2].dim + nb, dtype=complex)]
     )
-    x, res, converged = _lsmr(mat, rhs, tolerances)
-    if not converged:
-        raise SolverFailure(
-            f"order-4 recovery stalled at residual {res:.3e}", order=4, residual=res
-        )
-    return to_fourier(layouts[3].form_from_vector(x), 3).trim()
+    x = _block_solve(mat, _block_pinv(mat), rhs[:, None], tolerances, "order-4 recovery", 4)
+    return to_fourier(layouts[3].form_from_vector(x[:, 0]), 3).trim()

@@ -366,7 +366,7 @@ def cmd_lie_check(scenario, out_dir=None, quiet=False):
     passed = True
     for label, alg in algebras.items():
         d_sq = 0.0
-        adjointness = 0.0
+        adjointness = adjointness_rel = 0.0
         invariance = 0.0
         betti_ok = True
         rng = np.random.default_rng(scenario.seed)
@@ -379,6 +379,7 @@ def cmd_lie_check(scenario, out_dir=None, quiet=False):
             lhs = (ce_differential(alg, j) @ a) @ alg.gram(j + 1) @ b
             rhs = a @ alg.gram(j) @ (ce_adjoint(alg, j + 1) @ b)
             adjointness = max(adjointness, abs(lhs - rhs))
+            adjointness_rel = max(adjointness_rel, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
         for j in range(alg.dim + 1):
             basis = harmonic_subspace(alg, j)
             if basis.shape[1] != alg.betti(j):
@@ -401,7 +402,7 @@ def cmd_lie_check(scenario, out_dir=None, quiet=False):
                 )
         ok = (
             d_sq <= 1e-13
-            and adjointness <= 1e-10
+            and adjointness_rel <= 1e-12
             and invariance <= 1e-10
             and betti_ok
             and green_res <= 1e-10
@@ -410,6 +411,7 @@ def cmd_lie_check(scenario, out_dir=None, quiet=False):
         checks[label] = {
             "d_squared": d_sq,
             "adjointness": adjointness,
+            "adjointness_relative": adjointness_rel,
             "harmonic_invariance": invariance,
             "betti_match": betti_ok,
             "green_right_inverse": green_res,
@@ -725,6 +727,8 @@ def cmd_spectrum(scenario, degree=None, out_dir=None, quiet=False):
         "deltas": sweep.deltas,
         "spectral_norms": sweep.spectral_norms,
         "close_gap_flags": sweep.close_gap_flags,
+        "min_eigenvalues": sweep.min_eigenvalues,
+        "eigen_floor": sweep.eigen_floors,
         "near_zero_branches": branches_payload,
         "group_counts": {str(k): v for k, v in counts.items()},
         "page_dims": page_dims,

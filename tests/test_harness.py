@@ -14,6 +14,7 @@ from bundlehodge.harness import (
     cmd_lie_check,
     cmd_pages,
     cmd_report,
+    cmd_spectrum,
     cmd_verify_cs1,
     load_scenario,
     packaged_scenario_path,
@@ -119,6 +120,42 @@ def test_cmd_lie_check_writes_report(tmp_path):
     assert data["checks"]["su3"]["betti_match"]
 
 
+def _scaled_su3_scenario(tmp_path):
+    with open(packaged_scenario_path("t4_su2_cs3")) as fh:
+        config = json.load(fh)
+    config["algebra"] = {"name": "su3", "scale": "0.2"}
+    path = tmp_path / "su3_scaled.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_lie_check_adjointness_gate_is_relative(tmp_path, seed):
+    # the su(3) pairing at scale 0.2 reaches |lhs| ~ 1e5, where rounding
+    # alone puts |lhs - rhs| near 1e-10: an absolute gate failed seeds 0 and 3
+    path = _scaled_su3_scenario(tmp_path)
+    argv = ["lie-check", "--scenario", path, "--seed", str(seed), "--out", str(tmp_path), "--quiet"]
+    assert cli_main(argv) == 0
+    data = json.loads((tmp_path / "t4_su2_cs3_lie_check.json").read_text())
+    for check in data["checks"].values():
+        assert check["adjointness_relative"] <= 1e-12
+
+
+def test_lie_check_detects_perturbed_adjoint(tmp_path, monkeypatch):
+    from bundlehodge import harness
+
+    original = harness.ce_adjoint
+    monkeypatch.setattr(harness, "ce_adjoint", lambda alg, j: (1.0 + 1e-9) * original(alg, j))
+    path = _scaled_su3_scenario(tmp_path)
+    assert cli_main(["lie-check", "--scenario", path, "--out", str(tmp_path), "--quiet"]) == 1
+    check = json.loads((tmp_path / "t4_su2_cs3_lie_check.json").read_text())["checks"]["su2+u1"]
+    # su(2) + u(1) is not semisimple, so no Green-operator check runs on it
+    # and the adjointness gate alone must fail it
+    assert check["green_right_inverse"] == 0.0
+    assert check["adjointness_relative"] > 1e-12
+    assert not check["passed"]
+
+
 def test_cmd_verify_cs1_csv_columns(tmp_path):
     scenario = load_fixture("t2_u1_c1zero")
     report = cmd_verify_cs1(scenario, out_dir=str(tmp_path), quiet=True)
@@ -146,6 +183,20 @@ def test_cmd_pages_dims_payload(tmp_path):
     assert report["einf_dims"].get("0,1", 0) == 0
     assert report["einf_dims"]["1,0"] == 2
     assert report["consistency_pass"]
+
+
+def test_cmd_spectrum_reports_minimum_and_floor(tmp_path):
+    scenario = load_fixture("t2_u1_c1zero")
+    cmd_spectrum(scenario, out_dir=str(tmp_path), quiet=True)
+    data = json.loads((tmp_path / "t2_u1_c1zero_spectrum_p1.json").read_text())
+    with open(tmp_path / "t2_u1_c1zero_spectrum_p1.csv") as fh:
+        first = {float(r[0]): float(r[2]) for r in list(csv.reader(fh))[1:] if r[1] == "0"}
+    assert len(data["min_eigenvalues"]) == len(data["eigen_floor"]) == len(data["deltas"])
+    for delta, low, floor, top in zip(
+        data["deltas"], data["min_eigenvalues"], data["eigen_floor"], data["spectral_norms"]
+    ):
+        assert low <= first[delta]
+        assert floor == pytest.approx(1e-12 * top, rel=1e-15)
 
 
 def test_command_outputs_deterministic(tmp_path):
