@@ -8,7 +8,9 @@ are the minimal-norm (canonical) least-squares solutions of the stacked
 sparse correction systems, and the order-4 recovery of the base primitive
 solves d_M and its adjoint over the (3,0) slot the same way.  Each sparse
 system, and the compressed Laplacian, splits exactly into the connected
-components of its pattern, solved densely, one stacked call per shape.
+components of its pattern, solved densely, one stacked call per shape; a
+block above a fixed number of entries is rejected, since a connection that
+couples several axes joins the whole box into one block.
 
 The recursion itself runs on coordinate matrices, with lifts over the box
 of each slot basis' frequency support; forms are built only for output.
@@ -33,6 +35,7 @@ from .bigraded import (
     d_component_matrix,
     d_delta,
     dstar_delta,
+    galerkin_coefficients,
     galerkin_operator,
     to_fourier,
 )
@@ -95,17 +98,29 @@ def verify_formal_harmonic(poly, conn, order, tolerances=None):
 
 # -- correction systems on the sparse matrix layer -----------------------------
 
+# entries of the largest dense block solved (512 MiB complex, a square block of
+# dimension 5792); a connection coupling several axes joins the whole box into one
+_MAX_BLOCK_ENTRIES = 2**25
+
 
 def _blocks(pattern):
     """Blocks of a sparse pattern, the connected components of its graph joining row r
     to column c when it holds (r, c): index arrays (count, nr) and (count, nc) per
-    block shape (nr, nc).  A zero row is a (1, 0) block, a zero column a (0, 1) block."""
+    block shape (nr, nc).  A zero row is a (1, 0) block, a zero column a (0, 1) block.
+    ConfigError when a block holds more than _MAX_BLOCK_ENTRIES entries."""
     m, n = pattern.shape
     coo = scipy.sparse.coo_matrix(pattern)
     graph = scipy.sparse.coo_matrix((np.ones(coo.nnz), (coo.row, m + coo.col)), (m + n,) * 2)
     count, labels = connected_components(graph, connection="weak")
     sizes = np.stack([np.bincount(part, minlength=count) for part in (labels[:m], labels[m:])], 1)
     shapes, group, counts = np.unique(sizes, axis=0, return_inverse=True, return_counts=True)
+    entries = shapes[:, 0] * shapes[:, 1]
+    if np.any(entries > _MAX_BLOCK_ENTRIES):
+        nr, nc = shapes[np.argmax(entries)]
+        raise ConfigError(
+            f"a {m} x {n} sparse system couples {nr} rows and {nc} columns into one block, "
+            f"above the dense limit of 2**25 entries; choose a smaller frequency box"
+        )
     # nodes by shape group, then component, then index; rows before columns
     order = np.lexsort((labels, group[labels]))
     bounds = np.cumsum(counts[:, None] * shapes, axis=0)[:-1]
@@ -125,8 +140,16 @@ def _gather(mat, rows, cols):
 
 
 def _block_pinv(mat):
-    """(rows, cols, stacked pseudoinverses) per block shape, cut as lstsq(rcond=None)."""
-    return [(r, c, np.linalg.pinv(_gather(mat, r, c), rtol=None)) for r, c in _blocks(mat)]
+    """(rows, cols, stacked pseudoinverses) per block shape, with the singular-value cut
+    of lstsq(rcond=None) on the whole matrix: max(mat.shape) x eps x its largest one."""
+    svds = [(r, c, np.linalg.svd(_gather(mat, r, c), full_matrices=False)) for r, c in _blocks(mat)]
+    top = max((np.max(s, initial=0.0) for _, _, (_, s, _) in svds), default=0.0)
+    cut = max(mat.shape) * np.finfo(float).eps * top
+    pinvs = []
+    for r, c, (u, s, vh) in svds:
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+        pinvs.append((r, c, (vh.conj().swapaxes(1, 2) * inv[:, None, :]) @ u.conj().swapaxes(1, 2)))
+    return pinvs
 
 
 def _block_solve(mat, pinvs, rhs, tolerances, what, order):
@@ -748,7 +771,7 @@ def _galerkin_spectrum(conn, total_degree, delta, bands):
     herm = 0.5 * (mat + mat.conj().T)
     key = ("galerkin_blocks", total_degree, tuple(bands))
     if key not in conn._cache:
-        pattern = sum(abs(m) for m in conn._cache[("galerkin",) + key[1:]][1])
+        pattern = sum(abs(m) for m in galerkin_coefficients(conn, total_degree, bands))
         conn._cache[key] = _blocks(pattern + pattern.T + scipy.sparse.identity(herm.shape[0]))
     try:
         evals = [np.linalg.eigvalsh(_gather(herm, r, c)).ravel() for r, c in conn._cache[key]]

@@ -895,12 +895,17 @@ def galerkin_polynomial(conn, total_degree, bands):
     return layout, mats
 
 
-def galerkin_operator(conn, total_degree, delta, bands):
-    """Sparse Hermitian matrix of the compressed rescaled Laplacian at numeric delta."""
+def galerkin_coefficients(conn, total_degree, bands):
+    """The coefficient matrices M_r of galerkin_polynomial, cached on the connection."""
     cache_key = ("galerkin", total_degree, tuple(bands))
     if cache_key not in conn._cache:
         conn._cache[cache_key] = galerkin_polynomial(conn, total_degree, bands)
-    _, mats = conn._cache[cache_key]
+    return conn._cache[cache_key][1]
+
+
+def galerkin_operator(conn, total_degree, delta, bands):
+    """Sparse Hermitian matrix of the compressed rescaled Laplacian at numeric delta."""
+    mats = galerkin_coefficients(conn, total_degree, bands)
     total = mats[0] * (float(delta) ** 0)
     for r in range(1, 5):
         total = total + (float(delta) ** r) * mats[r]

@@ -376,10 +376,13 @@ def cmd_lie_check(scenario, out_dir=None, quiet=False):
                 d_sq = max(d_sq, float(np.max(np.abs(comp))))
             a = rng.standard_normal(num_indices(alg.dim, j))
             b = rng.standard_normal(num_indices(alg.dim, j + 1))
-            lhs = (ce_differential(alg, j) @ a) @ alg.gram(j + 1) @ b
-            rhs = a @ alg.gram(j) @ (ce_adjoint(alg, j + 1) @ b)
+            da, dsb = ce_differential(alg, j) @ a, ce_adjoint(alg, j + 1) @ b
+            g_in, g_out = alg.gram(j), alg.gram(j + 1)
+            lhs, rhs = da @ g_out @ b, a @ g_in @ dsb
+            # rounding scales with the Cauchy-Schwarz bounds of the pairings, not their values
+            bounds = [(da @ g_out @ da) * (b @ g_out @ b), (a @ g_in @ a) * (dsb @ g_in @ dsb)]
             adjointness = max(adjointness, abs(lhs - rhs))
-            adjointness_rel = max(adjointness_rel, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+            adjointness_rel = max(adjointness_rel, abs(lhs - rhs) / max(1.0, *np.sqrt(bounds)))
         for j in range(alg.dim + 1):
             basis = harmonic_subspace(alg, j)
             if basis.shape[1] != alg.betti(j):
@@ -623,6 +626,9 @@ def cmd_pages(scenario, degree=None, out_dir=None, quiet=False, consistency=True
     residual_profile = {}
     for _, _, lift in recursion.infinity_entries(degree):
         d_list, s_list = residual_orders(lift, conn)
+        # every order of d_delta and d*_delta on the lift, exact zeros included
+        for m in range(len(lift) + 2):
+            residual_profile.setdefault(m, 0.0)
         for m, val in d_list:
             residual_profile[m] = max(residual_profile.get(m, 0.0), val)
         for m, val in s_list:

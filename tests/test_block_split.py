@@ -1,5 +1,6 @@
 """The exact block split of sparse systems against dense oracles."""
 
+import json
 import types
 from unittest import mock
 
@@ -19,13 +20,16 @@ from bundlehodge.adiabatic_ss import (
     _solve_columns,
     near_zero_count,
 )
-from bundlehodge.bigraded import galerkin_operator
-from bundlehodge.errors import SolverFailure
-from bundlehodge.harness import load_scenario, packaged_scenario_path
+from bundlehodge.bigraded import galerkin_coefficients, galerkin_operator
+from bundlehodge.errors import ConfigError, SolverFailure
+from bundlehodge.harness import Scenario, load_scenario, packaged_scenario_path
 
 # block shapes (rows, columns); the empty ones are zero columns and zero rows
 RECT_SHAPES = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (4, 4)]
 SQUARE_SIZES = [1, 2, 3, 4, 5]
+# block scales: a rounding-level block beside an O(1) one falls under the
+# whole-matrix cut of lstsq(rcond=None), not under a cut relative to itself
+SCALES = [1.0, 1.0, 1e-2, 1e-17]
 
 
 def _bits(draw, count):
@@ -68,7 +72,10 @@ def rectangular_systems(draw):
     shapes = [RECT_SHAPES[_bits(draw, 4) % len(RECT_SHAPES)] for _ in range(1 + _bits(draw, 3))]
     # repeat one shape so a stacked group holds several blocks
     shapes += [shapes[0]] * _bits(draw, 2)
-    blocks = [_random_block(rng, nr, nc, draw(st.booleans())) for nr, nc in shapes]
+    blocks = [
+        SCALES[_bits(draw, 2)] * _random_block(rng, nr, nc, draw(st.booleans()))
+        for nr, nc in shapes
+    ]
     mat = _permuted(blocks, rng)
     cols = 1 + _bits(draw, 2)
     if draw(st.booleans()):
@@ -176,3 +183,33 @@ def test_near_zero_count_matches_dense_eigvalsh(name, degrees, bands):
         ref_top = float(np.max(np.abs(ref)))
         assert top == pytest.approx(ref_top, rel=1e-12)
         assert count == int(np.sum(ref <= 1e-8 * ref_top))
+
+
+def test_blocks_reject_a_block_above_the_dense_limit():
+    blocks = [np.ones((3, 3)), np.ones((2, 4))]
+    mat = _permuted(blocks, np.random.default_rng(0))
+    with mock.patch.object(adiabatic_ss, "_MAX_BLOCK_ENTRIES", 8):
+        with pytest.raises(ConfigError, match="3 rows and 3 columns"):
+            _blocks(mat)
+    with mock.patch.object(adiabatic_ss, "_MAX_BLOCK_ENTRIES", 9):
+        assert len(_blocks(mat)) == 2
+
+
+def test_multi_axis_connection_couples_the_box_into_one_rejected_block():
+    # modes along every axis join the whole Galerkin box into one component:
+    # at box (2, 2, 1, 1) in degree 3 that is a 7875 x 7875 block, which the
+    # limit rejects before any dense matrix is formed
+    with open(packaged_scenario_path("t4_su2_cs3")) as fh:
+        config = json.load(fh)
+    entries = []
+    for axis in range(4):
+        key = [0, 0, 0, 0]
+        key[axis] = 1
+        entries.append([key, [axis], "0", "-0.4"])
+        entries.append([[-k for k in key], [axis], "0", "0.4"])
+    config["connection"]["components"][0][1]["entries"] = entries
+    conn = Scenario(config).connection
+    blocks = _blocks(sum(abs(m) for m in galerkin_coefficients(conn, 3, (1, 1, 1, 1))))
+    assert [(r.shape, c.shape) for r, c in blocks] == [((1, 2835), (1, 2835))]
+    with pytest.raises(ConfigError, match="7875 rows and 7875 columns"):
+        near_zero_count(conn, 3, 0.5, (2, 2, 1, 1), 1e-8)

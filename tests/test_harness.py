@@ -185,6 +185,19 @@ def test_cmd_pages_dims_payload(tmp_path):
     assert report["consistency_pass"]
 
 
+def test_cmd_pages_reports_every_residual_order_of_the_lifts(tmp_path):
+    # the stabilized lifts of t2_u1_c1zero in degree 1 are closed and coclosed
+    # exactly, so every order reads zero; an empty list would mean no lifts
+    scenario = load_fixture("t2_u1_c1zero")
+    report = cmd_pages(scenario, degree=1, out_dir=str(tmp_path), quiet=True)
+    assert report["limit_count"] == 3
+    orders = report["lift_residual_orders"]
+    # orders 0 .. deg(lift) + 2, the top order of d_delta and d*_delta
+    assert [m for m, _ in orders] == list(range(len(orders)))
+    assert len(orders) >= 3
+    assert all(val <= 1e-12 for _, val in orders)
+
+
 def test_cmd_spectrum_reports_minimum_and_floor(tmp_path):
     scenario = load_fixture("t2_u1_c1zero")
     cmd_spectrum(scenario, out_dir=str(tmp_path), quiet=True)
