@@ -57,8 +57,7 @@ from .chern_weil import (
     primitive_h,
 )
 from .adiabatic_ss import (
-    PageBasis,
-    compute_pages,
+    PageRecursion,
     harmonic_limit,
     recover_omega3,
     residual_orders,

@@ -12,8 +12,10 @@ components of its pattern, solved densely, one stacked call per shape; a
 block above a fixed number of entries is rejected, since a connection that
 couples several axes joins the whole box into one block.
 
-The recursion itself runs on coordinate matrices, with lifts over the box
-of each slot basis' frequency support; forms are built only for output.
+One run of the recursion serves every degree and page.  It works on
+coordinate matrices, with lifts over the box of each slot basis' frequency
+support; forms are built only when ``PageRecursion.entries`` hands a page
+out, and ``harmonic_limit`` reads the stabilized page that way.
 
 Only the final projections onto the band box are truncated; every operator
 application on lifts is exact, with corrections confined to frequency
@@ -298,21 +300,6 @@ def solve_corrections(conn, v, order, tolerances=None, constraints=None):
 # -- the page recursion ------------------------------------------------------------
 
 
-class PageBasis:
-    """Orthonormal basis of one page in one total degree, with lifts."""
-
-    def __init__(self, degree, page, entries, dims, diagnostics=None):
-        self.degree = degree
-        self.page = page
-        self.entries = entries
-        self.dims = dims
-        self.diagnostics = diagnostics or {}
-
-    @property
-    def total_dim(self):
-        return sum(self.dims.values())
-
-
 class PageRecursion:
     """Simultaneous page computation in every total degree.
 
@@ -327,7 +314,7 @@ class PageRecursion:
     frequency support; the leading coefficients are products with the
     cached component matrices over a box that holds them whole and contains
     the page box, so projecting onto the page is a row selection.  Forms
-    are built only when page_basis or infinity_entries hand lifts out.
+    are built only when ``entries`` hands a page's basis and lifts out.
     """
 
     def __init__(self, conn, bands, k_max=6, tolerances=None):
@@ -352,7 +339,7 @@ class PageRecursion:
         # (support box, [W_1 .. W_(K-1)]), filled on first use
         self.bases = {}
         self.lifts = {}
-        self._handout = {}  # (K, degree) -> infinity_entries
+        self._handout = {}  # (K, degree) -> entries
         self.dims_history = []
         self.diagnostics = {
             "projection_cut": 0.0,
@@ -578,87 +565,47 @@ class PageRecursion:
         dims = self.dims_at(K)
         return {slot: r for slot, r in dims.items() if slot[0] + slot[1] == degree}
 
-    def _entries(self, K, degree):
-        """(slot, vector, lift) for every basis column of one degree at page K."""
-        lifts = self._lifts(K)
-        out = []
-        for slot, basis in self.bases[K].items():
-            if sum(slot) != degree:
-                continue
-            box, ws = lifts[slot]
-            layouts = [_layout(self.conn, degree, b) for b in _boxes(self.conn, box, len(ws))[1:]]
-            for col in range(basis.shape[1]):
-                v = self.coords[slot].form_from_vector(basis[:, col])
-                terms = [layout.form_from_vector(w[:, col]) for layout, w in zip(layouts, ws)]
-                out.append((slot, v, DeltaPolynomial([v] + terms)))
-        return out
-
-    def page_basis(self, degree, K):
-        """Materialize a PageBasis for one degree at one page."""
-        dims = self.dims_for_degree(K, degree)
-        entries = []
-        if K == 0:
-            for slot in self.slots:
-                if slot[0] + slot[1] != degree:
-                    continue
-                coords = self.coords[slot]
-                for idx in range(coords.dim):
-                    unit = np.zeros(coords.dim, dtype=complex)
-                    unit[idx] = 1.0
-                    v = coords.form_from_vector(unit)
-                    entries.append((v, DeltaPolynomial([v])))
-        else:
-            entries = [(v, lift) for _, v, lift in self._entries(K, degree)]
-        return PageBasis(degree, K, entries, dims, dict(self.diagnostics))
-
-    def infinity_entries(self, degree):
-        """Basis and lifts of the stabilized page in one degree, with lifts
-        extended through order k_stop - 1.  The forms are built once per
-        degree and shared by every caller, which must not modify them."""
-        key = (self.k_stop, degree)
+    def entries(self, K, degree):
+        """(slot, vector, lift) for every basis column of one degree at page
+        K >= 1, lifts through order K - 1.  The forms are built once per page
+        and degree and shared by every caller, which must not modify them."""
+        key = (K, degree)
         if key not in self._handout:
-            self._handout[key] = self._entries(self.k_stop, degree)
+            lifts = self._lifts(K)
+            out = []
+            for slot, basis in self.bases[K].items():
+                if sum(slot) != degree:
+                    continue
+                box, ws = lifts[slot]
+                boxes = _boxes(self.conn, box, len(ws))[1:]
+                layouts = [_layout(self.conn, degree, b) for b in boxes]
+                for col in range(basis.shape[1]):
+                    v = self.coords[slot].form_from_vector(basis[:, col])
+                    terms = [layout.form_from_vector(w[:, col]) for layout, w in zip(layouts, ws)]
+                    out.append((slot, v, DeltaPolynomial([v] + terms)))
+            self._handout[key] = out
         return self._handout[key]
-
-
-def compute_pages(conn, total_degree, k_max=6, bands=None, tolerances=None):
-    """Pages K = 0 .. stabilization for one total degree.
-
-    Every page is computed for all degrees simultaneously (the Laplacian of
-    a page couples neighbouring degrees); the returned list covers the
-    requested degree only.
-    """
-    bands = bands if bands is not None else (1,) * conn.geometry.n
-    rec = PageRecursion(conn, bands, k_max=k_max, tolerances=tolerances).run()
-    return [rec.page_basis(total_degree, K) for K in range(rec.k_stop + 1)]
-
-
-def run_page_recursion(conn, bands, k_max=6, tolerances=None):
-    return PageRecursion(conn, bands, k_max=k_max, tolerances=tolerances).run()
 
 
 # -- harmonic limit ------------------------------------------------------------
 
 
-def harmonic_limit(conn, total_degree, bands=None, k_max=6, tolerances=None, recursion=None):
-    """Real forms spanning the limit of harmonic spaces in one degree.
+def harmonic_limit(recursion, total_degree):
+    """Real forms spanning the limit of harmonic spaces in one degree, from a
+    run PageRecursion, on its connection and with its tolerances.
 
     Each stabilized-page lift omega + delta omega_1 + ... contributes its
     anti-diagonal constant term: the sum over i of the (i, p-i)-slot of the
     order-i coefficient.
     """
-    tolerances = tolerances or Tolerances()
-    if recursion is None:
-        bands = bands if bands is not None else (1,) * conn.geometry.n
-        recursion = run_page_recursion(conn, bands, k_max=k_max, tolerances=tolerances)
+    conn, tolerances = recursion.conn, recursion.tol
     if not recursion.stabilized:
         raise SolverFailure(
             f"pages did not stabilize within K_max = {recursion.k_max}",
             order=recursion.k_stop,
         )
-    entries = recursion.infinity_entries(total_degree)
     limits = []
-    for slot0, _, lift in entries:
+    for slot0, _, lift in recursion.entries(recursion.k_stop, total_degree):
         # the lift of a leading (i0, j0)-vector must be raised by delta^i0
         # before regrading, so order l contributes at slot (l + i0, p - l - i0)
         i0 = slot0[0]

@@ -40,7 +40,13 @@ def build_parser():
         p.add_argument("--scenario", required=True, help="path or packaged scenario name")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--band", type=int, default=None, help="override the frequency band")
+        p.add_argument(
+            "--band",
+            type=int,
+            default=None,
+            help="override the frequency band; a scenario that declares no "
+            "galerkin_bands takes it as its Galerkin box too",
+        )
         p.add_argument("--quiet", action="store_true")
         if name in ("pages", "spectrum"):
             p.add_argument("--degree", type=int, default=None, help="total form degree")

@@ -14,12 +14,12 @@ import tempfile
 import numpy as np
 
 from .adiabatic_ss import (
+    PageRecursion,
     Tolerances,
     harmonic_limit,
     near_zero_count,
     recover_omega3,
     residual_orders,
-    run_page_recursion,
     spectrum_sweep,
 )
 from .base_forms import (
@@ -208,8 +208,10 @@ class Scenario:
         if any(not 0 < x <= 1 for x in self.delta_grid):
             raise ConfigError("delta values must lie in (0, 1]")
         self.bands = self._bands(config.get("band", 1), "band")
-        self.galerkin_bands = self._bands(
-            config.get("galerkin_bands", self.bands), "galerkin_bands"
+        self._galerkin_bands = (
+            self._bands(config["galerkin_bands"], "galerkin_bands")
+            if "galerkin_bands" in config
+            else None
         )
         self.degree = _integer(config.get("degree", 1), "degree", minimum=0)
         self.k_max = _integer(config.get("k_max", 6), "k_max", minimum=1)
@@ -230,6 +232,21 @@ class Scenario:
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
         self.seed = _integer(config.get("seed", 0), "seed")
+        self._recursion = None  # (key, PageRecursion) of the last page_recursion()
+
+    @property
+    def galerkin_bands(self):
+        """The declared Galerkin box; when none is declared, the band in force."""
+        return self.bands if self._galerkin_bands is None else self._galerkin_bands
+
+    def page_recursion(self):
+        """The page recursion of the connection at the scenario's bands, k_max
+        and tolerances, run once and kept until one of them changes."""
+        bands, tol = tuple(self.bands), self.tolerances
+        key = (self.connection, bands, self.k_max, tol.formal, tol.rank, tol.spectral)
+        if self._recursion is None or self._recursion[0] != key:
+            self._recursion = (key, PageRecursion(self.connection, bands, self.k_max, tol).run())
+        return self._recursion[1]
 
     def _bands(self, raw, what):
         n = self.geometry.n
@@ -598,13 +615,12 @@ def _pages_payload(recursion, degree):
     return payload
 
 
-def cmd_pages(scenario, degree=None, out_dir=None, quiet=False, consistency=True):
+def cmd_pages(scenario, degree=None, out_dir=None, quiet=False):
     """Page dimensions, harmonic limits, and the zero-count consistency."""
     degree = scenario.degree if degree is None else _integer(degree, "degree", minimum=0)
     conn = scenario.connection
-    recursion = run_page_recursion(
-        conn, scenario.bands, k_max=scenario.k_max, tolerances=scenario.tolerances
-    )
+    recursion = scenario.page_recursion()
+    limits = harmonic_limit(recursion, degree)
     einf = recursion.dims_for_degree(recursion.k_stop, degree)
     report = {
         "scenario": scenario.name,
@@ -617,14 +633,14 @@ def cmd_pages(scenario, degree=None, out_dir=None, quiet=False, consistency=True
         "dims_per_page": _pages_payload(recursion, degree),
         "einf_dims": {_slot_key(s): r for s, r in einf.items()},
         "einf_total": sum(einf.values()),
-        "diagnostics": recursion.diagnostics,
+        # a snapshot once the stabilized lifts are solved: the recursion is shared
+        "diagnostics": dict(recursion.diagnostics),
+        "limit_count": len(limits),
+        "limit_forms": [bigraded_to_dict(f) for f in limits],
     }
-    limits = harmonic_limit(conn, degree, recursion=recursion, tolerances=scenario.tolerances)
-    report["limit_count"] = len(limits)
-    report["limit_forms"] = [bigraded_to_dict(f) for f in limits]
     # residual norms per polynomial order for the stabilized lifts
     residual_profile = {}
-    for _, _, lift in recursion.infinity_entries(degree):
+    for _, _, lift in recursion.entries(recursion.k_stop, degree):
         d_list, s_list = residual_orders(lift, conn)
         # every order of d_delta and d*_delta on the lift, exact zeros included
         for m in range(len(lift) + 2):
@@ -636,20 +652,15 @@ def cmd_pages(scenario, degree=None, out_dir=None, quiet=False, consistency=True
     report["lift_residual_orders"] = [
         [m, residual_profile[m]] for m in sorted(residual_profile)
     ]
+    count, top = near_zero_count(
+        conn, degree, 0.5, scenario.galerkin_bands, scenario.tolerances.spectral
+    )
+    report["galerkin_zero_count"] = count
+    report["galerkin_spectral_norm"] = top
+    report["galerkin_bands"] = list(scenario.galerkin_bands)
+    report["consistency_pass"] = count == report["einf_total"]
     passed = recursion.stabilized and len(limits) == report["einf_total"]
-    if consistency:
-        count, top = near_zero_count(
-            conn,
-            degree,
-            0.5,
-            scenario.galerkin_bands,
-            scenario.tolerances.spectral,
-        )
-        report["galerkin_zero_count"] = count
-        report["galerkin_spectral_norm"] = top
-        report["galerkin_bands"] = list(scenario.galerkin_bands)
-        report["consistency_pass"] = count == report["einf_total"]
-        passed = passed and report["consistency_pass"]
+    passed = passed and report["consistency_pass"]
     report["passed"] = passed
     out_dir = out_dir or scenario.output_dir
     write_json(os.path.join(out_dir, f"{scenario.name}_pages_p{degree}.json"), report)
@@ -670,9 +681,7 @@ def cmd_spectrum(scenario, degree=None, out_dir=None, quiet=False):
     sweep = spectrum_sweep(
         conn, degree, scenario.delta_grid, scenario.bands, scenario.tolerances
     )
-    recursion = run_page_recursion(
-        conn, scenario.bands, k_max=scenario.k_max, tolerances=scenario.tolerances
-    )
+    recursion = scenario.page_recursion()
     page_dims = [
         sum(recursion.dims_for_degree(K, degree).values())
         for K in range(recursion.k_stop + 1)

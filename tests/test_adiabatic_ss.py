@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from bundlehodge.adiabatic_ss import (
+    PageRecursion,
     Tolerances,
     harmonic_limit,
     near_zero_count,
     recover_omega3,
     residual_orders,
-    run_page_recursion,
     solve_corrections,
     spectrum_sweep,
     verify_formal_harmonic,
@@ -156,24 +156,26 @@ def test_declared_formal_tolerance_is_applied():
 
 def test_pages_abelian_flux_with_mean():
     conn = abelian_t2(mean=True)
-    rec = run_page_recursion(conn, (2, 2))
+    rec = PageRecursion(conn, (2, 2)).run()
+    assert sum(rec.dims_for_degree(0, 1).values()) == 75
     dims2 = rec.dims_for_degree(2, 1)
     assert dims2 == {(1, 0): 2, (0, 1): 1}
     dims3 = rec.dims_for_degree(3, 1)
     assert dims3 == {(1, 0): 2}
     assert rec.stabilized
     assert rec.k_stop == 3
+    assert [slot for slot, _, _ in rec.entries(rec.k_stop, 1)] == [(1, 0), (1, 0)]
 
 
 def test_pages_abelian_flux_exact():
     conn = abelian_t2(mean=False)
-    rec = run_page_recursion(conn, (2, 2))
+    rec = PageRecursion(conn, (2, 2)).run()
     assert sum(rec.dims_for_degree(rec.k_stop, 1).values()) == 3
 
 
 def test_pages_flat_kunneth_all_degrees():
     conn = flat_t4_connection()
-    rec = run_page_recursion(conn, (1, 1, 1, 1))
+    rec = PageRecursion(conn, (1, 1, 1, 1)).run()
     for p in range(8):
         total = sum(rec.dims_for_degree(rec.k_stop, p).values())
         box = (2 * 1 + 1) ** 4
@@ -191,7 +193,7 @@ def test_pages_monotone_dimensions():
         (su2_t3_connection(), (1, 1, 1)),
         (abelian_t2(mean=True), (2, 2)),
     ):
-        rec = run_page_recursion(conn, bands)
+        rec = PageRecursion(conn, bands).run()
         for K in range(1, len(rec.dims_history)):
             prev = rec.dims_history[K - 1]
             for slot, r in rec.dims_history[K].items():
@@ -199,27 +201,27 @@ def test_pages_monotone_dimensions():
 
 
 def test_pages_diagnostics_small():
-    rec = run_page_recursion(su2_t3_connection(), (1, 1, 1))
+    rec = PageRecursion(su2_t3_connection(), (1, 1, 1)).run()
     assert rec.diagnostics["offslot_residual"] <= 1e-9
     assert rec.diagnostics["dsq_residual"] <= 1e-9
     assert rec.diagnostics["adjoint_consistency"] <= 1e-9
 
 
 def test_pages_t4_curved_collapse():
-    rec = run_page_recursion(su2_t4_connection(), (1, 1, 1, 1))
+    rec = PageRecursion(su2_t4_connection(), (1, 1, 1, 1)).run()
     assert rec.dims_for_degree(1, 3) == {(0, 3): 81, (3, 0): 324}
     for K in range(2, rec.k_stop + 1):
         assert rec.dims_for_degree(K, 3) == {(0, 3): 1, (3, 0): 4}
     assert rec.stabilized
 
 
-def test_page_basis_entries_orthonormal_with_valid_lifts():
+def test_stable_entries_orthonormal_with_valid_lifts():
     conn = su2_t3_connection()
-    rec = run_page_recursion(conn, (1, 1, 1))
+    rec = PageRecursion(conn, (1, 1, 1)).run()
     K = rec.k_stop
-    page = rec.page_basis(3, K)
-    assert page.total_dim == 2
-    for v, lift in page.entries:
+    entries = rec.entries(K, 3)
+    assert len(entries) == 2
+    for _, v, lift in entries:
         assert abs(bigraded_inner_product(v, v).real - 1.0) <= 1e-10
         first = lift.coefficient(0)
         assert bigraded_norm(first - v) <= 1e-12
@@ -232,7 +234,7 @@ def test_page_basis_entries_orthonormal_with_valid_lifts():
 def test_pages_match_galerkin_zero_count():
     # independent oracle: dense kernel count of the compressed operator
     conn = su2_t3_connection()
-    rec = run_page_recursion(conn, (1, 1, 1))
+    rec = PageRecursion(conn, (1, 1, 1)).run()
     for p in range(4):
         total = sum(rec.dims_for_degree(rec.k_stop, p).values())
         count, _ = near_zero_count(conn, p, 0.5, (10, 1, 1), 1e-8)
@@ -253,8 +255,8 @@ def test_near_zero_count_sparse_branch():
 
 def test_harmonic_limit_base_classes_map_to_themselves():
     conn = su2_t3_connection()
-    rec = run_page_recursion(conn, (1, 1, 1))
-    limits = harmonic_limit(conn, 1, recursion=rec)
+    rec = PageRecursion(conn, (1, 1, 1)).run()
+    limits = harmonic_limit(rec, 1)
     assert len(limits) == 3
     for form in limits:
         assert form.slots() == [(1, 0)]
@@ -262,8 +264,8 @@ def test_harmonic_limit_base_classes_map_to_themselves():
 
 def test_harmonic_limit_flat_kunneth_products():
     conn = flat_t4_connection()
-    rec = run_page_recursion(conn, (1, 1, 1, 1))
-    limits = harmonic_limit(conn, 3, recursion=rec)
+    rec = PageRecursion(conn, (1, 1, 1, 1)).run()
+    limits = harmonic_limit(rec, 3)
     assert len(limits) == 5
     for form in limits:
         for slot, table in form.components.items():
@@ -273,8 +275,8 @@ def test_harmonic_limit_flat_kunneth_products():
 
 def test_harmonic_limit_contains_cs3_representative():
     conn = su2_t4_connection()
-    rec = run_page_recursion(conn, (1, 1, 1, 1))
-    limits = harmonic_limit(conn, 3, recursion=rec)
+    rec = PageRecursion(conn, (1, 1, 1, 1)).run()
+    limits = harmonic_limit(rec, 3)
     assert len(limits) == 5
     pair = make_polynomial(conn.alg, "second_chern")
     alpha = cs3(pair, conn)
@@ -291,7 +293,7 @@ def test_harmonic_limit_contains_cs3_representative():
 
 def test_harmonic_limit_outputs_are_real():
     conn = abelian_t2(mean=False)
-    limits = harmonic_limit(conn, 1, bands=(2, 2))
+    limits = harmonic_limit(PageRecursion(conn, (2, 2)).run(), 1)
     for form in limits:
         for slot, table in form.components.items():
             for key, val in table.items():
@@ -382,8 +384,8 @@ def dense_canonical(conn, v, order, constraints):
 def test_lift_uniqueness_two_routes():
     """Two independently computed constrained lifts agree termwise."""
     conn = abelian_t2(mean=False)
-    rec = run_page_recursion(conn, (1, 1))
-    entries = rec.infinity_entries(1)
+    rec = PageRecursion(conn, (1, 1)).run()
+    entries = rec.entries(rec.k_stop, 1)
     constraints = [v for _, v, _ in entries]
     slot0, v, _ = [e for e in entries if e[0] == (0, 1)][0]
     order = 2
@@ -396,8 +398,8 @@ def test_lift_uniqueness_two_routes():
 
 def test_lift_uniqueness_curved_t3():
     conn = su2_t3_connection()
-    rec = run_page_recursion(conn, (1, 1, 1))
-    entries = rec.infinity_entries(3)
+    rec = PageRecursion(conn, (1, 1, 1)).run()
+    entries = rec.entries(rec.k_stop, 3)
     constraints = [v for _, v, _ in entries]
     slot0, v, _ = [e for e in entries if e[0] == (0, 3)][0]
     # order 3 puts the curvature contraction d_2 on the unknown w_1
@@ -429,11 +431,11 @@ def test_recursion_lifts_match_solve_corrections(make_conn, bands):
     connection does not couple (the t4 case with box (1, 1, 0, 0)).
     """
     conn = make_conn()
-    rec = run_page_recursion(conn, bands)
+    rec = PageRecursion(conn, bands).run()
     checked = 0
     for K in range(2, rec.k_stop + 1):
         for p in range(conn.geometry.n + conn.alg.dim + 1):
-            for v, lift in rec.page_basis(p, K).entries:
+            for _, v, lift in rec.entries(K, p):
                 ws = solve_corrections(conn, v, K - 1)
                 assert len(lift) <= K
                 for t, w in enumerate(ws, start=1):
@@ -483,7 +485,7 @@ def test_spectrum_sweep_abelian_groups():
     conn = abelian_t2(mean=True)
     report = spectrum_sweep(conn, 1, [0.4, 0.2, 0.1, 0.05], (2, 2))
     counts = report.group_counts()
-    rec = run_page_recursion(conn, (2, 2))
+    rec = PageRecursion(conn, (2, 2)).run()
     dims = [
         sum(rec.dims_for_degree(K, 1).values()) for K in range(rec.k_stop + 1)
     ]
@@ -554,19 +556,4 @@ def test_recover_omega3_not_exact_branch():
 def test_harmonic_limit_requires_stabilization():
     conn = abelian_t2(mean=True)
     with pytest.raises(SolverFailure):
-        harmonic_limit(conn, 1, bands=(2, 2), k_max=2)
-
-
-def test_compute_pages_public_surface():
-    from bundlehodge.adiabatic_ss import compute_pages
-
-    conn = abelian_t2(mean=True)
-    pages = compute_pages(conn, 1, k_max=6, bands=(2, 2))
-    assert [p.page for p in pages] == list(range(len(pages)))
-    assert all(p.degree == 1 for p in pages)
-    assert pages[0].total_dim == 75
-    assert pages[-1].dims == {(1, 0): 2}
-    assert len(pages[-1].entries) == 2
-    # monotone total dimensions
-    totals = [p.total_dim for p in pages]
-    assert all(a >= b for a, b in zip(totals, totals[1:]))
+        harmonic_limit(PageRecursion(conn, (2, 2), k_max=2).run(), 1)

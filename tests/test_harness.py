@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bundlehodge.adiabatic_ss import PageRecursion
 from bundlehodge.cli import main as cli_main
 from bundlehodge.errors import ConfigError
 from bundlehodge.harness import (
@@ -196,6 +197,65 @@ def test_cmd_pages_reports_every_residual_order_of_the_lifts(tmp_path):
     assert [m for m, _ in orders] == list(range(len(orders)))
     assert len(orders) >= 3
     assert all(val <= 1e-12 for _, val in orders)
+
+
+def _pages_then_spectrum(scenario_for, out):
+    """cmd_pages p=0..3, then cmd_spectrum, each on scenario_for()."""
+    for degree in range(4):
+        cmd_pages(scenario_for(), degree=degree, out_dir=str(out), quiet=True)
+    cmd_spectrum(scenario_for(), out_dir=str(out), quiet=True)
+
+
+def test_page_recursion_runs_once_per_scenario(tmp_path, monkeypatch):
+    runs = []
+    run = PageRecursion.run
+    monkeypatch.setattr(PageRecursion, "run", lambda self: runs.append(self) or run(self))
+    scenario = load_fixture("t2_u1_c1zero")
+    _pages_then_spectrum(lambda: scenario, tmp_path / "shared")
+    assert len(runs) == 1
+    scenario.bands = (1, 1)
+    cmd_pages(scenario, degree=1, out_dir=str(tmp_path / "narrow"), quiet=True)
+    assert [rec.bands for rec in runs] == [(2, 2), (1, 1)]
+    # one run is kept, under every value the recursion reads
+    scenario.k_max = 5
+    scenario.tolerances.rank = 1e-9
+    assert scenario.page_recursion() is runs[-1]
+    assert [(rec.k_max, rec.tol.rank) for rec in runs[2:]] == [(5, 1e-9)]
+    scenario.bands = (2, 2)
+    assert scenario.page_recursion() is scenario.page_recursion() is runs[-1]
+    assert len(runs) == 4
+
+
+def test_shared_recursion_writes_the_files_of_fresh_scenarios(tmp_path):
+    _pages_then_spectrum(lambda: load_fixture("t2_u1_c1zero"), tmp_path / "fresh")
+    scenario = load_fixture("t2_u1_c1zero")
+    _pages_then_spectrum(lambda: scenario, tmp_path / "shared")
+    # a second report of one degree: no caller modified the shared hand-out
+    cmd_pages(scenario, degree=1, out_dir=str(tmp_path / "again"), quiet=True)
+    fresh = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert fresh == sorted(p.name for p in (tmp_path / "shared").iterdir())
+    assert len(fresh) == 6
+    for name in fresh:
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    name = "t2_u1_c1zero_pages_p1.json"
+    assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+@pytest.mark.parametrize("declared, expected", [(None, [1, 1]), ([2, 2], [2, 2])])
+def test_cli_band_sets_an_undeclared_galerkin_box(tmp_path, declared, expected):
+    with open(packaged_scenario_path("t2_u1_c1zero")) as fh:
+        cfg = json.load(fh)
+    cfg.pop("galerkin_bands")
+    if declared is not None:
+        cfg["galerkin_bands"] = declared
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = ["pages", "--scenario", str(path), "--band", "1", "--degree", "1"]
+    assert cli_main(argv + ["--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "t2_u1_c1zero_pages_p1.json").read_text())
+    assert report["bands"] == [1, 1]
+    assert report["galerkin_bands"] == expected
 
 
 def test_cmd_spectrum_reports_minimum_and_floor(tmp_path):
