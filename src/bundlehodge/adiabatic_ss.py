@@ -33,7 +33,7 @@ from .bigraded import (
     DeltaPolynomial,
     TruncationLayout,
     bigraded_inner_product,
-    bigraded_norm,
+    coefficient_norms,
     d_component_matrix,
     d_delta,
     dstar_delta,
@@ -68,11 +68,7 @@ class Tolerances:
 
 def residual_orders(poly, conn):
     """Norms of every polynomial coefficient of d_delta and d*_delta."""
-    d_out = d_delta(poly, conn)
-    s_out = dstar_delta(poly, conn)
-    d_list = [(m, bigraded_norm(c)) for m, c in enumerate(d_out.coefficients)]
-    s_list = [(m, bigraded_norm(c)) for m, c in enumerate(s_out.coefficients)]
-    return d_list, s_list
+    return coefficient_norms(d_delta(poly, conn)), coefficient_norms(dstar_delta(poly, conn))
 
 
 def verify_formal_harmonic(poly, conn, order, tolerances=None):
@@ -239,41 +235,27 @@ def _correction_system(conn, degree, reach, order):
     return conn._cache[key]
 
 
-def _solve_columns(conn, degree, reach, lead, order, tolerances, constraints=None):
+def _solve_columns(conn, degree, reach, lead, order, tolerances):
     """Minimal-norm corrections of the columns of ``lead``, coordinates of
     degree-p vectors over the layout of the box ``reach``.
 
-    All columns are solved at once on the stacked correction system; each
-    constraint form adds the rows <constraint, w_t>, one per order.  Returns
-    [W_1 .. W_order], W_t the corrections over the box reach + t c with one
-    column per column of ``lead``.  Raises SolverFailure when a column's
-    system cannot be driven to zero (it is not on the page).
+    All columns are solved at once on the stacked correction system.
+    Returns [W_1 .. W_order], W_t the corrections over the box reach + t c
+    with one column per column of ``lead``.  Raises SolverFailure when a
+    column's system cannot be driven to zero (it is not on the page).
     """
     unknowns, mat, lead_mat, pinvs = _correction_system(conn, degree, reach, order)
     rhs = -(lead_mat @ lead)
-    if constraints:
-        # rows <cons, w_t>, one per constraint and order
-        cons_rows = [
-            scipy.sparse.block_diag(
-                [layout.vector_from_form(cons)[0].conj()[None] for layout in unknowns[1:]]
-            )
-            for cons in constraints
-        ]
-        mat = scipy.sparse.vstack([mat] + cons_rows, format="csr")
-        rhs = np.vstack([rhs, np.zeros((len(constraints) * order, rhs.shape[1]), dtype=complex)])
-        pinvs = _block_pinv(mat)
     x = _block_solve(mat, pinvs, rhs, tolerances, f"correction system through order {order}", order)
     return np.split(x, np.cumsum([layout.dim for layout in unknowns[1:]])[:-1])
 
 
-def solve_corrections(conn, v, order, tolerances=None, constraints=None):
+def solve_corrections(conn, v, order, tolerances=None):
     """Corrections w_1..w_order with residual orders 1..order all zero.
 
     ``v`` has one total degree.  The unknown at order t is confined to the
     frequency box of v widened by t times the coupling band of the
-    connection, which contains the minimal-norm solution.  ``constraints``
-    is an optional list of bigraded forms each correction must stay
-    orthogonal to.
+    connection, which contains the minimal-norm solution.
 
     Raises SolverFailure when the stacked least-squares system cannot be
     driven to zero (the vector is not actually on the page).
@@ -290,7 +272,7 @@ def solve_corrections(conn, v, order, tolerances=None, constraints=None):
     degree = degrees.pop()
     reach = _reach((key for table in v.components.values() for key in table), geo.n)
     lead = _layout(conn, degree, reach).vector_from_form(v)[0][:, None]
-    ws = _solve_columns(conn, degree, reach, lead, order, tolerances, constraints)
+    ws = _solve_columns(conn, degree, reach, lead, order, tolerances)
     return [
         _layout(conn, degree, box).form_from_vector(w[:, 0])
         for box, w in zip(_boxes(conn, reach, order)[1:], ws)
@@ -775,7 +757,6 @@ def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
         branches.append(
             {
                 "index": b,
-                "values": values,
                 "near_zero": bool(near_zero or is_floor),
                 "is_floor": is_floor,
                 "slope": slope,
@@ -798,13 +779,15 @@ def near_zero_count(conn, total_degree, delta, bands, threshold_rel):
 # -- recovering the base primitive from the order-4 constraint ---------------------
 
 
-def recover_omega3(conn, cs3_poly, tolerances=None):
+def recover_omega3(conn, residual, tolerances=None):
     """Solve the order-4 cancellation for the (3,0) term of the degree-3 lift.
 
-    The constraint is d_M x = -(degree-4 characteristic form), with x
-    coclosed and orthogonal to the harmonic 3-forms; the minimal-norm
-    solution of the stacked sparse system, independently of the closed-form
-    primitive construction.
+    ``residual`` is the (4,0) residual at order four of the lift without
+    that term: the curvature contraction d_2 alpha^{2,1} of the (2,1) part
+    of cs3 (``apply_d_component(alpha21, conn, 2)``).  The constraint is
+    d_M x = -residual, with x coclosed and orthogonal to the harmonic
+    3-forms; the minimal-norm solution of the stacked sparse system,
+    independently of the closed-form primitive construction.
     """
     from .base_forms import hodge_decompose, norm as base_norm
 
@@ -812,8 +795,7 @@ def recover_omega3(conn, cs3_poly, tolerances=None):
     geo, alg = conn.geometry, conn.alg
     if geo.n < 4:
         raise ConfigError("the degree-3 recovery needs a 4-dimensional base")
-    residual = d_delta(cs3_poly, conn).coefficient(4)
-    if residual is None:
+    if residual is None or residual.is_zero():
         raise ConfigError("lift has no order-4 residual to cancel")
     rhs_form = to_fourier(residual, 4)
     _, _, harm = hodge_decompose(rhs_form)

@@ -386,6 +386,11 @@ def sq_norms_batch(form):
     return geo.volume * total if total is not None else None
 
 
+def coefficient_norms(poly):
+    """(m, norm) for every polynomial coefficient m, exact zeros included."""
+    return [(m, bigraded_norm(c)) for m, c in enumerate(poly.coefficients)]
+
+
 def poly_norm(poly):
     return float(np.sqrt(sum(bigraded_norm(c) ** 2 for c in poly.coefficients)))
 

@@ -17,11 +17,7 @@ from .base_forms import (
     norm as base_norm,
     wedge as base_wedge,
 )
-from .bigraded import (
-    BigradedForm,
-    Connection,
-    apply_dstar_component,
-)
+from .bigraded import BigradedForm, Connection
 from .errors import ConfigError, DegreeError, NotSemisimple
 from .lie_algebra import cs3_fiber_term
 from .multiindex import num_indices
@@ -192,18 +188,13 @@ def primitive_h(cw_form):
     return coexact_primitive(cw_form)
 
 
-def beta_correction(conn, pair):
-    """The (1,2) correction: the unique fiber-exact beta with
-    d*_0 beta = d*_1 alpha^{2,1} and d_0 beta = 0 (apply_dstar_component and
-    apply_d_component)."""
+def beta_correction(conn, psi):
+    """The (1,2) correction: the unique fiber-exact beta with d*_0 beta = psi
+    and d_0 beta = 0, for psi the covariant coderivative d*_1 alpha^{2,1} of
+    the (2,1) part of cs3 (``apply_dstar_component(alpha21, conn, 1)``)."""
     alg = conn.alg
     if not alg.is_semisimple():
         raise NotSemisimple("correction term needs a semisimple fiber algebra")
-    alpha = cs3(pair, conn)
-    alpha21 = BigradedForm(
-        conn.geometry, alg, {(2, 1): alpha.components.get((2, 1), {})}
-    )
-    psi = apply_dstar_component(alpha21, conn, 1)
     table = psi.components.get((1, 1), {})
     out = BigradedForm(conn.geometry, alg)
     if not table:

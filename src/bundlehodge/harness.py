@@ -33,12 +33,15 @@ from .bigraded import (
     BigradedForm,
     Connection,
     DeltaPolynomial,
+    apply_d_component,
     apply_dstar_component,
     bigraded_norm,
     bigraded_to_dict,
+    coefficient_norms,
     d_delta,
     dstar_delta,
     from_fourier,
+    poly_norm,
 )
 from .chern_weil import (
     abelian_scenario,
@@ -367,6 +370,48 @@ def _slot_key(slot):
     return f"{slot[0]},{slot[1]}"
 
 
+def _emit(scenario, command, suffix, fields, out_dir, quiet, note="", table=None):
+    """Write a scenario command's report and print its verdict line.
+
+    The report is the header (scenario, command, seed) and ``fields``; it
+    goes to {name}_{suffix}.json in ``out_dir`` or the scenario's output
+    directory, after ``table``, a (suffix, header, rows) triple, goes to
+    {name}_{suffix}.csv there.  ``note`` follows the scenario name on the
+    verdict line.  Returns the report.
+    """
+    report = {"scenario": scenario.name, "command": command, "seed": scenario.seed, **fields}
+    out_dir = out_dir or scenario.output_dir
+    if table is not None:
+        csv_suffix, header, rows = table
+        write_csv(os.path.join(out_dir, f"{scenario.name}_{csv_suffix}.csv"), header, rows)
+    write_json(os.path.join(out_dir, f"{scenario.name}_{suffix}.json"), report)
+    if not quiet:
+        if report.get("branch") == "class_nonzero":
+            verdict = "class nonzero (excluded branch)"
+        else:
+            verdict = "PASS" if report["passed"] else "FAIL"
+        print(f"{command} {scenario.name}{note}: {verdict}")
+    return report
+
+
+def _excluded(fields, err):
+    """The excluded branch of a harmonicity statement: the characteristic
+    class is nonzero, so the statement does not apply (and does not fail)."""
+    fields["branch"] = "class_nonzero"
+    fields["excluded"] = {"coexact_norm": err.coexact_norm, "harmonic_norm": err.harmonic_norm}
+    return fields
+
+
+def _degree(scenario, degree):
+    """The total form degree of ``pages`` and ``spectrum``: ``degree`` when
+    given, else the scenario's; a ConfigError outside 0 .. n + dim."""
+    degree = scenario.degree if degree is None else _integer(degree, "degree", minimum=0)
+    top = scenario.geometry.n + scenario.algebra.dim
+    if degree > top:
+        raise ConfigError(f"degree must lie in 0..{top} (base plus fiber dimension), got {degree}")
+    return degree
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -437,18 +482,8 @@ def cmd_lie_check(scenario, out_dir=None, quiet=False):
             "green_right_inverse": green_res,
             "passed": ok,
         }
-    report = {
-        "scenario": scenario.name,
-        "command": "lie-check",
-        "seed": scenario.seed,
-        "checks": checks,
-        "passed": passed,
-    }
-    out_dir = out_dir or scenario.output_dir
-    write_json(os.path.join(out_dir, f"{scenario.name}_lie_check.json"), report)
-    if not quiet:
-        print(f"lie-check {scenario.name}: {'PASS' if passed else 'FAIL'}")
-    return report
+    fields = {"checks": checks, "passed": passed}
+    return _emit(scenario, "lie-check", "lie_check", fields, out_dir, quiet)
 
 
 def cmd_verify_cs1(scenario, out_dir=None, quiet=False):
@@ -458,43 +493,24 @@ def cmd_verify_cs1(scenario, out_dir=None, quiet=False):
     phi = scenario.polynomial()
     alpha = cs1(phi, conn)
     w2 = cw2(phi, conn)
-    out_dir = out_dir or scenario.output_dir
-    report = {
-        "scenario": scenario.name,
-        "command": "verify-cs1",
-        "seed": scenario.seed,
-        "branch": "class_zero",
-        "passed": True,
-    }
+    fields = {"branch": "class_zero", "passed": True}
     try:
         h = primitive_h(w2)
     except NotExact as err:
-        report["branch"] = "class_nonzero"
-        report["excluded"] = {
-            "coexact_norm": err.coexact_norm,
-            "harmonic_norm": err.harmonic_norm,
-        }
-        write_json(os.path.join(out_dir, f"{scenario.name}_verify_cs1.json"), report)
-        if not quiet:
-            print(
-                f"verify-cs1 {scenario.name}: class nonzero, harmonicity statement "
-                "does not apply (excluded branch)"
-            )
-        return report
+        return _emit(scenario, "verify-cs1", "verify_cs1", _excluded(fields, err), out_dir, quiet)
     series = DeltaPolynomial([alpha, (-1.0) * from_fourier(h, scenario.algebra)])
-    d_orders, s_orders = residual_orders(series, conn)
+    d_poly, s_poly = d_delta(series, conn), dstar_delta(series, conn)
+    d_orders, s_orders = coefficient_norms(d_poly), coefficient_norms(s_poly)
     tol = scenario.tolerances.formal
     max_order = max([v for _, v in d_orders + s_orders], default=0.0)
     rows = []
     per_delta_ok = True
-    d_poly = d_delta(series, conn)
-    s_poly = dstar_delta(series, conn)
     for delta in scenario.delta_grid:
         rd = bigraded_norm(d_poly.evaluate(delta)) if len(d_poly) else 0.0
         rs = bigraded_norm(s_poly.evaluate(delta)) if len(s_poly) else 0.0
         rows.append([delta, rd, rs])
         per_delta_ok = per_delta_ok and rd <= tol and rs <= tol
-    report.update(
+    fields.update(
         {
             "orders_d": d_orders,
             "orders_dstar": s_orders,
@@ -504,15 +520,8 @@ def cmd_verify_cs1(scenario, out_dir=None, quiet=False):
             "passed": max_order <= tol and per_delta_ok,
         }
     )
-    write_csv(
-        os.path.join(out_dir, f"{scenario.name}_cs1_residuals.csv"),
-        ["delta", "d_residual", "dstar_residual"],
-        rows,
-    )
-    write_json(os.path.join(out_dir, f"{scenario.name}_verify_cs1.json"), report)
-    if not quiet:
-        print(f"verify-cs1 {scenario.name}: {'PASS' if report['passed'] else 'FAIL'}")
-    return report
+    table = ("cs1_residuals", ["delta", "d_residual", "dstar_residual"], rows)
+    return _emit(scenario, "verify-cs1", "verify_cs1", fields, out_dir, quiet, table=table)
 
 
 def cmd_verify_cs3(scenario, out_dir=None, quiet=False):
@@ -530,60 +539,45 @@ def cmd_verify_cs3(scenario, out_dir=None, quiet=False):
             "the connection has zero curvature: its degree-3 form has no (2,1) part to check"
         )
     w4 = cw4(pair, conn)
-    out_dir = out_dir or scenario.output_dir
-    report = {
-        "scenario": scenario.name,
-        "command": "verify-cs3",
-        "seed": scenario.seed,
+    fields = {
         "branch": "class_zero",
         "bianchi_residual": bianchi_residual(conn),
+        "cw4_harmonic_part": base_norm(hodge_decompose(w4)[2]),
         "passed": True,
     }
-    decomposition = hodge_decompose(w4)
-    report["cw4_harmonic_part"] = base_norm(decomposition[2])
     try:
         h = primitive_h(w4)
     except NotExact as err:
-        report["branch"] = "class_nonzero"
-        report["excluded"] = {
-            "coexact_norm": err.coexact_norm,
-            "harmonic_norm": err.harmonic_norm,
-        }
-        write_json(os.path.join(out_dir, f"{scenario.name}_verify_cs3.json"), report)
-        if not quiet:
-            print(f"verify-cs3 {scenario.name}: class nonzero (excluded branch)")
-        return report
-    beta = beta_correction(conn, pair)
+        return _emit(scenario, "verify-cs3", "verify_cs3", _excluded(fields, err), out_dir, quiet)
     geo, alg = scenario.geometry, scenario.algebra
-    zero = BigradedForm.zero(geo, alg)
     a03 = BigradedForm(geo, alg, {(0, 3): alpha.components[(0, 3)]})
     a21 = BigradedForm(geo, alg, {(2, 1): alpha.components[(2, 1)]})
+    # the two images of the (2,1) part every check reads: the covariant
+    # coderivative psi, which beta inverts, and the curvature contraction,
+    # the order-4 residual the base primitive cancels
+    psi = apply_dstar_component(a21, conn, 1)
+    residual4 = apply_d_component(a21, conn, 2)
     h_lift = from_fourier(h, alg)
-    series = DeltaPolynomial([a03, zero.copy(), a21, (-1.0) * h_lift - beta])
-    scale = np.sqrt(sum(bigraded_norm(c) ** 2 for c in series.coefficients))
+    zero = BigradedForm.zero(geo, alg)
+    series = DeltaPolynomial([a03, zero, a21, -h_lift - beta_correction(conn, psi)])
+    scale = poly_norm(series)
     tol = scenario.tolerances.formal * max(scale, 1.0)
     d_orders, s_orders = residual_orders(series, conn)
     low_d = [v for m, v in d_orders if m <= 3]
     low_s = [v for m, v in s_orders if m <= 3]
     harmonic_ok = max(low_d + low_s, default=0.0) <= tol
-    # necessity witness: without the correction, the order-3 coresidual is
-    # exactly the covariant coderivative of the (2,1) part
-    series_nobeta = DeltaPolynomial([a03, zero.copy(), a21, (-1.0) * h_lift])
-    s_nobeta = dstar_delta(series_nobeta, conn)
-    witness = bigraded_norm(apply_dstar_component(a21, conn, 1))
-    nobeta3 = (
-        bigraded_norm(s_nobeta.coefficient(3)) if s_nobeta.coefficient(3) else 0.0
-    )
+    # necessity witness: without the correction, the order-3 coresidual
+    # d*_0(-h) + d*_1 alpha^{2,1} is exactly psi, since d*_0 kills base forms
+    witness = bigraded_norm(psi)
+    nobeta3 = bigraded_norm(apply_dstar_component(-h_lift, conn, 0) + psi)
     necessity_ok = (
         abs(nobeta3 - witness) <= scenario.tolerances.formal * max(witness, 1.0)
         and witness > 1e-4
     )
-    recovered = recover_omega3(
-        conn, DeltaPolynomial([a03, zero.copy(), a21]), scenario.tolerances
-    )
+    recovered = recover_omega3(conn, residual4, scenario.tolerances)
     rec_err = base_norm(recovered - (-1.0) * h) / max(base_norm(h), 1e-300)
     recover_ok = rec_err <= 1e-8
-    report.update(
+    fields.update(
         {
             "orders_d": d_orders,
             "orders_dstar": s_orders,
@@ -598,10 +592,7 @@ def cmd_verify_cs3(scenario, out_dir=None, quiet=False):
             "passed": harmonic_ok and necessity_ok and recover_ok,
         }
     )
-    write_json(os.path.join(out_dir, f"{scenario.name}_verify_cs3.json"), report)
-    if not quiet:
-        print(f"verify-cs3 {scenario.name}: {'PASS' if report['passed'] else 'FAIL'}")
-    return report
+    return _emit(scenario, "verify-cs3", "verify_cs3", fields, out_dir, quiet)
 
 
 def _pages_payload(recursion, degree):
@@ -617,15 +608,12 @@ def _pages_payload(recursion, degree):
 
 def cmd_pages(scenario, degree=None, out_dir=None, quiet=False):
     """Page dimensions, harmonic limits, and the zero-count consistency."""
-    degree = scenario.degree if degree is None else _integer(degree, "degree", minimum=0)
+    degree = _degree(scenario, degree)
     conn = scenario.connection
     recursion = scenario.page_recursion()
     limits = harmonic_limit(recursion, degree)
     einf = recursion.dims_for_degree(recursion.k_stop, degree)
-    report = {
-        "scenario": scenario.name,
-        "command": "pages",
-        "seed": scenario.seed,
+    fields = {
         "degree": degree,
         "bands": list(scenario.bands),
         "stabilized": recursion.stabilized,
@@ -649,32 +637,26 @@ def cmd_pages(scenario, degree=None, out_dir=None, quiet=False):
             residual_profile[m] = max(residual_profile.get(m, 0.0), val)
         for m, val in s_list:
             residual_profile[m] = max(residual_profile.get(m, 0.0), val)
-    report["lift_residual_orders"] = [
+    fields["lift_residual_orders"] = [
         [m, residual_profile[m]] for m in sorted(residual_profile)
     ]
     count, top = near_zero_count(
         conn, degree, 0.5, scenario.galerkin_bands, scenario.tolerances.spectral
     )
-    report["galerkin_zero_count"] = count
-    report["galerkin_spectral_norm"] = top
-    report["galerkin_bands"] = list(scenario.galerkin_bands)
-    report["consistency_pass"] = count == report["einf_total"]
-    passed = recursion.stabilized and len(limits) == report["einf_total"]
-    passed = passed and report["consistency_pass"]
-    report["passed"] = passed
-    out_dir = out_dir or scenario.output_dir
-    write_json(os.path.join(out_dir, f"{scenario.name}_pages_p{degree}.json"), report)
-    if not quiet:
-        print(
-            f"pages {scenario.name} p={degree}: total {report['einf_total']} "
-            f"{'PASS' if passed else 'FAIL'}"
-        )
-    return report
+    fields["galerkin_zero_count"] = count
+    fields["galerkin_spectral_norm"] = top
+    fields["galerkin_bands"] = list(scenario.galerkin_bands)
+    fields["consistency_pass"] = count == fields["einf_total"]
+    passed = recursion.stabilized and len(limits) == fields["einf_total"]
+    passed = passed and fields["consistency_pass"]
+    fields["passed"] = passed
+    note = f" p={degree}, total {fields['einf_total']}"
+    return _emit(scenario, "pages", f"pages_p{degree}", fields, out_dir, quiet, note)
 
 
 def cmd_spectrum(scenario, degree=None, out_dir=None, quiet=False):
     """Eigenvalue sweep, decay exponents, and comparison with page counts."""
-    degree = scenario.degree if degree is None else _integer(degree, "degree", minimum=0)
+    degree = _degree(scenario, degree)
     conn = scenario.connection
     if not scenario.delta_grid:
         raise ConfigError("spectrum command needs a delta grid")
@@ -715,28 +697,7 @@ def cmd_spectrum(scenario, degree=None, out_dir=None, quiet=False):
     for d_idx, delta in enumerate(sweep.deltas):
         for b_idx in range(sweep.eigenvalues.shape[1]):
             rows.append([delta, b_idx, sweep.eigenvalues[d_idx, b_idx]])
-    out_dir = out_dir or scenario.output_dir
-    write_csv(
-        os.path.join(out_dir, f"{scenario.name}_spectrum_p{degree}.csv"),
-        ["delta", "eigenvalue_index", "eigenvalue"],
-        rows,
-    )
-    branches_payload = [
-        {
-            "index": b["index"],
-            "near_zero": b["near_zero"],
-            "is_floor": b["is_floor"],
-            "slope": b["slope"],
-            "group": b["group"],
-            "within_tolerance": b["within_tolerance"],
-        }
-        for b in sweep.branches
-        if b["near_zero"]
-    ]
-    report = {
-        "scenario": scenario.name,
-        "command": "spectrum",
-        "seed": scenario.seed,
+    fields = {
         "degree": degree,
         "bands": list(scenario.bands),
         "deltas": sweep.deltas,
@@ -744,7 +705,7 @@ def cmd_spectrum(scenario, degree=None, out_dir=None, quiet=False):
         "close_gap_flags": sweep.close_gap_flags,
         "min_eigenvalues": sweep.min_eigenvalues,
         "eigen_floor": sweep.eigen_floors,
-        "near_zero_branches": branches_payload,
+        "near_zero_branches": [b for b in sweep.branches if b["near_zero"]],
         "group_counts": {str(k): v for k, v in counts.items()},
         "page_dims": page_dims,
         "stabilization_page": k_stab,
@@ -752,13 +713,10 @@ def cmd_spectrum(scenario, degree=None, out_dir=None, quiet=False):
         "slopes_within_tolerance": slope_ok,
         "passed": slope_ok and comp_ok,
     }
-    write_json(os.path.join(out_dir, f"{scenario.name}_spectrum_p{degree}.json"), report)
-    if not quiet:
-        print(
-            f"spectrum {scenario.name} p={degree}: groups {report['group_counts']} "
-            f"{'PASS' if report['passed'] else 'FAIL'}"
-        )
-    return report
+    suffix = f"spectrum_p{degree}"
+    table = (suffix, ["delta", "eigenvalue_index", "eigenvalue"], rows)
+    note = f" p={degree}, groups {fields['group_counts']}"
+    return _emit(scenario, "spectrum", suffix, fields, out_dir, quiet, note, table)
 
 
 def cmd_report(directory, out_dir=None, quiet=False):

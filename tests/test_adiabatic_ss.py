@@ -31,6 +31,7 @@ from bundlehodge.bigraded import (
     TruncationLayout,
     bigraded_inner_product,
     bigraded_norm,
+    d_delta,
     from_fourier,
     poly_norm,
 )
@@ -306,7 +307,8 @@ def test_harmonic_limit_outputs_are_real():
 
 
 def dense_canonical(conn, v, order, constraints):
-    """Independent dense least-squares route to the constrained corrections."""
+    """Independent dense least-squares route to the minimal-norm corrections,
+    kept orthogonal to each form of ``constraints``."""
     geo, alg = v.geometry, v.alg
     degree = sum(v.slots()[0])
     coupling = conn.coupling_bands()
@@ -382,15 +384,14 @@ def dense_canonical(conn, v, order, constraints):
 
 
 def test_lift_uniqueness_two_routes():
-    """Two independently computed constrained lifts agree termwise."""
+    """Two independently computed minimal-norm lifts agree termwise."""
     conn = abelian_t2(mean=False)
     rec = PageRecursion(conn, (1, 1)).run()
     entries = rec.entries(rec.k_stop, 1)
-    constraints = [v for _, v, _ in entries]
     slot0, v, _ = [e for e in entries if e[0] == (0, 1)][0]
     order = 2
-    route_a = solve_corrections(conn, v, order, constraints=constraints)
-    route_b = dense_canonical(conn, v, order, constraints)
+    route_a = solve_corrections(conn, v, order)
+    route_b = dense_canonical(conn, v, order, [])
     for wa, wb in zip(route_a, route_b):
         scale = 1.0 + bigraded_norm(wa)
         assert bigraded_norm(wa - wb) <= 1e-8 * scale
@@ -400,12 +401,11 @@ def test_lift_uniqueness_curved_t3():
     conn = su2_t3_connection()
     rec = PageRecursion(conn, (1, 1, 1)).run()
     entries = rec.entries(rec.k_stop, 3)
-    constraints = [v for _, v, _ in entries]
     slot0, v, _ = [e for e in entries if e[0] == (0, 3)][0]
     # order 3 puts the curvature contraction d_2 on the unknown w_1
     for order in (2, 3):
-        route_a = solve_corrections(conn, v, order, constraints=constraints)
-        route_b = dense_canonical(conn, v, order, constraints)
+        route_a = solve_corrections(conn, v, order)
+        route_b = dense_canonical(conn, v, order, [])
         assert len(route_a) == order
         for wa, wb in zip(route_a, route_b):
             scale = 1.0 + bigraded_norm(wa)
@@ -528,7 +528,7 @@ def test_recover_omega3_matches_primitive():
     a03 = BigradedForm(geo, alg, {(0, 3): alpha.components[(0, 3)]})
     a21 = BigradedForm(geo, alg, {(2, 1): alpha.components[(2, 1)]})
     lift = DeltaPolynomial([a03, zero.copy(), a21])
-    x = recover_omega3(conn, lift)
+    x = recover_omega3(conn, d_delta(lift, conn).coefficient(4))
     h = primitive_h(cw4(pair, conn))
     assert bnorm(x - (-1.0) * h) <= 1e-8 * max(bnorm(h), 1e-300)
 
@@ -550,7 +550,7 @@ def test_recover_omega3_not_exact_branch():
     zero = BigradedForm.zero(geo, alg)
     lift = DeltaPolynomial([zero.copy(), zero.copy(), b21])
     with pytest.raises(NotExact):
-        recover_omega3(conn, lift)
+        recover_omega3(conn, d_delta(lift, conn).coefficient(4))
 
 
 def test_harmonic_limit_requires_stabilization():

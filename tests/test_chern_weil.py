@@ -249,15 +249,20 @@ def test_primitive_h_nonexact_branch():
         primitive_h(flux)
 
 
+def coderivative_21(pair, conn):
+    """psi = d*_1 alpha^{2,1}, the covariant coderivative of the (2,1) part of cs3."""
+    alpha = cs3(pair, conn)
+    alpha21 = BigradedForm(conn.geometry, conn.alg, {(2, 1): alpha.components.get((2, 1), {})})
+    return apply_dstar_component(alpha21, conn, 1)
+
+
 def test_beta_correction_posts():
     geo = TorusGeometry(4)
     conn = su2_connection(geo)
     pair = make_polynomial(conn.alg, "second_chern")
-    beta = beta_correction(conn, pair)
+    target = coderivative_21(pair, conn)
+    beta = beta_correction(conn, target)
     assert beta.slots() == [(1, 2)]
-    alpha = cs3(pair, conn)
-    alpha21 = BigradedForm(geo, conn.alg, {(2, 1): alpha.components[(2, 1)]})
-    target = apply_dstar_component(alpha21, conn, 1)
     scale = max(bigraded_norm(target), 1e-300)
     assert bigraded_norm(apply_dstar_component(beta, conn, 0) - target) <= 1e-10 * scale
     assert bigraded_norm(apply_d_component(beta, conn, 0)) <= 1e-10 * scale
@@ -268,7 +273,7 @@ def test_beta_correction_flat_is_zero():
     alg = make_su2()
     conn = Connection(alg, [FourierForm.zero(geo, 1) for _ in range(3)])
     pair = make_polynomial(alg, "second_chern")
-    assert beta_correction(conn, pair).is_zero()
+    assert beta_correction(conn, coderivative_21(pair, conn)).is_zero()
 
 
 def test_beta_correction_rejects_abelian():
@@ -277,7 +282,7 @@ def test_beta_correction_rejects_abelian():
     conn = Connection(alg, [sin_wave(geo, 1, (1, 0, 0, 0), (1,), 1.0)])
     pair = make_polynomial(alg, "custom_bilinear")
     with pytest.raises(NotSemisimple):
-        beta_correction(conn, pair)
+        beta_correction(conn, coderivative_21(pair, conn))
 
 
 # -- abelian flux scenarios -------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bundlehodge import bigraded
 from bundlehodge.adiabatic_ss import PageRecursion
 from bundlehodge.cli import main as cli_main
 from bundlehodge.errors import ConfigError
@@ -338,6 +339,56 @@ def test_cli_verify_cs3_flat_connection_is_config_error(tmp_path):
         cli_main(["verify-cs3", "--scenario", "t4_su2_flat", "--out", str(tmp_path), "--quiet"])
         == 2
     )
+
+
+@pytest.mark.parametrize(
+    "command, scenario, degree",
+    [
+        # the top total degree is n + dim: 2 + 1 on t2_u1_c1zero, 4 + 3 on t4_su2_cs3
+        ("pages", "t2_u1_c1zero", "4"),
+        ("spectrum", "t2_u1_c1zero", "4"),
+        ("pages", "t4_su2_cs3", "99"),
+    ],
+)
+def test_cli_degree_above_the_top_is_config_error(tmp_path, command, scenario, degree):
+    out = tmp_path / "out"
+    argv = [command, "--scenario", scenario, "--degree", degree, "--out", str(out), "--quiet"]
+    assert cli_main(argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pages", "spectrum"])
+def test_cli_scenario_degree_above_the_top_is_config_error(tmp_path, command):
+    with open(packaged_scenario_path("t2_u1_c1zero")) as fh:
+        config = json.load(fh)
+    config["degree"] = 4
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli_main([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, scenario, applications",
+    # verify-cs1: d_delta and d*_delta of the two-term series, 6 each;
+    # verify-cs3: the residual orders of the four-term series (24), the
+    # coderivative and the contraction of alpha^{2,1}, and d*_0 of the base term
+    [("verify-cs1", "t2_u1_c1zero", 12), ("verify-cs3", "t4_su2_cs3", 27)],
+)
+def test_verify_reports_apply_each_operator_image_once(
+    tmp_path, monkeypatch, command, scenario, applications
+):
+    calls = []
+    apply = bigraded._apply_component
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(bigraded, "_apply_component", counted)
+    assert cli_main([command, "--scenario", scenario, "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == applications
 
 
 @pytest.mark.parametrize(
