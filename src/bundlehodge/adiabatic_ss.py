@@ -128,19 +128,37 @@ def _blocks(pattern):
     return [(r.reshape(k, nr), c.reshape(k, nc)) for (nr, nc), k, r, c in groups]
 
 
-def _gather(mat, rows, cols):
-    """The dense blocks mat[rows[b]][:, cols[b]] of one shape group, stacked."""
-    (count, nr), nc = rows.shape, cols.shape[1]
-    sub = scipy.sparse.coo_matrix(mat.tocsr()[rows.ravel()][:, cols.ravel()])
-    stack = np.zeros((count, nr, nc), dtype=mat.dtype)
-    np.add.at(stack, (sub.row // nr, sub.row % nr, sub.col % nc), sub.data)
-    return stack
+def _gather(mat, blocks):
+    """The dense blocks of every shape group of ``blocks`` (from _blocks), stacked per
+    group, from one pass over the nonzeros of ``mat``: a generator of one (count, nr, nc)
+    stack per group, each entry summed in the row-major order of the stored entries."""
+    m, n = mat.shape
+    coo = mat.tocsr().tocoo()
+    # per row: its group and its row-major offset in the group's stack; per column:
+    # its offset within a block row
+    group, row_at, col_at = np.zeros(m, dtype=int), np.zeros(m, dtype=int), np.zeros(n, dtype=int)
+    for g, (rows, cols) in enumerate(blocks):
+        group[rows.ravel()] = g
+        row_at[rows.ravel()] = np.arange(rows.size) * cols.shape[1]
+        col_at[cols] = np.arange(cols.shape[1])
+    order = np.argsort(group[coo.row], kind="stable")
+    place = (row_at[coo.row] + col_at[coo.col])[order]
+    bounds = np.searchsorted(group[coo.row[order]], np.arange(len(blocks) + 1))
+    data = coo.data[order]
+    for (rows, cols), lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+        stack = np.zeros(rows.size * cols.shape[1], dtype=mat.dtype)
+        np.add.at(stack, place[lo:hi], data[lo:hi])
+        yield stack.reshape(rows.shape + cols.shape[1:])
 
 
 def _block_pinv(mat):
     """(rows, cols, stacked pseudoinverses) per block shape, with the singular-value cut
     of lstsq(rcond=None) on the whole matrix: max(mat.shape) x eps x its largest one."""
-    svds = [(r, c, np.linalg.svd(_gather(mat, r, c), full_matrices=False)) for r, c in _blocks(mat)]
+    blocks = _blocks(mat)
+    svds = [
+        (r, c, np.linalg.svd(stack, full_matrices=False))
+        for (r, c), stack in zip(blocks, _gather(mat, blocks))
+    ]
     top = max((np.max(s, initial=0.0) for _, _, (_, s, _) in svds), default=0.0)
     cut = max(mat.shape) * np.finfo(float).eps * top
     pinvs = []
@@ -200,7 +218,7 @@ def _split_rows(layout, slot, box):
     wider layout run in the order of the box's own coordinates.
     """
     nb, nf = layout.shapes[slot]
-    inside = np.all(np.abs(np.array(layout.keys)) <= np.array(box), axis=1)
+    inside = np.all(np.abs(layout.key_array) <= np.array(box), axis=1)
     rows = layout.offsets[slot] + np.arange(inside.size * nb * nf).reshape(inside.size, -1)
     return rows[inside].ravel(), rows[~inside].ravel()
 
@@ -378,7 +396,7 @@ class PageRecursion:
             for slot, basis in self.bases[K].items():
                 coords = self.coords[slot]
                 support = np.any(basis.reshape(len(coords.keys), -1) != 0, axis=1)
-                box = _reach(np.array(coords.keys)[support], self.geometry.n)
+                box = _reach(coords.key_array[support], self.geometry.n)
                 ws = []
                 if K >= 2:
                     lead = self._embed(slot, basis, box)
@@ -703,7 +721,7 @@ def _galerkin_spectrum(conn, total_degree, delta, bands):
         pattern = sum(abs(m) for m in galerkin_coefficients(conn, total_degree, bands))
         conn._cache[key] = _blocks(pattern + pattern.T + scipy.sparse.identity(herm.shape[0]))
     try:
-        evals = [np.linalg.eigvalsh(_gather(herm, r, c)).ravel() for r, c in conn._cache[key]]
+        evals = [np.linalg.eigvalsh(stack).ravel() for stack in _gather(herm, conn._cache[key])]
     except np.linalg.LinAlgError as err:
         raise SolverFailure(f"eigensolver failed at delta = {delta}: {err}")
     return np.sort(np.concatenate([np.zeros(0)] + evals))

@@ -17,11 +17,23 @@ real matrix M : Lambda^src -> Lambda^dst.
 
 ``reference_accumulate`` is a per-key dict reading of the contract of the
 production frequency accumulator ``bigraded._accumulate``.
+
+``reference_component_matrix`` is the term-by-term assembly of
+``bigraded.d_component_matrix``: it reads the production term list, but
+rebuilds every conjugated local block and lands every term on its own, so
+the cached, run-batched assembly must reproduce its CSR arrays bit for bit.
 """
 
 import numpy as np
+import scipy.sparse
 
-from bundlehodge.bigraded import BigradedForm
+from bundlehodge.bigraded import (
+    _BIDEGREES,
+    BigradedForm,
+    _coupling_terms,
+    _factor,
+    _multiplier_terms,
+)
 from bundlehodge.multiindex import num_indices, wedge_axis_matrix, wedge_pair_matrix
 
 
@@ -149,3 +161,43 @@ def reference_accumulate(keys, unshifted, groups, move):
             dest = tuple(k + s for k, s in zip(key, q))
             table[dest] = table[dest] + total if dest in table else total
     return {key: val for key, val in table.items() if np.any(val)}
+
+
+def reference_component_matrix(conn, which, src, dst):
+    """CSR matrix of d^(which) from layout src to layout dst, one term at a time.
+
+    Entries run by slot, then term, then source key, then row-major over
+    the local block kron(L_out^T B L_in^-T, L_out^T F L_in^-T); output
+    outside dst is dropped and terms with a zero local block are skipped.
+    """
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
+    keys = np.array(src.keys, dtype=int)
+    float_keys = keys.astype(float)
+    dst_bands = np.array(dst.bands)
+    dst_dims = tuple(2 * b + 1 for b in dst.bands)
+    for i, j in src.slots:
+        target = (i + _BIDEGREES[which][0], j + _BIDEGREES[which][1])
+        if target not in dst.offsets:
+            continue
+        lb_out, lf_out, _, _ = dst.factors[target]
+        _, _, lb_invT, lf_inv = src.factors[(i, j)]
+        terms = _multiplier_terms(conn.geometry.n, which, i, j, float_keys)
+        for q, coeff, base, fiber in terms + _coupling_terms(conn, which, i, j):
+            b_mat, f_mat = _factor(conn.geometry, base), _factor(conn.alg, fiber)
+            local = np.kron(lb_out.T @ b_mat @ lb_invT, lf_out.T @ f_mat @ lf_inv.T)
+            n_row, n_col = local.shape
+            l_row, l_col = np.nonzero(local)
+            l_val = local[l_row, l_col]
+            if not l_val.size:
+                continue
+            shifted = keys if q is None else keys + np.array(q, dtype=int)
+            coeffs = np.broadcast_to(np.asarray(coeff, dtype=complex), len(keys))
+            hit = np.nonzero(np.all(np.abs(shifted) <= dst_bands, axis=1) & (coeffs != 0.0))[0]
+            moved = np.ravel_multi_index(tuple((shifted[hit] + dst_bands).T), dst_dims)
+            rows.append((moved[:, None] * n_row + l_row).ravel() + dst.offsets[target])
+            cols.append((hit[:, None] * n_col + l_col).ravel() + src.offsets[(i, j)])
+            vals.append((coeffs[hit][:, None] * l_val).ravel())
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dst.dim, src.dim),
+    )

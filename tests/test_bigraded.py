@@ -38,7 +38,12 @@ from bundlehodge.bigraded import (
 from bundlehodge.errors import ConfigError
 from bundlehodge.lie_algebra import LieAlgebraData, harmonic_subspace, make_su2, make_u1
 
-from bigraded_reference import reference_accumulate, reference_d, reference_dstar
+from bigraded_reference import (
+    reference_accumulate,
+    reference_component_matrix,
+    reference_d,
+    reference_dstar,
+)
 
 
 def su2_connection(geo, amplitudes=(0.8, 0.9, 1.1)):
@@ -410,6 +415,43 @@ def test_reference_operators_match_production(make_conn, box):
                 assert bigraded_norm(got - want) <= 1e-13 * scale
 
 
+# every packaged fixture; skewed metrics, whose Cholesky factors are full
+# triangles; the many-mode su(2) connection, whose modes run along every axis
+COMPONENT_MATRIX_CASES = [
+    pytest.param(lambda name=name: _fixture_connection(name), id=name)
+    for name in ("t2_u1_c1zero", "t2_u1_c1nonzero", "t3_su2_pages", "t4_su2_flat", "t4_su2_cs3")
+] + [
+    pytest.param(_skewed_abelian_connection, id="skewed_u1x2"),
+    pytest.param(_skewed_su2_connection, id="skewed_su2"),
+    pytest.param(_many_mode_su2_connection, id="many_mode_su2"),
+]
+
+
+def _csr_bytes(mat):
+    return mat.shape, [(arr.dtype, arr.tobytes()) for arr in (mat.data, mat.indices, mat.indptr)]
+
+
+@pytest.mark.parametrize("make_conn", COMPONENT_MATRIX_CASES)
+def test_component_matrices_match_term_by_term_assembly(make_conn):
+    """The cached, run-batched component matrices against the per-term
+    assembly, bit for bit, for every component and degree: into the box
+    widened by the coupling band, which holds every image, and into the
+    source box and a narrower one, which cut it."""
+    conn = make_conn()
+    geo, alg = conn.geometry, conn.alg
+    n = geo.n
+    src_box = (2,) + (1,) * (n - 1)
+    wide = tuple(b + c for b, c in zip(src_box, conn.coupling_bands()))
+    for p in range(n + alg.dim + 1):
+        src = TruncationLayout.of_degree(geo, alg, p, src_box)
+        for dst_box in (wide, src_box, (1,) + (0,) * (n - 1)):
+            for which, (di, dj) in enumerate(((0, 1), (1, 0), (2, -1))):
+                dst = TruncationLayout.of_degree(geo, alg, p + di + dj, dst_box)
+                got = d_component_matrix(conn, which, src, dst)
+                want = reference_component_matrix(conn, which, src, dst)
+                assert _csr_bytes(got) == _csr_bytes(want)
+
+
 def test_galerkin_band_too_small():
     geo = TorusGeometry(2)
     alg = make_u1(1)
@@ -524,6 +566,15 @@ def test_accumulate_matches_per_key_reference(case):
         assert np.isnan(got[(1, 0)]).any()
     if "zero_rows" in spec:
         assert list(got) == [(1, 0)]
+
+
+def test_norm_is_the_inner_product_root_bit_for_bit():
+    for conn in (su2_connection(TorusGeometry(4)), _skewed_su2_connection()):
+        rng = np.random.default_rng(4)
+        for p in range(conn.geometry.n + conn.alg.dim + 1):
+            form = random_bigraded(conn.geometry, conn.alg, p, (1,) * conn.geometry.n, rng)
+            val = bigraded_inner_product(form, form).real
+            assert bigraded_norm(form) == float(np.sqrt(max(val, 0.0)))
 
 
 def test_inner_product_mismatch_raises():

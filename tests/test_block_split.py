@@ -108,8 +108,39 @@ def test_blocks_partition_the_pattern(system):
     assert np.array_equal(np.sort(cols), np.arange(mat.shape[1]))
     # one group per shape, and the gathered blocks hold every entry
     assert len({(r.shape[1], c.shape[1]) for r, c in blocks}) == len(blocks)
-    total = sum(float(np.sum(np.abs(_gather(mat, r, c)) ** 2)) for r, c in blocks if r.size)
+    total = sum(float(np.sum(np.abs(stack) ** 2)) for stack in _gather(mat, blocks))
     assert total == pytest.approx(np.linalg.norm(mat.toarray()) ** 2, rel=1e-12)
+
+
+def _gather_per_group(mat, rows, cols):
+    """One shape group's stacked blocks by fancy indexing, the gather _gather replaces."""
+    (count, nr), nc = rows.shape, cols.shape[1]
+    sub = scipy.sparse.coo_matrix(mat.tocsr()[rows.ravel()][:, cols.ravel()])
+    stack = np.zeros((count, nr, nc), dtype=mat.dtype)
+    np.add.at(stack, (sub.row // nr, sub.row % nr, sub.col % nc), sub.data)
+    return stack
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(rectangular_systems())
+def test_one_pass_gather_matches_per_group_gather(system):
+    # RECT_SHAPES holds zero rows and zero columns, the (1, 0) and (0, 1) blocks;
+    # the second matrix stores every entry v as v, 1e-16 v and -v, whose sum
+    # depends on the order: (v + 1e-16 v) - v is 0, (v - v) + 1e-16 v is not
+    mat, _ = system
+    coo = mat.tocoo()
+    order = np.argsort(coo.row, kind="stable")
+    data = coo.data[order]
+    stored = np.stack([data, 1e-16 * data, -data], 1).ravel()
+    thrice = scipy.sparse.csr_matrix(
+        (stored, np.repeat(coo.col[order], 3), 3 * mat.indptr), shape=mat.shape
+    )
+    for case in (mat, thrice):
+        blocks = _blocks(case)
+        for (rows, cols), stack in zip(blocks, _gather(case, blocks), strict=True):
+            want = _gather_per_group(case, rows, cols)
+            assert stack.shape == want.shape and stack.dtype == want.dtype
+            assert stack.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -156,7 +187,7 @@ def test_block_eigvalsh_matches_dense(herm):
     blocks = _blocks(abs(herm) + scipy.sparse.identity(herm.shape[0]))
     assert all(np.array_equal(rows, cols) for rows, cols in blocks)
     evals = np.sort(
-        np.concatenate([np.linalg.eigvalsh(_gather(herm, r, c)).ravel() for r, c in blocks])
+        np.concatenate([np.linalg.eigvalsh(stack).ravel() for stack in _gather(herm, blocks)])
     )
     ref = scipy.linalg.eigvalsh(herm.toarray())
     assert np.max(np.abs(evals - ref)) <= 1e-12 * np.max(np.abs(ref))
