@@ -281,13 +281,11 @@ class Connection:
 
     def coupling_bands(self):
         """Widest per-axis frequency shift any operator application makes."""
-        if "coupling" not in self._cache:
-            reach = [0] * self.geometry.n
-            for key, _, _, _ in self.a_entries() + self.f_entries():
-                for a, k in enumerate(key):
-                    reach[a] = max(reach[a], abs(k))
-            self._cache["coupling"] = tuple(reach)
-        return self._cache["coupling"]
+        reach = [0] * self.geometry.n
+        for key, _, _, _ in self.a_entries() + self.f_entries():
+            for a, k in enumerate(key):
+                reach[a] = max(reach[a], abs(k))
+        return tuple(reach)
 
 
 class DeltaPolynomial:
@@ -345,11 +343,21 @@ class DeltaPolynomial:
 # -- inner products -------------------------------------------------------------
 
 
-def _pairing(geo, alg, stacks):
-    """Volume-weighted sum of Gram pairings over (slot, u, v): u and v stack the
-    values of one slot at the same keys, given in sorted slot and key order."""
+def bigraded_inner_product(a, b):
+    """Hermitian product: volume-weighted sum of Gram pairings per slot."""
+    a._check(b)
+    geo = a.geometry
+    alg = a.alg
     total = 0.0 + 0.0j
-    for (i, j), u, v in stacks:
+    for slot in sorted(set(a.components) & set(b.components)):
+        i, j = slot
+        ta = a.components[slot]
+        tb = b.components[slot]
+        keys = sorted(set(ta) & set(tb))
+        if not keys:
+            continue
+        u = np.stack([ta[key] for key in keys])
+        v = u if b is a else np.stack([tb[key] for key in keys])  # a norm stacks once
         if u.ndim != 3 or v.ndim != 3:
             raise ConfigError("inner product needs unbatched forms")
         # one sum per key, added in sorted key order
@@ -358,31 +366,8 @@ def _pairing(geo, alg, stacks):
     return geo.volume * total
 
 
-def bigraded_inner_product(a, b):
-    """Hermitian product: volume-weighted sum of Gram pairings per slot."""
-    a._check(b)
-
-    def stacks():
-        for slot in sorted(set(a.components) & set(b.components)):
-            ta, tb = a.components[slot], b.components[slot]
-            keys = sorted(set(ta) & set(tb))
-            if keys:
-                yield slot, np.stack([ta[key] for key in keys]), np.stack([tb[key] for key in keys])
-
-    return _pairing(a.geometry, a.alg, stacks())
-
-
 def bigraded_norm(form):
-    """Norm of a form, the square root of its inner product with itself; each
-    slot is stacked once."""
-
-    def stacks():
-        for slot, table in sorted(form.components.items()):
-            if table:
-                u = np.stack([table[key] for key in sorted(table)])
-                yield slot, u, u
-
-    val = _pairing(form.geometry, form.alg, stacks()).real
+    val = bigraded_inner_product(form, form).real
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -427,7 +412,7 @@ def _plus_sign(i):
 _BIDEGREES = ((0, 1), (1, 0), (2, -1))
 
 
-def _multiplier_terms(n, which, i, j, keys):
+def _component_terms(conn, which, i, j, keys):
     """Terms (shift q, coefficient, base key, fiber key) of the component
     d^(which) on the (i, j)-slot: the value at key k contributes
     coefficient * B val F^T at k + q, with B = _factor(geometry, base key)
@@ -435,10 +420,16 @@ def _multiplier_terms(n, which, i, j, keys):
 
     The Fourier multipliers come first, with q None: they act at k itself.
     They are the fiber differential (coefficient 1) and the base derivative
-    i k_l (coefficient per row of ``keys``).  The coupling terms of
-    _coupling_terms follow: each multiplies by one mode of the connection
-    or the curvature and shifts by its frequency.
+    i k_l (coefficient per row of ``keys``).  The coupling terms follow:
+    each multiplies by one mode of the connection or the curvature and
+    shifts by its frequency.
     """
+    return _multiplier_terms(conn.geometry.n, which, i, j, keys) + _coupling_terms(
+        conn, which, i, j
+    )
+
+
+def _multiplier_terms(n, which, i, j, keys):
     if which == 0:
         return [(None, 1.0, ("eye", i, i, None), ("d", j, j + 1, _vert_sign(i)))]
     if which == 1:
@@ -848,22 +839,6 @@ def _local_block(conn, slot, target, base, fiber):
     return conn._cache[key]
 
 
-def _coupling_runs(conn, which, slot):
-    """The coupling terms of d^(which) on ``slot`` as runs of consecutive terms
-    sharing one (B, F) pair: (base, fiber, shifts (terms, n), coefficients
-    (terms, 1)) per run, in term order, cached on the connection."""
-    key = ("runs", which, slot)
-    if key not in conn._cache:
-        runs = []
-        terms = _coupling_terms(conn, which, *slot)
-        for (base, fiber), run in itertools.groupby(terms, key=lambda term: term[2:]):
-            shifts, coeffs = zip(*[term[:2] for term in run])
-            coeffs = np.array(coeffs, dtype=complex)[:, None]
-            runs.append((base, fiber, np.array(shifts, dtype=int), coeffs))
-        conn._cache[key] = runs
-    return conn._cache[key]
-
-
 def d_component_matrix(conn, which, src, dst):
     """Sparse matrix of the component d^(which) from layout src to layout dst.
 
@@ -872,51 +847,30 @@ def d_component_matrix(conn, which, src, dst):
     (base matrix B) x (fiber matrix F), with B and F conjugated into
     orthonormal coordinates as L_out^T B L_in^-T; the codifferential
     component from dst to src is the conjugate transpose.
-
-    Each run of consecutive terms sharing one (B, F) pair lands in one
-    vectorized pass over its shifts.  Entries run by slot, then term, then
-    source key, then row-major over the local block, so duplicate entries
-    sum in term order.
     """
     if which not in (0, 1, 2):
         raise ConfigError("component index must be 0, 1 or 2")
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
     keys = src.key_array
-    n = conn.geometry.n
-    # raveled codes over the source box widened by the coupling band, which
-    # holds every shifted source key, so a shift is one offset; dst_code maps
-    # each code to the raveled code over the dst box, or to -1 outside it
-    wide = np.array(src.bands) + np.array(conn.coupling_bands(), dtype=int)
-    strides = np.cumprod(np.append(1, 2 * wide[:0:-1] + 1))[::-1]
-    dst_code, inside = np.zeros(1, dtype=int), np.ones(1, dtype=bool)
-    for w, b in zip(wide.tolist(), dst.bands):
-        axis = np.arange(-w, w + 1)
-        dst_code = np.add.outer(dst_code * (2 * b + 1), axis + b).ravel()
-        inside = np.logical_and.outer(inside, np.abs(axis) <= b).ravel()
-    dst_code[~inside] = -1
-    codes = (keys + wide) @ strides
     float_keys = keys.astype(float)
-    zero = np.zeros((1, n), dtype=int)
+    dst_bands = np.array(dst.bands)
+    dst_dims = tuple(2 * b + 1 for b in dst.bands)
     for slot in src.slots:
         target = (slot[0] + _BIDEGREES[which][0], slot[1] + _BIDEGREES[which][1])
         if target not in dst.offsets:
             continue
-        # a multiplier is a run of one term at the zero shift
-        multipliers = [
-            (base, fiber, zero, np.asarray(coeff, dtype=complex).reshape(1, -1))
-            for _, coeff, base, fiber in _multiplier_terms(n, which, *slot, float_keys)
-        ]
-        for base, fiber, shifts, coeffs in multipliers + _coupling_runs(conn, which, slot):
+        for q, coeff, base, fiber in _component_terms(conn, which, *slot, float_keys):
             (n_row, n_col), l_row, l_col, l_val = _local_block(conn, slot, target, base, fiber)
             if not l_val.size:
                 continue
-            # (term, source key) pairs whose image lies in dst
-            dest = dst_code[codes + (shifts @ strides)[:, None]]
-            hit = (dest >= 0) & (coeffs != 0.0)
-            term, key = np.nonzero(hit)
-            rows.append((dest[term, key][:, None] * n_row + l_row).ravel() + dst.offsets[target])
-            cols.append((key[:, None] * n_col + l_col).ravel() + src.offsets[slot])
-            vals.append((np.broadcast_to(coeffs, hit.shape)[term, key][:, None] * l_val).ravel())
+            # entries run by source key, then row-major over the local block
+            shifted = keys if q is None else keys + np.array(q, dtype=int)
+            coeffs = np.broadcast_to(np.asarray(coeff, dtype=complex), len(keys))
+            hit = np.nonzero(np.all(np.abs(shifted) <= dst_bands, axis=1) & (coeffs != 0.0))[0]
+            moved = np.ravel_multi_index(tuple((shifted[hit] + dst_bands).T), dst_dims)
+            rows.append((moved[:, None] * n_row + l_row).ravel() + dst.offsets[target])
+            cols.append((hit[:, None] * n_col + l_col).ravel() + src.offsets[slot])
+            vals.append((coeffs[hit][:, None] * l_val).ravel())
     return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dst.dim, src.dim),

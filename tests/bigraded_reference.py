@@ -20,8 +20,8 @@ production frequency accumulator ``bigraded._accumulate``.
 
 ``reference_component_matrix`` is the term-by-term assembly of
 ``bigraded.d_component_matrix``: it reads the production term list, but
-rebuilds every conjugated local block and lands every term on its own, so
-the cached, run-batched assembly must reproduce its CSR arrays bit for bit.
+rebuilds the conjugated local block of every term, so the assembly from
+cached blocks must reproduce its CSR arrays bit for bit.
 """
 
 import numpy as np

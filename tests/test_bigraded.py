@@ -433,10 +433,11 @@ def _csr_bytes(mat):
 
 @pytest.mark.parametrize("make_conn", COMPONENT_MATRIX_CASES)
 def test_component_matrices_match_term_by_term_assembly(make_conn):
-    """The cached, run-batched component matrices against the per-term
-    assembly, bit for bit, for every component and degree: into the box
-    widened by the coupling band, which holds every image, and into the
-    source box and a narrower one, which cut it."""
+    """The component matrices, read from local blocks cached across calls,
+    against the per-term assembly that rebuilds every block, bit for bit,
+    for every component and degree: into the box widened by the coupling
+    band, which holds every image, and into the source box and a narrower
+    one, which cut it."""
     conn = make_conn()
     geo, alg = conn.geometry, conn.alg
     n = geo.n
@@ -568,13 +569,15 @@ def test_accumulate_matches_per_key_reference(case):
         assert list(got) == [(1, 0)]
 
 
-def test_norm_is_the_inner_product_root_bit_for_bit():
+def test_self_inner_product_matches_two_stacks_bit_for_bit():
+    # inner(form, form) stacks each slot once; a copy takes the two-stack path
     for conn in (su2_connection(TorusGeometry(4)), _skewed_su2_connection()):
         rng = np.random.default_rng(4)
         for p in range(conn.geometry.n + conn.alg.dim + 1):
             form = random_bigraded(conn.geometry, conn.alg, p, (1,) * conn.geometry.n, rng)
-            val = bigraded_inner_product(form, form).real
-            assert bigraded_norm(form) == float(np.sqrt(max(val, 0.0)))
+            same = bigraded_inner_product(form, form)
+            assert same == bigraded_inner_product(form, form.copy())
+            assert bigraded_norm(form) == float(np.sqrt(max(same.real, 0.0)))
 
 
 def test_inner_product_mismatch_raises():
