@@ -14,8 +14,10 @@ couples several axes joins the whole box into one block.
 
 One run of the recursion serves every degree and page.  It works on
 coordinate matrices, with lifts over the box of each slot basis' frequency
-support; forms are built only when ``PageRecursion.entries`` hands a page
-out, and ``harmonic_limit`` reads the stabilized page that way.
+support, and its component matrices are cached on the connection, where the
+Galerkin Laplacian reads them too.  ``harmonic_limit`` gathers and realifies
+the stabilized page in coordinates; forms are built for its formal check and
+its output, and when ``PageRecursion.entries`` hands a page out.
 
 Only the final projections onto the band box are truncated; every operator
 application on lifts is exact, with corrections confined to frequency
@@ -32,13 +34,10 @@ from .bigraded import (
     BigradedForm,
     DeltaPolynomial,
     TruncationLayout,
-    bigraded_inner_product,
     coefficient_norms,
     d_component_matrix,
     d_delta,
     dstar_delta,
-    galerkin_coefficients,
-    galerkin_operator,
     to_fourier,
 )
 from .errors import ConfigError, NotExact, SolverFailure
@@ -315,6 +314,12 @@ class PageRecursion:
     cached component matrices over a box that holds them whole and contains
     the page box, so projecting onto the page is a row selection.  Forms
     are built only when ``entries`` hands a page's basis and lifts out.
+
+    ``run`` computes pages up to ``k_max`` at most.  It stops when
+    stabilization is proven: the dimensions repeat from page 2 on and no
+    later differential can join two nonzero slots, or the page reaches
+    min(n, dim g + 1) + 1, past which no differential acts.  A run that
+    reaches k_max first is not ``stabilized``.
     """
 
     def __init__(self, conn, bands, k_max=6, tolerances=None):
@@ -556,7 +561,7 @@ class PageRecursion:
                     proven = True
                     break
         self.k_stop = K
-        self.stabilized = proven or self.dims_history[-1] == self.dims_history[-2]
+        self.stabilized = proven
         return self
 
     # ---- extraction ---------------------------------------------------------
@@ -594,9 +599,13 @@ def harmonic_limit(recursion, total_degree):
     """Real forms spanning the limit of harmonic spaces in one degree, from a
     run PageRecursion, on its connection and with its tolerances.
 
-    Each stabilized-page lift omega + delta omega_1 + ... contributes its
-    anti-diagonal constant term: the sum over i of the (i, p-i)-slot of the
-    order-i coefficient.
+    Each stabilized-page lift omega + delta omega_1 + ... of a leading
+    (i0, j0)-vector contributes its anti-diagonal constant term: the sum over
+    l of the (i0 + l, j0 - l)-slot of the order-l term.  These are gathered as
+    coordinates over one degree layout whose box holds every lift term, and
+    split there against the reality involution x -> conj(x[mirror]): the real
+    and imaginary parts of every column are orthonormalized in the real Gram
+    matrix, and the real dimension must equal the complex one.
     """
     conn, tolerances = recursion.conn, recursion.tol
     if not recursion.stabilized:
@@ -604,89 +613,50 @@ def harmonic_limit(recursion, total_degree):
             f"pages did not stabilize within K_max = {recursion.k_max}",
             order=recursion.k_stop,
         )
-    limits = []
-    for slot0, _, lift in recursion.entries(recursion.k_stop, total_degree):
-        # the lift of a leading (i0, j0)-vector must be raised by delta^i0
-        # before regrading, so order l contributes at slot (l + i0, p - l - i0)
-        i0 = slot0[0]
-        total = BigradedForm.zero(conn.geometry, conn.alg)
-        for l in range(total_degree - i0 + 1):
-            coeff = lift.coefficient(l)
-            if coeff is None:
-                continue
-            slot = (l + i0, total_degree - l - i0)
-            if slot in coeff.components:
-                part = BigradedForm(
-                    conn.geometry, conn.alg, {slot: coeff.components[slot]}
-                )
-                total = total + part
-        limits.append(total.prune())
-    reals = _realify(limits, conn, tolerances)
+    K = recursion.k_stop
+    lifts = recursion._lifts(K)
+    page = [(slot, b) for slot, b in recursion.bases[K].items() if sum(slot) == total_degree]
+    if not page:
+        return []
+    layout = _layout(conn, total_degree, _boxes(conn, recursion.bands, K - 1)[-1])
+    limits = np.zeros((layout.dim, sum(b.shape[1] for _, b in page)), dtype=complex)
+    start = 0
+    for (i0, j0), basis in page:
+        box, ws = lifts[(i0, j0)]
+        cols = slice(start, start + basis.shape[1])
+        start = cols.stop
+        terms = [(recursion.coords[(i0, j0)], recursion.bands, basis)] + [
+            (_layout(conn, total_degree, b), b, w)
+            for b, w in zip(_boxes(conn, box, len(ws))[1:], ws)
+        ]
+        for l, (src, b, w) in enumerate(terms):
+            slot = (i0 + l, j0 - l)
+            if slot in src.offsets:
+                limits[_split_rows(layout, slot, b)[0], cols] = w[_split_rows(src, slot, b)[0]]
+    bar = limits[layout.mirror()].conj()
+    # per column its real part, then its imaginary part
+    cands = np.stack([0.5 * (limits + bar), -0.5j * (limits - bar)], axis=2)
+    cands = cands.reshape(layout.dim, -1)
+    evals, evecs = np.linalg.eigh((cands.conj().T @ cands).real)
+    keep = evals > tolerances.spectral * max(float(evals[-1]), 1e-300)
+    rank = int(np.sum(keep))
+    if rank != limits.shape[1]:
+        raise SolverFailure(f"real span has dimension {rank}, expected {limits.shape[1]}")
+    reals = cands @ (evecs[:, keep] / np.sqrt(evals[keep]))
+    forms = [layout.form_from_vector(col) for col in reals.T]
     # each limit, regraded back into a polynomial, is formally harmonic
     # through order p
-    for form in reals:
-        poly_coeffs = []
-        for i in range(total_degree + 1):
-            slot = (i, total_degree - i)
-            table = form.components.get(slot)
-            coeff = BigradedForm(conn.geometry, conn.alg)
-            if table:
-                coeff.components[slot] = {k: v.copy() for k, v in table.items()}
-            poly_coeffs.append(coeff)
-        report = verify_formal_harmonic(
-            DeltaPolynomial(poly_coeffs), conn, total_degree, tolerances
-        )
+    for form in forms:
+        coeffs = [BigradedForm(conn.geometry, conn.alg) for _ in range(total_degree + 1)]
+        for (i, j), table in form.components.items():
+            coeffs[i].components[(i, j)] = table
+        report = verify_formal_harmonic(DeltaPolynomial(coeffs), conn, total_degree, tolerances)
         if not report["passed"]:
             raise SolverFailure(
                 "harmonic limit candidate fails the formal residual check",
                 residual=max(v for _, v in report["failures"]),
             )
-    return reals
-
-
-def _conjugate_form(form):
-    """The reality involution: conjugate coefficients and flip frequencies."""
-    out = BigradedForm(form.geometry, form.alg)
-    for slot, table in form.components.items():
-        for key, val in table.items():
-            out.set_value(slot, tuple(-k for k in key), np.conj(val))
-    return out
-
-
-def _realify(forms, conn, tolerances):
-    """Real span of a conjugation-stable family of complex forms.
-
-    Splits each form against the reality involution (not entrywise real
-    and imaginary parts), then orthonormalizes the candidates in the
-    bigraded inner product; the real dimension must equal the complex one.
-    """
-    if not forms:
-        return []
-    candidates = []
-    for form in forms:
-        bar = _conjugate_form(form)
-        candidates.append((0.5 * (form + bar)).prune())
-        candidates.append(((-0.5j) * (form - bar)).prune())
-    gram = np.array(
-        [
-            [bigraded_inner_product(a, b).real for b in candidates]
-            for a in candidates
-        ]
-    )
-    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
-    top = float(evals[-1]) if evals.size else 0.0
-    keep = evals > tolerances.spectral * max(top, 1e-300)
-    rank = int(np.sum(keep))
-    if rank != len(forms):
-        raise SolverFailure(f"real span has dimension {rank}, expected {len(forms)}")
-    out = []
-    for s in np.nonzero(keep)[0]:
-        combo = BigradedForm.zero(conn.geometry, conn.alg)
-        for a, c in enumerate(evecs[:, s]):
-            if c != 0.0:
-                combo = combo + (c / np.sqrt(evals[s])) * candidates[a]
-        out.append(combo.prune())
-    return out
+    return forms
 
 
 # -- eigenvalue sweeps ------------------------------------------------------------
@@ -711,17 +681,57 @@ class SpectrumReport:
         return counts
 
 
+def galerkin_polynomial(conn, total_degree, bands):
+    """The compressed rescaled Laplacian of one degree over the box X of ``bands``:
+    (layout of X, [A_0, A_1, A_2]) with L_delta = A(delta)^H A(delta), where
+    A(delta) = sum_a delta^a A_a.
+
+    A_a stacks T_a^H over S_a, where S_a is d_a from X in degree p to X + c in
+    degree p + 1 and T_a is d_a from X + c in degree p - 1 to X, c the coupling
+    band; so A(delta)^H A(delta) = T(delta) T(delta)^H + S(delta)^H S(delta).  Both
+    are the cached component matrices the page recursion reads.  This is exact:
+    neither d_a nor d*_a moves an in-box vector out of X + c.
+    """
+    bands = tuple(bands)
+    entries = conn.a_entries() + conn.f_entries()
+    if entries and not any(
+        all(abs(q[a]) <= 2 * bands[a] for a in range(conn.geometry.n)) for q, _, _, _ in entries
+    ):
+        raise ConfigError(
+            "frequency box too small: every coupling of the connection would be projected away"
+        )
+    box, wide = _boxes(conn, bands, 1)
+    here, up, down = (total_degree, box), (total_degree + 1, wide), (total_degree - 1, wide)
+    mats = [
+        scipy.sparse.vstack(
+            [_component(conn, a, down, here).conj().T, _component(conn, a, here, up)], format="csr"
+        )
+        for a in range(3)
+    ]
+    return _layout(conn, *here), mats
+
+
+def galerkin_coefficients(conn, total_degree, bands):
+    """The matrices A_a of galerkin_polynomial, cached on the connection."""
+    key = ("galerkin", total_degree, tuple(bands))
+    if key not in conn._cache:
+        conn._cache[key] = galerkin_polynomial(conn, total_degree, bands)[1]
+    return conn._cache[key]
+
+
 def _galerkin_spectrum(conn, total_degree, delta, bands):
-    """Ascending eigenvalues of the Hermitian compressed Laplacian at one delta: a stacked
-    eigvalsh per block shape of sum_r |M_r|, cached beside the Galerkin polynomial."""
-    mat = galerkin_operator(conn, total_degree, delta, bands)
-    herm = 0.5 * (mat + mat.conj().T)
+    """Ascending eigenvalues of the compressed Laplacian A(delta)^H A(delta) at one
+    delta: a stacked eigvalsh per block shape of the pattern |A|^T |A| + I, with
+    |A| = sum_a |A_a|, cached beside the Galerkin matrices."""
+    mats = galerkin_coefficients(conn, total_degree, bands)
+    stacked = sum(float(delta) ** a * m for a, m in enumerate(mats))
     key = ("galerkin_blocks", total_degree, tuple(bands))
     if key not in conn._cache:
-        pattern = sum(abs(m) for m in galerkin_coefficients(conn, total_degree, bands))
-        conn._cache[key] = _blocks(pattern + pattern.T + scipy.sparse.identity(herm.shape[0]))
+        pattern = sum(abs(m) for m in mats)
+        conn._cache[key] = _blocks(pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1]))
+    lap = stacked.conj().T @ stacked
     try:
-        evals = [np.linalg.eigvalsh(stack).ravel() for stack in _gather(herm, conn._cache[key])]
+        evals = [np.linalg.eigvalsh(stack).ravel() for stack in _gather(lap, conn._cache[key])]
     except np.linalg.LinAlgError as err:
         raise SolverFailure(f"eigensolver failed at delta = {delta}: {err}")
     return np.sort(np.concatenate([np.zeros(0)] + evals))

@@ -23,9 +23,9 @@ from .multiindex import (
 
 
 class TorusGeometry:
-    """Flat torus R^n / 2*pi*Z^n with a constant metric and an orientation."""
+    """Flat torus R^n / 2*pi*Z^n with a constant metric, oriented by dx^0 ^ ... ^ dx^(n-1)."""
 
-    def __init__(self, n, metric=None, orientation=1):
+    def __init__(self, n, metric=None):
         self.n = int(n)
         if not 1 <= self.n:
             raise ConfigError("torus dimension must be positive")
@@ -36,9 +36,6 @@ class TorusGeometry:
             raise ConfigError("metric is not symmetric")
         if np.min(np.linalg.eigvalsh(self.metric)) <= 0:
             raise ConfigError("metric is not positive definite")
-        self.orientation = int(orientation)
-        if self.orientation not in (-1, 1):
-            raise ConfigError("orientation must be +1 or -1")
         self.metric_inv = np.linalg.inv(self.metric)
         self.sqrt_det = float(np.sqrt(np.linalg.det(self.metric)))
         self.volume = (2.0 * np.pi) ** self.n * self.sqrt_det
@@ -48,7 +45,6 @@ class TorusGeometry:
         return (
             isinstance(other, TorusGeometry)
             and self.n == other.n
-            and self.orientation == other.orientation
             and np.array_equal(self.metric, other.metric)
         )
 
@@ -76,9 +72,7 @@ class TorusGeometry:
                 for row_l, L in enumerate(idx_in):
                     comp = complement(L, self.n)
                     sgn = perm_sign(L + comp)
-                    mat[pos_out[comp], col] += (
-                        self.orientation * self.sqrt_det * gram[row_l, col] * sgn
-                    )
+                    mat[pos_out[comp], col] += self.sqrt_det * gram[row_l, col] * sgn
             return mat
 
         return self._cached(("star", i), build)
@@ -193,17 +187,18 @@ class FourierForm:
         if same_degree and self.degree != other.degree:
             raise DegreeError("degree mismatch")
 
-    def is_real(self, tol=1e-12):
+    def is_real(self):
+        """c_{-k} = conj(c_k) within 1e-12 relative to the largest coefficient (or 1)."""
         flipped = np.conj(self.coeffs[(slice(None, None, -1),) * self.geometry.n])
         scale = np.max(np.abs(self.coeffs)) if self.coeffs.size else 0.0
-        return bool(np.max(np.abs(self.coeffs - flipped), initial=0.0) <= tol * max(scale, 1.0))
+        return bool(np.max(np.abs(self.coeffs - flipped), initial=0.0) <= 1e-12 * max(scale, 1.0))
 
-    def entries(self, tol=0.0):
-        """Coefficients of modulus above tol as (k_tuple, multi_index, value);
-        a NaN coefficient is kept, not read as zero."""
+    def entries(self):
+        """Nonzero coefficients as (k_tuple, multi_index, value); a NaN
+        coefficient is kept, not read as zero."""
         idxs = multi_indices(self.geometry.n, self.degree)
         out = []
-        for pos in np.argwhere(~(np.abs(self.coeffs) <= tol)):
+        for pos in np.argwhere(self.coeffs != 0):
             k = tuple(int(p - b) for p, b in zip(pos[:-1], self.bands))
             out.append((k, idxs[pos[-1]], self.coeffs[tuple(pos)]))
         return out
@@ -386,7 +381,8 @@ def form_to_dict(form):
     return {"degree": form.degree, "band": form.band, "entries": entries}
 
 
-def form_from_dict(geometry, data, require_real=True):
+def form_from_dict(geometry, data):
+    """A real form from its JSON payload; ConfigError when c_{-k} != conj(c_k)."""
     degree = int(data["degree"])
     entries = data.get("entries", [])
     bands = [0] * geometry.n
@@ -406,6 +402,6 @@ def form_from_dict(geometry, data, require_real=True):
             raise ConfigError(f"bad multi-index {idx} for degree {degree}")
         loc = tuple(int(ka) + b for ka, b in zip(k, form.bands)) + (pos[idx],)
         form.coeffs[loc] += complex(float(re), float(im))
-    if require_real and not form.is_real():
+    if not form.is_real():
         raise ConfigError("coefficients violate the reality constraint c_{-k} = conj(c_k)")
     return form

@@ -47,11 +47,13 @@ operations here are exact (bands grow, nothing is truncated).
 
 Truncated forms have one coordinate map, TruncationLayout: orthonormal
 coordinates over a list of slots and a per-axis frequency box.  Its cut
-norm counts only the mass of the layout's own slots outside the box.  The
-compressed (Galerkin) Laplacian is assembled from sparse matrices of the
-three components in these coordinates, each a sum of (frequency diagonal
-or shift) x (base matrix) x (fiber matrix) blocks; there the codifferential
-of a component is the conjugate transpose of its matrix.
+norm counts only the mass of the layout's own slots outside the box, and
+its ``mirror`` rows carry the reality involution.  d_component_matrix gives
+each of the three components as a sparse matrix in these coordinates, a sum
+of (frequency diagonal or shift) x (base matrix) x (fiber matrix) blocks;
+there the codifferential of a component is the conjugate transpose of its
+matrix.  The page recursion and the compressed (Galerkin) Laplacian of
+``adiabatic_ss`` are built from these matrices.
 """
 
 import itertools
@@ -62,6 +64,7 @@ import scipy.sparse
 from .base_forms import FourierForm, d as base_d, wedge as base_wedge
 from .errors import ConfigError, DegreeError
 from .multiindex import (
+    index_position,
     num_indices,
     wedge_axis_matrix,
     wedge_pair_matrix,
@@ -173,34 +176,22 @@ class BigradedForm:
             raise ConfigError("bigraded forms live on different bundles")
 
 
-def from_fourier(form, alg, fiber_degree=0, fiber_coeffs=None):
-    """Lift a base FourierForm into the bigraded complex.
-
-    With the default fiber degree 0 this is the pullback of a base form;
-    otherwise ``fiber_coeffs`` gives the constant Lambda^j value.
-    """
-    if fiber_coeffs is None:
-        if fiber_degree != 0:
-            raise ConfigError("fiber coefficients required for positive fiber degree")
-        fiber_coeffs = np.ones(1)
-    fiber_coeffs = np.asarray(fiber_coeffs, dtype=complex)
+def from_fourier(form, alg):
+    """Pull a base FourierForm back into the bigraded complex: its (i, 0)-component."""
     out = BigradedForm(form.geometry, alg)
-    slot = (form.degree, fiber_degree)
-    from .multiindex import index_position
-
+    nb = num_indices(form.geometry.n, form.degree)
     pos = index_position(form.geometry.n, form.degree)
     for key, idx, val in form.entries():
-        nb = num_indices(form.geometry.n, form.degree)
-        arr = np.zeros((nb, fiber_coeffs.size), dtype=complex)
-        arr[pos[idx], :] = val * fiber_coeffs
-        out.set_value(slot, key, arr)
+        arr = np.zeros((nb, 1), dtype=complex)
+        arr[pos[idx], 0] = val
+        out.set_value((form.degree, 0), key, arr)
     return out
 
 
-def to_fourier(form, i, fiber_slot=0, fiber_index=0):
-    """Extract the (i, j)-component along one fiber multi-index as a base form."""
+def to_fourier(form, i):
+    """The (i, 0)-component of a form as a base form."""
     geo = form.geometry
-    table = form.components.get((i, fiber_slot), {})
+    table = form.components.get((i, 0), {})
     reach = [0] * geo.n
     for key in table:
         for a, k in enumerate(key):
@@ -210,7 +201,7 @@ def to_fourier(form, i, fiber_slot=0, fiber_index=0):
         if val.ndim != 2:
             raise ConfigError("cannot extract a batched form")
         loc = tuple(k + b for k, b in zip(key, out.bands))
-        out.coeffs[loc] += val[:, fiber_index]
+        out.coeffs[loc] += val[:, 0]
     return out
 
 
@@ -773,6 +764,19 @@ class TruncationLayout:
         slots = [(i, total_degree - i) for i in range(total_degree + 1)]
         return cls(geometry, alg, slots, bands)
 
+    def mirror(self):
+        """Row permutation sending frequency k to -k within each slot.  The
+        Cholesky factors are real, so the coordinates of the conjugate form
+        (conjugate values at -k) are conj(x[mirror()]); a box lists its keys in
+        lexicographic order, so -k runs in the reverse order."""
+        rows = np.arange(self.dim)
+        for slot in self.slots:
+            nb, nf = self.shapes[slot]
+            start, size = self.offsets[slot], len(self.keys) * nb * nf
+            block = rows[start : start + size].reshape(len(self.keys), -1)
+            rows[start : start + size] = block[::-1].ravel()
+        return rows
+
     def vector_from_form(self, form):
         """Orthonormal coordinates of the in-box part; returns (vector, cut norm).
 
@@ -875,60 +879,6 @@ def d_component_matrix(conn, which, src, dst):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dst.dim, src.dim),
     )
-
-
-def galerkin_polynomial(conn, total_degree, bands):
-    """Sparse coefficient matrices M_r with compressed L_delta = sum_r delta^r M_r.
-
-    With c the coupling band, S_a maps the box X in degree p to X + c in
-    degree p + 1 and T_a maps X + c in degree p - 1 to X; then
-    M_r = sum_{a+b=r} T_a T_b^H + S_b^H S_a.  This is exact: neither d_a nor
-    d*_b moves an in-box vector out of X + c.
-    """
-    bands = tuple(bands)
-    entries = conn.a_entries() + conn.f_entries()
-    if entries:
-        survives = any(
-            all(abs(q[a]) <= 2 * bands[a] for a in range(conn.geometry.n))
-            for q, _, _, _ in entries
-        )
-        if not survives:
-            raise ConfigError(
-                "frequency box too small: every coupling of the connection "
-                "would be projected away"
-            )
-    geo, alg = conn.geometry, conn.alg
-    wide = tuple(b + c for b, c in zip(bands, conn.coupling_bands()))
-    layout = TruncationLayout.of_degree(geo, alg, total_degree, bands)
-    up = TruncationLayout.of_degree(geo, alg, total_degree + 1, wide)
-    down = TruncationLayout.of_degree(geo, alg, total_degree - 1, wide)
-    s = [d_component_matrix(conn, a, layout, up) for a in range(3)]
-    t = [d_component_matrix(conn, a, down, layout) for a in range(3)]
-    mats = []
-    for r in range(5):
-        total = scipy.sparse.csr_matrix((layout.dim, layout.dim), dtype=complex)
-        for a in range(max(r - 2, 0), min(r, 2) + 1):
-            b = r - a
-            total = total + t[a] @ t[b].conj().T + s[b].conj().T @ s[a]
-        mats.append(total)
-    return layout, mats
-
-
-def galerkin_coefficients(conn, total_degree, bands):
-    """The coefficient matrices M_r of galerkin_polynomial, cached on the connection."""
-    cache_key = ("galerkin", total_degree, tuple(bands))
-    if cache_key not in conn._cache:
-        conn._cache[cache_key] = galerkin_polynomial(conn, total_degree, bands)
-    return conn._cache[cache_key][1]
-
-
-def galerkin_operator(conn, total_degree, delta, bands):
-    """Sparse Hermitian matrix of the compressed rescaled Laplacian at numeric delta."""
-    mats = galerkin_coefficients(conn, total_degree, bands)
-    total = mats[0] * (float(delta) ** 0)
-    for r in range(1, 5):
-        total = total + (float(delta) ** r) * mats[r]
-    return total
 
 
 # -- serialization ---------------------------------------------------------------

@@ -200,8 +200,7 @@ def beta_correction(conn, psi):
     if not table:
         return out
     # Green matrix: solves dstar beta = psi on each coefficient vector
-    lap1 = alg.dstar_matrix(2) @ alg.d_matrix(1)
-    green = alg.d_matrix(1) @ np.linalg.inv(lap1)
+    green = alg.green_matrix()
     for key, val in table.items():
         out.set_value((1, 2), key, val @ green.T)
     return out.prune()

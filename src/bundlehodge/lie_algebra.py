@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError, DegreeError, NotSemisimple
-from .multiindex import gram_matrix, multi_indices, num_indices
+from .multiindex import gram_matrix, multi_indices, num_indices, perm_sign
 
 _ATOL_STRUCTURE = 1e-12
 RANK_RTOL = 1e-10
@@ -105,6 +105,14 @@ class LieAlgebraData:
         """Interior product with e_a: Lambda^j -> Lambda^(j-1)."""
         return self._cached(("iota", a, j), lambda: _iota_matrix(self, a, j))
 
+    def green_matrix(self):
+        """d_1 (d*_2 d_1)^-1 on degree-1 coefficient vectors: psi to the exact beta
+        with d* beta = psi.  Needs H^1 of the algebra to vanish."""
+        return self._cached(
+            ("green",),
+            lambda: self.d_matrix(1) @ np.linalg.inv(self.dstar_matrix(2) @ self.d_matrix(1)),
+        )
+
     def harmonic_basis(self, j):
         return self._cached(("harm", j), lambda: _harmonic_basis(self, j))
 
@@ -190,19 +198,6 @@ def direct_sum(a, b):
 # -- operations ------------------------------------------------------------
 
 
-def _sort_sign(args):
-    """(sorted tuple, permutation sign), or (None, 0) on a repeated entry."""
-    if len(set(args)) != len(args):
-        return None, 0
-    sign = 1
-    seq = list(args)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return tuple(sorted(seq)), sign
-
-
 def _ce_differential_matrix(alg, j):
     n = alg.dim
     if j < 0 or j > n:
@@ -215,10 +210,11 @@ def _ce_differential_matrix(alg, j):
             for t in range(s + 1, len(K)):
                 rest = tuple(K[u] for u in range(len(K)) if u != s and u != t)
                 pre = (-1) ** (s + t)
-                for m in np.nonzero(alg.c[K[s], K[t]])[0]:
-                    key, sign = _sort_sign((int(m),) + rest)
-                    if sign:
-                        mat[row, src_pos[key]] += pre * sign * alg.c[K[s], K[t], m]
+                for m in np.nonzero(alg.c[K[s], K[t]])[0].tolist():
+                    if m not in rest:
+                        seq = (m,) + rest
+                        sign = pre * perm_sign(seq)
+                        mat[row, src_pos[tuple(sorted(seq))]] += sign * alg.c[K[s], K[t], m]
     return mat
 
 
@@ -229,10 +225,10 @@ def _coadjoint_matrix(alg, a, j):
     mat = np.zeros((len(idxs), len(idxs)))
     for row, K in enumerate(idxs):
         for l in range(len(K)):
-            for m in np.nonzero(alg.c[a, K[l]])[0]:
-                key, sign = _sort_sign(K[:l] + (int(m),) + K[l + 1 :])
-                if sign:
-                    mat[row, pos[key]] -= alg.c[a, K[l], m] * sign
+            for m in np.nonzero(alg.c[a, K[l]])[0].tolist():
+                seq = K[:l] + (m,) + K[l + 1 :]
+                if m not in K[:l] + K[l + 1 :]:
+                    mat[row, pos[tuple(sorted(seq))]] -= alg.c[a, K[l], m] * perm_sign(seq)
     return mat
 
 
@@ -322,7 +318,8 @@ def green_inverse(alg, psi):
     """Solve dstar beta = psi with d beta = 0 for a degree-1 cochain psi.
 
     Needs H^1 of the algebra to vanish; beta lands in the exact part of
-    Lambda^2 and is produced by inverting the degree-1 Laplacian.
+    Lambda^2 and is produced by the Green matrix, which inverts the degree-1
+    Laplacian.
     """
     psi = psi if isinstance(psi, LieCochain) else LieCochain(1, psi)
     if psi.degree != 1:
@@ -330,9 +327,7 @@ def green_inverse(alg, psi):
     psi.check(alg)
     if not alg.is_semisimple():
         raise NotSemisimple("H^1 of the algebra is nonzero; no Green inverse on g*")
-    lap1 = alg.dstar_matrix(2) @ alg.d_matrix(1)
-    x = np.linalg.solve(lap1, psi.coefficients)
-    return LieCochain(2, alg.d_matrix(1) @ x)
+    return LieCochain(2, alg.green_matrix() @ psi.coefficients)
 
 
 def cs3_fiber_term(alg, pairing=None):

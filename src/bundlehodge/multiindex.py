@@ -69,7 +69,8 @@ def complement(idx, n):
 
 @lru_cache(maxsize=None)
 def perm_sign(idx_pair):
-    """Sign of the permutation taking (idx, complement) to (0, ..., n-1)."""
+    """Sign of the permutation that sorts a tuple of distinct entries, such as
+    (idx, complement): the parity of its inversions."""
     seq = list(idx_pair)
     sign = 1
     for i in range(len(seq)):

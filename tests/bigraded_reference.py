@@ -22,6 +22,16 @@ production frequency accumulator ``bigraded._accumulate``.
 ``bigraded.d_component_matrix``: it reads the production term list, but
 rebuilds the conjugated local block of every term, so the assembly from
 cached blocks must reproduce its CSR arrays bit for bit.
+
+``reference_galerkin_polynomial`` forms the compressed Laplacian as the
+polynomial sum_r delta^r M_r, each M_r a sum of Gram products of component
+matrices; ``adiabatic_ss.galerkin_polynomial`` stacks the same components
+into A(delta) with L_delta = A(delta)^H A(delta) instead.
+
+``reference_harmonic_limit`` reads the stabilized page as forms from
+``PageRecursion.entries``, regrades each lift with form arithmetic and splits
+the results against the reality involution form by form; the production
+``adiabatic_ss.harmonic_limit`` does all of this in coordinates.
 """
 
 import numpy as np
@@ -30,9 +40,11 @@ import scipy.sparse
 from bundlehodge.bigraded import (
     _BIDEGREES,
     BigradedForm,
+    TruncationLayout,
     _coupling_terms,
     _factor,
     _multiplier_terms,
+    bigraded_inner_product,
 )
 from bundlehodge.multiindex import num_indices, wedge_axis_matrix, wedge_pair_matrix
 
@@ -201,3 +213,79 @@ def reference_component_matrix(conn, which, src, dst):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dst.dim, src.dim),
     )
+
+
+def reference_galerkin_polynomial(conn, total_degree, bands):
+    """(layout of the box X, [M_0 .. M_4]) with the compressed Laplacian
+    L_delta = sum_r delta^r M_r.  With c the coupling band, S_a maps X in degree
+    p to X + c in degree p + 1 and T_a maps X + c in degree p - 1 to X; then
+    M_r = sum_{a+b=r} T_a T_b^H + S_b^H S_a."""
+    geo, alg = conn.geometry, conn.alg
+    wide = tuple(b + c for b, c in zip(bands, conn.coupling_bands()))
+    layout = TruncationLayout.of_degree(geo, alg, total_degree, bands)
+    up = TruncationLayout.of_degree(geo, alg, total_degree + 1, wide)
+    down = TruncationLayout.of_degree(geo, alg, total_degree - 1, wide)
+    s = [reference_component_matrix(conn, a, layout, up) for a in range(3)]
+    t = [reference_component_matrix(conn, a, down, layout) for a in range(3)]
+    mats = []
+    for r in range(5):
+        total = scipy.sparse.csr_matrix((layout.dim, layout.dim), dtype=complex)
+        for a in range(max(r - 2, 0), min(r, 2) + 1):
+            b = r - a
+            total = total + t[a] @ t[b].conj().T + s[b].conj().T @ s[a]
+        mats.append(total)
+    return layout, mats
+
+
+def reference_conjugate_form(form):
+    """The reality involution: conjugate coefficients and flip frequencies."""
+    out = BigradedForm(form.geometry, form.alg)
+    for slot, table in form.components.items():
+        for key, val in table.items():
+            out.set_value(slot, tuple(-k for k in key), np.conj(val))
+    return out
+
+
+def reference_realify(forms, tolerances):
+    """Real span of a conjugation-stable family of complex forms: each form is
+    split against the reality involution, and the candidates are
+    orthonormalized in the bigraded inner product."""
+    if not forms:
+        return []
+    candidates = []
+    for form in forms:
+        bar = reference_conjugate_form(form)
+        candidates.append((0.5 * (form + bar)).prune())
+        candidates.append(((-0.5j) * (form - bar)).prune())
+    gram = np.array(
+        [[bigraded_inner_product(a, b).real for b in candidates] for a in candidates]
+    )
+    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    keep = evals > tolerances.spectral * max(float(evals[-1]), 1e-300)
+    assert int(np.sum(keep)) == len(forms)
+    out = []
+    for s in np.nonzero(keep)[0]:
+        combo = BigradedForm.zero(forms[0].geometry, forms[0].alg)
+        for a, c in enumerate(evecs[:, s]):
+            if c != 0.0:
+                combo = combo + (c / np.sqrt(evals[s])) * candidates[a]
+        out.append(combo.prune())
+    return out
+
+
+def reference_harmonic_limit(recursion, total_degree):
+    """Real orthonormal forms spanning the anti-diagonal constant terms of the
+    stabilized lifts: the lift of a leading (i0, j0)-vector contributes the
+    (l + i0, p - l - i0)-slot of its order-l coefficient, for every l."""
+    limits = []
+    for (i0, _), _, lift in recursion.entries(recursion.k_stop, total_degree):
+        total = BigradedForm.zero(recursion.geometry, recursion.alg)
+        for l in range(total_degree - i0 + 1):
+            coeff = lift.coefficient(l)
+            slot = (l + i0, total_degree - l - i0)
+            if coeff is not None and slot in coeff.components:
+                total = total + BigradedForm(
+                    recursion.geometry, recursion.alg, {slot: coeff.components[slot]}
+                )
+        limits.append(total.prune())
+    return reference_realify(limits, recursion.tol)

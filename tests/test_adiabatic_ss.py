@@ -48,7 +48,7 @@ from bundlehodge.errors import NotExact, SolverFailure
 from bundlehodge.lie_algebra import make_su2, make_u1
 from bundlehodge.multiindex import num_indices
 
-from bigraded_reference import reference_d, reference_dstar
+from bigraded_reference import reference_d, reference_dstar, reference_harmonic_limit
 
 
 def su2_t4_connection():
@@ -301,6 +301,33 @@ def test_harmonic_limit_outputs_are_real():
                 mirror = table.get(tuple(-k for k in key))
                 assert mirror is not None
                 assert np.max(np.abs(np.conj(mirror) - val)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name", ["t2_u1_c1zero", "t2_u1_c1nonzero", "t3_su2_pages", "t4_su2_flat", "t4_su2_cs3"]
+)
+def test_harmonic_limit_spans_match_form_level_realify(name):
+    """The limit gathered and realified in coordinates spans the same space
+    as the form-level regrading and realification of the handed-out lifts,
+    in every degree, with real orthonormal forms."""
+    from bundlehodge.harness import load_scenario, packaged_scenario_path
+
+    scenario = load_scenario(packaged_scenario_path(name))
+    rec = scenario.page_recursion()
+    for p in range(scenario.geometry.n + scenario.algebra.dim + 1):
+        got = harmonic_limit(rec, p)
+        want = reference_harmonic_limit(rec, p)
+        assert len(got) == len(want) == sum(rec.dims_for_degree(rec.k_stop, p).values())
+        gram = np.array([[bigraded_inner_product(x, y) for y in got] for x in got])
+        assert np.max(np.abs(gram - np.eye(len(got))), initial=0.0) <= 1e-14
+        for form in got:
+            rest = form
+            for ref in want:
+                rest = rest - bigraded_inner_product(ref, form) * ref
+            assert bigraded_norm(rest) <= 1e-12
+            for table in form.components.values():
+                for key, val in table.items():
+                    assert np.array_equal(table[tuple(-k for k in key)], np.conj(val))
 
 
 # -- corrections: canonical lifts and uniqueness ------------------------------------

@@ -28,21 +28,22 @@ from bundlehodge.bigraded import (
     d_delta,
     dstar_delta,
     from_fourier,
-    galerkin_operator,
-    galerkin_polynomial,
     laplacian_delta,
     random_bigraded,
     rho_scale,
     sq_norms_batch,
 )
+from bundlehodge.adiabatic_ss import galerkin_polynomial
 from bundlehodge.errors import ConfigError
 from bundlehodge.lie_algebra import LieAlgebraData, harmonic_subspace, make_su2, make_u1
 
 from bigraded_reference import (
     reference_accumulate,
     reference_component_matrix,
+    reference_conjugate_form,
     reference_d,
     reference_dstar,
+    reference_galerkin_polynomial,
 )
 
 
@@ -267,12 +268,18 @@ def test_laplacian_delta_symmetry_nonnegativity():
 
 
 def test_galerkin_symmetric_psd():
+    # the reference polynomial sum_r delta^r M_r is Hermitian positive
+    # semidefinite, and equals A(delta)^H A(delta)
     geo = TorusGeometry(4)
     conn = su2_connection(geo)
-    mat = galerkin_operator(conn, 1, 0.5, (1, 1, 1, 1)).toarray()
-    scale = np.linalg.norm(mat, 2)
-    assert np.linalg.norm(mat - mat.conj().T, 2) <= 1e-11 * scale
-    evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+    _, m_r = reference_galerkin_polynomial(conn, 1, (1, 1, 1, 1))
+    ref = sum(0.5**r * m for r, m in enumerate(m_r)).toarray()
+    _, mats = galerkin_polynomial(conn, 1, (1, 1, 1, 1))
+    a = sum(0.5**s * m for s, m in enumerate(mats)).toarray()
+    scale = np.linalg.norm(ref, 2)
+    assert np.linalg.norm(ref - ref.conj().T, 2) <= 1e-11 * scale
+    assert np.linalg.norm(a.conj().T @ a - ref, 2) <= 1e-12 * scale
+    evals = np.linalg.eigvalsh(0.5 * (ref + ref.conj().T))
     assert evals.min() >= -1e-10 * scale
 
 
@@ -361,14 +368,16 @@ GALERKIN_ORACLE_CASES = [
 
 @pytest.mark.parametrize("make_conn, box", GALERKIN_ORACLE_CASES)
 def test_galerkin_matrices_match_form_level_operators(make_conn, box):
-    """Matrix layer on random real forms: M_r against laplacian_delta, each
-    d_a and d*_a against the per-key reference."""
+    """Matrix layer on random real forms: the coefficients sum_{a+b=r}
+    A_a^H A_b of A(delta)^H A(delta) against laplacian_delta and against the
+    reference M_r, each d_a and d*_a against the per-key reference."""
     conn = make_conn()
     geo, alg = conn.geometry, conn.alg
     wide = tuple(b + c for b, c in zip(box, conn.coupling_bands()))
     rng = np.random.default_rng(11)
     for p in range(geo.n + alg.dim + 1):
         layout, mats = galerkin_polynomial(conn, p, box)
+        _, m_r = reference_galerkin_polynomial(conn, p, box)
         w = random_bigraded(geo, alg, p, box, rng)
         vec, cut = layout.vector_from_form(w)
         assert cut == 0.0
@@ -381,7 +390,10 @@ def test_galerkin_matrices_match_form_level_operators(make_conn, box):
             )
         scale = max(max(np.linalg.norm(ref) for ref in refs), 1e-300)
         for r in range(5):
-            assert np.linalg.norm(mats[r] @ vec - refs[r]) <= 1e-12 * scale
+            pairs = [(a, r - a) for a in range(max(r - 2, 0), min(r, 2) + 1)]
+            got = sum(mats[a].conj().T @ (mats[b] @ vec) for a, b in pairs)
+            assert np.linalg.norm(got - refs[r]) <= 1e-12 * scale
+            assert np.linalg.norm(got - m_r[r] @ vec) <= 1e-12 * scale
         up = TruncationLayout.of_degree(geo, alg, p + 1, wide)
         down = TruncationLayout.of_degree(geo, alg, p - 1, wide)
         for a in range(3):
@@ -457,8 +469,27 @@ def test_galerkin_band_too_small():
     geo = TorusGeometry(2)
     alg = make_u1(1)
     conn = Connection(alg, [sin_wave(geo, 1, (2, 2), (1,), 1.0)])
-    with pytest.raises(ConfigError):
-        galerkin_operator(conn, 1, 0.5, (0, 0))
+    with pytest.raises(ConfigError, match="frequency box too small"):
+        galerkin_polynomial(conn, 1, (0, 0))
+
+
+@pytest.mark.parametrize("make_conn", [_skewed_abelian_connection, _skewed_su2_connection])
+def test_mirror_is_the_reality_involution_in_coordinates(make_conn):
+    """mirror() is an involutive row permutation, and conj(x[mirror]) are the
+    coordinates of the conjugate form (conjugate values at -k), on skewed
+    metrics whose Cholesky factors are full triangles."""
+    conn = make_conn()
+    geo, alg = conn.geometry, conn.alg
+    rng = np.random.default_rng(13)
+    for p in range(geo.n + alg.dim + 1):
+        layout = TruncationLayout.of_degree(geo, alg, p, (2,) + (1,) * (geo.n - 1))
+        mirror = layout.mirror()
+        assert np.array_equal(np.sort(mirror), np.arange(layout.dim))
+        assert np.array_equal(mirror[mirror], np.arange(layout.dim))
+        x = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
+        bar, cut = layout.vector_from_form(reference_conjugate_form(layout.form_from_vector(x)))
+        assert cut == 0.0
+        assert np.linalg.norm(bar - np.conj(x[mirror])) <= 1e-13 * np.linalg.norm(x)
 
 
 def test_batched_operators_match_unbatched():

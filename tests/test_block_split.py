@@ -18,11 +18,14 @@ from bundlehodge.adiabatic_ss import (
     _blocks,
     _gather,
     _solve_columns,
+    galerkin_coefficients,
+    galerkin_polynomial,
     near_zero_count,
 )
-from bundlehodge.bigraded import galerkin_coefficients, galerkin_operator
 from bundlehodge.errors import ConfigError, SolverFailure
 from bundlehodge.harness import Scenario, load_scenario, packaged_scenario_path
+
+from bigraded_reference import reference_galerkin_polynomial
 
 # block shapes (rows, columns); the empty ones are zero columns and zero rows
 RECT_SHAPES = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (4, 4)]
@@ -205,12 +208,17 @@ def test_block_eigvalsh_matches_dense(herm):
     ],
 )
 def test_near_zero_count_matches_dense_eigvalsh(name, degrees, bands):
+    # the dense spectrum of the reference polynomial sum_r delta^r M_r, which
+    # equals A(delta)^H A(delta)
     conn = load_scenario(packaged_scenario_path(name)).connection
     for p in degrees:
         count, top = near_zero_count(conn, p, 0.5, bands, 1e-8)
-        mat = galerkin_operator(conn, p, 0.5, bands)
-        herm = 0.5 * (mat + mat.conj().T)
-        ref = np.linalg.eigvalsh(herm.toarray())
+        _, m_r = reference_galerkin_polynomial(conn, p, bands)
+        mat = sum(0.5**r * m for r, m in enumerate(m_r)).toarray()
+        a = sum(0.5**s * m for s, m in enumerate(galerkin_polynomial(conn, p, bands)[1]))
+        scale = max(np.linalg.norm(mat, 1), 1e-300)
+        assert np.max(np.abs((a.conj().T @ a).toarray() - mat)) <= 1e-13 * scale
+        ref = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
         ref_top = float(np.max(np.abs(ref)))
         assert top == pytest.approx(ref_top, rel=1e-12)
         assert count == int(np.sum(ref <= 1e-8 * ref_top))
@@ -227,9 +235,10 @@ def test_blocks_reject_a_block_above_the_dense_limit():
 
 
 def test_multi_axis_connection_couples_the_box_into_one_rejected_block():
-    # modes along every axis join the whole Galerkin box into one component:
-    # at box (2, 2, 1, 1) in degree 3 that is a 7875 x 7875 block, which the
-    # limit rejects before any dense matrix is formed
+    # modes along every axis join the whole Galerkin box into one component of
+    # the pattern |A|^T |A| + I, |A| = sum_a |A_a|: at box (2, 2, 1, 1) in
+    # degree 3 that is a 7875 x 7875 block, which the limit rejects before any
+    # dense matrix is formed
     with open(packaged_scenario_path("t4_su2_cs3")) as fh:
         config = json.load(fh)
     entries = []
@@ -240,7 +249,8 @@ def test_multi_axis_connection_couples_the_box_into_one_rejected_block():
         entries.append([[-k for k in key], [axis], "0", "0.4"])
     config["connection"]["components"][0][1]["entries"] = entries
     conn = Scenario(config).connection
-    blocks = _blocks(sum(abs(m) for m in galerkin_coefficients(conn, 3, (1, 1, 1, 1))))
+    pattern = sum(abs(m) for m in galerkin_coefficients(conn, 3, (1, 1, 1, 1)))
+    blocks = _blocks(pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1]))
     assert [(r.shape, c.shape) for r, c in blocks] == [((1, 2835), (1, 2835))]
     with pytest.raises(ConfigError, match="7875 rows and 7875 columns"):
         near_zero_count(conn, 3, 0.5, (2, 2, 1, 1), 1e-8)

@@ -357,6 +357,45 @@ def test_cli_degree_above_the_top_is_config_error(tmp_path, command, scenario, d
     assert not out.exists()
 
 
+def _fixture_copy(tmp_path, name, **fields):
+    """A copy of a packaged scenario with some fields replaced."""
+    with open(packaged_scenario_path(name)) as fh:
+        config = json.load(fh)
+    config.update(fields)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, k_max, degree",
+    [
+        # d_0 vanishes on an abelian fiber, so page 0 equals page 1: equal
+        # dims without a step taken prove nothing
+        ("t2_u1_c1zero", 1, 1),
+        # the default run needs k_stop 5 to rule out later differentials
+        ("t4_su2_flat", 3, 3),
+        ("t4_su2_flat", 4, 3),
+    ],
+)
+def test_cli_pages_stopped_by_k_max_is_solver_failure(tmp_path, name, k_max, degree):
+    path = _fixture_copy(tmp_path, name, k_max=k_max)
+    out = tmp_path / "out"
+    argv = ["pages", "--scenario", path, "--degree", str(degree), "--out", str(out), "--quiet"]
+    assert cli_main(argv) == 3
+    assert not out.exists()
+
+
+def test_cli_pages_applies_the_declared_formal_tolerance(tmp_path):
+    # the degree-3 limit forms of t3_su2_pages have formal residuals near
+    # 1e-16, above a declared tau_formal of 1e-30
+    path = _fixture_copy(tmp_path, "t3_su2_pages", tolerances={"tau_formal": "1e-30"})
+    out = tmp_path / "out"
+    argv = ["pages", "--scenario", path, "--degree", "3", "--out", str(out), "--quiet"]
+    assert cli_main(argv) == 3
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pages", "spectrum"])
 def test_cli_scenario_degree_above_the_top_is_config_error(tmp_path, command):
     with open(packaged_scenario_path("t2_u1_c1zero")) as fh:
