@@ -205,8 +205,8 @@ def _boxes(conn, reach, order):
 
 
 def _reach(keys, n):
-    """Per-axis reach max |k_a| of a collection of frequency keys."""
-    keys = np.array(list(keys), dtype=int).reshape(-1, n)
+    """Per-axis reach max |k_a| of an (nk, n) array of frequency keys."""
+    keys = np.reshape(keys, (-1, n))
     return tuple(int(r) for r in np.max(np.abs(keys), axis=0, initial=0))
 
 
@@ -287,7 +287,7 @@ def solve_corrections(conn, v, order, tolerances=None):
     if not degrees:
         return [BigradedForm.zero(geo, alg) for _ in range(order)]
     degree = degrees.pop()
-    reach = _reach((key for table in v.components.values() for key in table), geo.n)
+    reach = _reach(np.concatenate([t.key_array for t in v.components.values()]), geo.n)
     lead = _layout(conn, degree, reach).vector_from_form(v)[0][:, None]
     ws = _solve_columns(conn, degree, reach, lead, order, tolerances)
     return [
@@ -566,6 +566,15 @@ class PageRecursion:
 
     # ---- extraction ---------------------------------------------------------
 
+    def stable_page(self):
+        """The page the run stopped at, once stabilization is proven; raises
+        SolverFailure when k_max stopped the run first."""
+        if not self.stabilized:
+            raise SolverFailure(
+                f"pages did not stabilize within K_max = {self.k_max}", order=self.k_stop
+            )
+        return self.k_stop
+
     def dims_for_degree(self, K, degree):
         dims = self.dims_at(K)
         return {slot: r for slot, r in dims.items() if slot[0] + slot[1] == degree}
@@ -608,12 +617,7 @@ def harmonic_limit(recursion, total_degree):
     matrix, and the real dimension must equal the complex one.
     """
     conn, tolerances = recursion.conn, recursion.tol
-    if not recursion.stabilized:
-        raise SolverFailure(
-            f"pages did not stabilize within K_max = {recursion.k_max}",
-            order=recursion.k_stop,
-        )
-    K = recursion.k_stop
+    K = recursion.stable_page()
     lifts = recursion._lifts(K)
     page = [(slot, b) for slot, b in recursion.bases[K].items() if sum(slot) == total_degree]
     if not page:

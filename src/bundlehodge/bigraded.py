@@ -1,9 +1,16 @@
 """Invariant bigraded complex on a trivialized principal bundle over a torus.
 
 An invariant form is a sum of (i, j)-components: degree-i base forms valued
-in Lambda^j g*.  Components are stored sparsely per frequency, as
-dict[(i, j)] -> dict[k_tuple] -> array of shape (nb, nf) (optionally with a
-trailing batch axis), where nb / nf count base / fiber multi-indices.
+in Lambda^j g*.  Each component is stored sparsely per frequency as one
+FrequencyTable: an int64 key array of shape (nk, n) and one value stack of
+shape (nk, nb, nf) (optionally with a trailing batch axis), where nb / nf
+count base / fiber multi-indices; row r of the stack is the value at key
+row r.  Rows keep the order in which their keys first appeared.  Every
+form-level operation (sums, scalar multiples, pruning, the operators, the
+inner product and the layout maps) works on whole stacks; two tables are
+matched by raveling their keys into integer codes over a common bounding
+box.  A table is also a read-only mapping from key tuples to rows, iterated
+in row order.
 
 The exterior derivative splits into a vertical piece, a covariant
 horizontal piece and a curvature contraction, with bidegrees (0,1), (1,0)
@@ -30,12 +37,14 @@ coefficient, B*, F*) with B* = G_in^-1 B^H G_out the adjoint for the Gram
 inner products (the same for F), so adjointness for the product inner
 product (base Gram x fiber Gram x volume) holds by construction.
 
-The form-level operators accumulate per destination slot: each output
-frequency is one row of one array, numbered in first-seen order (the source
-keys, then the image of each shift q as q first appears).  Frequencies are
-numbered by a raveled code over the bounding box of the destination keys,
-so each shift is one integer offset on the source codes, and a lookup
-table over the box gives every code its row.  The multiplier
+The form-level operators read the source stack of a slot as it is and
+accumulate per destination slot: each output frequency is one row of one
+array, numbered in first-seen order (the source keys, then the image of
+each shift q as q first appears).  Frequencies are numbered by a raveled
+code over the bounding box of the destination keys, so each shift is one
+integer offset on the source codes, and a lookup table over the box gives
+every code its row.  Each distinct fiber factor of a slot is applied to the
+stack once and shared by the base factors that follow it.  The multiplier
 terms land first, then per q the sum of coefficient x moved block over the
 (B, F) groups, in group order, with one vectorized add.  Rows that are
 exactly zero are dropped; rows holding a NaN or an infinity are kept.
@@ -57,25 +66,123 @@ matrix.  The page recursion and the compressed (Galerkin) Laplacian of
 """
 
 import itertools
+from collections.abc import Mapping
 
 import numpy as np
 import scipy.sparse
 
 from .base_forms import FourierForm, d as base_d, wedge as base_wedge
 from .errors import ConfigError, DegreeError
-from .multiindex import (
-    index_position,
-    num_indices,
-    wedge_axis_matrix,
-    wedge_pair_matrix,
-)
+from .multiindex import num_indices, wedge_axis_matrix, wedge_pair_matrix
 
-# -- small dense helpers ------------------------------------------------------
+# -- frequency tables ----------------------------------------------------------
 
 
-def _stack_table(table):
-    keys = list(table.keys())
-    return keys, np.stack([table[k] for k in keys])
+class FrequencyTable(Mapping):
+    """The values of one slot: ``key_array``, the (nk, n) int64 frequency keys,
+    and ``stack``, the (nk, nb, nf[, batch]) values, row r at key row r.
+
+    Read as a mapping, the keys are tuples in row order and each value is a
+    row of the stack.  A table is never modified in place: every operation
+    builds a new one and may share the arrays of an operand it leaves
+    unchanged.
+    """
+
+    __slots__ = ("key_array", "stack", "_rows")
+
+    def __init__(self, key_array, stack):
+        self.key_array = key_array
+        self.stack = stack
+        self._rows = None
+
+    @classmethod
+    def of_entries(cls, keys, index, values, shape):
+        """The table that adds, in entry order, each row of ``values`` at its
+        key (a row of ``keys``) and at its position in the value block (one
+        array per leading axis in ``index``); zeros elsewhere.  Keys get
+        their rows in the order they first appear."""
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(first))
+        stack = np.zeros((len(first),) + tuple(shape), dtype=complex)
+        np.add.at(stack, (rank[inverse.ravel()],) + tuple(index), values)
+        return cls(keys[np.sort(first)], stack)
+
+    def __len__(self):
+        return len(self.key_array)
+
+    def __iter__(self):
+        return map(tuple, self.key_array.tolist())
+
+    def __getitem__(self, key):
+        if self._rows is None:
+            self._rows = {k: row for row, k in enumerate(self)}
+        return self.stack[self._rows[tuple(key)]]
+
+
+def _as_table(values, geometry, alg, slot):
+    """The table of one slot from a FrequencyTable (kept as it is) or from
+    any mapping {key tuple: value}, read in its iteration order."""
+    if isinstance(values, FrequencyTable):
+        return values
+    n = geometry.n
+    shape = (num_indices(n, slot[0]), num_indices(alg.dim, slot[1]))
+    keys = list(values)
+    try:
+        key_array = np.array(keys, dtype=np.int64).reshape(len(keys), n)
+    except ValueError:
+        raise ConfigError(f"frequency keys of slot {slot} must have length {n}") from None
+    if not keys:
+        return FrequencyTable(key_array, np.zeros((0,) + shape, dtype=complex))
+    stack = np.stack([np.asarray(values[key], dtype=complex) for key in keys])
+    if stack.shape[1:3] != shape:
+        raise ConfigError(f"values for slot {slot} must start with shape {shape}")
+    return FrequencyTable(key_array, stack)
+
+
+def _box_strides(lo, hi):
+    """Row-major strides over the box lo..hi, so that code order is
+    lexicographic key order."""
+    dims = hi - lo + 1
+    return dims, np.cumprod(np.append(1, dims[:0:-1]))[::-1]
+
+
+def _codes(*tables):
+    """Raveled integer codes of the keys of nonempty tables over their
+    common bounding box."""
+    lo = np.min([t.key_array.min(axis=0) for t in tables], axis=0)
+    hi = np.max([t.key_array.max(axis=0) for t in tables], axis=0)
+    _, strides = _box_strides(lo, hi)
+    return [(t.key_array - lo) @ strides for t in tables]
+
+
+def _table_sum(a, b):
+    """a + b: the rows of a, with b's value added where the keys match, then
+    b's other keys in b's order."""
+    if not len(b):
+        return a
+    if not len(a):
+        return b
+    ca, cb = _codes(a, b)
+    order = np.argsort(ca)
+    row = order[np.minimum(np.searchsorted(ca, cb, sorter=order), len(ca) - 1)]
+    hit = ca[row] == cb
+    if hit.all():
+        keys, stack = a.key_array, a.stack.copy()
+    else:
+        new = ~hit
+        keys = np.concatenate([a.key_array, b.key_array[new]])
+        stack = np.concatenate([a.stack, b.stack[new]])
+    stack[row[hit]] += b.stack[hit]
+    return FrequencyTable(keys, stack)
+
+
+def _nonzero_rows(key_array, stack):
+    """The table of the rows of ``stack`` that are not exactly zero; a row
+    holding a NaN is kept."""
+    keep = stack.reshape(len(key_array), -1).any(axis=1)
+    if keep.all():
+        return FrequencyTable(key_array, stack)
+    return FrequencyTable(key_array[keep], stack[keep])
 
 
 def _apply_fiber_stacked(mat, stacked):
@@ -90,81 +197,75 @@ def _apply_base_stacked(mat, stacked):
     return np.einsum("ab,kbft->kaft", mat, stacked)
 
 
-def _acc(table, key, arr):
-    cur = table.get(key)
-    table[key] = arr if cur is None else cur + arr
-
-
 # -- data types ----------------------------------------------------------------
 
 
 class BigradedForm:
-    """Sparse-by-frequency element of the bigraded complex."""
+    """Sparse-by-frequency element of the bigraded complex: one
+    FrequencyTable per (i, j)-slot.  ``components`` may map slots to tables
+    or to any mappings {key tuple: value}, which become tables here."""
 
     def __init__(self, geometry, alg, components=None):
         self.geometry = geometry
         self.alg = alg
-        self.components = components if components is not None else {}
+        self.components = {
+            slot: _as_table(values, geometry, alg, slot)
+            for slot, values in (components or {}).items()
+        }
 
     @classmethod
     def zero(cls, geometry, alg):
         return cls(geometry, alg)
 
+    def _with(self, components):
+        return BigradedForm(self.geometry, self.alg, components)
+
     def copy(self):
-        comps = {
-            slot: {k: v.copy() for k, v in table.items()}
-            for slot, table in self.components.items()
-        }
-        return BigradedForm(self.geometry, self.alg, comps)
+        return self._with(
+            {
+                slot: FrequencyTable(t.key_array, t.stack.copy())
+                for slot, t in self.components.items()
+            }
+        )
 
     def slots(self):
         return sorted(self.components.keys())
 
     def is_zero(self):
-        return all(
-            not np.any(v) for table in self.components.values() for v in table.values()
-        )
-
-    def set_value(self, slot, key, value):
-        i, j = slot
-        value = np.asarray(value, dtype=complex)
-        nb = num_indices(self.geometry.n, i)
-        nf = num_indices(self.alg.dim, j)
-        if value.shape[:2] != (nb, nf):
-            raise ConfigError(f"value for slot {slot} must start with shape ({nb}, {nf})")
-        _acc(self.components.setdefault(slot, {}), tuple(int(x) for x in key), value)
-
-    def value(self, slot, key):
-        return self.components.get(slot, {}).get(tuple(key))
+        return not any(np.any(t.stack) for t in self.components.values())
 
     def prune(self, tol=0.0):
-        """Drop the blocks whose every entry is at most tol in modulus; a
-        block holding a NaN is kept."""
+        """Drop the rows whose every entry is at most tol in modulus, and the
+        slots left empty; a row holding a NaN is kept."""
         comps = {}
-        for slot, table in self.components.items():
-            kept = {k: v for k, v in table.items() if not np.all(np.abs(v) <= tol)}
-            if kept:
-                comps[slot] = kept
+        for slot, t in self.components.items():
+            if not len(t):
+                continue
+            keep = ~np.all(np.abs(t.stack).reshape(len(t), -1) <= tol, axis=1)
+            if keep.all():
+                comps[slot] = t
+            elif keep.any():
+                comps[slot] = FrequencyTable(t.key_array[keep], t.stack[keep])
         self.components = comps
         return self
 
     def __add__(self, other):
         self._check(other)
-        out = self.copy()
-        for slot, table in other.components.items():
-            dest = out.components.setdefault(slot, {})
-            for key, val in table.items():
-                _acc(dest, key, val)
-        return out
+        comps = dict(self.components)
+        for slot, t in other.components.items():
+            comps[slot] = _table_sum(comps[slot], t) if slot in comps else t
+        return self._with(comps)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        out = BigradedForm(self.geometry, self.alg)
-        for slot, table in self.components.items():
-            out.components[slot] = {k: scalar * v for k, v in table.items()}
-        return out
+        return self._with(
+            {
+                slot: FrequencyTable(t.key_array, scalar * t.stack)
+                for slot, t in self.components.items()
+            }
+        )
 
     __rmul__ = __mul__
 
@@ -178,30 +279,24 @@ class BigradedForm:
 
 def from_fourier(form, alg):
     """Pull a base FourierForm back into the bigraded complex: its (i, 0)-component."""
-    out = BigradedForm(form.geometry, alg)
-    nb = num_indices(form.geometry.n, form.degree)
-    pos = index_position(form.geometry.n, form.degree)
-    for key, idx, val in form.entries():
-        arr = np.zeros((nb, 1), dtype=complex)
-        arr[pos[idx], 0] = val
-        out.set_value((form.degree, 0), key, arr)
-    return out
+    nonzero = form.coeffs != 0
+    held = nonzero.any(axis=-1)
+    keys = np.argwhere(held) - np.array(form.bands, dtype=np.int64)
+    values = np.where(nonzero[held], form.coeffs[held], 0)[:, :, None]
+    return BigradedForm(form.geometry, alg, {(form.degree, 0): FrequencyTable(keys, values)})
 
 
 def to_fourier(form, i):
     """The (i, 0)-component of a form as a base form."""
     geo = form.geometry
-    table = form.components.get((i, 0), {})
-    reach = [0] * geo.n
-    for key in table:
-        for a, k in enumerate(key):
-            reach[a] = max(reach[a], abs(k))
-    out = FourierForm.zero(geo, i, tuple(reach))
-    for key, val in table.items():
-        if val.ndim != 2:
-            raise ConfigError("cannot extract a batched form")
-        loc = tuple(k + b for k, b in zip(key, out.bands))
-        out.coeffs[loc] += val[:, 0]
+    table = form.components.get((i, 0))
+    if table is None or not len(table):
+        return FourierForm.zero(geo, i)
+    if table.stack.ndim != 3:
+        raise ConfigError("cannot extract a batched form")
+    reach = np.max(np.abs(table.key_array), axis=0)
+    out = FourierForm.zero(geo, i, tuple(int(r) for r in reach))
+    out.coeffs[tuple((table.key_array + reach).T)] += table.stack[:, :, 0]
     return out
 
 
@@ -344,11 +439,16 @@ def bigraded_inner_product(a, b):
         i, j = slot
         ta = a.components[slot]
         tb = b.components[slot]
-        keys = sorted(set(ta) & set(tb))
-        if not keys:
+        if not len(ta) or not len(tb):
             continue
-        u = np.stack([ta[key] for key in keys])
-        v = u if b is a else np.stack([tb[key] for key in keys])  # a norm stacks once
+        # the common keys in lexicographic order, which is code order
+        if b is a:
+            u = v = ta.stack[np.argsort(_codes(ta)[0])]
+        else:
+            _, rows_a, rows_b = np.intersect1d(*_codes(ta, tb), assume_unique=True, return_indices=True)
+            if not len(rows_a):
+                continue
+            u, v = ta.stack[rows_a], tb.stack[rows_b]
         if u.ndim != 3 or v.ndim != 3:
             raise ConfigError("inner product needs unbatched forms")
         # one sum per key, added in sorted key order
@@ -367,13 +467,12 @@ def sq_norms_batch(form):
     geo = form.geometry
     alg = form.alg
     total = None
-    for slot, table in form.components.items():
-        i, j = slot
-        gb = geo.gram(i)
-        gf = alg.gram(j)
-        for val in table.values():
-            contrib = np.einsum("bft,bc,fg,cgt->t", np.conj(val), gb, gf, val).real
-            total = contrib if total is None else total + contrib
+    for (i, j), table in form.components.items():
+        if not len(table):
+            continue
+        moved = np.einsum("bc,kcgt,fg->kbft", geo.gram(i), table.stack, alg.gram(j))
+        contrib = np.einsum("kbft,kbft->t", np.conj(table.stack), moved).real
+        total = contrib if total is None else total + contrib
     return geo.volume * total if total is not None else None
 
 
@@ -501,15 +600,6 @@ def _slot_terms(conn, which, slot, keys, adjoint):
     return multipliers, conn._cache[cache_key]
 
 
-def _move(geo, alg, base, fiber, stacked):
-    """B val F^T on every stacked value; identity factors are skipped."""
-    if fiber[0] != "eye":
-        stacked = _apply_fiber_stacked(_factor(alg, fiber), stacked)
-    if base[0] != "eye":
-        stacked = _apply_base_stacked(_factor(geo, base), stacked)
-    return stacked
-
-
 def _apply_component(form, conn, which, adjoint):
     """d^(which) or its adjoint on a form, one destination slot at a time."""
     if which not in (0, 1, 2):
@@ -518,29 +608,39 @@ def _apply_component(form, conn, which, adjoint):
     di, dj = _BIDEGREES[which]
     if adjoint:
         di, dj = -di, -dj
-    out = BigradedForm(geo, alg)
+    comps = {}
     for (i, j), table in form.components.items():
         target = (i + di, j + dj)
-        if not table or not num_indices(geo.n, target[0]) or not num_indices(alg.dim, target[1]):
+        if not len(table) or not num_indices(geo.n, target[0]) or not num_indices(alg.dim, target[1]):
             continue
-        keys, stacked = _stack_table(table)
+        stacked = np.ascontiguousarray(table.stack)
         # only the base derivative reads the keys
-        fkeys = np.array(keys, dtype=float) if which == 1 else None
+        fkeys = table.key_array.astype(float) if which == 1 else None
         multipliers, groups = _slot_terms(conn, which, target if adjoint else (i, j), fkeys, adjoint)
+        fibered = {}
+
+        def move(base, fiber):
+            """B val F^T on every stacked value, each distinct fiber factor
+            applied once; identity factors are skipped."""
+            if fiber not in fibered:
+                fibered[fiber] = (
+                    stacked if fiber[0] == "eye" else _apply_fiber_stacked(_factor(alg, fiber), stacked)
+                )
+            moved = fibered[fiber]
+            return moved if base[0] == "eye" else _apply_base_stacked(_factor(geo, base), moved)
+
         unshifted = None
         for _, coeff, base, fiber in multipliers:
             if not np.any(coeff):
                 continue
-            term = _move(geo, alg, base, fiber, stacked)
+            term = move(base, fiber)
             if np.ndim(coeff):  # per key; the fiber differential's scalar 1 is not applied
                 term = coeff.reshape((-1,) + (1,) * (stacked.ndim - 1)) * term
             unshifted = term if unshifted is None else unshifted + term
-
-        def move(base, fiber):
-            return _move(geo, alg, base, fiber, stacked)
-
-        _put(out, target, _accumulate(keys, unshifted, groups, move))
-    return out
+        image = _accumulate(table.key_array, unshifted, groups, move)
+        if len(image):
+            comps[target] = image
+    return BigradedForm(geo, alg, comps)
 
 
 def apply_d_component(form, conn, which):
@@ -555,9 +655,10 @@ def apply_dstar_component(form, conn, which):
 
 
 def _accumulate(keys, unshifted, groups, move):
-    """Frequency table of one destination slot.
+    """FrequencyTable of one destination slot.
 
-    ``unshifted`` (or None) lands on the source ``keys``; for each group of
+    ``keys`` are the source keys, an (nk, n) array or a list of tuples.
+    ``unshifted`` (or None) lands on them; for each group of
     ``groups``, ``move(*group)`` is the moved stack, and each (q, v) of the
     group adds v * moved at key + q.  Every destination frequency gets one
     output row, numbered in first-seen order (the source keys, then each
@@ -572,12 +673,12 @@ def _accumulate(keys, unshifted, groups, move):
         for q, v in qvs:
             shifts.setdefault(q, []).append((len(moved), v))
         moved.append(move(*group))
+    nk = len(keys)
+    karr = np.asarray(keys, dtype=np.int64)
     if not shifts:
         if unshifted is None:
-            return {}
-        return _nonzero_rows(keys, unshifted)
-    nk = len(keys)
-    karr = np.array(keys, dtype=np.int64)
+            return FrequencyTable(karr[:0], np.zeros(0, dtype=complex))
+        return _nonzero_rows(karr, unshifted)
     qarr = np.array(list(shifts), dtype=np.int64)
     # keys as raveled codes over the bounding box of every destination key,
     # so a shift is one integer offset; row_at maps a code to its row
@@ -585,8 +686,7 @@ def _accumulate(keys, unshifted, groups, move):
     if unshifted is not None:
         q_lo, q_hi = np.minimum(q_lo, 0), np.maximum(q_hi, 0)
     lo = karr.min(axis=0) + q_lo
-    dims = karr.max(axis=0) + q_hi - lo + 1
-    strides = np.cumprod(np.append(1, dims[:0:-1]))[::-1]
+    dims, strides = _box_strides(lo, karr.max(axis=0) + q_hi)
     kcode = (karr - lo) @ strides
     row_at = np.full(int(np.prod(dims)), -1, dtype=np.int64)
     codes, count = [], 0
@@ -624,22 +724,8 @@ def _accumulate(keys, unshifted, groups, move):
         else:
             out[place] += acc
         del acc
-    axes = np.unravel_index(np.concatenate(codes), dims)
-    out_keys = list(zip(*[(axis + low).tolist() for axis, low in zip(axes, lo)]))
+    out_keys = np.stack(np.unravel_index(np.concatenate(codes), dims), axis=1) + lo
     return _nonzero_rows(out_keys, out)
-
-
-def _nonzero_rows(keys, stacked):
-    """{key: row} for the rows of ``stacked`` that are not exactly zero."""
-    keep = stacked.reshape(len(keys), -1).any(axis=1)
-    if keep.all():
-        return dict(zip(keys, stacked))
-    return {key: row for key, row, hit in zip(keys, stacked, keep.tolist()) if hit}
-
-
-def _put(out, slot, table):
-    if table:
-        out.components[slot] = table
 
 
 # -- rescaled polynomial family --------------------------------------------------
@@ -647,11 +733,12 @@ def _put(out, slot, table):
 
 def rho_scale(form, delta, inverse=False):
     """Grading isometry: multiply the (i, j)-component by delta^(+-i)."""
-    out = BigradedForm(form.geometry, form.alg)
-    for (i, j), table in form.components.items():
-        factor = float(delta) ** (-i if inverse else i)
-        out.components[(i, j)] = {k: factor * v for k, v in table.items()}
-    return out
+    return form._with(
+        {
+            (i, j): FrequencyTable(t.key_array, float(delta) ** (-i if inverse else i) * t.stack)
+            for (i, j), t in form.components.items()
+        }
+    )
 
 
 def _delta_series(poly, conn, apply):
@@ -695,8 +782,8 @@ def laplacian_delta(poly, conn):
 
 def random_bigraded(geometry, alg, total_degree, bands, rng, batch=None):
     """Real random form spread over every slot with i + j = total_degree."""
-    out = BigradedForm(geometry, alg)
-    keys = list(itertools.product(*[range(-b, b + 1) for b in bands]))
+    keys = np.array(list(itertools.product(*[range(-b, b + 1) for b in bands])), dtype=np.int64)
+    comps = {}
     for i in range(min(geometry.n, total_degree) + 1):
         j = total_degree - i
         if j < 0 or j > alg.dim:
@@ -706,16 +793,13 @@ def random_bigraded(geometry, alg, total_degree, bands, rng, batch=None):
         if nb == 0 or nf == 0:
             continue
         shape = (nb, nf) if batch is None else (nb, nf, batch)
-        table = {}
-        for key in keys:
-            table[key] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        # reality: value at -k is the conjugate of the value at k
-        sym = {}
-        for key in keys:
-            mirror = tuple(-k for k in key)
-            sym[key] = 0.5 * (table[key] + np.conj(table[mirror]))
-        out.components[(i, j)] = sym
-    return out
+        # per key a real draw, then an imaginary one
+        draws = rng.standard_normal((len(keys), 2) + shape)
+        table = draws[:, 0] + 1j * draws[:, 1]
+        # reality: value at -k is the conjugate of the value at k; the box
+        # lists its keys in lexicographic order, so -k runs in reverse
+        comps[(i, j)] = FrequencyTable(keys, 0.5 * (table + np.conj(table[::-1])))
+    return BigradedForm(geometry, alg, comps)
 
 
 # -- truncated coordinates and the Galerkin compression ----------------------------
@@ -736,7 +820,8 @@ class TruncationLayout:
         self.alg = alg
         self.bands = tuple(int(b) for b in bands)
         self.keys = list(itertools.product(*[range(-b, b + 1) for b in self.bands]))
-        self.key_array = np.array(self.keys, dtype=int).reshape(len(self.keys), geometry.n)
+        self.key_array = np.array(self.keys, dtype=np.int64).reshape(len(self.keys), geometry.n)
+        self._dims = tuple(2 * b + 1 for b in self.bands)
         self.key_pos = {k: pos for pos, k in enumerate(self.keys)}
         self.slots = []
         offset = 0
@@ -771,10 +856,8 @@ class TruncationLayout:
         lexicographic order, so -k runs in the reverse order."""
         rows = np.arange(self.dim)
         for slot in self.slots:
-            nb, nf = self.shapes[slot]
-            start, size = self.offsets[slot], len(self.keys) * nb * nf
-            block = rows[start : start + size].reshape(len(self.keys), -1)
-            rows[start : start + size] = block[::-1].ravel()
+            block = self._slot_rows(rows, slot)
+            block[:] = block[::-1].copy()
         return rows
 
     def vector_from_form(self, form):
@@ -786,39 +869,43 @@ class TruncationLayout:
         """
         vec = np.zeros(self.dim, dtype=complex)
         cut_sq = 0.0
+        bands = np.array(self.bands)
         for slot in self.slots:
+            table = form.components.get(slot)
+            if table is None or not len(table):
+                continue
             lb, lf, _, _ = self.factors[slot]
-            nb, nf = self.shapes[slot]
-            base = self.offsets[slot]
-            gb = self.geometry.gram(slot[0])
-            gf = self.alg.gram(slot[1])
-            for key, val in form.components.get(slot, {}).items():
-                pos = self.key_pos.get(key)
-                if pos is not None:
-                    hat = self._sqrt_vol * (lb.T @ val @ lf)
-                    start = base + pos * nb * nf
-                    vec[start : start + nb * nf] = hat.reshape(-1)
-                else:
-                    cut_sq += self.geometry.volume * float(
-                        np.sum(np.conj(val) * (gb @ val @ gf)).real
-                    )
+            inside = np.all(np.abs(table.key_array) <= bands, axis=1)
+            pos = np.ravel_multi_index(tuple((table.key_array[inside] + bands).T), self._dims)
+            hat = self._sqrt_vol * (lb.T @ table.stack[inside] @ lf)
+            rows = self._slot_rows(vec, slot)
+            rows[pos] = hat.reshape(len(pos), rows.shape[1])
+            if not inside.all():
+                val = table.stack[~inside]
+                gram = self.geometry.gram(slot[0]) @ val @ self.alg.gram(slot[1])
+                # one norm per key, added in key order
+                parts = self.geometry.volume * np.sum(np.conj(val) * gram, axis=(1, 2)).real
+                for part in parts.tolist():
+                    cut_sq += part
         return vec, float(np.sqrt(max(cut_sq, 0.0)))
 
     def form_from_vector(self, vec):
-        out = BigradedForm(self.geometry, self.alg)
+        comps = {}
         for slot in self.slots:
             nb, nf = self.shapes[slot]
             _, _, lb_invT, lf_inv = self.factors[slot]
-            base = self.offsets[slot]
-            table = {}
-            for pos, key in enumerate(self.keys):
-                start = base + pos * nb * nf
-                hat = vec[start : start + nb * nf].reshape(nb, nf)
-                if np.any(hat):
-                    table[key] = (lb_invT @ hat @ lf_inv) / self._sqrt_vol
-            if table:
-                out.components[slot] = table
-        return out
+            hats = self._slot_rows(vec, slot)
+            held = hats.any(axis=1)
+            if held.any():
+                stack = (lb_invT @ hats[held].reshape(-1, nb, nf) @ lf_inv) / self._sqrt_vol
+                comps[slot] = FrequencyTable(self.key_array[held], stack)
+        return BigradedForm(self.geometry, self.alg, comps)
+
+    def _slot_rows(self, vec, slot):
+        """The coordinates of one slot as a (keys, nb * nf) view of vec."""
+        nb, nf = self.shapes[slot]
+        start = self.offsets[slot]
+        return vec[start : start + len(self.keys) * nb * nf].reshape(len(self.keys), nb * nf)
 
 
 def _inv_chol(space, deg):
@@ -902,20 +989,22 @@ def bigraded_to_dict(form):
 
 
 def bigraded_from_dict(geometry, alg, data):
-    out = BigradedForm(geometry, alg)
+    entries = {}
     for comp in data.get("components", []):
         slot = (int(comp["i"]), int(comp["j"]))
         nb = num_indices(geometry.n, slot[0])
         nf = num_indices(alg.dim, slot[1])
-        staged = {}
         for key, b, f, re, im in comp.get("entries", []):
             key = tuple(int(x) for x in key)
             if len(key) != geometry.n:
                 raise ConfigError("frequency vector has wrong length")
             if not (0 <= int(b) < nb and 0 <= int(f) < nf):
                 raise ConfigError(f"index out of range for slot {slot}")
-            arr = staged.setdefault(key, np.zeros((nb, nf), dtype=complex))
-            arr[int(b), int(f)] += complex(float(re), float(im))
-        for key, arr in staged.items():
-            out.set_value(slot, key, arr)
-    return out
+            entries.setdefault(slot, []).append((key, int(b), int(f), complex(float(re), float(im))))
+    tables = {}
+    for (i, j), rows in entries.items():
+        keys, b, f, values = zip(*rows)
+        shape = (num_indices(geometry.n, i), num_indices(alg.dim, j))
+        keys = np.array(keys, dtype=np.int64)
+        tables[(i, j)] = FrequencyTable.of_entries(keys, (np.array(b), np.array(f)), np.array(values), shape)
+    return BigradedForm(geometry, alg, tables)

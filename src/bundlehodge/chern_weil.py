@@ -17,7 +17,7 @@ from .base_forms import (
     norm as base_norm,
     wedge as base_wedge,
 )
-from .bigraded import BigradedForm, Connection
+from .bigraded import BigradedForm, Connection, FrequencyTable
 from .errors import ConfigError, DegreeError, NotSemisimple
 from .lie_algebra import cs3_fiber_term
 from .multiindex import num_indices
@@ -141,14 +141,17 @@ def cw4(pair, f_forms):
 # -- secondary forms ------------------------------------------------------------
 
 
+def _constant(geometry, value):
+    """The table of one (1, nb, nf) value at frequency zero."""
+    return FrequencyTable(np.zeros((1, geometry.n), dtype=np.int64), value)
+
+
 def cs1(phi, conn):
     """Degree-1 secondary form: the constant (0,1)-component phi."""
     if phi.kind != "linear":
         raise ConfigError("cs1 needs a degree-1 invariant functional")
-    out = BigradedForm(conn.geometry, conn.alg)
-    value = np.asarray(phi.vector, dtype=complex).reshape(1, -1)
-    out.set_value((0, 1), (0,) * conn.geometry.n, value)
-    return out
+    value = np.asarray(phi.vector, dtype=complex).reshape(1, 1, -1)
+    return BigradedForm(conn.geometry, conn.alg, {(0, 1): _constant(conn.geometry, value)})
 
 
 def cs3(pair, conn):
@@ -157,29 +160,26 @@ def cs3(pair, conn):
         raise ConfigError("cs3 needs an invariant bilinear pairing")
     alg = conn.alg
     geo = conn.geometry
-    out = BigradedForm(geo, alg)
-    f_forms = conn.curvature_forms()
-    nb = num_indices(geo.n, 2)
-    # (2,1): the g*-valued 2-form pairing the curvature into the fiber
-    table = {}
-    for a, f in enumerate(f_forms):
-        for key, idx, val in f.entries():
-            from .multiindex import index_position
-
-            pos = index_position(geo.n, 2)[idx]
-            arr = table.setdefault(key, np.zeros((nb, alg.dim), dtype=complex))
-            arr[pos, :] += val * pair.matrix[a, :]
-    for key, arr in table.items():
-        out.set_value((2, 1), key, arr)
+    comps = {}
+    # (2,1): the g*-valued 2-form pairing the curvature into the fiber; every
+    # nonzero coefficient of F^a adds its multiple of row a of the pairing,
+    # in the order of a and then of the coefficients
+    keys, rows, terms = [], [], []
+    for a, f in enumerate(conn.curvature_forms()):
+        at = np.argwhere(f.coeffs != 0)
+        keys.append(at[:, :-1] - np.array(f.bands, dtype=np.int64))
+        rows.append(at[:, -1])
+        terms.append(f.coeffs[tuple(at.T)][:, None] * pair.matrix[a, :])
+    keys = np.concatenate(keys)
+    if len(keys):
+        shape = (num_indices(geo.n, 2), alg.dim)
+        comps[(2, 1)] = FrequencyTable.of_entries(keys, (np.concatenate(rows),), np.concatenate(terms), shape)
     # (0,3): the constant cubic fiber term
     tau = cs3_fiber_term(alg, pair.matrix)
     if np.any(tau.coefficients):
-        out.set_value(
-            (0, 3),
-            (0,) * geo.n,
-            np.asarray(tau.coefficients, dtype=complex).reshape(1, -1),
-        )
-    return out.prune()
+        value = np.asarray(tau.coefficients, dtype=complex).reshape(1, 1, -1)
+        comps[(0, 3)] = _constant(geo, value)
+    return BigradedForm(geo, alg, comps).prune()
 
 
 def primitive_h(cw_form):
@@ -195,15 +195,12 @@ def beta_correction(conn, psi):
     alg = conn.alg
     if not alg.is_semisimple():
         raise NotSemisimple("correction term needs a semisimple fiber algebra")
-    table = psi.components.get((1, 1), {})
-    out = BigradedForm(conn.geometry, alg)
-    if not table:
-        return out
+    table = psi.components.get((1, 1))
+    if table is None or not len(table):
+        return BigradedForm(conn.geometry, alg)
     # Green matrix: solves dstar beta = psi on each coefficient vector
-    green = alg.green_matrix()
-    for key, val in table.items():
-        out.set_value((1, 2), key, val @ green.T)
-    return out.prune()
+    beta = table.stack @ alg.green_matrix().T
+    return BigradedForm(conn.geometry, alg, {(1, 2): FrequencyTable(table.key_array, beta)}).prune()
 
 
 def abelian_scenario(f_form, geometry, alg):

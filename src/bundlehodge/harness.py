@@ -656,17 +656,16 @@ def cmd_spectrum(scenario, degree=None, out_dir=None, quiet=False):
     conn = scenario.connection
     if not scenario.delta_grid:
         raise ConfigError("spectrum command needs a delta grid")
+    # the decay groups are compared with a page only where it is proven stable
+    recursion = scenario.page_recursion()
+    k_stop = recursion.stable_page()
     sweep = spectrum_sweep(
         conn, degree, scenario.delta_grid, scenario.bands, scenario.tolerances
     )
-    recursion = scenario.page_recursion()
-    page_dims = [
-        sum(recursion.dims_for_degree(K, degree).values())
-        for K in range(recursion.k_stop + 1)
-    ]
+    page_dims = [sum(recursion.dims_for_degree(K, degree).values()) for K in range(k_stop + 1)]
     # stabilization page: first K whose dims agree with the final page
-    k_stab = recursion.k_stop
-    while k_stab > 1 and page_dims[k_stab - 1] == page_dims[recursion.k_stop]:
+    k_stab = k_stop
+    while k_stab > 1 and page_dims[k_stab - 1] == page_dims[k_stop]:
         k_stab -= 1
     counts = sweep.group_counts()
     slope_ok = all(

@@ -15,6 +15,15 @@ c M val at k + q has the adjoint that sends the value at k to
 conj(c) M* val at k - q, where M* = G_src^-1 M^T G_dst is the adjoint of the
 real matrix M : Lambda^src -> Lambda^dst.
 
+``form_of`` builds a form from (slot, key, value) triples through per-key
+dicts, the plain reading of a form that the production frequency tables
+replace; the reference operators below build their images the same way.
+
+The ``reference_*`` table operations (sum, scalar multiple, prune, zero
+test, inner product and the two ``TruncationLayout`` maps) act on plain
+tables {slot: {key: value}} one key at a time, with the summation order the
+stacked operations keep; ``tables_of`` reads a form into that shape.
+
 ``reference_accumulate`` is a per-key dict reading of the contract of the
 production frequency accumulator ``bigraded._accumulate``.
 
@@ -71,12 +80,24 @@ def _fits(geo, alg, slot):
     return num_indices(geo.n, slot[0]) > 0 and num_indices(alg.dim, slot[1]) > 0
 
 
+def form_of(geometry, alg, entries):
+    """The form holding value at (slot, key) for each (slot, key, value) of
+    ``entries``; values at a repeated (slot, key) are summed in order."""
+    tables = {}
+    for slot, key, value in entries:
+        _put(tables.setdefault(slot, {}), tuple(int(k) for k in key), np.asarray(value, dtype=complex))
+    return BigradedForm(geometry, alg, tables)
+
+
+def _put(table, key, val):
+    table[key] = table[key] + val if key in table else val
+
+
 def _add(out, slot, keys, vals, coeffs, q):
     """Add coeffs[k] * vals[k] at key k + q, one key at a time."""
-    table = out.components.setdefault(slot, {})
+    table = out.setdefault(slot, {})
     for key, val, coeff in zip(keys, vals, coeffs):
-        dest = tuple(k + s for k, s in zip(key, q))
-        table[dest] = table[dest] + coeff * val if dest in table else coeff * val
+        _put(table, tuple(k + s for k, s in zip(key, q)), coeff * val)
 
 
 def _apply(form, conn, which, adjoint):
@@ -85,7 +106,7 @@ def _apply(form, conn, which, adjoint):
     zero = (0,) * n
     connection = _modes(conn.a_forms)
     curvature = _modes(conn.curvature_forms())
-    out = BigradedForm(geo, alg)
+    out = {}  # slot -> {key: value}
     for (i, j), table in form.components.items():
         if not table:
             continue
@@ -134,7 +155,7 @@ def _apply(form, conn, which, adjoint):
                     q, v = tuple(-x for x in q), np.conj(v)
                 coeff = (-1) ** i_src * v
                 _add(out, dst, keys, _base(wedge, _fiber(iota, vals)), [coeff] * len(keys), q)
-    return out.prune()
+    return BigradedForm(geo, alg, out).prune()
 
 
 def reference_d(form, conn, which):
@@ -145,6 +166,87 @@ def reference_d(form, conn, which):
 def reference_dstar(form, conn, which):
     """The adjoint of reference_d(., conn, which), piece by piece."""
     return _apply(form, conn, which, adjoint=True)
+
+
+def tables_of(form):
+    """{slot: {key: value}} of a form, in slot and row order."""
+    return {slot: dict(table.items()) for slot, table in form.components.items()}
+
+
+def reference_sum(a, b):
+    """a + b: a's slots and keys first, values at a common key summed."""
+    out = {slot: dict(table) for slot, table in a.items()}
+    for slot, table in b.items():
+        dest = out.setdefault(slot, {})
+        for key, val in table.items():
+            _put(dest, key, val)
+    return out
+
+
+def reference_scale(a, scalar):
+    return {slot: {key: scalar * val for key, val in table.items()} for slot, table in a.items()}
+
+
+def reference_prune(a, tol=0.0):
+    """Drop the values whose entries are all at most tol in modulus (a NaN is
+    kept), then the slots left empty."""
+    out = {}
+    for slot, table in a.items():
+        kept = {key: val for key, val in table.items() if not np.all(np.abs(val) <= tol)}
+        if kept:
+            out[slot] = kept
+    return out
+
+
+def reference_is_zero(a):
+    return all(not np.any(val) for table in a.values() for val in table.values())
+
+
+def reference_inner_product(geometry, alg, a, b):
+    """Volume x the sum over common slots and keys, both in sorted order, of
+    the Gram pairing of one key's values."""
+    total = 0.0 + 0.0j
+    for i, j in sorted(set(a) & set(b)):
+        for key in sorted(set(a[(i, j)]) & set(b[(i, j)])):
+            u, v = a[(i, j)][key], b[(i, j)][key]
+            total += np.sum(np.conj(u) * (geometry.gram(i) @ v @ alg.gram(j)))
+    return geometry.volume * total
+
+
+def reference_vector_from_form(layout, a):
+    """Orthonormal coordinates of the in-box values and the norm of the
+    layout's slots outside the box, one key at a time in row order."""
+    vec = np.zeros(layout.dim, dtype=complex)
+    cut_sq = 0.0
+    geo, alg = layout.geometry, layout.alg
+    for slot in layout.slots:
+        lb, lf, _, _ = layout.factors[slot]
+        nb, nf = layout.shapes[slot]
+        for key, val in a.get(slot, {}).items():
+            if key in layout.key_pos:
+                start = layout.offsets[slot] + layout.key_pos[key] * nb * nf
+                vec[start : start + nb * nf] = (np.sqrt(geo.volume) * (lb.T @ val @ lf)).reshape(-1)
+            else:
+                gram = geo.gram(slot[0]) @ val @ alg.gram(slot[1])
+                cut_sq += geo.volume * float(np.sum(np.conj(val) * gram).real)
+    return vec, float(np.sqrt(max(cut_sq, 0.0)))
+
+
+def reference_form_from_vector(layout, vec):
+    """Tables of the nonzero coordinate blocks, keys in box order."""
+    out = {}
+    for slot in layout.slots:
+        nb, nf = layout.shapes[slot]
+        _, _, lb_invT, lf_inv = layout.factors[slot]
+        table = {}
+        for pos, key in enumerate(layout.keys):
+            start = layout.offsets[slot] + pos * nb * nf
+            hat = vec[start : start + nb * nf].reshape(nb, nf)
+            if np.any(hat):
+                table[key] = (lb_invT @ hat @ lf_inv) / np.sqrt(layout.geometry.volume)
+        if table:
+            out[slot] = table
+    return out
 
 
 def reference_accumulate(keys, unshifted, groups, move):
@@ -239,11 +341,11 @@ def reference_galerkin_polynomial(conn, total_degree, bands):
 
 def reference_conjugate_form(form):
     """The reality involution: conjugate coefficients and flip frequencies."""
-    out = BigradedForm(form.geometry, form.alg)
-    for slot, table in form.components.items():
-        for key, val in table.items():
-            out.set_value(slot, tuple(-k for k in key), np.conj(val))
-    return out
+    return form_of(
+        form.geometry,
+        form.alg,
+        [(slot, tuple(-k for k in key), np.conj(val)) for slot, table in form.components.items() for key, val in table.items()],
+    )
 
 
 def reference_realify(forms, tolerances):

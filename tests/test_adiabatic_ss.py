@@ -498,9 +498,8 @@ def test_solver_failure_for_non_page_vector():
     geo, alg = conn.geometry, conn.alg
     # a non-harmonic base function times the fiber generator: D1-residual
     # cannot be cancelled because the leading operator vanishes identically
-    v = BigradedForm(geo, alg)
-    v.set_value((0, 1), (1, 0), np.array([[1.0]], dtype=complex))
-    v.set_value((0, 1), (-1, 0), np.array([[1.0]], dtype=complex))
+    one = np.array([[1.0]], dtype=complex)
+    v = BigradedForm(geo, alg, {(0, 1): {(1, 0): one, (-1, 0): one}})
     with pytest.raises(SolverFailure):
         solve_corrections(conn, v, 1, Tolerances())
 
@@ -566,14 +565,13 @@ def test_recover_omega3_not_exact_branch():
     flux = constant_form(geo, 2, (0, 1), 1.0) + constant_form(geo, 2, (2, 3), 1.0)
     conn, _ = abelian_scenario(flux, geo, alg)
     # a (2,1) coefficient pairing the flux into the fiber generator
-    b21 = BigradedForm(geo, alg)
     from bundlehodge.multiindex import index_position
 
     pos = index_position(4, 2)
     arr = np.zeros((num_indices(4, 2), 1), dtype=complex)
     arr[pos[(0, 1)], 0] = 1.0
     arr[pos[(2, 3)], 0] = 1.0
-    b21.set_value((2, 1), (0, 0, 0, 0), arr)
+    b21 = BigradedForm(geo, alg, {(2, 1): {(0, 0, 0, 0): arr}})
     zero = BigradedForm.zero(geo, alg)
     lift = DeltaPolynomial([zero.copy(), zero.copy(), b21])
     with pytest.raises(NotExact):

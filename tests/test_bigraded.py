@@ -38,6 +38,7 @@ from bundlehodge.errors import ConfigError
 from bundlehodge.lie_algebra import LieAlgebraData, harmonic_subspace, make_su2, make_u1
 
 from bigraded_reference import (
+    form_of,
     reference_accumulate,
     reference_component_matrix,
     reference_conjugate_form,
@@ -166,32 +167,34 @@ def test_covariant_leibniz_against_scalar_wedge(setup):
     f = random_form(geo, 0, (1, 0, 0, 0), rng)
     w = random_bigraded(geo, alg, 1, (1, 1, 1, 1), rng)
     # multiply w by f: convolve every slot value
-    fw = BigradedForm(geo, alg)
-    for slot, table in w.components.items():
-        for key, val in table.items():
-            for fk, _, fv in f.entries():
-                fw.set_value(slot, tuple(k + q for k, q in zip(key, fk)), fv * val)
-    lhs = apply_d_component(fw, conn, 1)
-    rhs = apply_d_component(w, conn, 1)
-    rhs_scaled = BigradedForm(geo, alg)
-    for slot, table in rhs.components.items():
-        for key, val in table.items():
-            for fk, _, fv in f.entries():
-                rhs_scaled.set_value(slot, tuple(k + q for k, q in zip(key, fk)), fv * val)
+    def times_f(form):
+        return form_of(
+            geo,
+            alg,
+            [
+                (slot, tuple(k + q for k, q in zip(key, fk)), fv * val)
+                for slot, table in form.components.items()
+                for key, val in table.items()
+                for fk, _, fv in f.entries()
+            ],
+        )
+
+    lhs = apply_d_component(times_f(w), conn, 1)
+    rhs_scaled = times_f(apply_d_component(w, conn, 1))
     # assemble df ^ w directly from the derivative entries
     from bundlehodge.base_forms import d as base_d
     from bundlehodge.multiindex import wedge_axis_matrix
 
-    dfw = BigradedForm(geo, alg)
-    for (i, j), table in w.components.items():
-        for key, val in table.items():
-            for fk, idx, fv in base_d(f).entries():
-                mat = wedge_axis_matrix(geo.n, i, idx[0])
-                dfw.set_value(
-                    (i + 1, j),
-                    tuple(k + q for k, q in zip(key, fk)),
-                    fv * np.einsum("ab,bf->af", mat, val),
-                )
+    dfw = form_of(
+        geo,
+        alg,
+        [
+            ((i + 1, j), tuple(k + q for k, q in zip(key, fk)), fv * (wedge_axis_matrix(geo.n, i, idx[0]) @ val))
+            for (i, j), table in w.components.items()
+            for key, val in table.items()
+            for fk, idx, fv in base_d(f).entries()
+        ],
+    )
     total = rhs_scaled + dfw
     assert bigraded_norm(lhs - total) <= 1e-12 * max(bigraded_norm(lhs), 1.0)
 
@@ -203,8 +206,7 @@ def test_d_delta_on_invariant_section():
     alg = conn.alg
     # su(2) degree-3 harmonic (volume) as a constant section
     vol = harmonic_subspace(alg, 3)[:, 0]
-    phi = BigradedForm(geo, alg)
-    phi.set_value((0, 3), (0, 0, 0, 0), vol.reshape(1, -1).astype(complex))
+    phi = BigradedForm(geo, alg, {(0, 3): {(0, 0, 0, 0): vol.reshape(1, -1).astype(complex)}})
     out = d_delta(DeltaPolynomial([phi]), conn)
     assert bigraded_norm(out.coefficient(0)) <= 1e-13
     assert bigraded_norm(out.coefficient(1)) <= 1e-13
@@ -499,19 +501,17 @@ def test_batched_operators_match_unbatched():
         rng = np.random.default_rng(8)
         batch = random_bigraded(geo, conn.alg, 3, (1, 1, 1, 1), rng, batch=3)
         # slice out sample 1 as an unbatched form
-        single = BigradedForm(geo, conn.alg)
-        for slot, table in batch.components.items():
-            for key, val in table.items():
-                single.set_value(slot, key, val[:, :, 1])
+        single = BigradedForm(
+            geo, conn.alg, {slot: {key: val[:, :, 1] for key, val in table.items()} for slot, table in batch.components.items()}
+        )
         for op, a in itertools.product((apply_d_component, apply_dstar_component), range(3)):
             out_b = op(batch, conn, a)
             out_s = op(single, conn, a)
             assert_no_zero_blocks(out_b)
             assert_no_zero_blocks(out_s)
-            sliced = BigradedForm(geo, conn.alg)
-            for slot, table in out_b.components.items():
-                for key, val in table.items():
-                    sliced.set_value(slot, key, val[:, :, 1])
+            sliced = BigradedForm(
+                geo, conn.alg, {slot: {key: val[:, :, 1] for key, val in table.items()} for slot, table in out_b.components.items()}
+            )
             assert bigraded_norm(sliced - out_s) <= 1e-13 * max(bigraded_norm(out_s), 1.0)
         norms = sq_norms_batch(batch)
         assert norms.shape == (3,)
@@ -523,10 +523,9 @@ def test_nan_block_is_kept_not_read_as_zero():
     geo = TorusGeometry(4)
     alg = make_su2()
     conn = Connection(alg, [FourierForm.zero(geo, 1) for _ in range(3)])
-    form = BigradedForm(geo, alg)
     val = np.zeros((1, 3), dtype=complex)
     val[0, 0] = np.nan
-    form.set_value((0, 1), (1, 0, 0, 0), val)
+    form = BigradedForm(geo, alg, {(0, 1): {(1, 0, 0, 0): val}})
     image = apply_d_component(form, conn, 0)
     assert image.slots() == [(0, 2)]
     assert np.isnan(bigraded_norm(image))

@@ -161,7 +161,7 @@ def test_cs1_component_and_coclosedness():
     phi = make_polynomial(alg, "first_chern")
     form = cs1(phi, conn)
     assert form.slots() == [(0, 1)]
-    val = form.value((0, 1), (0, 0))
+    val = form.components[(0, 1)][(0, 0)]
     np.testing.assert_allclose(val, phi.vector.reshape(1, -1), atol=1e-15)
     assert bigraded_norm(apply_dstar_component(form, conn, 0)) == 0.0
 
@@ -221,7 +221,7 @@ def test_cs3_fiber_part_harmonic():
     conn = su2_connection(geo)
     pair = make_polynomial(conn.alg, "second_chern")
     alpha = cs3(pair, conn)
-    val = alpha.value((0, 3), (0, 0, 0, 0))[0, :].real
+    val = alpha.components[(0, 3)][(0, 0, 0, 0)][0, :].real
     basis = harmonic_subspace(conn.alg, 3)
     proj = basis @ (basis.T @ conn.alg.gram(3) @ val)
     np.testing.assert_allclose(proj, val, atol=1e-12)

@@ -386,6 +386,15 @@ def test_cli_pages_stopped_by_k_max_is_solver_failure(tmp_path, name, k_max, deg
     assert not out.exists()
 
 
+def test_cli_spectrum_stopped_by_k_max_is_solver_failure(tmp_path):
+    # page dims [75, 75] at k_max 1 prove nothing; the default run's stable
+    # page has dimension 3
+    path = _fixture_copy(tmp_path, "t2_u1_c1zero", k_max=1)
+    out = tmp_path / "out"
+    assert cli_main(["spectrum", "--scenario", path, "--out", str(out), "--quiet"]) == 3
+    assert not out.exists()
+
+
 def test_cli_pages_applies_the_declared_formal_tolerance(tmp_path):
     # the degree-3 limit forms of t3_su2_pages have formal residuals near
     # 1e-16, above a declared tau_formal of 1e-30
