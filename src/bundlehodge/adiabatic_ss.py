@@ -378,7 +378,7 @@ class PageRecursion:
                 continue
             hat = self.alg.chol(j).T @ harm  # orthonormal columns
             nb, _ = coords.shapes[slot]
-            bases[slot] = np.kron(np.eye(len(coords.keys) * nb), hat).astype(complex)
+            bases[slot] = np.kron(np.eye(len(coords.key_array) * nb), hat).astype(complex)
         self.bases[1] = bases
 
     # ---- lifts and leading coefficients -----------------------------------
@@ -400,7 +400,7 @@ class PageRecursion:
             lifts = {}
             for slot, basis in self.bases[K].items():
                 coords = self.coords[slot]
-                support = np.any(basis.reshape(len(coords.keys), -1) != 0, axis=1)
+                support = np.any(basis.reshape(len(coords.key_array), -1) != 0, axis=1)
                 box = _reach(coords.key_array[support], self.geometry.n)
                 ws = []
                 if K >= 2:
@@ -837,15 +837,15 @@ def recover_omega3(conn, residual, tolerances=None):
             "order-4 constraint has a harmonic component; the degree-4 class is nonzero",
             harmonic_norm=base_norm(harm),
         )
-    # on pulled-back base forms the covariant derivative is d_M (ad* vanishes
-    # on Lambda^0), and the harmonic part is the zero-frequency block
+    # on pulled-back base forms the covariant derivative is d_M (ad* vanishes on
+    # Lambda^0), and the harmonic part is the zero-frequency block, the box's centre row
     layouts = {
         i: TruncationLayout(geo, alg, [(i, 0)], rhs_form.bands) for i in (2, 3, 4)
     }
     d_mat = d_component_matrix(conn, 1, layouts[3], layouts[4])
     dstar_mat = d_component_matrix(conn, 1, layouts[2], layouts[3]).conj().T
     nb = num_indices(geo.n, 3)
-    zero_freq = layouts[3].key_pos[(0,) * geo.n] * nb + np.arange(nb)
+    zero_freq = len(layouts[3].key_array) // 2 * nb + np.arange(nb)
     harmonic_mat = scipy.sparse.csr_matrix(
         (np.ones(nb), (np.arange(nb), zero_freq)), shape=(nb, layouts[3].dim)
     )

@@ -18,7 +18,7 @@ from .multiindex import (
     merge_sign,
     multi_indices,
     num_indices,
-    perm_sign,
+    wedge_axis_matrix,
 )
 
 
@@ -71,7 +71,7 @@ class TorusGeometry:
             for col in range(len(idx_in)):
                 for row_l, L in enumerate(idx_in):
                     comp = complement(L, self.n)
-                    sgn = perm_sign(L + comp)
+                    sgn, _ = merge_sign(L, comp)
                     mat[pos_out[comp], col] += self.sqrt_det * gram[row_l, col] * sgn
             return mat
 
@@ -245,20 +245,15 @@ def random_form(geometry, degree, bands, rng, scale=1.0):
 
 
 def d(form):
-    """Exterior derivative; exact on trigonometric polynomials."""
+    """Exterior derivative, the sum over axes a of (i k_a) dx^a ^ (.); exact on
+    trigonometric polynomials."""
     geo = form.geometry
-    n = geo.n
     out = FourierForm.zero(geo, form.degree + 1, form.bands)
-    if form.degree >= n:
+    if form.degree >= geo.n:
         return out
-    src = multi_indices(n, form.degree)
-    pos_out = index_position(n, form.degree + 1)
-    for axis in range(n):
-        k = geo.freq_grid(form.bands, axis)
-        for col, idx in enumerate(src):
-            sgn, merged = merge_sign((axis,), idx)
-            if sgn:
-                out.coeffs[..., pos_out[merged]] += sgn * 1j * k * form.coeffs[..., col]
+    for axis in range(geo.n):
+        k = geo.freq_grid(form.bands, axis)[..., None]
+        out.coeffs += (1j * k * form.coeffs) @ wedge_axis_matrix(geo.n, form.degree, axis).T
     return out
 
 

@@ -73,7 +73,7 @@ import scipy.sparse
 
 from .base_forms import FourierForm, d as base_d, wedge as base_wedge
 from .errors import ConfigError, DegreeError
-from .multiindex import num_indices, wedge_axis_matrix, wedge_pair_matrix
+from .multiindex import gram_adjoint, num_indices, wedge_axis_matrix, wedge_pair_matrix
 
 # -- frequency tables ----------------------------------------------------------
 
@@ -565,7 +565,7 @@ def _factor(space, key):
         if key[0] == "adjoint":
             _, _, deg_in, deg_out, _ = key
             mat = _factor(space, key[1:])
-            return np.linalg.solve(space.gram(deg_in), mat.conj().T @ space.gram(deg_out))
+            return gram_adjoint(mat, space.gram(deg_in), space.gram(deg_out))
         kind, deg, _, param = key
         if kind == "eye":
             return np.eye(len(space.gram(deg)))
@@ -819,10 +819,8 @@ class TruncationLayout:
         self.geometry = geometry
         self.alg = alg
         self.bands = tuple(int(b) for b in bands)
-        self.keys = list(itertools.product(*[range(-b, b + 1) for b in self.bands]))
-        self.key_array = np.array(self.keys, dtype=np.int64).reshape(len(self.keys), geometry.n)
         self._dims = tuple(2 * b + 1 for b in self.bands)
-        self.key_pos = {k: pos for pos, k in enumerate(self.keys)}
+        self.key_array = np.moveaxis(np.indices(self._dims), 0, -1).reshape(-1, geometry.n) - self.bands
         self.slots = []
         offset = 0
         self.offsets = {}
@@ -839,7 +837,7 @@ class TruncationLayout:
             self.offsets[(i, j)] = offset
             self.shapes[(i, j)] = (nb, nf)
             self.factors[(i, j)] = (lb, lf, _inv_chol(geometry, i).T, _inv_chol(alg, j))
-            offset += len(self.keys) * nb * nf
+            offset += len(self.key_array) * nb * nf
         self.dim = offset
         self._sqrt_vol = np.sqrt(geometry.volume)
 
@@ -905,7 +903,7 @@ class TruncationLayout:
         """The coordinates of one slot as a (keys, nb * nf) view of vec."""
         nb, nf = self.shapes[slot]
         start = self.offsets[slot]
-        return vec[start : start + len(self.keys) * nb * nf].reshape(len(self.keys), nb * nf)
+        return vec[start : start + len(self.key_array) * nb * nf].reshape(len(self.key_array), nb * nf)
 
 
 def _inv_chol(space, deg):

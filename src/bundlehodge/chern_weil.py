@@ -61,13 +61,13 @@ class InvariantPolynomial:
             raise ConfigError(f"unknown polynomial kind {kind!r}")
 
 
-def make_polynomial(alg, kind, normalization=1.0, vector=None, matrix=None):
+def make_polynomial(alg, kind, normalization=1.0):
     """Named constructors used by scenario configs.
 
     first_chern: (1/2 pi) x the sum of dual generators (abelian only).
     second_chern: (1/8 pi^2) x (1/2) x identity pairing, the trace-pairing
     normalization in a basis where the pairing is a multiple of identity.
-    custom_linear / custom_bilinear: explicit data, scaled.
+    custom_bilinear: the algebra metric, scaled.
     """
     if kind == "first_chern":
         vec = np.ones(alg.dim) / (2.0 * np.pi)
@@ -75,10 +75,8 @@ def make_polynomial(alg, kind, normalization=1.0, vector=None, matrix=None):
     if kind == "second_chern":
         mat = 0.5 * np.eye(alg.dim) / (8.0 * np.pi**2)
         return InvariantPolynomial(alg, "bilinear", matrix=mat, normalization=normalization)
-    if kind == "custom_linear":
-        return InvariantPolynomial(alg, "linear", vector=vector, normalization=normalization)
     if kind == "custom_bilinear":
-        return InvariantPolynomial(alg, "bilinear", matrix=matrix, normalization=normalization)
+        return InvariantPolynomial(alg, "bilinear", normalization=normalization)
     raise ConfigError(f"unknown polynomial kind {kind!r}")
 
 

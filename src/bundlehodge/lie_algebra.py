@@ -11,6 +11,10 @@ psi by
     (d psi)(X_0, ..., X_j) = sum_{s<t} (-1)^(s+t) psi([X_s, X_t], ..., ^X_s, ..., ^X_t, ...)
 
 so for su(2) with [e1,e2]=e3 cyclic, d e^1 = -e^2^e^3.
+
+The matrices are derived from W_a = e^a ^ (.) (multiindex.wedge_axis_matrix):
+iota_a = W_a^T, ad*_a = -sum_(m,b) c[a,m,b] W_m iota_b and d = (1/2) sum_a W_a ad*_a;
+d* is the Gram adjoint of d (multiindex.gram_adjoint).
 """
 
 import itertools
@@ -18,7 +22,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError, DegreeError, NotSemisimple
-from .multiindex import gram_matrix, multi_indices, num_indices, perm_sign
+from .multiindex import gram_adjoint, gram_matrix, multi_indices, num_indices, wedge_axis_matrix
 
 _ATOL_STRUCTURE = 1e-12
 RANK_RTOL = 1e-10
@@ -90,9 +94,7 @@ class LieAlgebraData:
         def build():
             if j <= 0 or j > self.dim:
                 return np.zeros((num_indices(self.dim, j - 1), num_indices(self.dim, j)))
-            gram_lo = self.gram(j - 1)
-            gram_hi = self.gram(j)
-            return np.linalg.solve(gram_lo, self.d_matrix(j - 1).T @ gram_hi)
+            return gram_adjoint(self.d_matrix(j - 1), self.gram(j - 1), self.gram(j))
 
         return self._cached(("dstar", j), build)
 
@@ -102,8 +104,8 @@ class LieAlgebraData:
         return self._cached(("coad", a, j), lambda: _coadjoint_matrix(self, a, j))
 
     def iota_matrix(self, a, j):
-        """Interior product with e_a: Lambda^j -> Lambda^(j-1)."""
-        return self._cached(("iota", a, j), lambda: _iota_matrix(self, a, j))
+        """Interior product with e_a: Lambda^j -> Lambda^(j-1), W_a^T."""
+        return self._cached(("iota", a, j), lambda: wedge_axis_matrix(self.dim, j - 1, a).T.copy())
 
     def green_matrix(self):
         """d_1 (d*_2 d_1)^-1 on degree-1 coefficient vectors: psi to the exact beta
@@ -199,51 +201,22 @@ def direct_sum(a, b):
 
 
 def _ce_differential_matrix(alg, j):
+    """d = (1/2) sum_a W_a ad*_a on Lambda^j."""
     n = alg.dim
     if j < 0 or j > n:
         raise DegreeError(f"degree {j} out of range for dim-{n} algebra")
-    src_pos = {idx: pos for pos, idx in enumerate(multi_indices(n, j))}
-    dst = multi_indices(n, j + 1)
-    mat = np.zeros((len(dst), len(src_pos)))
-    for row, K in enumerate(dst):
-        for s in range(len(K)):
-            for t in range(s + 1, len(K)):
-                rest = tuple(K[u] for u in range(len(K)) if u != s and u != t)
-                pre = (-1) ** (s + t)
-                for m in np.nonzero(alg.c[K[s], K[t]])[0].tolist():
-                    if m not in rest:
-                        seq = (m,) + rest
-                        sign = pre * perm_sign(seq)
-                        mat[row, src_pos[tuple(sorted(seq))]] += sign * alg.c[K[s], K[t], m]
-    return mat
+    mat = np.zeros((num_indices(n, j + 1), num_indices(n, j)))
+    for a in range(n):
+        mat += wedge_axis_matrix(n, j, a) @ alg.coadjoint_matrix(a, j)
+    return 0.5 * mat
 
 
 def _coadjoint_matrix(alg, a, j):
+    """ad*_a = -sum_(m,b) c[a,m,b] W_m iota_b on Lambda^j."""
     n = alg.dim
-    idxs = multi_indices(n, j)
-    pos = {idx: p for p, idx in enumerate(idxs)}
-    mat = np.zeros((len(idxs), len(idxs)))
-    for row, K in enumerate(idxs):
-        for l in range(len(K)):
-            for m in np.nonzero(alg.c[a, K[l]])[0].tolist():
-                seq = K[:l] + (m,) + K[l + 1 :]
-                if m not in K[:l] + K[l + 1 :]:
-                    mat[row, pos[tuple(sorted(seq))]] -= alg.c[a, K[l], m] * perm_sign(seq)
-    return mat
-
-
-def _iota_matrix(alg, a, j):
-    n = alg.dim
-    src = multi_indices(n, j)
-    dst = multi_indices(n, j - 1)
-    mat = np.zeros((len(dst), len(src)))
-    for col, idx in enumerate(src):
-        if a not in idx:
-            continue
-        pos = idx.index(a)
-        rest = idx[:pos] + idx[pos + 1 :]
-        row = dst.index(rest)
-        mat[row, col] = (-1) ** pos
+    mat = np.zeros((num_indices(n, j), num_indices(n, j)))
+    for m, b in zip(*np.nonzero(alg.c[a])):
+        mat -= alg.c[a, m, b] * (wedge_axis_matrix(n, j - 1, m) @ alg.iota_matrix(b, j))
     return mat
 
 

@@ -58,36 +58,19 @@ def merge_sign(left, right):
     return sign, tuple(merged)
 
 
-def insert_sign(axis, idx):
-    """Sign and result of wedging e^axis from the left into e^idx."""
-    return merge_sign((axis,), idx)
-
-
 def complement(idx, n):
     return tuple(a for a in range(n) if a not in idx)
 
 
 @lru_cache(maxsize=None)
-def perm_sign(idx_pair):
-    """Sign of the permutation that sorts a tuple of distinct entries, such as
-    (idx, complement): the parity of its inversions."""
-    seq = list(idx_pair)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
-@lru_cache(maxsize=None)
 def wedge_axis_matrix(n, k, axis):
-    """Matrix of e^axis ^ (.) : Lambda^k -> Lambda^(k+1) over range(n)."""
+    """Matrix of e^axis ^ (.) : Lambda^k -> Lambda^(k+1) over range(n); the fiber
+    d, ad* and iota and the base d are built from it."""
     src = multi_indices(n, k)
     dst_pos = index_position(n, k + 1)
     mat = np.zeros((num_indices(n, k + 1), num_indices(n, k)))
     for col, idx in enumerate(src):
-        sign, merged = insert_sign(axis, idx)
+        sign, merged = merge_sign((axis,), idx)
         if sign != 0:
             mat[dst_pos[merged], col] = sign
     return mat
@@ -119,3 +102,8 @@ def gram_matrix(metric_on_lines, k):
     # every minor metric_on_lines[I, J] at once: shape (m, m, k, k)
     idx = np.array(idxs)
     return np.linalg.det(metric_on_lines[idx[:, None, :, None], idx[None, :, None, :]])
+
+
+def gram_adjoint(mat, gram_in, gram_out):
+    """G_in^-1 M^H G_out, the adjoint of M for the Gram products of its source and target."""
+    return np.linalg.solve(gram_in, mat.conj().T @ gram_out)

@@ -219,12 +219,13 @@ def reference_vector_from_form(layout, a):
     vec = np.zeros(layout.dim, dtype=complex)
     cut_sq = 0.0
     geo, alg = layout.geometry, layout.alg
+    key_pos = {key: pos for pos, key in enumerate(map(tuple, layout.key_array.tolist()))}
     for slot in layout.slots:
         lb, lf, _, _ = layout.factors[slot]
         nb, nf = layout.shapes[slot]
         for key, val in a.get(slot, {}).items():
-            if key in layout.key_pos:
-                start = layout.offsets[slot] + layout.key_pos[key] * nb * nf
+            if key in key_pos:
+                start = layout.offsets[slot] + key_pos[key] * nb * nf
                 vec[start : start + nb * nf] = (np.sqrt(geo.volume) * (lb.T @ val @ lf)).reshape(-1)
             else:
                 gram = geo.gram(slot[0]) @ val @ alg.gram(slot[1])
@@ -239,7 +240,7 @@ def reference_form_from_vector(layout, vec):
         nb, nf = layout.shapes[slot]
         _, _, lb_invT, lf_inv = layout.factors[slot]
         table = {}
-        for pos, key in enumerate(layout.keys):
+        for pos, key in enumerate(map(tuple, layout.key_array.tolist())):
             start = layout.offsets[slot] + pos * nb * nf
             hat = vec[start : start + nb * nf].reshape(nb, nf)
             if np.any(hat):
@@ -285,7 +286,7 @@ def reference_component_matrix(conn, which, src, dst):
     outside dst is dropped and terms with a zero local block are skipped.
     """
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
-    keys = np.array(src.keys, dtype=int)
+    keys = src.key_array.astype(int)
     float_keys = keys.astype(float)
     dst_bands = np.array(dst.bands)
     dst_dims = tuple(2 * b + 1 for b in dst.bands)

@@ -295,7 +295,7 @@ def test_cmd_report_matrix(tmp_path):
     assert (tmp_path / "summary.json").exists()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert cli_main(["verify-cs1", "--scenario", "t2_u1_c1zero", "--out", out, "--quiet"]) == 0
     # missing scenario
@@ -308,6 +308,15 @@ def test_cli_exit_codes(tmp_path):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps({"name": "x", "geometry": {"dim": 9}, "algebra": {"name": "u1"}, "connection": {"components": []}}))
     assert cli_main(["verify-cs1", "--scenario", str(bad2), "--out", out, "--quiet"]) == 2
+    # a polynomial kind that names no constructor
+    with open(packaged_scenario_path("t2_u1_c1zero")) as fh:
+        cfg = json.load(fh)
+    cfg["polynomial"]["kind"] = "custom_linear"
+    bad3 = tmp_path / "bad3.json"
+    bad3.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli_main(["verify-cs1", "--scenario", str(bad3), "--out", out, "--quiet"]) == 2
+    assert "unknown polynomial kind 'custom_linear'" in capsys.readouterr().err
     # negative degree and band overrides
     for flag in ("--degree", "--band"):
         argv = ["pages", "--scenario", "t2_u1_c1nonzero", flag, "-1", "--out", out, "--quiet"]

@@ -7,6 +7,7 @@ import pytest
 
 from bundlehodge.errors import ConfigError, DegreeError, NotSemisimple
 from bundlehodge.lie_algebra import (
+    LieAlgebraData,
     LieCochain,
     ce_adjoint,
     ce_differential,
@@ -74,25 +75,46 @@ def test_invalid_algebra_rejected():
 # -- differential and adjoint ----------------------------------------------
 
 
+def rotated(alg, seed=0):
+    """The same algebra in an orthonormally rotated basis, so that no
+    structure constant is zero."""
+    rot, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((alg.dim, alg.dim)))
+    c = np.einsum("pi,qj,pqr,rk->ijk", rot, rot, alg.c, rot)
+    return LieAlgebraData(alg.dim, c, rot.T @ alg.metric @ rot)
+
+
+def oracle_algebras():
+    """(algebra, highest degree) pairs the brute-force oracles check; su(3)
+    stops at degree 2 to keep the determinant evaluations cheap."""
+    return [
+        (make_su2(), 3),
+        (make_su2(0.2), 3),
+        (make_u1(3), 3),
+        (direct_sum(make_su2(), make_u1(1)), 4),
+        (rotated(make_su2()), 3),
+        (make_su3(), 2),
+        (rotated(make_su3()), 2),
+    ]
+
+
+def evaluate(n, j, coeffs, vecs):
+    """A j-cochain on a tuple of algebra elements (as vectors): the sum of its
+    coefficients times the determinants of the vectors' idx-components."""
+    total = 0.0
+    for pos, idx in enumerate(multi_indices(n, j)):
+        if coeffs[pos] == 0.0:
+            continue
+        mat = np.array([[v[a] for a in idx] for v in vecs])
+        total += coeffs[pos] * np.linalg.det(mat) if j else coeffs[pos]
+    return total
+
+
 def brute_force_d(alg, j, coeffs):
     """Independent evaluation of the differential straight from its defining
     alternating-sum formula, with no shared code path."""
     n = alg.dim
-    src = multi_indices(n, j)
-    dst = multi_indices(n, j + 1)
-
-    def ev(vecs):
-        # evaluate the cochain on a tuple of algebra elements (as vectors)
-        total = 0.0
-        for pos, idx in enumerate(src):
-            if coeffs[pos] == 0.0:
-                continue
-            # det of the matrix of idx-components
-            mat = np.array([[v[a] for a in idx] for v in vecs])
-            total += coeffs[pos] * np.linalg.det(mat) if j else coeffs[pos]
-        return total
-
     basis = np.eye(n)
+    dst = multi_indices(n, j + 1)
     out = np.zeros(len(dst))
     for row, K in enumerate(dst):
         val = 0.0
@@ -100,9 +122,32 @@ def brute_force_d(alg, j, coeffs):
             for t in range(s + 1, len(K)):
                 rest = [basis[K[u]] for u in range(len(K)) if u not in (s, t)]
                 bracket = alg.bracket(basis[K[s]], basis[K[t]])
-                val += (-1) ** (s + t) * ev([bracket] + rest)
+                val += (-1) ** (s + t) * evaluate(n, j, coeffs, [bracket] + rest)
         out[row] = val
     return out
+
+
+def brute_force_coadjoint(alg, a, j, coeffs):
+    """(ad*_a psi)(x_1..x_j) = -sum_l psi(x_1, ..., [e_a, x_l], ..., x_j) on
+    basis vectors."""
+    n = alg.dim
+    basis = np.eye(n)
+    out = np.zeros(num_indices(n, j))
+    for row, K in enumerate(multi_indices(n, j)):
+        vecs = [basis[k] for k in K]
+        for l in range(j):
+            moved = vecs[:l] + [alg.bracket(basis[a], vecs[l])] + vecs[l + 1 :]
+            out[row] -= evaluate(n, j, coeffs, moved)
+    return out
+
+
+def brute_force_iota(alg, a, j, coeffs):
+    """(iota_a psi)(x_1..x_(j-1)) = psi(e_a, x_1, ..., x_(j-1)) on basis vectors."""
+    n = alg.dim
+    basis = np.eye(n)
+    return np.array(
+        [evaluate(n, j, coeffs, [basis[a]] + [basis[k] for k in K]) for K in multi_indices(n, j - 1)]
+    )
 
 
 def test_su2_d_on_dual_generator():
@@ -113,13 +158,39 @@ def test_su2_d_on_dual_generator():
     np.testing.assert_allclose(d1 @ e1, [0.0, 0.0, -1.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("j", range(5))
 def test_d_matches_brute_force(j):
     rng = np.random.default_rng(0)
-    for alg in (make_su2(), make_su3()):
+    for alg, top in oracle_algebras():
+        if j > top:
+            continue
         coeffs = rng.standard_normal(num_indices(alg.dim, j))
         expected = brute_force_d(alg, j, coeffs)
         np.testing.assert_allclose(ce_differential(alg, j) @ coeffs, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_coadjoint_matches_brute_force(j):
+    rng = np.random.default_rng(1)
+    for alg, top in oracle_algebras():
+        if j > top:
+            continue
+        coeffs = rng.standard_normal(num_indices(alg.dim, j))
+        for a in range(alg.dim):
+            expected = brute_force_coadjoint(alg, a, j, coeffs)
+            np.testing.assert_allclose(alg.coadjoint_matrix(a, j) @ coeffs, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("j", range(1, 5))
+def test_iota_matches_brute_force(j):
+    rng = np.random.default_rng(2)
+    for alg, top in oracle_algebras():
+        if j > top:
+            continue
+        coeffs = rng.standard_normal(num_indices(alg.dim, j))
+        for a in range(alg.dim):
+            expected = brute_force_iota(alg, a, j, coeffs)
+            np.testing.assert_allclose(alg.iota_matrix(a, j) @ coeffs, expected, atol=1e-12)
 
 
 def test_degree_zero_map_is_zero():
