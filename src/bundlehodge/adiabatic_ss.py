@@ -4,8 +4,9 @@ The page E_K^{i,j} collects band-limited forms admitting polynomial lifts
 omega + delta omega_1 + ... whose rescaled differential and codifferential
 both vanish through order delta^(K-1).  Each next page is the kernel of a
 Hodge-style Laplacian built from the projected leading coefficients; lifts
-are the minimal-norm (canonical) least-squares solutions of the stacked
-sparse correction systems, and the order-4 recovery of the base primitive
+are the minimal-norm (canonical) least-squares solutions of the sparse
+correction systems, each order's grown from the previous order's rows by
+its two new block rows, and the order-4 recovery of the base primitive
 solves d_M and its adjoint over the (3,0) slot the same way.  Each sparse
 system, and the compressed Laplacian, splits exactly into the connected
 components of its pattern, solved densely, one stacked call per shape; a
@@ -222,9 +223,48 @@ def _split_rows(layout, slot, box):
     return rows[inside].ravel(), rows[~inside].ravel()
 
 
+def _correction_rows(conn, degree, reach, order):
+    """Nonzeros of the order-``order`` correction system (see _correction_system),
+    cached on the connection: (row count, w_0 blocks, w_1 .. w_order blocks),
+    each block a COO triple (rows, columns, values) placed in its matrix.
+
+    Block (t, s) does not depend on the order and row t has no block in a
+    column s > t, so the order-K rows are the order-(K - 1) rows and the two
+    block rows of equation t = K: d_(K-s) from w_s into degree p + 1, then
+    d*_(K-s) into degree p - 1, over the box reach + K c.
+    """
+    key = ("correction rows", degree, reach, order)
+    if key not in conn._cache:
+        height, lead, rest = (0, [], []) if order == 1 else _correction_rows(conn, degree, reach, order - 1)
+        lead, rest = list(lead), list(rest)
+        boxes = _boxes(conn, reach, order)
+        # column offset of each w_s, s >= 1, in the matrix on w_1 .. w_order
+        starts = np.cumsum([0] + [_layout(conn, degree, box).dim for box in boxes[1:]]).tolist()
+        t = order
+        for other in (degree + 1, degree - 1):
+            for s in range(max(t - 2, 0), t + 1):
+                if other > degree:
+                    block = _component(conn, t - s, (degree, boxes[s]), (other, boxes[t])).tocoo()
+                    row, col, val = block.row, block.col, block.data
+                else:
+                    block = _component(conn, t - s, (other, boxes[t]), (degree, boxes[s])).tocoo()
+                    row, col, val = block.col, block.row, np.conj(block.data)
+                part = (row + height, col + (starts[s - 1] if s else 0), val)
+                (rest if s else lead).append(part)
+            height += _layout(conn, other, boxes[t]).dim
+        conn._cache[key] = (height, lead, rest)
+    return conn._cache[key]
+
+
+def _csr(blocks, shape):
+    """One CSR matrix from disjoint COO blocks."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
 def _correction_system(conn, degree, reach, order):
-    """Stacked correction operator for lifts of degree-p vectors supported in
-    the box ``reach``, cached on the connection.
+    """Correction operator for lifts of degree-p vectors supported in the box
+    ``reach``, cached on the connection.
 
     The unknown w_s (s = 0 .. order, w_0 the vector itself) lives in the
     box reach + s c, c the coupling band; equation t = 1 .. order asks that
@@ -232,23 +272,15 @@ def _correction_system(conn, degree, reach, order):
     p - 1 layouts over the box reach + t c, which hold them whole.  Block
     (t, s) is d_(t-s), or d*_(t-s) as the conjugate transpose of the matrix
     from degree p - 1.  Returns (layouts of w_0 .. w_order, matrix on
-    w_1 .. w_order, matrix on w_0, block pseudoinverses of the former).
+    w_1 .. w_order, matrix on w_0, block pseudoinverses of the former); the
+    two matrices are read from _correction_rows, each with one CSR build.
     """
     key = ("corrections", degree, reach, order)
     if key not in conn._cache:
-        boxes = _boxes(conn, reach, order)
-        rows = []
-        for t in range(1, order + 1):
-            up, down = (degree + 1, boxes[t]), (degree - 1, boxes[t])
-            row_d, row_s = [None] * (order + 1), [None] * (order + 1)
-            for s in range(max(t - 2, 0), t + 1):
-                row_d[s] = _component(conn, t - s, (degree, boxes[s]), up)
-                row_s[s] = _component(conn, t - s, down, (degree, boxes[s])).conj().T
-            rows += [row_d, row_s]
-        full = scipy.sparse.bmat(rows, format="csr")
-        unknowns = [_layout(conn, degree, box) for box in boxes]
-        n0 = unknowns[0].dim
-        conn._cache[key] = (unknowns, full[:, n0:], full[:, :n0], _block_pinv(full[:, n0:]))
+        unknowns = [_layout(conn, degree, box) for box in _boxes(conn, reach, order)]
+        height, lead, rest = _correction_rows(conn, degree, reach, order)
+        mat = _csr(rest, (height, sum(layout.dim for layout in unknowns[1:])))
+        conn._cache[key] = (unknowns, mat, _csr(lead, (height, unknowns[0].dim)), _block_pinv(mat))
     return conn._cache[key]
 
 
@@ -256,7 +288,7 @@ def _solve_columns(conn, degree, reach, lead, order, tolerances):
     """Minimal-norm corrections of the columns of ``lead``, coordinates of
     degree-p vectors over the layout of the box ``reach``.
 
-    All columns are solved at once on the stacked correction system.
+    All columns are solved at once on the correction system.
     Returns [W_1 .. W_order], W_t the corrections over the box reach + t c
     with one column per column of ``lead``.  Raises SolverFailure when a
     column's system cannot be driven to zero (it is not on the page).
@@ -274,7 +306,7 @@ def solve_corrections(conn, v, order, tolerances=None):
     frequency box of v widened by t times the coupling band of the
     connection, which contains the minimal-norm solution.
 
-    Raises SolverFailure when the stacked least-squares system cannot be
+    Raises SolverFailure when the least-squares system cannot be
     driven to zero (the vector is not actually on the page).
     """
     tolerances = tolerances or Tolerances()

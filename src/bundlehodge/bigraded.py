@@ -59,9 +59,10 @@ coordinates over a list of slots and a per-axis frequency box.  Its cut
 norm counts only the mass of the layout's own slots outside the box, and
 its ``mirror`` rows carry the reality involution.  d_component_matrix gives
 each of the three components as a sparse matrix in these coordinates, a sum
-of (frequency diagonal or shift) x (base matrix) x (fiber matrix) blocks;
-there the codifferential of a component is the conjugate transpose of its
-matrix.  The page recursion and the compressed (Galerkin) Laplacian of
+of (frequency diagonal or shift) x (base matrix) x (fiber matrix) blocks,
+built in one vectorized pass over the component's term table, which is
+cached on the connection; there the codifferential of a component is the
+conjugate transpose of its matrix.  The page recursion and the compressed (Galerkin) Laplacian of
 ``adiabatic_ss`` are built from these matrices.
 """
 
@@ -502,33 +503,35 @@ def _plus_sign(i):
 _BIDEGREES = ((0, 1), (1, 0), (2, -1))
 
 
-def _component_terms(conn, which, i, j, keys):
-    """Terms (shift q, coefficient, base key, fiber key) of the component
-    d^(which) on the (i, j)-slot: the value at key k contributes
-    coefficient * B val F^T at k + q, with B = _factor(geometry, base key)
-    and F = _factor(algebra, fiber key).
-
-    The Fourier multipliers come first, with q None: they act at k itself.
-    They are the fiber differential (coefficient 1) and the base derivative
-    i k_l (coefficient per row of ``keys``).  The coupling terms follow:
-    each multiplies by one mode of the connection or the curvature and
-    shifts by its frequency.
-    """
-    return _multiplier_terms(conn.geometry.n, which, i, j, keys) + _coupling_terms(
-        conn, which, i, j
-    )
-
-
-def _multiplier_terms(n, which, i, j, keys):
+def _multipliers(n, which, i, j):
+    """The Fourier multipliers of the component d^(which) on the (i, j)-slot,
+    as (axis, base key, fiber key): the value at key k contributes
+    coefficient * B val F^T at k itself, with B = _factor(geometry, base key)
+    and F = _factor(algebra, fiber key).  They are the fiber differential
+    (axis None, coefficient 1) and the base derivative i k_l (axis l).
+    _coupling_terms gives the other terms of the component."""
     if which == 0:
-        return [(None, 1.0, ("eye", i, i, None), ("d", j, j + 1, _vert_sign(i)))]
+        return [(None, ("eye", i, i, None), ("d", j, j + 1, _vert_sign(i)))]
     if which == 1:
         eye = ("eye", j, j, None)
-        return [(None, 1j * keys[:, l], ("axis", i, i + 1, l), eye) for l in range(n)]
+        return [(l, ("axis", i, i + 1, l), eye) for l in range(n)]
     return []
 
 
+def _multiplier_terms(n, which, i, j, keys):
+    """The multipliers as terms (None, coefficient, base key, fiber key), the
+    coefficient of i k_l one per row of the float array ``keys``."""
+    return [
+        (None, 1.0 if axis is None else 1j * keys[:, axis], base, fiber)
+        for axis, base, fiber in _multipliers(n, which, i, j)
+    ]
+
+
 def _coupling_terms(conn, which, i, j):
+    """Terms (shift q, coefficient, base key, fiber key) of the component
+    d^(which) on the (i, j)-slot that multiply by one mode of the connection
+    or the curvature: the value at key k contributes coefficient * B val F^T
+    at k + q, q the frequency of the mode."""
     if which == 1:
         return [
             (q, v, ("axis", i, i + 1, l), ("coad", j, j, c)) for q, l, c, v in conn.a_entries()
@@ -928,6 +931,63 @@ def _local_block(conn, slot, target, base, fiber):
     return conn._cache[key]
 
 
+def _term_table(conn, which, slots):
+    """Every term of d^(which) on the source ``slots`` as flat arrays, cached on
+    the connection: per source slot its target; per term its source slot, the
+    row of its shift among the distinct shifts ``qs`` (the multipliers shift by
+    zero), its scalar coefficient or multiplier axis (-1 for a scalar), the
+    shape of its local block and the span of its entries; per entry the row,
+    column and value of the conjugated local block (from _local_block).  Terms
+    run by slot, then multipliers before coupling terms.  Terms whose local
+    block is zero are left out, such as ad* on fiber degree 0; a slot whose
+    target holds no indices has none."""
+    key = ("terms", which, slots)
+    if key not in conn._cache:
+        geo, alg = conn.geometry, conn.alg
+        di, dj = _BIDEGREES[which]
+        zero = (0,) * geo.n
+        targets, terms, blocks, shifts = [], [], [], {}
+        for s, (i, j) in enumerate(slots):
+            target = (i + di, j + dj)
+            targets.append(target)
+            if not num_indices(geo.n, target[0]) or not num_indices(alg.dim, target[1]):
+                continue
+            multipliers = [
+                (zero, 1.0, -1 if axis is None else axis, base, fiber)
+                for axis, base, fiber in _multipliers(geo.n, which, i, j)
+            ]
+            coupled = [(q, v, -1, base, fiber) for q, v, base, fiber in _coupling_terms(conn, which, i, j)]
+            for q, coeff, axis, base, fiber in multipliers + coupled:
+                shape, l_row, l_col, l_val = _local_block(conn, (i, j), target, base, fiber)
+                if len(l_val):
+                    terms.append((s, shifts.setdefault(q, len(shifts)), coeff, axis) + shape + (len(l_val),))
+                    blocks.append((l_row, l_col, l_val))
+
+        def column(k, dtype):
+            return np.array([term[k] for term in terms], dtype=dtype)
+
+        def entries(k, dtype):
+            return np.concatenate([np.zeros(0, dtype)] + [block[k] for block in blocks])
+
+        count = column(6, np.int64)
+        conn._cache[key] = (
+            targets,
+            column(0, np.int64),
+            np.array(list(shifts), dtype=np.int64).reshape(-1, geo.n),
+            column(1, np.int64),
+            column(2, complex),
+            column(3, np.int64),
+            column(4, np.int64),
+            column(5, np.int64),
+            np.cumsum(count) - count,
+            count,
+            entries(0, np.int64),
+            entries(1, np.int64),
+            entries(2, float),
+        )
+    return conn._cache[key]
+
+
 def d_component_matrix(conn, which, src, dst):
     """Sparse matrix of the component d^(which) from layout src to layout dst.
 
@@ -936,32 +996,35 @@ def d_component_matrix(conn, which, src, dst):
     (base matrix B) x (fiber matrix F), with B and F conjugated into
     orthonormal coordinates as L_out^T B L_in^-T; the codifferential
     component from dst to src is the conjugate transpose.
+
+    One vectorized pass over the term table of src's slots: every (term,
+    source key) whose image lies in dst and whose coefficient is nonzero is a
+    hit, and each hit lands the entries of its term's local block.  Entries
+    run by term, then source key, then row-major over the local block.
     """
     if which not in (0, 1, 2):
         raise ConfigError("component index must be 0, 1 or 2")
-    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
+    targets, slot, qs, q_of, coeff, axis, n_row, n_col, start, count, l_row, l_col, l_val = _term_table(
+        conn, which, tuple(src.slots)
+    )
     keys = src.key_array
-    float_keys = keys.astype(float)
-    dst_bands = np.array(dst.bands)
-    dst_dims = tuple(2 * b + 1 for b in dst.bands)
-    for slot in src.slots:
-        target = (slot[0] + _BIDEGREES[which][0], slot[1] + _BIDEGREES[which][1])
-        if target not in dst.offsets:
-            continue
-        for q, coeff, base, fiber in _component_terms(conn, which, *slot, float_keys):
-            (n_row, n_col), l_row, l_col, l_val = _local_block(conn, slot, target, base, fiber)
-            if not l_val.size:
-                continue
-            # entries run by source key, then row-major over the local block
-            shifted = keys if q is None else keys + np.array(q, dtype=int)
-            coeffs = np.broadcast_to(np.asarray(coeff, dtype=complex), len(keys))
-            hit = np.nonzero(np.all(np.abs(shifted) <= dst_bands, axis=1) & (coeffs != 0.0))[0]
-            moved = np.ravel_multi_index(tuple((shifted[hit] + dst_bands).T), dst_dims)
-            rows.append((moved[:, None] * n_row + l_row).ravel() + dst.offsets[target])
-            cols.append((hit[:, None] * n_col + l_col).ravel() + src.offsets[slot])
-            vals.append((coeffs[hit][:, None] * l_val).ravel())
+    bands = np.array(dst.bands)
+    dst_off = np.array([dst.offsets.get(t, -1) for t in targets], dtype=np.int64)
+    src_off = np.array([src.offsets[s] for s in src.slots], dtype=np.int64)
+    # per distinct shift and source key: inside dst's box, and the box position
+    moved = keys + qs[:, None, :]
+    pos = (moved + bands) @ _box_strides(-bands, bands)[1]
+    term, src_key = ((dst_off[slot] >= 0)[:, None] & (np.abs(moved) <= bands).all(axis=2)[q_of]).nonzero()
+    coeffs = np.where(axis[term] < 0, coeff[term], 1j * keys[src_key, axis[term]].astype(float))
+    hit = coeffs != 0.0
+    term, src_key, coeffs = term[hit], src_key[hit], coeffs[hit]
+    # each hit lands every entry of its term's local block
+    reps = count[term]
+    entry = np.arange(reps.sum()) + (start[term] - reps.cumsum() + reps).repeat(reps)
+    rows = (pos[q_of[term], src_key] * n_row[term] + dst_off[slot[term]]).repeat(reps) + l_row[entry]
+    cols = (src_key * n_col[term] + src_off[slot[term]]).repeat(reps) + l_col[entry]
     return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (coeffs.repeat(reps) * l_val[entry], (rows, cols)),
         shape=(dst.dim, src.dim),
     )
 

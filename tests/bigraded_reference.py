@@ -32,6 +32,11 @@ production frequency accumulator ``bigraded._accumulate``.
 rebuilds the conjugated local block of every term, so the assembly from
 cached blocks must reproduce its CSR arrays bit for bit.
 
+``reference_correction_system`` stacks the order-K correction system of
+``adiabatic_ss._correction_system`` from scratch with ``scipy.sparse.bmat``
+and splits off the w_0 columns by slicing; the production system grows the
+order-(K-1) rows instead.
+
 ``reference_galerkin_polynomial`` forms the compressed Laplacian as the
 polynomial sum_r delta^r M_r, each M_r a sum of Gram products of component
 matrices; ``adiabatic_ss.galerkin_polynomial`` stacks the same components
@@ -46,6 +51,7 @@ the results against the reality involution form by form; the production
 import numpy as np
 import scipy.sparse
 
+from bundlehodge.adiabatic_ss import _block_pinv, _boxes, _component, _layout
 from bundlehodge.bigraded import (
     _BIDEGREES,
     BigradedForm,
@@ -316,6 +322,37 @@ def reference_component_matrix(conn, which, src, dst):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dst.dim, src.dim),
     )
+
+
+def csr_bytes(mat):
+    """Shape, and dtype and bytes of the data, indices and indptr of a CSR
+    matrix: equal exactly when two matrices are bitwise the same."""
+    return mat.shape, [(arr.dtype, arr.tobytes()) for arr in (mat.data, mat.indices, mat.indptr)]
+
+
+def reference_correction_system(conn, degree, reach, order):
+    """(layouts of w_0 .. w_order, matrix on w_1 .. w_order, matrix on w_0, block
+    pseudoinverses of the former) of the order-``order`` correction system.
+
+    One ``bmat`` over the block grid: block row t = 1 .. order is the d rows
+    into degree p + 1, then the d* rows into degree p - 1, both over the box
+    reach + t c, with block (t, s) = d_(t-s) or d*_(t-s) for s = max(t - 2, 0)
+    .. t, read from the connection's cached component matrices; the two
+    matrices are column slices of the whole.
+    """
+    boxes = _boxes(conn, reach, order)
+    rows = []
+    for t in range(1, order + 1):
+        up, down = (degree + 1, boxes[t]), (degree - 1, boxes[t])
+        row_d, row_s = [None] * (order + 1), [None] * (order + 1)
+        for s in range(max(t - 2, 0), t + 1):
+            row_d[s] = _component(conn, t - s, (degree, boxes[s]), up)
+            row_s[s] = _component(conn, t - s, down, (degree, boxes[s])).conj().T
+        rows += [row_d, row_s]
+    full = scipy.sparse.bmat(rows, format="csr")
+    unknowns = [_layout(conn, degree, box) for box in boxes]
+    n0 = unknowns[0].dim
+    return unknowns, full[:, n0:], full[:, :n0], _block_pinv(full[:, n0:])
 
 
 def reference_galerkin_polynomial(conn, total_degree, bands):

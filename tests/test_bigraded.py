@@ -15,6 +15,7 @@ from bundlehodge.base_forms import (
     sin_wave,
 )
 from bundlehodge.bigraded import (
+    _BIDEGREES,
     BigradedForm,
     Connection,
     DeltaPolynomial,
@@ -38,6 +39,7 @@ from bundlehodge.errors import ConfigError
 from bundlehodge.lie_algebra import LieAlgebraData, harmonic_subspace, make_su2, make_u1
 
 from bigraded_reference import (
+    csr_bytes,
     form_of,
     reference_accumulate,
     reference_component_matrix,
@@ -441,30 +443,56 @@ COMPONENT_MATRIX_CASES = [
 ]
 
 
-def _csr_bytes(mat):
-    return mat.shape, [(arr.dtype, arr.tobytes()) for arr in (mat.data, mat.indices, mat.indptr)]
-
-
 @pytest.mark.parametrize("make_conn", COMPONENT_MATRIX_CASES)
 def test_component_matrices_match_term_by_term_assembly(make_conn):
-    """The component matrices, read from local blocks cached across calls,
+    """The component matrices, read from term tables cached across calls,
     against the per-term assembly that rebuilds every block, bit for bit,
     for every component and degree: into the box widened by the coupling
     band, which holds every image, and into the source box and a narrower
-    one, which cut it."""
+    one, which cut it.  Also from the one-slot layouts of the page
+    recursion's slot coordinates, into a layout of the whole target degree
+    and into one that lacks the target slot; on the one-slot layouts of the
+    order-4 recovery, (2,0) -> (3,0) and (3,0) -> (4,0); and once more on
+    every layout pair after all term tables are cached."""
     conn = make_conn()
     geo, alg = conn.geometry, conn.alg
     n = geo.n
     src_box = (2,) + (1,) * (n - 1)
     wide = tuple(b + c for b, c in zip(src_box, conn.coupling_bands()))
+    pairs = []
     for p in range(n + alg.dim + 1):
         src = TruncationLayout.of_degree(geo, alg, p, src_box)
-        for dst_box in (wide, src_box, (1,) + (0,) * (n - 1)):
-            for which, (di, dj) in enumerate(((0, 1), (1, 0), (2, -1))):
-                dst = TruncationLayout.of_degree(geo, alg, p + di + dj, dst_box)
-                got = d_component_matrix(conn, which, src, dst)
-                want = reference_component_matrix(conn, which, src, dst)
-                assert _csr_bytes(got) == _csr_bytes(want)
+        for which, (di, dj) in enumerate(_BIDEGREES):
+            for dst_box in (wide, src_box, (1,) + (0,) * (n - 1)):
+                pairs.append((which, src, TruncationLayout.of_degree(geo, alg, p + di + dj, dst_box)))
+            whole = TruncationLayout.of_degree(geo, alg, p + di + dj, wide)
+            for i, j in src.slots:
+                lacking = [slot for slot in whole.slots if slot != (i + di, j + dj)]
+                for dst_slots in (whole.slots, lacking):
+                    pairs.append(
+                        (
+                            which,
+                            TruncationLayout(geo, alg, [(i, j)], src_box),
+                            TruncationLayout(geo, alg, dst_slots, wide),
+                        )
+                    )
+    for i in (2, 3):
+        pairs.append(
+            (
+                1,
+                TruncationLayout(geo, alg, [(i, 0)], src_box),
+                TruncationLayout(geo, alg, [(i + 1, 0)], src_box),
+            )
+        )
+    for which, src, dst in pairs:
+        want = csr_bytes(reference_component_matrix(conn, which, src, dst))
+        assert csr_bytes(d_component_matrix(conn, which, src, dst)) == want
+    # every term table is cached now: a second build adds nothing to the cache
+    cached = len(conn._cache)
+    for which, src, dst in pairs:
+        want = csr_bytes(reference_component_matrix(conn, which, src, dst))
+        assert csr_bytes(d_component_matrix(conn, which, src, dst)) == want
+    assert len(conn._cache) == cached
 
 
 def test_galerkin_band_too_small():

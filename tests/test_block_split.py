@@ -12,10 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from bundlehodge import adiabatic_ss
 from bundlehodge.adiabatic_ss import (
+    PageRecursion,
     Tolerances,
     _block_pinv,
     _block_solve,
     _blocks,
+    _boxes,
+    _correction_system,
     _gather,
     _solve_columns,
     galerkin_coefficients,
@@ -25,7 +28,7 @@ from bundlehodge.adiabatic_ss import (
 from bundlehodge.errors import ConfigError, SolverFailure
 from bundlehodge.harness import Scenario, load_scenario, packaged_scenario_path
 
-from bigraded_reference import reference_galerkin_polynomial
+from bigraded_reference import csr_bytes, reference_correction_system, reference_galerkin_polynomial
 
 # block shapes (rows, columns); the empty ones are zero columns and zero rows
 RECT_SHAPES = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (4, 4)]
@@ -254,3 +257,49 @@ def test_multi_axis_connection_couples_the_box_into_one_rejected_block():
     assert [(r.shape, c.shape) for r, c in blocks] == [((1, 2835), (1, 2835))]
     with pytest.raises(ConfigError, match="7875 rows and 7875 columns"):
         near_zero_count(conn, 3, 0.5, (2, 2, 1, 1), 1e-8)
+
+
+# -- correction systems grown order by order ---------------------------------------
+
+
+def _system_bytes(system):
+    unknowns, mat, lead, pinvs = system
+    blocks = [[(arr.dtype, arr.shape, arr.tobytes()) for arr in block] for block in pinvs]
+    return [layout.dim for layout in unknowns], csr_bytes(mat), csr_bytes(lead), blocks
+
+
+def test_correction_systems_match_bmat_stacking():
+    """Orders 1-3 of every (degree, reach) a t4_su2_cs3 recursion requests, of
+    degree 0 (no d* rows) and of the top degree (no d rows): both matrices and
+    every block pseudoinverse bit for bit the stacking from scratch."""
+    conn = load_scenario(packaged_scenario_path("t4_su2_cs3")).connection
+    bands = (1, 1, 1, 0)
+    PageRecursion(conn, bands).run()
+    requested = sorted({key[1:3] for key in conn._cache if key[0] == "corrections"})
+    assert len(requested) >= 2
+    top = conn.geometry.n + conn.alg.dim
+    for degree, reach in requested + [(0, bands), (top, bands)]:
+        for order in (1, 2, 3):
+            want = _system_bytes(reference_correction_system(conn, degree, reach, order))
+            assert _system_bytes(_correction_system(conn, degree, reach, order)) == want
+
+
+def test_next_order_requests_only_its_own_block_rows():
+    """Order 3 after order 2 requests the six blocks of equation 3 and no
+    component matrix of an equation t <= 2."""
+    conn = load_scenario(packaged_scenario_path("t4_su2_cs3")).connection
+    degree, reach = 3, (1, 1, 1, 0)
+    _correction_system(conn, degree, reach, 2)
+    boxes = _boxes(conn, reach, 3)
+    requests = []
+    component = adiabatic_ss._component
+
+    def recording(conn, which, src, dst):
+        requests.append((which, src, dst))
+        return component(conn, which, src, dst)
+
+    with mock.patch.object(adiabatic_ss, "_component", recording):
+        _correction_system(conn, degree, reach, 3)
+    want = [(3 - s, (degree, boxes[s]), (degree + 1, boxes[3])) for s in (1, 2, 3)]
+    want += [(3 - s, (degree - 1, boxes[3]), (degree, boxes[s])) for s in (1, 2, 3)]
+    assert sorted(requests) == sorted(want)
