@@ -13,12 +13,14 @@ components of its pattern, solved densely, one stacked call per shape; a
 block above a fixed number of entries is rejected, since a connection that
 couples several axes joins the whole box into one block.
 
-One run of the recursion serves every degree and page.  It works on
-coordinate matrices, with lifts over the box of each slot basis' frequency
-support, and its component matrices are cached on the connection, where the
-Galerkin Laplacian reads them too.  ``harmonic_limit`` gathers and realifies
-the stabilized page in coordinates; forms are built for its formal check and
-its output, and when ``PageRecursion.entries`` hands a page out.
+One run of the recursion serves every degree and page.  Pages 1 and 2 are
+closed form, and every page basis from page 2 on lies at frequency zero, so
+each lift is solved over the boxes t c of the coupling band c.  The recursion
+works on coordinate matrices, and its component matrices are cached on the
+connection, where the Galerkin Laplacian reads them too.  ``harmonic_limit``
+gathers and realifies the stabilized page in coordinates; forms are built for
+its formal check and its output, and when ``PageRecursion.entries`` hands a
+page out.
 
 Only the final projections onto the band box are truncated; every operator
 application on lifts is exact, with corrections confined to frequency
@@ -155,10 +157,13 @@ def _block_pinv(mat):
     """(rows, cols, stacked pseudoinverses) per block shape, with the singular-value cut
     of lstsq(rcond=None) on the whole matrix: max(mat.shape) x eps x its largest one."""
     blocks = _blocks(mat)
-    svds = [
-        (r, c, np.linalg.svd(stack, full_matrices=False))
-        for (r, c), stack in zip(blocks, _gather(mat, blocks))
-    ]
+    try:
+        svds = [
+            (r, c, np.linalg.svd(stack, full_matrices=False))
+            for (r, c), stack in zip(blocks, _gather(mat, blocks))
+        ]
+    except np.linalg.LinAlgError as err:
+        raise SolverFailure(f"block SVD of a {mat.shape[0]} x {mat.shape[1]} system failed: {err}")
     top = max((np.max(s, initial=0.0) for _, _, (_, s, _) in svds), default=0.0)
     cut = max(mat.shape) * np.finfo(float).eps * top
     pinvs = []
@@ -203,12 +208,6 @@ def _boxes(conn, reach, order):
     """The boxes reach + s c, s = 0 .. order, c the coupling band."""
     coupling = conn.coupling_bands()
     return [tuple(r + s * c for r, c in zip(reach, coupling)) for s in range(order + 1)]
-
-
-def _reach(keys, n):
-    """Per-axis reach max |k_a| of an (nk, n) array of frequency keys."""
-    keys = np.reshape(keys, (-1, n))
-    return tuple(int(r) for r in np.max(np.abs(keys), axis=0, initial=0))
 
 
 def _split_rows(layout, slot, box):
@@ -299,53 +298,30 @@ def _solve_columns(conn, degree, reach, lead, order, tolerances):
     return np.split(x, np.cumsum([layout.dim for layout in unknowns[1:]])[:-1])
 
 
-def solve_corrections(conn, v, order, tolerances=None):
-    """Corrections w_1..w_order with residual orders 1..order all zero.
-
-    ``v`` has one total degree.  The unknown at order t is confined to the
-    frequency box of v widened by t times the coupling band of the
-    connection, which contains the minimal-norm solution.
-
-    Raises SolverFailure when the least-squares system cannot be
-    driven to zero (the vector is not actually on the page).
-    """
-    tolerances = tolerances or Tolerances()
-    if order <= 0:
-        return []
-    geo, alg = v.geometry, v.alg
-    degrees = {i + j for i, j in v.slots()}
-    if len(degrees) > 1:
-        raise ConfigError("corrections are solved one total degree at a time")
-    if not degrees:
-        return [BigradedForm.zero(geo, alg) for _ in range(order)]
-    degree = degrees.pop()
-    reach = _reach(np.concatenate([t.key_array for t in v.components.values()]), geo.n)
-    lead = _layout(conn, degree, reach).vector_from_form(v)[0][:, None]
-    ws = _solve_columns(conn, degree, reach, lead, order, tolerances)
-    return [
-        _layout(conn, degree, box).form_from_vector(w[:, 0])
-        for box, w in zip(_boxes(conn, reach, order)[1:], ws)
-    ]
-
-
 # -- the page recursion ------------------------------------------------------------
 
 
 class PageRecursion:
     """Simultaneous page computation in every total degree.
 
-    The first page is closed-form: the leading operator is frequency-local
-    and acts only on the fiber index, so its kernel is (box) x (base
-    indices) x (fiber harmonic subspace) on every slot.  Later pages use
-    projected leading coefficients of exactly-computed lifts.
+    The first two pages are closed form.  The leading operator is
+    frequency-local and acts only on the fiber index, so page 1 is (box) x
+    (base indices) x (fiber harmonic subspace) on every slot.  On fiber-harmonic
+    forms every ad*_a vanishes, so the page-1 differential is d_M x 1, and page 2
+    is (constant base forms) x H(g), the Kunneth page (Chevalley-Eilenberg;
+    Mazzeo-Melrose).  Pages 0 and 1 are kept as counts; the page box sets them
+    and the cut of the projections.  Later pages use projected leading
+    coefficients of exactly-computed lifts.
 
     Everything runs on coordinate matrices with one column per basis
-    vector.  The lift terms of a page slot are one matrix per order, solved
-    on the cached correction systems over the box of the slot basis'
-    frequency support; the leading coefficients are products with the
-    cached component matrices over a box that holds them whole and contains
-    the page box, so projecting onto the page is a row selection.  Forms
-    are built only when ``entries`` hands a page's basis and lifts out.
+    vector.  Page 2 lies at frequency zero, and each later basis is an earlier
+    one times a kernel, so a page slot's basis is stored as the rows of its
+    slot in the degree layout of the zero box.  The lift terms of a page slot
+    are one matrix per order, solved on the cached correction systems of the
+    zero box; the leading coefficients are products with the cached component
+    matrices over a box that holds them whole and contains the page box, so
+    projecting onto the page is a row selection.  Forms are built only when
+    ``entries`` hands a page's basis and lifts out.
 
     ``run`` computes pages up to ``k_max`` at most.  It stops when
     stabilization is proven: the dimensions repeat from page 2 on and no
@@ -359,6 +335,7 @@ class PageRecursion:
         self.geometry = conn.geometry
         self.alg = conn.alg
         self.bands = tuple(bands)
+        self.zero = (0,) * self.geometry.n
         self.k_max = int(k_max)
         self.tol = tolerances or Tolerances()
         n, m = self.geometry.n, self.alg.dim
@@ -368,12 +345,9 @@ class PageRecursion:
             for j in range(m + 1)
             if num_indices(n, i) and num_indices(m, j)
         ]
-        self.coords = {
-            slot: TruncationLayout(self.geometry, self.alg, [slot], self.bands)
-            for slot in self.slots
-        }
-        # bases[K][slot] -> complex matrix (slot_dim, r); lifts[K][slot] ->
-        # (support box, [W_1 .. W_(K-1)]), filled on first use
+        # bases[K][slot] -> complex matrix (nb * nf, r) on the slot's rows of the
+        # zero-box layout; lifts[K][slot] -> [W_0 .. W_(K-1)], W_t over the
+        # degree layout of the box t c, filled on first use
         self.bases = {}
         self.lifts = {}
         self._handout = {}  # (K, degree) -> entries
@@ -388,68 +362,52 @@ class PageRecursion:
         self.k_stop = None
         self.stabilized = False
 
-    # ---- dimensions ------------------------------------------------------
+    # ---- pages 0 to 2 ----------------------------------------------------
 
-    def full_dims(self):
-        return {slot: self.coords[slot].dim for slot in self.slots}
+    def _counts(self, fiber_dim):
+        """Per slot, box keys x base indices x fiber_dim(j), where nonzero."""
+        keys = int(np.prod([2 * b + 1 for b in self.bands]))
+        n = self.geometry.n
+        dims = {(i, j): keys * num_indices(n, i) * fiber_dim(j) for i, j in self.slots}
+        return {slot: r for slot, r in dims.items() if r}
 
-    def dims_at(self, K):
-        if K == 0:
-            return self.full_dims()
-        return {slot: mat.shape[1] for slot, mat in self.bases[K].items()}
-
-    # ---- page 1 ----------------------------------------------------------
-
-    def _seed_first_page(self):
+    def _seed_second_page(self):
+        """Page 2 per slot (i, j): kron(I_nb, L_j^T H_j) at frequency zero, with H_j
+        the harmonic fiber j-forms, orthonormal in the fiber Gram matrix."""
         bases = {}
-        for slot in self.slots:
-            i, j = slot
-            coords = self.coords[slot]
+        for i, j in self.slots:
             harm = harmonic_subspace(self.alg, j)
-            if harm.shape[1] == 0:
-                continue
-            hat = self.alg.chol(j).T @ harm  # orthonormal columns
-            nb, _ = coords.shapes[slot]
-            bases[slot] = np.kron(np.eye(len(coords.key_array) * nb), hat).astype(complex)
-        self.bases[1] = bases
+            if harm.shape[1]:
+                hat = self.alg.chol(j).T @ harm  # orthonormal columns
+                nb = num_indices(self.geometry.n, i)
+                bases[(i, j)] = np.kron(np.eye(nb), hat).astype(complex)
+        self.bases[2] = bases
 
     # ---- lifts and leading coefficients -----------------------------------
 
-    def _embed(self, slot, basis, box):
-        """Basis columns as coordinates over the degree layout of a box that
-        holds their support."""
-        layout = _layout(self.conn, sum(slot), box)
-        inside, _ = _split_rows(self.coords[slot], slot, box)
-        out = np.zeros((layout.dim, basis.shape[1]), dtype=complex)
-        start = layout.offsets[slot]
-        out[start : start + inside.size] = basis[inside]
-        return out
-
     def _lifts(self, K):
-        """Per slot of page K, (support box, [W_1 .. W_(K-1)]): the
-        minimal-norm lift terms of every basis column, solved on first use."""
+        """Per slot of page K >= 2, [W_0 .. W_(K-1)]: the basis columns over the
+        zero-box degree layout, then their minimal-norm lift terms, solved on
+        first use."""
         if K not in self.lifts:
             lifts = {}
             for slot, basis in self.bases[K].items():
-                coords = self.coords[slot]
-                support = np.any(basis.reshape(len(coords.key_array), -1) != 0, axis=1)
-                box = _reach(coords.key_array[support], self.geometry.n)
-                ws = []
-                if K >= 2:
-                    lead = self._embed(slot, basis, box)
-                    ws = _solve_columns(self.conn, sum(slot), box, lead, K - 1, self.tol)
-                    self.diagnostics["corrections_solved"] += basis.shape[1]
-                lifts[slot] = (box, ws)
+                layout = _layout(self.conn, sum(slot), self.zero)
+                lead = np.zeros((layout.dim, basis.shape[1]), dtype=complex)
+                lead[_split_rows(layout, slot, self.zero)[0]] = basis
+                ws = _solve_columns(self.conn, sum(slot), self.zero, lead, K - 1, self.tol)
+                self.diagnostics["corrections_solved"] += basis.shape[1]
+                lifts[slot] = [lead] + ws
             self.lifts[K] = lifts
         return self.lifts[K]
 
-    def _leading(self, K, degree, box, w, up):
+    def _leading(self, K, degree, w, up):
         """Order-K coefficient of d_delta (``up``) or d*_delta on the lifts
-        w = [W_0 .. W_(K-1)] of degree-p columns supported in ``box``:
-        sum over s = max(K - 2, 0) .. K - 1 of d_(K-s) W_s.  Returns the
-        degree p +- 1 layout over max(box + K c, page box), which holds the
-        coefficient whole and contains the page box, and its coordinates."""
-        boxes = _boxes(self.conn, box, K)
+        w = [W_0 .. W_(K-1)] of degree-p columns: sum over s = max(K - 2, 0) ..
+        K - 1 of d_(K-s) W_s.  Returns the degree p +- 1 layout over
+        max(K c, page box), which holds the coefficient whole and contains the
+        page box, and its coordinates."""
+        boxes = _boxes(self.conn, self.zero, K)
         outer = (degree + 1 if up else degree - 1, tuple(map(max, boxes[K], self.bands)))
         total = 0
         for s in range(max(K - 2, 0), K):
@@ -471,12 +429,12 @@ class PageRecursion:
         for slot, adjoint in adjoints.items():
             if slot not in layout.offsets:
                 continue
-            inside, outside = _split_rows(layout, slot, self.bands)
+            _, outside = _split_rows(layout, slot, self.bands)
             cut = np.linalg.norm(coeff[outside], axis=0) / scale
             self.diagnostics["projection_cut"] = max(
                 self.diagnostics["projection_cut"], float(np.max(cut))
             )
-            proj = adjoint @ coeff[inside]
+            proj = adjoint @ coeff[_split_rows(layout, slot, self.zero)[0]]
             if slot == target:
                 out = proj
             else:
@@ -489,28 +447,27 @@ class PageRecursion:
     # ---- generic step ----------------------------------------------------
 
     def _step(self, K):
-        """Compute page K+1 from page K."""
+        """Compute page K+1 from page K >= 2."""
         bases = self.bases[K]
         lifts = self._lifts(K)
         adjoints = {slot: basis.conj().T for slot, basis in bases.items()}
         degrees = {i + j for i, j in bases}
         mat_d, mat_s = {}, {}
-        for slot, basis in bases.items():
+        for slot in bases:
             i, j = slot
-            box, ws = lifts[slot]
-            w = [self._embed(slot, basis, box)] + ws
             for up, mats, target in (
                 (True, mat_d, (i + K, j - K + 1)),
                 (False, mat_s, (i - K, j + K - 1)),
             ):
                 if i + j + (1 if up else -1) not in degrees:
                     continue
-                proj = self._project(*self._leading(K, i + j, box, w, up), target, adjoints)
+                proj = self._project(*self._leading(K, i + j, lifts[slot], up), target, adjoints)
                 if proj is not None:
                     mats[slot] = proj
         # assemble the page Laplacian per slot and cut its kernel
         new_bases = {}
         consistency = self.diagnostics["adjoint_consistency"]
+        floor = 1e-18 * max(self._op_scale() ** 4, 1.0)
         for slot, basis in bases.items():
             r = basis.shape[1]
             i, j = slot
@@ -531,9 +488,13 @@ class PageRecursion:
                     float(np.max(np.abs(m_s - m_in.conj().T), initial=0.0)),
                 )
             lap = 0.5 * (lap + lap.conj().T)
-            evals, evecs = np.linalg.eigh(lap)
+            try:
+                evals, evecs = np.linalg.eigh(lap)
+            except np.linalg.LinAlgError as err:
+                raise SolverFailure(
+                    f"page {K} Laplacian of slot {slot} failed to diagonalize: {err}", order=K
+                )
             lam_max = float(evals[-1]) if evals.size else 0.0
-            floor = 1e-18 * max(self._op_scale() ** 4, 1.0)
             if lam_max <= floor:
                 kernel = np.eye(r, dtype=complex)
             else:
@@ -572,23 +533,29 @@ class PageRecursion:
         return False
 
     def run(self):
-        self._seed_first_page()
-        self.dims_history = [self.full_dims(), self.dims_at(1)]
+        m = self.alg.dim
+        self.dims_history = [
+            self._counts(lambda j: num_indices(m, j)),
+            self._counts(lambda j: harmonic_subspace(self.alg, j).shape[1]),
+        ]
         # no differential can act beyond page min(n, m + 1): it would need
         # K base steps and K - 1 fiber steps at once
-        collapse_bound = min(self.geometry.n, self.alg.dim + 1) + 1
+        collapse_bound = min(self.geometry.n, m + 1) + 1
         k_iter = min(self.k_max, collapse_bound)
         K = 1
-        proven = K >= collapse_bound
+        proven = False
         while K < k_iter:
-            self._step(K)
+            if K == 1:
+                self._seed_second_page()
+            else:
+                self._step(K)
             K += 1
-            dims = self.dims_at(K)
+            dims = {slot: basis.shape[1] for slot, basis in self.bases[K].items()}
             self.dims_history.append(dims)
             if K >= collapse_bound:
                 proven = True
                 break
-            if dims == self.dims_history[K - 1] and K >= 2:
+            if dims == self.dims_history[K - 1]:
                 if not self._possible_later_differential(dims, K):
                     proven = True
                     break
@@ -608,27 +575,23 @@ class PageRecursion:
         return self.k_stop
 
     def dims_for_degree(self, K, degree):
-        dims = self.dims_at(K)
-        return {slot: r for slot, r in dims.items() if slot[0] + slot[1] == degree}
+        return {slot: r for slot, r in self.dims_history[K].items() if sum(slot) == degree}
 
     def entries(self, K, degree):
         """(slot, vector, lift) for every basis column of one degree at page
-        K >= 1, lifts through order K - 1.  The forms are built once per page
+        K >= 2, lifts through order K - 1.  The forms are built once per page
         and degree and shared by every caller, which must not modify them."""
         key = (K, degree)
         if key not in self._handout:
-            lifts = self._lifts(K)
+            boxes = _boxes(self.conn, self.zero, K - 1)
+            layouts = [_layout(self.conn, degree, box) for box in boxes]
             out = []
-            for slot, basis in self.bases[K].items():
+            for slot, w in self._lifts(K).items():
                 if sum(slot) != degree:
                     continue
-                box, ws = lifts[slot]
-                boxes = _boxes(self.conn, box, len(ws))[1:]
-                layouts = [_layout(self.conn, degree, b) for b in boxes]
-                for col in range(basis.shape[1]):
-                    v = self.coords[slot].form_from_vector(basis[:, col])
-                    terms = [layout.form_from_vector(w[:, col]) for layout, w in zip(layouts, ws)]
-                    out.append((slot, v, DeltaPolynomial([v] + terms)))
+                for col in range(w[0].shape[1]):
+                    terms = [layout.form_from_vector(x[:, col]) for layout, x in zip(layouts, w)]
+                    out.append((slot, terms[0], DeltaPolynomial(terms)))
             self._handout[key] = out
         return self._handout[key]
 
@@ -650,30 +613,28 @@ def harmonic_limit(recursion, total_degree):
     """
     conn, tolerances = recursion.conn, recursion.tol
     K = recursion.stable_page()
-    lifts = recursion._lifts(K)
-    page = [(slot, b) for slot, b in recursion.bases[K].items() if sum(slot) == total_degree]
+    page = [(slot, w) for slot, w in recursion._lifts(K).items() if sum(slot) == total_degree]
     if not page:
         return []
     layout = _layout(conn, total_degree, _boxes(conn, recursion.bands, K - 1)[-1])
-    limits = np.zeros((layout.dim, sum(b.shape[1] for _, b in page)), dtype=complex)
+    limits = np.zeros((layout.dim, sum(w[0].shape[1] for _, w in page)), dtype=complex)
     start = 0
-    for (i0, j0), basis in page:
-        box, ws = lifts[(i0, j0)]
-        cols = slice(start, start + basis.shape[1])
+    for (i0, j0), w in page:
+        cols = slice(start, start + w[0].shape[1])
         start = cols.stop
-        terms = [(recursion.coords[(i0, j0)], recursion.bands, basis)] + [
-            (_layout(conn, total_degree, b), b, w)
-            for b, w in zip(_boxes(conn, box, len(ws))[1:], ws)
-        ]
-        for l, (src, b, w) in enumerate(terms):
-            slot = (i0 + l, j0 - l)
+        for l, (box, term) in enumerate(zip(_boxes(conn, recursion.zero, K - 1), w)):
+            slot, src = (i0 + l, j0 - l), _layout(conn, total_degree, box)
             if slot in src.offsets:
-                limits[_split_rows(layout, slot, b)[0], cols] = w[_split_rows(src, slot, b)[0]]
+                rows = _split_rows(src, slot, box)[0]
+                limits[_split_rows(layout, slot, box)[0], cols] = term[rows]
     bar = limits[layout.mirror()].conj()
     # per column its real part, then its imaginary part
     cands = np.stack([0.5 * (limits + bar), -0.5j * (limits - bar)], axis=2)
     cands = cands.reshape(layout.dim, -1)
-    evals, evecs = np.linalg.eigh((cands.conj().T @ cands).real)
+    try:
+        evals, evecs = np.linalg.eigh((cands.conj().T @ cands).real)
+    except np.linalg.LinAlgError as err:
+        raise SolverFailure(f"Gram matrix of the real limit span failed to diagonalize: {err}")
     keep = evals > tolerances.spectral * max(float(evals[-1]), 1e-300)
     rank = int(np.sum(keep))
     if rank != limits.shape[1]:

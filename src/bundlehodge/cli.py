@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 all checks passed (or an explicitly excluded branch),
-1 tolerance failure, 2 configuration error, 3 solver failure.
+1 tolerance failure, 2 configuration error, 3 solver failure (a dense
+factorization that does not converge, or memory running out, included).
 """
 
 import argparse
@@ -92,6 +93,9 @@ def main(argv=None):
         return 2
     except SolverFailure as err:
         print(f"solver failure: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        print(f"solver failure: out of memory: {err}", file=sys.stderr)
         return 3
 
 

@@ -42,6 +42,10 @@ polynomial sum_r delta^r M_r, each M_r a sum of Gram products of component
 matrices; ``adiabatic_ss.galerkin_polynomial`` stacks the same components
 into A(delta) with L_delta = A(delta)^H A(delta) instead.
 
+``reference_second_page`` computes page 2 from a dense page 1 over every key
+of the page box, by one generic step of projected leading coefficients and
+page-Laplacian kernels; ``PageRecursion`` seeds page 2 in closed form instead.
+
 ``reference_harmonic_limit`` reads the stabilized page as forms from
 ``PageRecursion.entries``, regrades each lift with form arithmetic and splits
 the results against the reality involution form by form; the production
@@ -51,7 +55,14 @@ the results against the reality involution form by form; the production
 import numpy as np
 import scipy.sparse
 
-from bundlehodge.adiabatic_ss import _block_pinv, _boxes, _component, _layout
+from bundlehodge.adiabatic_ss import (
+    Tolerances,
+    _block_pinv,
+    _boxes,
+    _component,
+    _layout,
+    _split_rows,
+)
 from bundlehodge.bigraded import (
     _BIDEGREES,
     BigradedForm,
@@ -61,6 +72,7 @@ from bundlehodge.bigraded import (
     _multiplier_terms,
     bigraded_inner_product,
 )
+from bundlehodge.lie_algebra import harmonic_subspace
 from bundlehodge.multiindex import num_indices, wedge_axis_matrix, wedge_pair_matrix
 
 
@@ -375,6 +387,55 @@ def reference_galerkin_polynomial(conn, total_degree, bands):
             total = total + t[a] @ t[b].conj().T + s[b].conj().T @ s[a]
         mats.append(total)
     return layout, mats
+
+
+def reference_second_page(conn, bands):
+    """Page 2 from a dense page 1 over the box ``bands``: per slot (single-slot
+    layout over the box, page-2 basis in its coordinates).
+
+    Page 1 of slot (i, j) is kron(I, L_j^T H_j) over every key and base index of
+    the box, H_j the harmonic fiber j-forms.  The generic step then maps every
+    basis column by d_1 into degree p + 1 over the box widened by the coupling
+    band, projects it onto the page-1 basis of slot (i + 1, j), and keeps per slot
+    the kernel of the page Laplacian M_out^H M_out + M_in M_in^H, cut at the rank
+    tolerance relative to its largest eigenvalue."""
+    geo, alg = conn.geometry, conn.alg
+    bands = tuple(bands)
+    wide = _boxes(conn, bands, 1)[1]
+    page = {}
+    for i in range(geo.n + 1):
+        for j in range(alg.dim + 1):
+            coords = TruncationLayout(geo, alg, [(i, j)], bands)
+            harm = harmonic_subspace(alg, j) if coords.slots else np.zeros((0, 0))
+            if harm.shape[1]:
+                hat = alg.chol(j).T @ harm
+                keys_and_base = len(coords.key_array) * num_indices(geo.n, i)
+                page[(i, j)] = (coords, np.kron(np.eye(keys_and_base), hat).astype(complex))
+    mats = {}
+    for (i, j), (_, basis) in page.items():
+        if (i + 1, j) not in page:
+            continue
+        src, dst = _layout(conn, i + j, bands), _layout(conn, i + j + 1, wide)
+        lead = np.zeros((src.dim, basis.shape[1]), dtype=complex)
+        lead[_split_rows(src, (i, j), bands)[0]] = basis
+        coeff = _component(conn, 1, (i + j, bands), (i + j + 1, wide)) @ lead
+        target = page[(i + 1, j)][1]
+        mats[(i, j)] = target.conj().T @ coeff[_split_rows(dst, (i + 1, j), bands)[0]]
+    scale = 1.0 + sum(abs(v) for *_, v in conn.a_entries() + conn.f_entries())
+    floor = 1e-18 * max(scale**4, 1.0)
+    second = {}
+    for (i, j), (coords, basis) in page.items():
+        lap = np.zeros((basis.shape[1],) * 2, dtype=complex)
+        if (i, j) in mats:
+            lap += mats[(i, j)].conj().T @ mats[(i, j)]
+        if (i - 1, j) in mats:
+            lap += mats[(i - 1, j)] @ mats[(i - 1, j)].conj().T
+        evals, evecs = np.linalg.eigh(0.5 * (lap + lap.conj().T))
+        if evals[-1] <= floor:
+            second[(i, j)] = (coords, basis)
+        else:
+            second[(i, j)] = (coords, basis @ evecs[:, evals <= Tolerances().rank * evals[-1]])
+    return second
 
 
 def reference_conjugate_form(form):

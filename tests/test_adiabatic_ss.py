@@ -1,5 +1,6 @@
 """Page recursion, formal residuals, harmonic limits, and eigenvalue decay."""
 
+import json
 import math
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 from bundlehodge.adiabatic_ss import (
     PageRecursion,
     Tolerances,
+    _boxes,
+    _layout,
+    _solve_columns,
+    _split_rows,
     harmonic_limit,
     near_zero_count,
     recover_omega3,
     residual_orders,
-    solve_corrections,
     spectrum_sweep,
     verify_formal_harmonic,
 )
@@ -44,11 +48,19 @@ from bundlehodge.chern_weil import (
     make_polynomial,
     primitive_h,
 )
-from bundlehodge.errors import NotExact, SolverFailure
+from bundlehodge.errors import ConfigError, NotExact, SolverFailure
+from bundlehodge.harness import Scenario, load_scenario, packaged_scenario_path
 from bundlehodge.lie_algebra import make_su2, make_u1
 from bundlehodge.multiindex import num_indices
 
-from bigraded_reference import reference_d, reference_dstar, reference_harmonic_limit
+from bigraded_reference import (
+    reference_d,
+    reference_dstar,
+    reference_harmonic_limit,
+    reference_second_page,
+)
+
+FIXTURES = ["t2_u1_c1zero", "t2_u1_c1nonzero", "t3_su2_pages", "t4_su2_flat", "t4_su2_cs3"]
 
 
 def su2_t4_connection():
@@ -91,6 +103,13 @@ def abelian_t2(mean):
         flux = flux + constant_form(geo, 2, (0, 1), 1.0)
     conn, _ = abelian_scenario(flux, geo, alg)
     return conn
+
+
+def su3_scenario():
+    """t4_su2_cs3 with an su(3) fiber at the same scale."""
+    with open(packaged_scenario_path("t4_su2_cs3")) as fh:
+        config = json.load(fh)
+    return Scenario(dict(config, algebra={"name": "su3", "scale": "0.2"}))
 
 
 def kunneth_dim(n, p):
@@ -216,6 +235,43 @@ def test_pages_t4_curved_collapse():
     assert rec.stabilized
 
 
+@pytest.mark.parametrize("name", FIXTURES + ["su3"])
+def test_second_page_closed_form_matches_a_dense_first_page_step(name):
+    """The closed-form page 2 (constant base forms times H(g), at frequency
+    zero) has the dims and spans of the page computed by one generic step from
+    a dense page 1 over the whole page box.  The sines of the principal angles
+    are the singular values of (I - Q Q^H) P (Bjorck and Golub, Math. Comp. 27,
+    1973), which do not floor at sqrt(eps) as sqrt(1 - cos^2) does."""
+    if name == "su3":
+        conn, bands = su3_scenario().connection, (1, 0, 0, 0)
+    else:
+        scenario = load_scenario(packaged_scenario_path(name))
+        conn, bands = scenario.connection, scenario.bands
+    rec = PageRecursion(conn, bands, k_max=2).run()
+    want = reference_second_page(conn, bands)
+    assert rec.dims_history[2] == {slot: b.shape[1] for slot, (_, b) in want.items() if b.shape[1]}
+    zero = (0,) * conn.geometry.n
+    for slot, (coords, q) in want.items():
+        if not q.shape[1]:
+            continue
+        p = np.zeros_like(q)
+        p[_split_rows(coords, slot, zero)[0]] = rec.bases[2][slot]
+        assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
+        sines = np.linalg.svd(p - q @ (q.conj().T @ p), compute_uv=False)
+        assert sines.max() <= 1e-12
+
+
+def test_su3_lifts_are_solved_on_the_zero_box():
+    """Page bases live at frequency zero, so every correction system of an su(3)
+    recursion is posed on the zero box; page 2 in degree 3 is Kunneth, 4 + 1."""
+    conn = su3_scenario().connection
+    rec = PageRecursion(conn, (1, 1, 1, 1), k_max=3).run()
+    reaches = {key[2] for key in conn._cache if key[0] == "corrections"}
+    assert reaches == {(0, 0, 0, 0)}
+    assert rec.dims_for_degree(2, 3) == {(0, 3): 1, (3, 0): 4}
+    assert not rec.stabilized
+
+
 def test_stable_entries_orthonormal_with_valid_lifts():
     conn = su2_t3_connection()
     rec = PageRecursion(conn, (1, 1, 1)).run()
@@ -303,15 +359,11 @@ def test_harmonic_limit_outputs_are_real():
                 assert np.max(np.abs(np.conj(mirror) - val)) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "name", ["t2_u1_c1zero", "t2_u1_c1nonzero", "t3_su2_pages", "t4_su2_flat", "t4_su2_cs3"]
-)
+@pytest.mark.parametrize("name", FIXTURES)
 def test_harmonic_limit_spans_match_form_level_realify(name):
     """The limit gathered and realified in coordinates spans the same space
     as the form-level regrading and realification of the handed-out lifts,
     in every degree, with real orthonormal forms."""
-    from bundlehodge.harness import load_scenario, packaged_scenario_path
-
     scenario = load_scenario(packaged_scenario_path(name))
     rec = scenario.page_recursion()
     for p in range(scenario.geometry.n + scenario.algebra.dim + 1):
@@ -331,6 +383,43 @@ def test_harmonic_limit_spans_match_form_level_realify(name):
 
 
 # -- corrections: canonical lifts and uniqueness ------------------------------------
+
+
+def _reach(keys, n):
+    """Per-axis reach max |k_a| of an (nk, n) array of frequency keys."""
+    keys = np.reshape(keys, (-1, n))
+    return tuple(int(r) for r in np.max(np.abs(keys), axis=0, initial=0))
+
+
+def solve_corrections(conn, v, order, tolerances=None):
+    """Corrections w_1..w_order with residual orders 1..order all zero.
+
+    ``v`` has one total degree.  The unknown at order t is confined to the
+    frequency box of v widened by t times the coupling band of the
+    connection, which contains the minimal-norm solution.  The route of the
+    page recursion's lifts, for one form.
+
+    Raises SolverFailure when the least-squares system cannot be
+    driven to zero (the vector is not actually on the page).
+    """
+    tolerances = tolerances or Tolerances()
+    if order <= 0:
+        return []
+    geo, alg = v.geometry, v.alg
+    degrees = {i + j for i, j in v.slots()}
+    if len(degrees) > 1:
+        raise ConfigError("corrections are solved one total degree at a time")
+    if not degrees:
+        return [BigradedForm.zero(geo, alg) for _ in range(order)]
+    degree = degrees.pop()
+    reach = _reach(np.concatenate([t.key_array for t in v.components.values()]), geo.n)
+    lead = _layout(conn, degree, reach).vector_from_form(v)[0][:, None]
+    ws = _solve_columns(conn, degree, reach, lead, order, tolerances)
+    return [
+        _layout(conn, degree, box).form_from_vector(w[:, 0])
+        for box, w in zip(_boxes(conn, reach, order)[1:], ws)
+    ]
+
 
 
 def dense_canonical(conn, v, order, constraints):
@@ -453,8 +542,8 @@ def test_recursion_lifts_match_solve_corrections(make_conn, bands):
     """Every lift term the recursion hands out is the minimal-norm
     correction that solve_corrections finds for its leading vector.
 
-    The recursion solves per slot on the box of the basis' frequency
-    support and widens its leading coefficients to the page box on axes the
+    The recursion solves every lift on the zero box, where page bases live,
+    and widens its leading coefficients to the page box on axes the
     connection does not couple (the t4 case with box (1, 1, 0, 0)).
     """
     conn = make_conn()

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -401,6 +402,34 @@ def test_cli_spectrum_stopped_by_k_max_is_solver_failure(tmp_path):
     path = _fixture_copy(tmp_path, "t2_u1_c1zero", k_max=1)
     out = tmp_path / "out"
     assert cli_main(["spectrum", "--scenario", path, "--out", str(out), "--quiet"]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, error, hit",
+    [
+        # the stacked block SVDs of the correction systems; the fiber algebra's
+        # own SVDs are two-dimensional
+        ("svd", np.linalg.LinAlgError, lambda a: np.ndim(a) == 3),
+        ("svd", MemoryError, lambda a: np.ndim(a) == 3),
+        # the complex page Laplacians, then the real Gram matrix of the limit
+        ("eigh", np.linalg.LinAlgError, np.iscomplexobj),
+        ("eigh", np.linalg.LinAlgError, np.isrealobj),
+    ],
+    ids=["block-svd", "block-svd-memory", "page-laplacian", "limit-gram"],
+)
+def test_cli_pages_dense_solver_failure_is_exit_3(tmp_path, monkeypatch, name, error, hit):
+    original = getattr(np.linalg, name)
+
+    def failing(a, *args, **kwargs):
+        if hit(a):
+            raise error(f"{name} did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, failing)
+    out = tmp_path / "out"
+    argv = ["pages", "--scenario", "t2_u1_c1zero", "--degree", "1", "--out", str(out), "--quiet"]
+    assert cli_main(argv) == 3
     assert not out.exists()
 
 
