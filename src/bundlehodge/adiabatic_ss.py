@@ -38,6 +38,8 @@ from .bigraded import (
     DeltaPolynomial,
     TruncationLayout,
     coefficient_norms,
+    csr_entries,
+    csr_from_entries,
     d_component_matrix,
     d_delta,
     dstar_delta,
@@ -109,8 +111,9 @@ def _blocks(pattern):
     block shape (nr, nc).  A zero row is a (1, 0) block, a zero column a (0, 1) block.
     ConfigError when a block holds more than _MAX_BLOCK_ENTRIES entries."""
     m, n = pattern.shape
-    coo = scipy.sparse.coo_matrix(pattern)
-    graph = scipy.sparse.coo_matrix((np.ones(coo.nnz), (coo.row, m + coo.col)), (m + n,) * 2)
+    pattern = pattern.tocsr()
+    indptr = np.concatenate([pattern.indptr, np.full(n, pattern.nnz, dtype=pattern.indptr.dtype)])
+    graph = scipy.sparse.csr_matrix((np.ones(pattern.nnz), m + pattern.indices, indptr), (m + n,) * 2)
     count, labels = connected_components(graph, connection="weak")
     sizes = np.stack([np.bincount(part, minlength=count) for part in (labels[:m], labels[m:])], 1)
     shapes, group, counts = np.unique(sizes, axis=0, return_inverse=True, return_counts=True)
@@ -135,7 +138,7 @@ def _gather(mat, blocks):
     group, from one pass over the nonzeros of ``mat``: a generator of one (count, nr, nc)
     stack per group, each entry summed in the row-major order of the stored entries."""
     m, n = mat.shape
-    coo = mat.tocsr().tocoo()
+    row, col, val = csr_entries(mat.tocsr())
     # per row: its group and its row-major offset in the group's stack; per column:
     # its offset within a block row
     group, row_at, col_at = np.zeros(m, dtype=int), np.zeros(m, dtype=int), np.zeros(n, dtype=int)
@@ -143,10 +146,10 @@ def _gather(mat, blocks):
         group[rows.ravel()] = g
         row_at[rows.ravel()] = np.arange(rows.size) * cols.shape[1]
         col_at[cols] = np.arange(cols.shape[1])
-    order = np.argsort(group[coo.row], kind="stable")
-    place = (row_at[coo.row] + col_at[coo.col])[order]
-    bounds = np.searchsorted(group[coo.row[order]], np.arange(len(blocks) + 1))
-    data = coo.data[order]
+    order = np.argsort(group[row], kind="stable")
+    place = (row_at[row] + col_at[col])[order]
+    bounds = np.searchsorted(group[row[order]], np.arange(len(blocks) + 1))
+    data = val[order]
     for (rows, cols), lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
         stack = np.zeros(rows.size * cols.shape[1], dtype=mat.dtype)
         np.add.at(stack, place[lo:hi], data[lo:hi])
@@ -225,7 +228,7 @@ def _split_rows(layout, slot, box):
 def _correction_rows(conn, degree, reach, order):
     """Nonzeros of the order-``order`` correction system (see _correction_system),
     cached on the connection: (row count, w_0 blocks, w_1 .. w_order blocks),
-    each block a COO triple (rows, columns, values) placed in its matrix.
+    each block the (rows, columns, values) of its entries placed in its matrix.
 
     Block (t, s) does not depend on the order and row t has no block in a
     column s > t, so the order-K rows are the order-(K - 1) rows and the two
@@ -242,12 +245,11 @@ def _correction_rows(conn, degree, reach, order):
         t = order
         for other in (degree + 1, degree - 1):
             for s in range(max(t - 2, 0), t + 1):
+                unknown, equation = (degree, boxes[s]), (other, boxes[t])
                 if other > degree:
-                    block = _component(conn, t - s, (degree, boxes[s]), (other, boxes[t])).tocoo()
-                    row, col, val = block.row, block.col, block.data
+                    row, col, val = csr_entries(_component(conn, t - s, unknown, equation))
                 else:
-                    block = _component(conn, t - s, (other, boxes[t]), (degree, boxes[s])).tocoo()
-                    row, col, val = block.col, block.row, np.conj(block.data)
+                    row, col, val = _adjoint_entries(_component(conn, t - s, equation, unknown))
                 part = (row + height, col + (starts[s - 1] if s else 0), val)
                 (rest if s else lead).append(part)
             height += _layout(conn, other, boxes[t]).dim
@@ -255,10 +257,16 @@ def _correction_rows(conn, degree, reach, order):
     return conn._cache[key]
 
 
+def _adjoint_entries(mat):
+    """(rows, columns, values) of the conjugate transpose of a CSR matrix, in the
+    storage order of ``mat``."""
+    row, col, val = csr_entries(mat)
+    return col, row, np.conj(val)
+
+
 def _csr(blocks, shape):
-    """One CSR matrix from disjoint COO blocks."""
-    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    """One CSR matrix from disjoint blocks of (rows, columns, values)."""
+    return csr_from_entries(*(np.concatenate(part) for part in zip(*blocks)), shape)
 
 
 def _correction_system(conn, degree, reach, order):
@@ -347,11 +355,13 @@ class PageRecursion:
         ]
         # bases[K][slot] -> complex matrix (nb * nf, r) on the slot's rows of the
         # zero-box layout; lifts[K][slot] -> [W_0 .. W_(K-1)], W_t over the
-        # degree layout of the box t c, filled on first use
+        # degree layout of the box t c, filled per slot on first use
         self.bases = {}
         self.lifts = {}
         self._handout = {}  # (K, degree) -> entries
         self.dims_history = []
+        # corrections_solved: basis columns lifted by run(), pages 2 .. k_stop - 1
+        # in every degree; the final page is lifted per degree, on demand
         self.diagnostics = {
             "projection_cut": 0.0,
             "offslot_residual": 0.0,
@@ -385,21 +395,21 @@ class PageRecursion:
 
     # ---- lifts and leading coefficients -----------------------------------
 
-    def _lifts(self, K):
-        """Per slot of page K >= 2, [W_0 .. W_(K-1)]: the basis columns over the
-        zero-box degree layout, then their minimal-norm lift terms, solved on
-        first use."""
-        if K not in self.lifts:
-            lifts = {}
-            for slot, basis in self.bases[K].items():
+    def _lifts(self, K, degree=None):
+        """Per slot of page K >= 2, of one total degree or of all, [W_0 ..
+        W_(K-1)]: the basis columns over the zero-box degree layout, then their
+        minimal-norm lift terms, solved on first use."""
+        lifts = self.lifts.setdefault(K, {})
+        wanted = [slot for slot in self.bases[K] if degree is None or sum(slot) == degree]
+        for slot in wanted:
+            if slot not in lifts:
+                basis = self.bases[K][slot]
                 layout = _layout(self.conn, sum(slot), self.zero)
                 lead = np.zeros((layout.dim, basis.shape[1]), dtype=complex)
                 lead[_split_rows(layout, slot, self.zero)[0]] = basis
                 ws = _solve_columns(self.conn, sum(slot), self.zero, lead, K - 1, self.tol)
-                self.diagnostics["corrections_solved"] += basis.shape[1]
                 lifts[slot] = [lead] + ws
-            self.lifts[K] = lifts
-        return self.lifts[K]
+        return {slot: lifts[slot] for slot in wanted}
 
     def _leading(self, K, degree, w, up):
         """Order-K coefficient of d_delta (``up``) or d*_delta on the lifts
@@ -415,7 +425,7 @@ class PageRecursion:
             if up:
                 total = total + _component(self.conn, K - s, inner, outer) @ w[s]
             else:
-                total = total + _component(self.conn, K - s, outer, inner).conj().T @ w[s]
+                total = total + (_component(self.conn, K - s, outer, inner).T @ w[s].conj()).conj()
         return _layout(self.conn, *outer), total
 
     def _project(self, layout, coeff, target, adjoints):
@@ -450,6 +460,7 @@ class PageRecursion:
         """Compute page K+1 from page K >= 2."""
         bases = self.bases[K]
         lifts = self._lifts(K)
+        self.diagnostics["corrections_solved"] += sum(basis.shape[1] for basis in bases.values())
         adjoints = {slot: basis.conj().T for slot, basis in bases.items()}
         degrees = {i + j for i, j in bases}
         mat_d, mat_s = {}, {}
@@ -586,9 +597,7 @@ class PageRecursion:
             boxes = _boxes(self.conn, self.zero, K - 1)
             layouts = [_layout(self.conn, degree, box) for box in boxes]
             out = []
-            for slot, w in self._lifts(K).items():
-                if sum(slot) != degree:
-                    continue
+            for slot, w in self._lifts(K, degree).items():
                 for col in range(w[0].shape[1]):
                     terms = [layout.form_from_vector(x[:, col]) for layout, x in zip(layouts, w)]
                     out.append((slot, terms[0], DeltaPolynomial(terms)))
@@ -613,7 +622,7 @@ def harmonic_limit(recursion, total_degree):
     """
     conn, tolerances = recursion.conn, recursion.tol
     K = recursion.stable_page()
-    page = [(slot, w) for slot, w in recursion._lifts(K).items() if sum(slot) == total_degree]
+    page = list(recursion._lifts(K, total_degree).items())
     if not page:
         return []
     layout = _layout(conn, total_degree, _boxes(conn, recursion.bands, K - 1)[-1])
@@ -699,13 +708,14 @@ def galerkin_polynomial(conn, total_degree, bands):
         )
     box, wide = _boxes(conn, bands, 1)
     here, up, down = (total_degree, box), (total_degree + 1, wide), (total_degree - 1, wide)
-    mats = [
-        scipy.sparse.vstack(
-            [_component(conn, a, down, here).conj().T, _component(conn, a, here, up)], format="csr"
-        )
-        for a in range(3)
-    ]
-    return _layout(conn, *here), mats
+    layout = _layout(conn, *here)
+    height = _layout(conn, *down).dim
+    mats = []
+    for a in range(3):
+        s_rows, s_cols, s_vals = csr_entries(_component(conn, a, here, up))
+        blocks = [_adjoint_entries(_component(conn, a, down, here)), (s_rows + height, s_cols, s_vals)]
+        mats.append(_csr(blocks, (height + _layout(conn, *up).dim, layout.dim)))
+    return layout, mats
 
 
 def galerkin_coefficients(conn, total_degree, bands):
@@ -835,14 +845,16 @@ def recover_omega3(conn, residual, tolerances=None):
     layouts = {
         i: TruncationLayout(geo, alg, [(i, 0)], rhs_form.bands) for i in (2, 3, 4)
     }
-    d_mat = d_component_matrix(conn, 1, layouts[3], layouts[4])
-    dstar_mat = d_component_matrix(conn, 1, layouts[2], layouts[3]).conj().T
+    s_rows, s_cols, s_vals = _adjoint_entries(d_component_matrix(conn, 1, layouts[2], layouts[3]))
     nb = num_indices(geo.n, 3)
     zero_freq = len(layouts[3].key_array) // 2 * nb + np.arange(nb)
-    harmonic_mat = scipy.sparse.csr_matrix(
-        (np.ones(nb), (np.arange(nb), zero_freq)), shape=(nb, layouts[3].dim)
-    )
-    mat = scipy.sparse.vstack([d_mat, dstar_mat, harmonic_mat], format="csr")
+    height = layouts[4].dim + layouts[2].dim
+    blocks = [
+        csr_entries(d_component_matrix(conn, 1, layouts[3], layouts[4])),
+        (s_rows + layouts[4].dim, s_cols, s_vals),
+        (height + np.arange(nb), zero_freq, np.ones(nb, dtype=complex)),
+    ]
+    mat = _csr(blocks, (height + nb, layouts[3].dim))
     rhs = np.concatenate(
         [-layouts[4].vector_from_form(residual)[0], np.zeros(layouts[2].dim + nb, dtype=complex)]
     )

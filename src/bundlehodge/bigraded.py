@@ -61,12 +61,12 @@ its ``mirror`` rows carry the reality involution.  d_component_matrix gives
 each of the three components as a sparse matrix in these coordinates, a sum
 of (frequency diagonal or shift) x (base matrix) x (fiber matrix) blocks,
 built in one vectorized pass over the component's term table, which is
-cached on the connection; there the codifferential of a component is the
+cached on the connection, and stored by one CSR build from its entries
+(csr_from_entries); there the codifferential of a component is the
 conjugate transpose of its matrix.  The page recursion and the compressed (Galerkin) Laplacian of
 ``adiabatic_ss`` are built from these matrices.
 """
 
-import itertools
 from collections.abc import Mapping
 
 import numpy as np
@@ -463,20 +463,6 @@ def bigraded_norm(form):
     return float(np.sqrt(max(val, 0.0)))
 
 
-def sq_norms_batch(form):
-    """Per-batch-slice squared norms of a batched bigraded form."""
-    geo = form.geometry
-    alg = form.alg
-    total = None
-    for (i, j), table in form.components.items():
-        if not len(table):
-            continue
-        moved = np.einsum("bc,kcgt,fg->kbft", geo.gram(i), table.stack, alg.gram(j))
-        contrib = np.einsum("kbft,kbft->t", np.conj(table.stack), moved).real
-        total = contrib if total is None else total + contrib
-    return geo.volume * total if total is not None else None
-
-
 def coefficient_norms(poly):
     """(m, norm) for every polynomial coefficient m, exact zeros included."""
     return [(m, bigraded_norm(c)) for m, c in enumerate(poly.coefficients)]
@@ -734,16 +720,6 @@ def _accumulate(keys, unshifted, groups, move):
 # -- rescaled polynomial family --------------------------------------------------
 
 
-def rho_scale(form, delta, inverse=False):
-    """Grading isometry: multiply the (i, j)-component by delta^(+-i)."""
-    return form._with(
-        {
-            (i, j): FrequencyTable(t.key_array, float(delta) ** (-i if inverse else i) * t.stack)
-            for (i, j), t in form.components.items()
-        }
-    )
-
-
 def _delta_series(poly, conn, apply):
     # coefficient m collects component a applied to coefficient m - a
     out = []
@@ -778,31 +754,6 @@ def dstar_delta(poly, conn):
 def laplacian_delta(poly, conn):
     """d_delta d*_delta + d*_delta d_delta, exactly as polynomials."""
     return d_delta(dstar_delta(poly, conn), conn) + dstar_delta(d_delta(poly, conn), conn)
-
-
-# -- random forms -----------------------------------------------------------------
-
-
-def random_bigraded(geometry, alg, total_degree, bands, rng, batch=None):
-    """Real random form spread over every slot with i + j = total_degree."""
-    keys = np.array(list(itertools.product(*[range(-b, b + 1) for b in bands])), dtype=np.int64)
-    comps = {}
-    for i in range(min(geometry.n, total_degree) + 1):
-        j = total_degree - i
-        if j < 0 or j > alg.dim:
-            continue
-        nb = num_indices(geometry.n, i)
-        nf = num_indices(alg.dim, j)
-        if nb == 0 or nf == 0:
-            continue
-        shape = (nb, nf) if batch is None else (nb, nf, batch)
-        # per key a real draw, then an imaginary one
-        draws = rng.standard_normal((len(keys), 2) + shape)
-        table = draws[:, 0] + 1j * draws[:, 1]
-        # reality: value at -k is the conjugate of the value at k; the box
-        # lists its keys in lexicographic order, so -k runs in reverse
-        comps[(i, j)] = FrequencyTable(keys, 0.5 * (table + np.conj(table[::-1])))
-    return BigradedForm(geometry, alg, comps)
 
 
 # -- truncated coordinates and the Galerkin compression ----------------------------
@@ -907,6 +858,27 @@ class TruncationLayout:
         nb, nf = self.shapes[slot]
         start = self.offsets[slot]
         return vec[start : start + len(self.key_array) * nb * nf].reshape(len(self.key_array), nb * nf)
+
+
+def csr_from_entries(rows, cols, vals, shape):
+    """The CSR matrix of the entries (rows[e], cols[e], vals[e]), duplicates
+    summed: the same arrays, bit for bit, as csr_matrix((vals, (rows, cols)),
+    shape), without the COO object.  Entries are grouped by row in input
+    order, as scipy's coo_tocsr groups them, and scipy's own sum_duplicates
+    sorts each row and adds its duplicates."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    mat = scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=shape)
+    mat.sum_duplicates()
+    return mat
+
+
+def csr_entries(mat):
+    """(rows, columns, values) of the stored entries of a CSR matrix, in
+    storage order, with the index dtype of the matrix."""
+    counts = np.diff(mat.indptr)
+    return np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), counts), mat.indices, mat.data
 
 
 def _inv_chol(space, deg):
@@ -1023,10 +995,7 @@ def d_component_matrix(conn, which, src, dst):
     entry = np.arange(reps.sum()) + (start[term] - reps.cumsum() + reps).repeat(reps)
     rows = (pos[q_of[term], src_key] * n_row[term] + dst_off[slot[term]]).repeat(reps) + l_row[entry]
     cols = (src_key * n_col[term] + src_off[slot[term]]).repeat(reps) + l_col[entry]
-    return scipy.sparse.csr_matrix(
-        (coeffs.repeat(reps) * l_val[entry], (rows, cols)),
-        shape=(dst.dim, src.dim),
-    )
+    return csr_from_entries(rows, cols, coeffs.repeat(reps) * l_val[entry], (dst.dim, src.dim))
 
 
 # -- serialization ---------------------------------------------------------------

@@ -50,7 +50,13 @@ page-Laplacian kernels; ``PageRecursion`` seeds page 2 in closed form instead.
 ``PageRecursion.entries``, regrades each lift with form arithmetic and splits
 the results against the reality involution form by form; the production
 ``adiabatic_ss.harmonic_limit`` does all of this in coordinates.
+
+``random_bigraded``, ``rho_scale`` and ``sq_norms_batch`` are test inputs
+and checks with no production caller: random real forms, the grading
+isometry and batched norms.
 """
+
+import itertools
 
 import numpy as np
 import scipy.sparse
@@ -66,6 +72,7 @@ from bundlehodge.adiabatic_ss import (
 from bundlehodge.bigraded import (
     _BIDEGREES,
     BigradedForm,
+    FrequencyTable,
     TruncationLayout,
     _coupling_terms,
     _factor,
@@ -490,3 +497,52 @@ def reference_harmonic_limit(recursion, total_degree):
                 )
         limits.append(total.prune())
     return reference_realify(limits, recursion.tol)
+
+
+# -- test inputs ------------------------------------------------------------------
+
+
+def random_bigraded(geometry, alg, total_degree, bands, rng, batch=None):
+    """Real random form spread over every slot with i + j = total_degree."""
+    keys = np.array(list(itertools.product(*[range(-b, b + 1) for b in bands])), dtype=np.int64)
+    comps = {}
+    for i in range(min(geometry.n, total_degree) + 1):
+        j = total_degree - i
+        if j < 0 or j > alg.dim:
+            continue
+        nb = num_indices(geometry.n, i)
+        nf = num_indices(alg.dim, j)
+        if nb == 0 or nf == 0:
+            continue
+        shape = (nb, nf) if batch is None else (nb, nf, batch)
+        # per key a real draw, then an imaginary one
+        draws = rng.standard_normal((len(keys), 2) + shape)
+        table = draws[:, 0] + 1j * draws[:, 1]
+        # reality: value at -k is the conjugate of the value at k; the box
+        # lists its keys in lexicographic order, so -k runs in reverse
+        comps[(i, j)] = FrequencyTable(keys, 0.5 * (table + np.conj(table[::-1])))
+    return BigradedForm(geometry, alg, comps)
+
+
+def rho_scale(form, delta, inverse=False):
+    """Grading isometry: multiply the (i, j)-component by delta^(+-i)."""
+    return form._with(
+        {
+            (i, j): FrequencyTable(t.key_array, float(delta) ** (-i if inverse else i) * t.stack)
+            for (i, j), t in form.components.items()
+        }
+    )
+
+
+def sq_norms_batch(form):
+    """Per-batch-slice squared norms of a batched bigraded form."""
+    geo = form.geometry
+    alg = form.alg
+    total = None
+    for (i, j), table in form.components.items():
+        if not len(table):
+            continue
+        moved = np.einsum("bc,kcgt,fg->kbft", geo.gram(i), table.stack, alg.gram(j))
+        contrib = np.einsum("kbft,kbft->t", np.conj(table.stack), moved).real
+        total = contrib if total is None else total + contrib
+    return geo.volume * total if total is not None else None

@@ -17,8 +17,6 @@ from bundlehodge.bigraded import (
     Connection,
     apply_d_component,
     apply_dstar_component,
-    random_bigraded,
-    sq_norms_batch,
 )
 from bundlehodge.chern_weil import cw4, make_polynomial
 from bundlehodge.harness import (
@@ -37,6 +35,8 @@ from bundlehodge.lie_algebra import (
     make_su2,
     make_su3,
 )
+
+from bigraded_reference import random_bigraded, sq_norms_batch
 
 
 def record(name, passed, detail=""):

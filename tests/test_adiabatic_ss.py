@@ -272,6 +272,19 @@ def test_su3_lifts_are_solved_on_the_zero_box():
     assert not rec.stabilized
 
 
+def test_final_page_lifts_are_solved_only_in_the_degree_read():
+    """The run lifts its pages 2 .. k_stop - 1 in every degree; the stable page is
+    lifted one degree at a time, so harmonic_limit in degree 1 poses the correction
+    systems of order k_stop - 1 in degree 1 only."""
+    conn = load_scenario(packaged_scenario_path("t4_su2_flat")).connection
+    rec = PageRecursion(conn, (1, 1, 0, 0)).run()
+    assert {key[1] for key in conn._cache if key[0] == "corrections"} == set(range(8))
+    harmonic_limit(rec, 1)
+    final = [key for key in conn._cache if key[0] == "corrections" and key[3] == rec.k_stop - 1]
+    assert final == [("corrections", 1, rec.zero, rec.k_stop - 1)]
+    assert {sum(slot) for slot in rec.lifts[rec.k_stop]} == {1}
+
+
 def test_stable_entries_orthonormal_with_valid_lifts():
     conn = su2_t3_connection()
     rec = PageRecursion(conn, (1, 1, 1)).run()

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from bundlehodge.base_forms import (
     FourierForm,
@@ -25,14 +26,13 @@ from bundlehodge.bigraded import (
     apply_dstar_component,
     bigraded_inner_product,
     bigraded_norm,
+    csr_entries,
+    csr_from_entries,
     d_component_matrix,
     d_delta,
     dstar_delta,
     from_fourier,
     laplacian_delta,
-    random_bigraded,
-    rho_scale,
-    sq_norms_batch,
 )
 from bundlehodge.adiabatic_ss import galerkin_polynomial
 from bundlehodge.errors import ConfigError
@@ -41,12 +41,15 @@ from bundlehodge.lie_algebra import LieAlgebraData, harmonic_subspace, make_su2,
 from bigraded_reference import (
     csr_bytes,
     form_of,
+    random_bigraded,
     reference_accumulate,
     reference_component_matrix,
     reference_conjugate_form,
     reference_d,
     reference_dstar,
     reference_galerkin_polynomial,
+    rho_scale,
+    sq_norms_batch,
 )
 
 
@@ -493,6 +496,38 @@ def test_component_matrices_match_term_by_term_assembly(make_conn):
         want = csr_bytes(reference_component_matrix(conn, which, src, dst))
         assert csr_bytes(d_component_matrix(conn, which, src, dst)) == want
     assert len(conn._cache) == cached
+
+
+def test_csr_from_entries_matches_the_coo_constructor_bit_for_bit():
+    """csr_from_entries has the arrays of csr_matrix((vals, (rows, cols)), shape),
+    duplicates included: scipy sorts a row of more than 16 entries unstably, so
+    the sums must come from scipy's own sum_duplicates on the same row order."""
+    rng = np.random.default_rng(17)
+    empty = np.zeros(0, dtype=np.int64)
+    cases = [
+        (empty, empty, np.zeros(0, dtype=complex), (3, 4)),
+        (empty, empty, np.zeros(0), (0, 4)),
+        (np.array([4, 0, 4, 0]), np.array([2, 1, 2, 1]), np.array([1.0, 1e-17, -1.0, 1.0]), (6, 3)),
+    ]
+    for m, n, nnz in ((1, 3, 40), (3, 5, 120), (4, 40, 300)):
+        # values over many magnitudes, so that the summation order shows
+        vals = rng.standard_normal(nnz) * 10.0 ** rng.integers(-16, 1, nnz)
+        vals = vals + 1j * rng.standard_normal(nnz)
+        cases.append((rng.integers(0, m, nnz), rng.integers(0, n, nnz), vals, (m, n)))
+        assert np.max(np.bincount(cases[-1][0])) > 16
+    for rows, cols, vals, shape in cases:
+        assert rows.dtype == np.int64
+        mat = csr_from_entries(rows, cols, vals, shape)
+        assert csr_bytes(mat) == csr_bytes(scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape))
+        assert mat.indices.dtype == mat.indptr.dtype == np.int32
+        # the stored entries, read back row-major, rebuild the same matrix
+        e_rows, e_cols, e_vals = csr_entries(mat)
+        assert e_rows.dtype == mat.indices.dtype
+        assert np.all(np.diff(e_rows) >= 0)
+        dense = np.zeros(shape, dtype=mat.dtype)
+        dense[e_rows, e_cols] = e_vals
+        assert np.array_equal(dense, mat.toarray())
+        assert csr_bytes(csr_from_entries(e_rows, e_cols, e_vals, shape)) == csr_bytes(mat)
 
 
 def test_galerkin_band_too_small():

@@ -335,6 +335,28 @@ def test_cli_verify_cs3_nonsemisimple_is_config_error(tmp_path):
     )
 
 
+def test_cli_verify_cs3_witness_gate_scales_with_the_connection(tmp_path):
+    """Scaled by 1e-4, the t4_su2_cs3 connection gives a witness |psi| near 3e-5:
+    below a fixed 1e-4, but far above the tolerance its corrected series meets."""
+    with open(packaged_scenario_path("t4_su2_cs3")) as fh:
+        cfg = json.load(fh)
+    for _, form in cfg["connection"]["components"]:
+        form["entries"] = [
+            [k, index, repr(float(re) * 1e-4), repr(float(im) * 1e-4)]
+            for k, index, re, im in form["entries"]
+        ]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main(["verify-cs3", "--scenario", str(path), "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "t4_su2_cs3_verify_cs3.json").read_text())
+    assert report["harmonic_through_order_3"] and report["recover_omega3_ok"]
+    witness = report["covariant_coderivative_norm"]
+    assert 1e-5 < witness < 1e-4
+    assert report["necessity_witness"]
+    assert report["necessity_witness_margin"] == witness / report["tolerance"] > 1.0
+
+
 def test_cli_spectrum_one_point_grid_is_config_error(tmp_path):
     # t3_su2_pages declares delta_grid ["0.5"]: no decay slope can be fitted
     assert (
