@@ -42,7 +42,6 @@ from .bigraded import (
     bigraded_inner_product,
     d_delta,
     dstar_delta,
-    laplacian_delta,
 )
 from .chern_weil import (
     InvariantPolynomial,

@@ -19,6 +19,7 @@ from .multiindex import (
     multi_indices,
     num_indices,
     wedge_axis_matrix,
+    wedge_table,
 )
 
 
@@ -268,15 +269,13 @@ def wedge(a, b):
         return wedge(b, a) * (-1.0) ** (a.degree * b.degree)
     bands = tuple(ba + bb for ba, bb in zip(a.bands, b.bands))
     out = FourierForm.zero(geo, degree, bands)
-    pos_out = index_position(geo.n, degree)
+    products = wedge_table(geo.n, a.degree, b.degree)
     window = tuple(2 * bb + 1 for bb in b.bands)
     for k, idx_a, value in a.entries():
         offsets = tuple(ka + ba for ka, ba in zip(k, a.bands))
         block = tuple(slice(o, o + w) for o, w in zip(offsets, window))
-        for col_b, idx_b in enumerate(multi_indices(geo.n, b.degree)):
-            sgn, merged = merge_sign(idx_a, idx_b)
-            if sgn:
-                out.coeffs[block + (pos_out[merged],)] += sgn * value * b.coeffs[..., col_b]
+        for col_b, sgn, pos in products[idx_a]:
+            out.coeffs[block + (pos,)] += sgn * value * b.coeffs[..., col_b]
     return out
 
 

@@ -44,7 +44,10 @@ each shift q as q first appears).  Frequencies are numbered by a raveled
 code over the bounding box of the destination keys, so each shift is one
 integer offset on the source codes, and a lookup table over the box gives
 every code its row.  Each distinct fiber factor of a slot is applied to the
-stack once and shared by the base factors that follow it.  The multiplier
+stack once and shared by the base factors that follow it.  A factor is
+applied through its nonzero rows, cached once per factor: per layer (the
+first nonzero of every row, then the second, ...) one gather along the base
+or fiber axis times the layer's values.  The multiplier
 terms land first, then per q the sum of coefficient x moved block over the
 (B, F) groups, in group order, with one vectorized add.  Rows that are
 exactly zero are dropped; rows holding a NaN or an infinity are kept.
@@ -186,16 +189,36 @@ def _nonzero_rows(key_array, stack):
     return FrequencyTable(key_array[keep], stack[keep])
 
 
-def _apply_fiber_stacked(mat, stacked):
-    if stacked.ndim == 3:
-        return np.einsum("gf,kbf->kbg", mat, stacked)
-    return np.einsum("gf,kbft->kbgt", mat, stacked)
+def _apply_rows(plan, stacked, axis, finite):
+    """M applied along ``axis`` of a stack (1 for the base index, 2 for the
+    fiber index) from the row plan of M (_row_plan): per layer one gather
+    along the axis times the layer's values, the layers added in order.
 
-
-def _apply_base_stacked(mat, stacked):
-    if stacked.ndim == 3:
-        return np.einsum("ab,kbf->kaf", mat, stacked)
-    return np.einsum("ab,kbft->kaft", mat, stacked)
+    The gathers skip the columns that M zeroes.  Unless ``finite`` vouches
+    that the operator's source stack holds no NaN or infinity, a
+    non-finite entry in such a column sets its whole line along the axis
+    to NaN, as 0 * NaN does in the dense product, so a non-finite input
+    never yields a finite image."""
+    cols, vals, dropped = plan
+    shape = [1] * stacked.ndim
+    shape[axis] = -1
+    out = None
+    for col, val in zip(cols, vals):
+        term = np.take(stacked, col, axis=axis)
+        term *= val.reshape(shape)
+        if out is None:
+            out = term
+        else:
+            out += term
+    if out is None:
+        size = list(stacked.shape)
+        size[axis] = cols.shape[1]
+        out = np.zeros(size, dtype=np.result_type(complex, stacked))
+    if len(dropped) and not finite:
+        lost = ~np.isfinite(np.take(stacked, dropped, axis=axis)).all(axis=axis, keepdims=True)
+        if lost.any():
+            out = np.where(lost, complex(np.nan, np.nan), out)
+    return out
 
 
 # -- data types ----------------------------------------------------------------
@@ -452,10 +475,29 @@ def bigraded_inner_product(a, b):
             u, v = ta.stack[rows_a], tb.stack[rows_b]
         if u.ndim != 3 or v.ndim != 3:
             raise ConfigError("inner product needs unbatched forms")
+        base_diag, fiber_diag = _gram_diagonal(geo, i), _gram_diagonal(alg, j)
+        if base_diag is None or fiber_diag is None:
+            paired = geo.gram(i) @ v @ alg.gram(j)
+        else:
+            # G_i v G_j for diagonal Grams, with the products of the matmuls
+            paired = v * base_diag[:, None]
+            paired *= fiber_diag
         # one sum per key, added in sorted key order
-        for part in np.sum(np.conj(u) * (geo.gram(i) @ v @ alg.gram(j)), axis=(1, 2)).tolist():
+        for part in np.sum(np.conj(u) * paired, axis=(1, 2)).tolist():
             total += part
     return geo.volume * total
+
+
+def _gram_diagonal(space, deg):
+    """The diagonal of the degree-deg Gram matrix of a torus or an algebra
+    when the matrix is diagonal, else None; cached on the space."""
+
+    def build():
+        gram = space.gram(deg)
+        diag = np.diagonal(gram).copy()
+        return diag if np.array_equal(gram, np.diag(diag)) else None
+
+    return space._cached(("bigraded", "gram_diagonal", deg), build)
 
 
 def bigraded_norm(form):
@@ -571,6 +613,27 @@ def _factor(space, key):
     return space._cached(("bigraded",) + key, build)
 
 
+def _row_plan(space, key):
+    """The nonzero rows of _factor(space, key), cached beside it, for
+    _apply_rows: ``cols`` and ``vals``, of shape (layers, rows), hold in
+    layer t the column and value of each row's t-th nonzero, columns
+    ascending (column 0 and value 0 past a row's last nonzero); ``dropped``
+    lists the columns that hold no nonzero."""
+
+    def build():
+        mat = _factor(space, key)
+        rows, cols = np.nonzero(mat)
+        counts = np.bincount(rows, minlength=len(mat))
+        layer = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        plan_cols = np.zeros((counts.max(initial=0), len(mat)), dtype=np.intp)
+        plan_vals = np.zeros(plan_cols.shape, dtype=mat.dtype)
+        plan_cols[layer, rows] = cols
+        plan_vals[layer, rows] = mat[rows, cols]
+        return plan_cols, plan_vals, np.flatnonzero(~mat.any(axis=0))
+
+    return space._cached(("bigraded", "rows") + key, build)
+
+
 def _slot_terms(conn, which, slot, keys, adjoint):
     """The multiplier terms and the coupling groups {(base, fiber): [(q,
     coefficient)]} of d^(which) on ``slot``; with ``adjoint``, of the
@@ -606,6 +669,7 @@ def _apply_component(form, conn, which, adjoint):
         # only the base derivative reads the keys
         fkeys = table.key_array.astype(float) if which == 1 else None
         multipliers, groups = _slot_terms(conn, which, target if adjoint else (i, j), fkeys, adjoint)
+        finite = bool(np.isfinite(stacked).all())
         fibered = {}
 
         def move(base, fiber):
@@ -613,10 +677,10 @@ def _apply_component(form, conn, which, adjoint):
             applied once; identity factors are skipped."""
             if fiber not in fibered:
                 fibered[fiber] = (
-                    stacked if fiber[0] == "eye" else _apply_fiber_stacked(_factor(alg, fiber), stacked)
+                    stacked if fiber[0] == "eye" else _apply_rows(_row_plan(alg, fiber), stacked, 2, finite)
                 )
             moved = fibered[fiber]
-            return moved if base[0] == "eye" else _apply_base_stacked(_factor(geo, base), moved)
+            return moved if base[0] == "eye" else _apply_rows(_row_plan(geo, base), moved, 1, finite)
 
         unshifted = None
         for _, coeff, base, fiber in multipliers:
@@ -749,11 +813,6 @@ def d_delta(poly, conn):
 def dstar_delta(poly, conn):
     """Exact polynomial action of the adjoint, d*_delta."""
     return _delta_series(poly, conn, apply_dstar_component)
-
-
-def laplacian_delta(poly, conn):
-    """d_delta d*_delta + d*_delta d_delta, exactly as polynomials."""
-    return d_delta(dstar_delta(poly, conn), conn) + dstar_delta(d_delta(poly, conn), conn)
 
 
 # -- truncated coordinates and the Galerkin compression ----------------------------

@@ -58,6 +58,24 @@ def merge_sign(left, right):
     return sign, tuple(merged)
 
 
+@lru_cache(maxsize=None)
+def wedge_table(n, deg_a, deg_b):
+    """The nonvanishing products e^I ^ e^J over range(n): per multi-index I
+    of degree deg_a, one (position of J, sign, position of the merged index
+    in degree deg_a + deg_b) for each J of degree deg_b with e^I ^ e^J != 0,
+    in the order of J."""
+    pos_out = index_position(n, deg_a + deg_b)
+    table = {}
+    for idx_a in multi_indices(n, deg_a):
+        row = []
+        for col_b, idx_b in enumerate(multi_indices(n, deg_b)):
+            sign, merged = merge_sign(idx_a, idx_b)
+            if sign:
+                row.append((col_b, sign, pos_out[merged]))
+        table[idx_a] = tuple(row)
+    return table
+
+
 def complement(idx, n):
     return tuple(a for a in range(n) if a not in idx)
 

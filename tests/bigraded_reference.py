@@ -51,9 +51,14 @@ page-Laplacian kernels; ``PageRecursion`` seeds page 2 in closed form instead.
 the results against the reality involution form by form; the production
 ``adiabatic_ss.harmonic_limit`` does all of this in coordinates.
 
+``reference_apply_factor`` is the dense product of a base or fiber factor
+with a value stack, the einsum the production operators used before they
+applied each factor through its nonzero rows (``bigraded._apply_rows``).
+
 ``random_bigraded``, ``rho_scale`` and ``sq_norms_batch`` are test inputs
 and checks with no production caller: random real forms, the grading
-isometry and batched norms.
+isometry and batched norms.  ``laplacian_delta`` is the polynomial
+Laplacian built from the production ``d_delta`` and ``dstar_delta``.
 """
 
 import itertools
@@ -78,6 +83,8 @@ from bundlehodge.bigraded import (
     _factor,
     _multiplier_terms,
     bigraded_inner_product,
+    d_delta,
+    dstar_delta,
 )
 from bundlehodge.lie_algebra import harmonic_subspace
 from bundlehodge.multiindex import num_indices, wedge_axis_matrix, wedge_pair_matrix
@@ -91,6 +98,15 @@ def _base(mat, vals):
 def _fiber(mat, vals):
     # vals: (keys, nb, nf, ...) -> (keys, nb, mf, ...)
     return np.moveaxis(np.tensordot(mat, vals, axes=(1, 2)), 0, 2)
+
+
+def reference_apply_factor(mat, stacked, axis):
+    """M applied along ``axis`` of a plain or batched value stack (1 for the
+    base index, 2 for the fiber index), as one dense einsum."""
+    batched = stacked.ndim == 4
+    if axis == 1:
+        return np.einsum("ab,kbft->kaft" if batched else "ab,kbf->kaf", mat, stacked)
+    return np.einsum("gf,kbft->kbgt" if batched else "gf,kbf->kbg", mat, stacked)
 
 
 def _adjoint(gram, mat, src, dst):
@@ -546,3 +562,8 @@ def sq_norms_batch(form):
         contrib = np.einsum("kbft,kbft->t", np.conj(table.stack), moved).real
         total = contrib if total is None else total + contrib
     return geo.volume * total if total is not None else None
+
+
+def laplacian_delta(poly, conn):
+    """d_delta d*_delta + d*_delta d_delta, exactly as polynomials."""
+    return d_delta(dstar_delta(poly, conn), conn) + dstar_delta(d_delta(poly, conn), conn)

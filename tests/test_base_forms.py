@@ -23,6 +23,7 @@ from bundlehodge.base_forms import (
     wedge,
 )
 from bundlehodge.errors import ConfigError, DegreeError, DegreeOverflow, NotExact
+from bundlehodge.multiindex import index_position, merge_sign, multi_indices
 
 
 def rel_err(x, scale):
@@ -101,6 +102,37 @@ def test_wedge_graded_commutativity():
         lhs = wedge(a, b)
         rhs = (-1.0) ** (da * db) * wedge(b, a)
         assert rel_err(norm(lhs - rhs), norm(lhs)) <= 1e-13
+
+
+def _merge_sign_wedge(a, b):
+    """The wedge product with one merge_sign call per (entry, multi-index),
+    in the loop order of base_forms.wedge, which runs over the entries of
+    the factor with fewer nonzero coefficients."""
+    if np.count_nonzero(b.coeffs) < np.count_nonzero(a.coeffs):
+        return _merge_sign_wedge(b, a) * (-1.0) ** (a.degree * b.degree)
+    geo = a.geometry
+    out = FourierForm.zero(geo, a.degree + b.degree, tuple(x + y for x, y in zip(a.bands, b.bands)))
+    pos_out = index_position(geo.n, a.degree + b.degree)
+    for k, idx_a, value in a.entries():
+        block = tuple(slice(ka + ba, ka + ba + 2 * bb + 1) for ka, ba, bb in zip(k, a.bands, b.bands))
+        for col_b, idx_b in enumerate(multi_indices(geo.n, b.degree)):
+            sgn, merged = merge_sign(idx_a, idx_b)
+            if sgn:
+                out.coeffs[block + (pos_out[merged],)] += sgn * value * b.coeffs[..., col_b]
+    return out
+
+
+def test_wedge_matches_merge_sign_loop_bit_for_bit():
+    # the cached sign table keeps the loop order, so the sums are the same
+    for geo in geometries():
+        rng = np.random.default_rng(9)
+        for da in range(geo.n + 1):
+            for db in range(geo.n + 1 - da):
+                a = random_form(geo, da, (1,) * geo.n, rng)
+                b = random_form(geo, db, (2,) + (1,) * (geo.n - 1), rng)
+                got = wedge(a, b)
+                assert got.bands == tuple(x + y for x, y in zip(a.bands, b.bands))
+                assert got.coeffs.tobytes() == _merge_sign_wedge(a, b).coeffs.tobytes()
 
 
 def test_leibniz_identity():

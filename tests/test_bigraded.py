@@ -1,6 +1,7 @@
 """Bigraded complex: anticommutation identities, adjointness, rescaling."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -22,6 +23,10 @@ from bundlehodge.bigraded import (
     DeltaPolynomial,
     TruncationLayout,
     _accumulate,
+    _apply_rows,
+    _factor,
+    _row_plan,
+    _slot_terms,
     apply_d_component,
     apply_dstar_component,
     bigraded_inner_product,
@@ -32,17 +37,19 @@ from bundlehodge.bigraded import (
     d_delta,
     dstar_delta,
     from_fourier,
-    laplacian_delta,
 )
 from bundlehodge.adiabatic_ss import galerkin_polynomial
 from bundlehodge.errors import ConfigError
 from bundlehodge.lie_algebra import LieAlgebraData, harmonic_subspace, make_su2, make_u1
+from bundlehodge.multiindex import num_indices
 
 from bigraded_reference import (
     csr_bytes,
     form_of,
+    laplacian_delta,
     random_bigraded,
     reference_accumulate,
+    reference_apply_factor,
     reference_component_matrix,
     reference_conjugate_form,
     reference_d,
@@ -296,6 +303,16 @@ def _fixture_connection(name):
     return load_scenario(packaged_scenario_path(name)).connection
 
 
+def _su3_connection():
+    # the su(3) copy of t4_su2_cs3 at the same scale: rows of its coadjoint,
+    # iota and fiber d matrices hold several nonzeros
+    from bundlehodge.harness import Scenario, packaged_scenario_path
+
+    with open(packaged_scenario_path("t4_su2_cs3")) as fh:
+        config = json.load(fh)
+    return Scenario(dict(config, algebra={"name": "su3", "scale": "0.2"})).connection
+
+
 def _skewed_abelian_connection():
     # non-diagonal base and fiber metrics, so every Cholesky factor is a
     # full triangle and a transposed factor would show
@@ -361,11 +378,13 @@ def assert_no_zero_blocks(form):
 
 
 # su(2) over T^3; scale-0.2 su(2) over T^4, whose Gram matrices are not the
-# identity; abelian with a curvature override; abelian and su(2) on skewed
-# metrics; many-mode su(2) over T^4, where shifted blocks collide
+# identity, and its su(3) copy, whose factors have rows of several nonzeros;
+# abelian with a curvature override; abelian and su(2) on skewed metrics;
+# many-mode su(2) over T^4, where shifted blocks collide
 GALERKIN_ORACLE_CASES = [
     pytest.param(lambda: _fixture_connection("t3_su2_pages"), (2, 1, 1), id="t3_su2_pages"),
     pytest.param(lambda: _fixture_connection("t4_su2_cs3"), (1, 1, 0, 0), id="t4_su2_cs3"),
+    pytest.param(_su3_connection, (1, 0, 0, 0), id="t4_su3_cs3"),
     pytest.param(lambda: _fixture_connection("t2_u1_c1nonzero"), (2, 2), id="t2_u1_c1nonzero"),
     pytest.param(_skewed_abelian_connection, (1, 1, 1), id="skewed_u1x2"),
     pytest.param(_skewed_su2_connection, (1, 1, 1), id="skewed_su2"),
@@ -498,6 +517,79 @@ def test_component_matrices_match_term_by_term_assembly(make_conn):
     assert len(conn._cache) == cached
 
 
+def _reached_factors(conn):
+    """(space, key, axis) of every base (axis 1) and fiber (axis 2) factor
+    that a component d^(which) or its adjoint applies on some slot, the
+    identities left out."""
+    geo, alg = conn.geometry, conn.alg
+    keys = np.zeros((1, geo.n))
+    found = {}
+    for which, (di, dj) in enumerate(_BIDEGREES):
+        for i, j in itertools.product(range(geo.n + 1), range(alg.dim + 1)):
+            if not num_indices(geo.n, i + di) or not num_indices(alg.dim, j + dj):
+                continue
+            for adjoint in (False, True):
+                multipliers, groups = _slot_terms(conn, which, (i, j), keys, adjoint)
+                for base, fiber in [(base, fiber) for _, _, base, fiber in multipliers] + list(groups):
+                    found[(1, base)] = geo
+                    found[(2, fiber)] = alg
+    return [(space, key, axis) for (axis, key), space in found.items() if key[0] != "eye"]
+
+
+# every packaged fixture; the su(3) copy of t4_su2_cs3 and the skewed
+# metrics, whose factors have rows of several nonzeros (the skewed adjoints
+# through their dense Gram matrices)
+FACTOR_CASES = [
+    pytest.param(lambda name=name: _fixture_connection(name), False, id=name)
+    for name in ("t2_u1_c1zero", "t2_u1_c1nonzero", "t3_su2_pages", "t4_su2_flat", "t4_su2_cs3")
+] + [
+    pytest.param(_su3_connection, True, id="t4_su3_cs3"),
+    pytest.param(_skewed_abelian_connection, True, id="skewed_u1x2"),
+    pytest.param(_skewed_su2_connection, True, id="skewed_su2"),
+]
+
+
+@pytest.mark.parametrize("make_conn, several", FACTOR_CASES)
+def test_factor_rows_match_the_dense_product(make_conn, several):
+    """Every factor the operators reach, applied through its row plan, on
+    plain and batched stacks, against the dense einsum: bit for bit where
+    each row of the factor holds at most one nonzero, else within
+    1e-14 (|M| |x|) entry by entry.  A NaN in any column of a line along
+    the factor's axis leaves a non-finite entry in the image line."""
+    conn = make_conn()
+    rng = np.random.default_rng(19)
+    depths = []
+    for space, key, axis in _reached_factors(conn):
+        mat = _factor(space, key)
+        plan = _row_plan(space, key)
+        depth = int(np.count_nonzero(mat, axis=1).max(initial=0))
+        depths.append(depth)
+        for batch in ((), (3,)):
+            shape = [4, 2, 3] + list(batch)
+            shape[axis] = mat.shape[1]
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = _apply_rows(plan, x, axis, True)
+            want = reference_apply_factor(mat, x, axis)
+            assert got.shape == want.shape
+            if depth <= 1:
+                assert np.array_equal(got, want)
+            else:
+                bound = 1e-14 * reference_apply_factor(np.abs(mat), np.abs(x), axis)
+                assert np.all(np.abs(got - want) <= bound)
+            # no finiteness promise: the same image for a finite stack
+            assert np.array_equal(_apply_rows(plan, x, axis, False), got)
+            for col in range(mat.shape[1]):
+                spot = [1] * x.ndim
+                spot[axis] = col
+                poisoned = x.copy()
+                poisoned[tuple(spot)] = np.nan
+                line = list(spot)
+                line[axis] = slice(None)
+                image = _apply_rows(plan, poisoned, axis, False)
+                assert not np.isfinite(image[tuple(line)]).all()
+    assert (max(depths) > 1) == several
+
+
 def test_csr_from_entries_matches_the_coo_constructor_bit_for_bit():
     """csr_from_entries has the arrays of csr_matrix((vals, (rows, cols)), shape),
     duplicates included: scipy sorts a row of more than 16 entries unstably, so
@@ -594,6 +686,21 @@ def test_nan_block_is_kept_not_read_as_zero():
     assert np.isnan(bigraded_norm(image))
     assert np.isnan(bigraded_norm(image.copy().prune(tol=1.0)))
     assert np.isnan(bigraded_norm(form.copy().prune()))
+
+
+def test_nan_in_a_column_the_factor_zeroes_is_kept():
+    # d^(1,0) at k = (1, 0, 0, 0) applies e^0 ^ only, which zeroes the dx^0
+    # part of a 1-form: a NaN there must still give a NaN image norm
+    geo = TorusGeometry(4)
+    alg = make_su2()
+    conn = Connection(alg, [FourierForm.zero(geo, 1) for _ in range(3)])
+    val = np.zeros((4, 3), dtype=complex)
+    val[0, 0] = np.nan
+    form = BigradedForm(geo, alg, {(1, 1): {(1, 0, 0, 0): val}})
+    image = apply_d_component(form, conn, 1)
+    assert image.slots() == [(2, 1)]
+    assert np.isnan(bigraded_norm(image))
+    assert np.isnan(bigraded_norm(image.copy().prune(tol=1.0)))
 
 
 # keys, whether an unshifted term is given, and per coupling group its shifts

@@ -1,6 +1,7 @@
 """Stacked frequency tables against per-key dict references, bit for bit.
 
-Each example draws two forms over a few slots of su(2) on a skewed 2-torus.
+Each example draws two forms over a few slots of su(2) on a skewed 2-torus
+(the inner product also on a 2-torus with a diagonal metric).
 Their key sets are disjoint, overlapping, equal or empty; values may be
 batched, and rows may hold a NaN or be exactly zero.  Every table operation
 must give the very bytes of the per-key reference in ``bigraded_reference``.
@@ -26,6 +27,7 @@ from bigraded_reference import (
 )
 
 GEO = TorusGeometry(2, metric=[[1.0, 0.3], [0.3, 2.0]])
+DIAGONAL_GEO = TorusGeometry(2, metric=[[1.3, 0.0], [0.0, 0.7]])
 ALG = make_su2(0.7)
 SLOTS = [(0, 1), (1, 1), (2, 0), (1, 2)]
 BOX = [(k0, k1) for k0 in range(-2, 3) for k1 in range(-2, 3)]
@@ -138,15 +140,32 @@ def test_prune_and_zero_test_match_per_key_reference(pair):
         assert _form(zeros).is_zero() == reference_is_zero(zeros)
 
 
+def _check_inner_product(geo, pair):
+    a, b = pair
+
+    def form(tables):
+        return BigradedForm(geo, ALG, tables)
+
+    for left, right in ((a, b), (b, a), (a, a)):
+        want = reference_inner_product(geo, ALG, left, right)
+        _same_scalar(bigraded_inner_product(form(left), form(right)), want)
+    same = form(a)
+    _same_scalar(bigraded_inner_product(same, same), reference_inner_product(geo, ALG, a, a))
+
+
 @SETTINGS
 @given(_form_pair(batched=False))
 def test_inner_product_matches_per_key_reference(pair):
-    a, b = pair
-    for left, right in ((a, b), (b, a), (a, a)):
-        want = reference_inner_product(GEO, ALG, left, right)
-        _same_scalar(bigraded_inner_product(_form(left), _form(right)), want)
-    form = _form(a)
-    _same_scalar(bigraded_inner_product(form, form), reference_inner_product(GEO, ALG, a, a))
+    # the skewed torus has dense Gram matrices: the per-key G_i v G_j path
+    _check_inner_product(GEO, pair)
+
+
+@SETTINGS
+@given(_form_pair(batched=False))
+def test_inner_product_matches_per_key_reference_on_diagonal_grams(pair):
+    # every Gram matrix here is diagonal and not the identity: the
+    # elementwise path must give the bytes of the matrix products
+    _check_inner_product(DIAGONAL_GEO, pair)
 
 
 @SETTINGS
