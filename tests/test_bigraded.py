@@ -689,14 +689,15 @@ def test_nan_block_is_kept_not_read_as_zero():
 
 
 def test_nan_in_a_column_the_factor_zeroes_is_kept():
-    # d^(1,0) at k = (1, 0, 0, 0) applies e^0 ^ only, which zeroes the dx^0
-    # part of a 1-form: a NaN there must still give a NaN image norm
+    # d^(1,0) at k = (0, 1, 0, 0) applies e^1 ^ only, which zeroes the dx^1
+    # part of a 1-form: a NaN there must still give a NaN image norm (the
+    # rows e^1 ^ leaves empty read dx^0, which is zero here)
     geo = TorusGeometry(4)
     alg = make_su2()
     conn = Connection(alg, [FourierForm.zero(geo, 1) for _ in range(3)])
     val = np.zeros((4, 3), dtype=complex)
-    val[0, 0] = np.nan
-    form = BigradedForm(geo, alg, {(1, 1): {(1, 0, 0, 0): val}})
+    val[1, 0] = np.nan
+    form = BigradedForm(geo, alg, {(1, 1): {(0, 1, 0, 0): val}})
     image = apply_d_component(form, conn, 1)
     assert image.slots() == [(2, 1)]
     assert np.isnan(bigraded_norm(image))
