@@ -15,12 +15,13 @@ couples several axes joins the whole box into one block.
 
 One run of the recursion serves every degree and page.  Pages 1 and 2 are
 closed form, and every page basis from page 2 on lies at frequency zero, so
-each lift is solved over the boxes t c of the coupling band c.  The recursion
-works on coordinate matrices, and its component matrices are cached on the
-connection, where the Galerkin Laplacian reads them too.  ``harmonic_limit``
-gathers and realifies the stabilized page in coordinates; forms are built for
-its formal check and its output, and when ``PageRecursion.entries`` hands a
-page out.
+each lift is solved over the boxes t c of the coupling band c; a lift whose
+right-hand side is exactly zero is zero, and no system is posed for it.  The
+recursion works on coordinate matrices, and its component matrices are cached
+on the connection, where the Galerkin Laplacian reads them too.
+``harmonic_limit`` gathers and realifies the stabilized page in coordinates;
+forms are built for its formal check and its output, and when
+``PageRecursion.entries`` hands a page out.
 
 Only the final projections onto the band box are truncated; every operator
 application on lifts is exact, with corrections confined to frequency
@@ -225,35 +226,37 @@ def _split_rows(layout, slot, box):
     return rows[inside].ravel(), rows[~inside].ravel()
 
 
-def _correction_rows(conn, degree, reach, order):
-    """Nonzeros of the order-``order`` correction system (see _correction_system),
-    cached on the connection: (row count, w_0 blocks, w_1 .. w_order blocks),
-    each block the (rows, columns, values) of its entries placed in its matrix.
+def _correction_rows(conn, degree, reach, order, lead):
+    """Nonzeros of the order-``order`` correction system (see _correction_system)
+    in its w_0 column (``lead``) or its w_1 .. w_order columns, cached on the
+    connection: (row count, blocks), each block the (rows, columns, values) of
+    its entries placed in its matrix.
 
     Block (t, s) does not depend on the order and row t has no block in a
     column s > t, so the order-K rows are the order-(K - 1) rows and the two
     block rows of equation t = K: d_(K-s) from w_s into degree p + 1, then
-    d*_(K-s) into degree p - 1, over the box reach + K c.
+    d*_(K-s) into degree p - 1, over the box reach + K c.  Only equations
+    t = 1, 2 have a w_0 block.
     """
-    key = ("correction rows", degree, reach, order)
+    key = ("correction rows", degree, reach, order, lead)
     if key not in conn._cache:
-        height, lead, rest = (0, [], []) if order == 1 else _correction_rows(conn, degree, reach, order - 1)
-        lead, rest = list(lead), list(rest)
+        height, blocks = (0, []) if order == 1 else _correction_rows(conn, degree, reach, order - 1, lead)
+        blocks = list(blocks)
         boxes = _boxes(conn, reach, order)
         # column offset of each w_s, s >= 1, in the matrix on w_1 .. w_order
         starts = np.cumsum([0] + [_layout(conn, degree, box).dim for box in boxes[1:]]).tolist()
         t = order
+        columns = range(max(t - 2, 0), 1) if lead else range(max(t - 2, 1), t + 1)
         for other in (degree + 1, degree - 1):
-            for s in range(max(t - 2, 0), t + 1):
+            for s in columns:
                 unknown, equation = (degree, boxes[s]), (other, boxes[t])
                 if other > degree:
                     row, col, val = csr_entries(_component(conn, t - s, unknown, equation))
                 else:
                     row, col, val = _adjoint_entries(_component(conn, t - s, equation, unknown))
-                part = (row + height, col + (starts[s - 1] if s else 0), val)
-                (rest if s else lead).append(part)
+                blocks.append((row + height, col + (starts[s - 1] if s else 0), val))
             height += _layout(conn, other, boxes[t]).dim
-        conn._cache[key] = (height, lead, rest)
+        conn._cache[key] = (height, blocks)
     return conn._cache[key]
 
 
@@ -269,6 +272,19 @@ def _csr(blocks, shape):
     return csr_from_entries(*(np.concatenate(part) for part in zip(*blocks)), shape)
 
 
+def _correction_lead(conn, degree, reach, order):
+    """The layouts of w_0 .. w_order and the matrix on w_0 of the order-``order``
+    correction system (see _correction_system), cached on the connection.  Only
+    the blocks (t, 0), t = 1, 2, are built, so the right-hand side of a lift can be
+    read without the rest of its system."""
+    key = ("correction lead", degree, reach, order)
+    if key not in conn._cache:
+        unknowns = [_layout(conn, degree, box) for box in _boxes(conn, reach, order)]
+        height, lead = _correction_rows(conn, degree, reach, order, lead=True)
+        conn._cache[key] = (unknowns, _csr(lead, (height, unknowns[0].dim)))
+    return conn._cache[key]
+
+
 def _correction_system(conn, degree, reach, order):
     """Correction operator for lifts of degree-p vectors supported in the box
     ``reach``, cached on the connection.
@@ -278,16 +294,16 @@ def _correction_system(conn, degree, reach, order):
     sum_a d_a w_(t-a) and sum_a d*_a w_(t-a) vanish, in the degree p + 1 and
     p - 1 layouts over the box reach + t c, which hold them whole.  Block
     (t, s) is d_(t-s), or d*_(t-s) as the conjugate transpose of the matrix
-    from degree p - 1.  Returns (layouts of w_0 .. w_order, matrix on
-    w_1 .. w_order, matrix on w_0, block pseudoinverses of the former); the
-    two matrices are read from _correction_rows, each with one CSR build.
+    from degree p - 1.  Returns (matrix on w_1 .. w_order, its block
+    pseudoinverses), the matrix one CSR build from _correction_rows; the
+    layouts and the matrix on w_0 are those of _correction_lead.
     """
     key = ("corrections", degree, reach, order)
     if key not in conn._cache:
-        unknowns = [_layout(conn, degree, box) for box in _boxes(conn, reach, order)]
-        height, lead, rest = _correction_rows(conn, degree, reach, order)
-        mat = _csr(rest, (height, sum(layout.dim for layout in unknowns[1:])))
-        conn._cache[key] = (unknowns, mat, _csr(lead, (height, unknowns[0].dim)), _block_pinv(mat))
+        width = sum(_layout(conn, degree, box).dim for box in _boxes(conn, reach, order)[1:])
+        height, rest = _correction_rows(conn, degree, reach, order, lead=False)
+        mat = _csr(rest, (height, width))
+        conn._cache[key] = (mat, _block_pinv(mat))
     return conn._cache[key]
 
 
@@ -295,13 +311,19 @@ def _solve_columns(conn, degree, reach, lead, order, tolerances):
     """Minimal-norm corrections of the columns of ``lead``, coordinates of
     degree-p vectors over the layout of the box ``reach``.
 
-    All columns are solved at once on the correction system.
+    The right-hand side is -(matrix on w_0) @ lead.  When it is exactly zero,
+    as it is for page bases whose coupling terms all vanish, the minimal-norm
+    corrections are zero, returned without posing the system; otherwise all
+    columns are solved at once on the correction system.
     Returns [W_1 .. W_order], W_t the corrections over the box reach + t c
     with one column per column of ``lead``.  Raises SolverFailure when a
     column's system cannot be driven to zero (it is not on the page).
     """
-    unknowns, mat, lead_mat, pinvs = _correction_system(conn, degree, reach, order)
+    unknowns, lead_mat = _correction_lead(conn, degree, reach, order)
     rhs = -(lead_mat @ lead)
+    if not rhs.any():
+        return [np.zeros((layout.dim, lead.shape[1]), dtype=complex) for layout in unknowns[1:]]
+    mat, pinvs = _correction_system(conn, degree, reach, order)
     x = _block_solve(mat, pinvs, rhs, tolerances, f"correction system through order {order}", order)
     return np.split(x, np.cumsum([layout.dim for layout in unknowns[1:]])[:-1])
 
@@ -326,10 +348,13 @@ class PageRecursion:
     one times a kernel, so a page slot's basis is stored as the rows of its
     slot in the degree layout of the zero box.  The lift terms of a page slot
     are one matrix per order, solved on the cached correction systems of the
-    zero box; the leading coefficients are products with the cached component
+    zero box.  A lift whose right-hand side is exactly zero (every order-1 lift,
+    and every lift on a flat connection) is exact zeros, and no system is posed
+    for it.  The leading coefficients are products with the cached component
     matrices over a box that holds them whole and contains the page box, so
-    projecting onto the page is a row selection.  Forms are built only when
-    ``entries`` hands a page's basis and lifts out.
+    projecting onto the page is a row selection; an exactly-zero lift term is
+    skipped.  Forms are built only when ``entries`` hands a page's basis and
+    lifts out.
 
     ``run`` computes pages up to ``k_max`` at most.  It stops when
     stabilization is proven: the dimensions repeat from page 2 on and no
@@ -416,17 +441,21 @@ class PageRecursion:
         w = [W_0 .. W_(K-1)] of degree-p columns: sum over s = max(K - 2, 0) ..
         K - 1 of d_(K-s) W_s.  Returns the degree p +- 1 layout over
         max(K c, page box), which holds the coefficient whole and contains the
-        page box, and its coordinates."""
+        page box, and its coordinates.  An exactly-zero W_s adds nothing, and
+        its component matrix is not built."""
         boxes = _boxes(self.conn, self.zero, K)
         outer = (degree + 1 if up else degree - 1, tuple(map(max, boxes[K], self.bands)))
-        total = 0
+        layout = _layout(self.conn, *outer)
+        total = np.zeros((layout.dim, w[0].shape[1]), dtype=complex)
         for s in range(max(K - 2, 0), K):
+            if not w[s].any():
+                continue
             inner = (degree, boxes[s])
             if up:
-                total = total + _component(self.conn, K - s, inner, outer) @ w[s]
+                total += _component(self.conn, K - s, inner, outer) @ w[s]
             else:
-                total = total + (_component(self.conn, K - s, outer, inner).T @ w[s].conj()).conj()
-        return _layout(self.conn, *outer), total
+                total += (_component(self.conn, K - s, outer, inner).T @ w[s].conj()).conj()
+        return layout, total
 
     def _project(self, layout, coeff, target, adjoints):
         """Project the columns of a leading coefficient onto the target page

@@ -81,6 +81,22 @@ ACCEPTANCE_MAP = {
 }
 
 
+# the keys of every object of the scenario format: the file itself, its object
+# sections, and a Fourier form
+SCENARIO_KEYS = {
+    "scenario": (
+        "name", "geometry", "algebra", "connection", "polynomial", "delta_grid", "band",
+        "galerkin_bands", "degree", "k_max", "tolerances", "output_dir", "seed",
+    ),
+    "geometry": ("dim", "metric"),
+    "algebra": ("name", "scale", "rank", "dim", "structure_constants", "metric"),
+    "connection": ("components", "abelian_flux"),
+    "polynomial": ("kind", "normalization"),
+    "tolerances": ("tau_formal", "tau_rank", "tau_spec"),
+    "form": ("degree", "band", "entries"),
+}
+
+
 def _number(value, what="value"):
     """Scenario numbers are finite decimal strings; accept plain ints for counts."""
     if isinstance(value, bool):
@@ -128,11 +144,22 @@ def _file_name(value):
     return value
 
 
+def _known_keys(section, keys, what):
+    """ConfigError when an object of the scenario holds a key outside ``keys``:
+    a misspelled field would otherwise leave its default in force."""
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key in {what}: {', '.join(map(repr, unknown))}")
+
+
 def _section(config, key, kind, default):
-    """An optional scenario field that must have one JSON type."""
+    """An optional scenario field that must have one JSON type; an object
+    section may hold only its own keys."""
     value = config.get(key, default)
     if not isinstance(value, kind):
         raise ConfigError(f"{key} must be a JSON {'object' if kind is dict else 'list'}")
+    if kind is dict:
+        _known_keys(value, SCENARIO_KEYS[key], key)
     return value
 
 
@@ -158,6 +185,7 @@ def _form_data(data, what, degree):
     entries [frequency, multi-index, re, im] of integers and finite numbers."""
     if not isinstance(data, dict):
         raise ConfigError(f"{what} must be a JSON object")
+    _known_keys(data, SCENARIO_KEYS["form"], what)
     if _integer(data.get("degree"), f"{what} degree") != degree:
         raise ConfigError(f"{what} must be a {degree}-form")
     entries = []
@@ -182,6 +210,7 @@ class Scenario:
     def __init__(self, config):
         if not isinstance(config, dict):
             raise ConfigError("scenario file must contain a JSON object")
+        _known_keys(config, SCENARIO_KEYS["scenario"], "the scenario")
         for key in ("name", "geometry", "algebra", "connection"):
             if key not in config:
                 raise ConfigError(f"scenario is missing the {key!r} section")

@@ -33,9 +33,10 @@ rebuilds the conjugated local block of every term, so the assembly from
 cached blocks must reproduce its CSR arrays bit for bit.
 
 ``reference_correction_system`` stacks the order-K correction system of
-``adiabatic_ss._correction_system`` from scratch with ``scipy.sparse.bmat``
-and splits off the w_0 columns by slicing; the production system grows the
-order-(K-1) rows instead.
+``adiabatic_ss._correction_lead`` and ``adiabatic_ss._correction_system``
+from scratch with ``scipy.sparse.bmat`` and splits off the w_0 columns by
+slicing; the production system grows the order-(K-1) rows of each part
+instead.
 
 ``reference_galerkin_polynomial`` forms the compressed Laplacian as the
 polynomial sum_r delta^r M_r, each M_r a sum of Gram products of component

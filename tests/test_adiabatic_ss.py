@@ -2,14 +2,19 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from bundlehodge import adiabatic_ss
 from bundlehodge.adiabatic_ss import (
     PageRecursion,
     Tolerances,
+    _block_solve,
     _boxes,
+    _correction_lead,
+    _correction_system,
     _layout,
     _solve_columns,
     _split_rows,
@@ -272,17 +277,81 @@ def test_su3_lifts_are_solved_on_the_zero_box():
     assert not rec.stabilized
 
 
+def recording_solves(calls):
+    """Patch _solve_columns to append (degree, reach, lead, order, lift terms) of
+    every call to ``calls``."""
+    solve = adiabatic_ss._solve_columns
+
+    def recording(conn, degree, reach, lead, order, tolerances):
+        ws = solve(conn, degree, reach, lead, order, tolerances)
+        calls.append((degree, reach, lead, order, ws))
+        return ws
+
+    return mock.patch.object(adiabatic_ss, "_solve_columns", recording)
+
+
 def test_final_page_lifts_are_solved_only_in_the_degree_read():
     """The run lifts its pages 2 .. k_stop - 1 in every degree; the stable page is
-    lifted one degree at a time, so harmonic_limit in degree 1 poses the correction
-    systems of order k_stop - 1 in degree 1 only."""
+    lifted one degree at a time, so harmonic_limit in degree 1 solves the
+    corrections of order k_stop - 1 in degree 1 only."""
     conn = load_scenario(packaged_scenario_path("t4_su2_flat")).connection
-    rec = PageRecursion(conn, (1, 1, 0, 0)).run()
-    assert {key[1] for key in conn._cache if key[0] == "corrections"} == set(range(8))
-    harmonic_limit(rec, 1)
-    final = [key for key in conn._cache if key[0] == "corrections" and key[3] == rec.k_stop - 1]
-    assert final == [("corrections", 1, rec.zero, rec.k_stop - 1)]
+    calls = []
+    with recording_solves(calls):
+        rec = PageRecursion(conn, (1, 1, 0, 0)).run()
+        assert {degree for degree, *_ in calls} == set(range(8))
+        ran = len(calls)
+        harmonic_limit(rec, 1)
+    final = [(degree, order) for degree, _, _, order, _ in calls if order == rec.k_stop - 1]
+    assert final == [(1, rec.k_stop - 1)]
+    assert [(degree, order) for degree, _, _, order, _ in calls[ran:]] == final
     assert {sum(slot) for slot in rec.lifts[rec.k_stop]} == {1}
+
+
+def test_flat_lifts_pose_no_correction_system():
+    """On the flat t4_su2_flat every page basis is fiber-harmonic at frequency
+    zero, so the coupling terms annihilate it: every right-hand side is exactly
+    zero, no correction system is posed, and every lift term is exact zeros.
+    The leading coefficients skip those terms, so the only component matrices
+    into or out of the page box are the d_2 of page 2's order-0 term."""
+    conn = load_scenario(packaged_scenario_path("t4_su2_flat")).connection
+    bands = (1, 1, 0, 0)
+    calls = []
+    with recording_solves(calls):
+        rec = PageRecursion(conn, bands).run()
+        for degree in range(8):
+            harmonic_limit(rec, degree)
+    assert rec.k_stop > 3
+    assert {degree for degree, *_ in calls} == set(range(8))
+    assert not [key for key in conn._cache if key[0] == "corrections"]
+    for lifts in rec.lifts.values():
+        for w in lifts.values():
+            assert all(not term.any() for term in w[1:])
+    components = [key for key in conn._cache if key[0] == "component"]
+    assert {key[1] for key in components if bands in (key[2][1], key[3][1])} == {2}
+
+
+def test_zero_rhs_lifts_equal_the_posed_solve():
+    """On the curved t4_su2_cs3 some lifts have an exactly-zero right-hand side and
+    some do not.  The zero ones equal the solve on the posed system bit for bit;
+    the nonzero ones, and only they, are posed and solved on their system."""
+    conn = load_scenario(packaged_scenario_path("t4_su2_cs3")).connection
+    calls = []
+    with recording_solves(calls):
+        rec = PageRecursion(conn, (1, 1, 1, 0)).run()
+        rec._lifts(rec.k_stop)
+    posed = {key for key in conn._cache if key[0] == "corrections"}
+    zero, nonzero = [], []
+    for degree, reach, lead, order, ws in calls:
+        unknowns, lead_mat = _correction_lead(conn, degree, reach, order)
+        rhs = -(lead_mat @ lead)
+        (nonzero if rhs.any() else zero).append(("corrections", degree, reach, order))
+        mat, pinvs = _correction_system(conn, degree, reach, order)
+        x = _block_solve(mat, pinvs, rhs, rec.tol, "correction system", order)
+        want = np.split(x, np.cumsum([layout.dim for layout in unknowns[1:]])[:-1])
+        assert len(ws) == len(want) == order
+        assert all(np.array_equal(w, v) for w, v in zip(ws, want))
+    assert zero and nonzero
+    assert posed == set(nonzero)
 
 
 def test_stable_entries_orthonormal_with_valid_lifts():

@@ -18,6 +18,7 @@ from bundlehodge.adiabatic_ss import (
     _block_solve,
     _blocks,
     _boxes,
+    _correction_lead,
     _correction_system,
     _gather,
     _solve_columns,
@@ -170,13 +171,13 @@ def test_solve_columns_raises_on_inconsistent_rhs(system):
     inconsistent = np.any(res > Tolerances.solver * (1.0 + np.linalg.norm(rhs, axis=0)))
     # a correction system whose matrix is ``mat`` and whose order-0 block is
     # the identity, so the right-hand side is -lead
-    system_stub = (
+    lead_stub = (
         [None, types.SimpleNamespace(dim=mat.shape[1])],
-        mat,
         scipy.sparse.identity(mat.shape[0], dtype=complex, format="csr"),
-        _block_pinv(mat),
     )
-    with mock.patch.object(adiabatic_ss, "_correction_system", return_value=system_stub):
+    with mock.patch.object(adiabatic_ss, "_correction_lead", return_value=lead_stub), mock.patch.object(
+        adiabatic_ss, "_correction_system", return_value=(mat, _block_pinv(mat))
+    ):
         if inconsistent:
             with pytest.raises(SolverFailure):
                 _solve_columns(None, 0, None, -rhs, 1, Tolerances())
@@ -281,7 +282,9 @@ def test_correction_systems_match_bmat_stacking():
     for degree, reach in requested + [(0, bands), (top, bands)]:
         for order in (1, 2, 3):
             want = _system_bytes(reference_correction_system(conn, degree, reach, order))
-            assert _system_bytes(_correction_system(conn, degree, reach, order)) == want
+            unknowns, lead = _correction_lead(conn, degree, reach, order)
+            mat, pinvs = _correction_system(conn, degree, reach, order)
+            assert _system_bytes((unknowns, mat, lead, pinvs)) == want
 
 
 def test_next_order_requests_only_its_own_block_rows():

@@ -326,6 +326,39 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["report", out, "--quiet"]) == 0
 
 
+def _misspelled_tolerance(cfg):
+    cfg["tolerances"]["tau_formall"] = cfg["tolerances"].pop("tau_formal")
+
+
+def _misspelled_metric(cfg):
+    cfg["geometry"]["metrc"] = [["1.0", "0.0"], ["0.0", "2.0"]]
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        (lambda cfg: cfg.update(tau_formal="1e-30"), "'tau_formal'"),
+        (_misspelled_tolerance, "'tau_formall'"),
+        (_misspelled_metric, "'metrc'"),
+    ],
+    ids=["top-level", "tolerances", "geometry"],
+)
+def test_cli_unknown_scenario_key_is_config_error(tmp_path, capsys, change, key):
+    """A key the scenario format does not define would leave a default in force
+    (the default tolerance, the identity metric); it is a configuration error."""
+    with open(packaged_scenario_path("t2_u1_c1zero")) as fh:
+        cfg = json.load(fh)
+    change(cfg)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli_main(["verify-cs1", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key in" in err and key in err
+    assert not out.exists()
+
+
 def test_cli_verify_cs3_nonsemisimple_is_config_error(tmp_path):
     assert (
         cli_main(
