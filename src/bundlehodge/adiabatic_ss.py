@@ -11,7 +11,9 @@ solves d_M and its adjoint over the (3,0) slot the same way.  Each sparse
 system, and the compressed Laplacian, splits exactly into the connected
 components of its pattern, solved densely, one stacked call per shape; a
 block above a fixed number of entries is rejected, since a connection that
-couples several axes joins the whole box into one block.
+couples several axes joins the whole box into one block.  A least-squares
+system is decomposed only on the blocks its right-hand side touches, with
+the singular-value cut of the whole matrix.
 
 One run of the recursion serves every degree and page.  Pages 1 and 2 are
 closed form, and every page basis from page 2 on lies at frequency zero, so
@@ -135,21 +137,24 @@ def _blocks(pattern):
 
 
 def _gather(mat, blocks):
-    """The dense blocks of every shape group of ``blocks`` (from _blocks), stacked per
-    group, from one pass over the nonzeros of ``mat``: a generator of one (count, nr, nc)
-    stack per group, each entry summed in the row-major order of the stored entries."""
+    """The dense blocks of every shape group of ``blocks`` (from _blocks, or a subset of
+    its blocks per group), stacked per group, from one pass over the nonzeros of ``mat``
+    in those blocks' rows: a generator of one (count, nr, nc) stack per group, each entry
+    summed in the row-major order of the stored entries."""
     m, n = mat.shape
     row, col, val = csr_entries(mat.tocsr())
-    # per row: its group and its row-major offset in the group's stack; per column:
-    # its offset within a block row
-    group, row_at, col_at = np.zeros(m, dtype=int), np.zeros(m, dtype=int), np.zeros(n, dtype=int)
+    # per row: its group (len(blocks) outside them) and its row-major offset in the
+    # group's stack; per column: its offset within a block row
+    group, row_at, col_at = np.full(m, len(blocks)), np.zeros(m, dtype=int), np.zeros(n, dtype=int)
     for g, (rows, cols) in enumerate(blocks):
         group[rows.ravel()] = g
         row_at[rows.ravel()] = np.arange(rows.size) * cols.shape[1]
         col_at[cols] = np.arange(cols.shape[1])
-    order = np.argsort(group[row], kind="stable")
+    at = group[row]
+    kept = np.flatnonzero(at < len(blocks))
+    order = kept[np.argsort(at[kept], kind="stable")]
     place = (row_at[row] + col_at[col])[order]
-    bounds = np.searchsorted(group[row[order]], np.arange(len(blocks) + 1))
+    bounds = np.searchsorted(at[order], np.arange(len(blocks) + 1))
     data = val[order]
     for (rows, cols), lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
         stack = np.zeros(rows.size * cols.shape[1], dtype=mat.dtype)
@@ -157,32 +162,56 @@ def _gather(mat, blocks):
         yield stack.reshape(rows.shape + cols.shape[1:])
 
 
-def _block_pinv(mat):
-    """(rows, cols, stacked pseudoinverses) per block shape, with the singular-value cut
-    of lstsq(rcond=None) on the whole matrix: max(mat.shape) x eps x its largest one."""
-    blocks = _blocks(mat)
+def _svds(mat, blocks):
+    """(rows, cols, (u, s, vh)) of the stacked thin SVDs of ``blocks`` of ``mat``."""
     try:
-        svds = [
+        return [
             (r, c, np.linalg.svd(stack, full_matrices=False))
             for (r, c), stack in zip(blocks, _gather(mat, blocks))
         ]
     except np.linalg.LinAlgError as err:
         raise SolverFailure(f"block SVD of a {mat.shape[0]} x {mat.shape[1]} system failed: {err}")
-    top = max((np.max(s, initial=0.0) for _, _, (_, s, _) in svds), default=0.0)
-    cut = max(mat.shape) * np.finfo(float).eps * top
-    pinvs = []
-    for r, c, (u, s, vh) in svds:
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
-        pinvs.append((r, c, (vh.conj().swapaxes(1, 2) * inv[:, None, :]) @ u.conj().swapaxes(1, 2)))
-    return pinvs
 
 
-def _block_solve(mat, pinvs, rhs, tolerances, what, order):
-    """Minimal-norm least-squares solutions of mat x = rhs from its block pseudoinverses;
-    SolverFailure when a residual |rhs - mat x| exceeds tolerances.solver * (1 + |rhs|)."""
+def _block_lstsq(mat, blocks, rhs, tolerances, what, order):
+    """Minimal-norm least-squares solutions of mat x = rhs, ``blocks`` the split of
+    ``mat`` from _blocks.  Only the blocks holding a row where ``rhs`` is nonzero (a NaN
+    counts as nonzero) are decomposed and solved; x is exact zeros on every other block.
+
+    Each solved block is applied through its pseudoinverse with the singular-value cut
+    of lstsq(rcond=None) on the whole matrix: max(mat.shape) x eps x the largest
+    singular value of any block.  That top lies between the largest singular value of
+    the solved blocks and the largest Frobenius norm of the others; only when a solved
+    singular value falls between the cuts of the two is every block decomposed for the
+    exact top.  SolverFailure when a residual |rhs - mat x| exceeds
+    tolerances.solver * (1 + |rhs|).
+    """
+    # per row the number of its block, counted across the shape groups
+    starts = np.cumsum([0] + [len(rows) for rows, _ in blocks])
+    label = np.zeros(mat.shape[0], dtype=int)
+    for (rows, _), start in zip(blocks, starts):
+        label[rows] = start + np.arange(len(rows))[:, None]
+    hit = np.zeros(starts[-1], dtype=bool)
+    hit[label[np.any(rhs != 0, axis=1)]] = True
+    touched = [(r[h], c[h]) for (r, c), h in zip(blocks, np.split(hit, starts[1:-1])) if h.any()]
+    svds = _svds(mat, touched)
+    scale = max(mat.shape) * np.finfo(float).eps
+    low = max((np.max(s, initial=0.0) for _, _, (_, s, _) in svds), default=0.0)
+    # block Frobenius norms from the absolute entries, duplicates summed: a bound on
+    # each block's largest singular value, widened past the rounding of both
+    absolute = abs(mat.tocsr())
+    absolute.sum_duplicates()
+    row, _, val = csr_entries(absolute)
+    norms = np.sqrt(np.bincount(label[row], weights=val**2, minlength=hit.size))
+    high = max(low, float(np.max(norms[~hit], initial=0.0)) * (1 + 1e-10))
+    cut = scale * low
+    if any(np.any((s > cut) & (s <= scale * high)) for _, _, (_, s, _) in svds):
+        top = max((np.max(s, initial=0.0) for _, _, (_, s, _) in _svds(mat, blocks)), default=0.0)
+        cut = scale * top
     x = np.zeros((mat.shape[1], rhs.shape[1]), dtype=complex)
-    for rows, cols, pinv in pinvs:
-        x[cols] = pinv @ rhs[rows]
+    for rows, cols, (u, s, vh) in svds:
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+        x[cols] = ((vh.conj().swapaxes(1, 2) * inv[:, None, :]) @ u.conj().swapaxes(1, 2)) @ rhs[rows]
     tol_abs = tolerances.solver * (1.0 + np.linalg.norm(rhs, axis=0))
     res = np.linalg.norm(rhs - mat @ x, axis=0)
     for r in res[res > tol_abs][:1]:
@@ -273,16 +302,17 @@ def _csr(blocks, shape):
 
 
 def _correction_lead(conn, degree, reach, order):
-    """The layouts of w_0 .. w_order and the matrix on w_0 of the order-``order``
-    correction system (see _correction_system), cached on the connection.  Only
-    the blocks (t, 0), t = 1, 2, are built, so the right-hand side of a lift can be
-    read without the rest of its system."""
-    key = ("correction lead", degree, reach, order)
+    """The layouts of w_0 .. w_order of the order-``order`` correction system (see
+    _correction_system), and its matrix on w_0 down to equation min(order, 2), cached
+    on the connection.  Only equations t = 1, 2 have a w_0 block, so the rows of
+    later equations are empty; only the blocks (t, 0) are built, so the right-hand
+    side of a lift can be read without the rest of its system."""
+    unknowns = [_layout(conn, degree, box) for box in _boxes(conn, reach, order)]
+    key = ("correction lead", degree, reach, min(order, 2))
     if key not in conn._cache:
-        unknowns = [_layout(conn, degree, box) for box in _boxes(conn, reach, order)]
-        height, lead = _correction_rows(conn, degree, reach, order, lead=True)
-        conn._cache[key] = (unknowns, _csr(lead, (height, unknowns[0].dim)))
-    return conn._cache[key]
+        height, lead = _correction_rows(conn, degree, reach, min(order, 2), lead=True)
+        conn._cache[key] = _csr(lead, (height, unknowns[0].dim))
+    return unknowns, conn._cache[key]
 
 
 def _correction_system(conn, degree, reach, order):
@@ -294,16 +324,16 @@ def _correction_system(conn, degree, reach, order):
     sum_a d_a w_(t-a) and sum_a d*_a w_(t-a) vanish, in the degree p + 1 and
     p - 1 layouts over the box reach + t c, which hold them whole.  Block
     (t, s) is d_(t-s), or d*_(t-s) as the conjugate transpose of the matrix
-    from degree p - 1.  Returns (matrix on w_1 .. w_order, its block
-    pseudoinverses), the matrix one CSR build from _correction_rows; the
-    layouts and the matrix on w_0 are those of _correction_lead.
+    from degree p - 1.  Returns (matrix on w_1 .. w_order, its blocks from
+    _blocks), the matrix one CSR build from _correction_rows; the matrix on
+    w_0 is that of _correction_lead.
     """
     key = ("corrections", degree, reach, order)
     if key not in conn._cache:
         width = sum(_layout(conn, degree, box).dim for box in _boxes(conn, reach, order)[1:])
         height, rest = _correction_rows(conn, degree, reach, order, lead=False)
         mat = _csr(rest, (height, width))
-        conn._cache[key] = (mat, _block_pinv(mat))
+        conn._cache[key] = (mat, _blocks(mat))
     return conn._cache[key]
 
 
@@ -314,18 +344,23 @@ def _solve_columns(conn, degree, reach, lead, order, tolerances):
     The right-hand side is -(matrix on w_0) @ lead.  When it is exactly zero,
     as it is for page bases whose coupling terms all vanish, the minimal-norm
     corrections are zero, returned without posing the system; otherwise all
-    columns are solved at once on the correction system.
+    columns are solved at once on the correction system, on the blocks the
+    right-hand side touches.
     Returns [W_1 .. W_order], W_t the corrections over the box reach + t c
     with one column per column of ``lead``.  Raises SolverFailure when a
     column's system cannot be driven to zero (it is not on the page).
     """
     unknowns, lead_mat = _correction_lead(conn, degree, reach, order)
+    dims = [layout.dim for layout in unknowns[1:]]
     rhs = -(lead_mat @ lead)
     if not rhs.any():
-        return [np.zeros((layout.dim, lead.shape[1]), dtype=complex) for layout in unknowns[1:]]
-    mat, pinvs = _correction_system(conn, degree, reach, order)
-    x = _block_solve(mat, pinvs, rhs, tolerances, f"correction system through order {order}", order)
-    return np.split(x, np.cumsum([layout.dim for layout in unknowns[1:]])[:-1])
+        return [np.zeros((dim, lead.shape[1]), dtype=complex) for dim in dims]
+    mat, blocks = _correction_system(conn, degree, reach, order)
+    # equations past 2 have no w_0 block: their rows of -(matrix on w_0) @ lead are -0
+    pad = np.full((mat.shape[0] - rhs.shape[0], rhs.shape[1]), complex(-0.0, -0.0))
+    rhs = np.concatenate([rhs, pad])
+    x = _block_lstsq(mat, blocks, rhs, tolerances, f"correction system through order {order}", order)
+    return np.split(x, np.cumsum(dims)[:-1])
 
 
 # -- the page recursion ------------------------------------------------------------
@@ -887,5 +922,5 @@ def recover_omega3(conn, residual, tolerances=None):
     rhs = np.concatenate(
         [-layouts[4].vector_from_form(residual)[0], np.zeros(layouts[2].dim + nb, dtype=complex)]
     )
-    x = _block_solve(mat, _block_pinv(mat), rhs[:, None], tolerances, "order-4 recovery", 4)
+    x = _block_lstsq(mat, _blocks(mat), rhs[:, None], tolerances, "order-4 recovery", 4)
     return to_fourier(layouts[3].form_from_vector(x[:, 0]), 3).trim()

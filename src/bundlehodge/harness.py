@@ -96,6 +96,14 @@ SCENARIO_KEYS = {
     "form": ("degree", "band", "entries"),
 }
 
+# the algebra keys each constructor reads, by name (None: explicit structure constants)
+ALGEBRA_READS = {
+    "su2": ("name", "scale"),
+    "su3": ("name", "scale"),
+    "u1": ("name", "scale", "rank"),
+    None: ("name", "dim", "structure_constants", "metric"),
+}
+
 
 def _number(value, what="value"):
     """Scenario numbers are finite decimal strings; accept plain ints for counts."""
@@ -291,6 +299,12 @@ class Scenario:
 
     def _build_algebra(self, cfg):
         name = cfg.get("name")
+        if not (name is None or isinstance(name, str)) or name not in ALGEBRA_READS:
+            raise ConfigError(f"unknown algebra constructor {name!r}")
+        unread = sorted(set(cfg) - set(ALGEBRA_READS[name]))
+        if unread:
+            what = f"the {name} algebra" if name else "a custom algebra"
+            raise ConfigError(f"{what} does not read {', '.join(map(repr, unread))}")
         scale = _number(cfg.get("scale", "1.0"), "algebra scale")
         if name == "su2":
             return make_su2(scale)
@@ -298,8 +312,6 @@ class Scenario:
             return make_su3(scale)
         if name == "u1":
             return make_u1(_integer(cfg.get("rank", 1), "algebra rank", minimum=1), scale)
-        if name is not None:
-            raise ConfigError(f"unknown algebra constructor {name!r}")
         dim = _integer(cfg.get("dim", 0), "algebra dim", minimum=1)
         c = np.zeros((dim, dim, dim))
         constants = _section(cfg, "structure_constants", list, [])
@@ -313,6 +325,8 @@ class Scenario:
 
     def _build_connection(self, cfg):
         if "abelian_flux" in cfg:
+            if "components" in cfg:
+                raise ConfigError("a connection given by abelian_flux does not read 'components'")
             flux = form_from_dict(self.geometry, _form_data(cfg["abelian_flux"], "abelian_flux", 2))
             conn, _ = abelian_scenario(flux, self.geometry, self.algebra)
             return conn

@@ -36,7 +36,12 @@ cached blocks must reproduce its CSR arrays bit for bit.
 ``adiabatic_ss._correction_lead`` and ``adiabatic_ss._correction_system``
 from scratch with ``scipy.sparse.bmat`` and splits off the w_0 columns by
 slicing; the production system grows the order-(K-1) rows of each part
-instead.
+instead, and keeps the w_0 rows of equations 1 and 2 only.
+
+``reference_block_pinv`` decomposes every block of a sparse system and
+forms all its pseudoinverses, and ``reference_block_solve`` applies them to
+every row of the right-hand side; ``adiabatic_ss._block_lstsq`` decomposes
+only the blocks the right-hand side touches instead.
 
 ``reference_galerkin_polynomial`` forms the compressed Laplacian as the
 polynomial sum_r delta^r M_r, each M_r a sum of Gram products of component
@@ -69,9 +74,10 @@ import scipy.sparse
 
 from bundlehodge.adiabatic_ss import (
     Tolerances,
-    _block_pinv,
+    _blocks,
     _boxes,
     _component,
+    _gather,
     _layout,
     _split_rows,
 )
@@ -366,9 +372,50 @@ def csr_bytes(mat):
     return mat.shape, [(arr.dtype, arr.tobytes()) for arr in (mat.data, mat.indices, mat.indptr)]
 
 
+def reference_block_pinv(mat):
+    """(rows, cols, stacked pseudoinverses) per block shape of ``mat``, from the SVD
+    of every block, with the singular-value cut of lstsq(rcond=None) on the whole
+    matrix: max(mat.shape) x eps x its largest one."""
+    blocks = _blocks(mat)
+    svds = [
+        (r, c, np.linalg.svd(stack, full_matrices=False))
+        for (r, c), stack in zip(blocks, _gather(mat, blocks))
+    ]
+    top = max((np.max(s, initial=0.0) for _, _, (_, s, _) in svds), default=0.0)
+    cut = max(mat.shape) * np.finfo(float).eps * top
+    pinvs = []
+    for r, c, (u, s, vh) in svds:
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+        pinvs.append((r, c, (vh.conj().swapaxes(1, 2) * inv[:, None, :]) @ u.conj().swapaxes(1, 2)))
+    return pinvs
+
+
+def reference_block_solve(mat, rhs):
+    """The minimal-norm least-squares solutions of mat x = rhs, every block's
+    pseudoinverse from reference_block_pinv applied to its rows of ``rhs``."""
+    x = np.zeros((mat.shape[1], rhs.shape[1]), dtype=complex)
+    for rows, cols, pinv in reference_block_pinv(mat):
+        x[cols] = pinv @ rhs[rows]
+    return x
+
+
+def assert_block_lstsq_matches_reference(mat, rhs, x):
+    """``x`` equals reference_block_solve bit for bit on every block that holds a
+    row where ``rhs`` is nonzero (or NaN), and is exact +0 on every other block,
+    where the reference holds zeros of either sign."""
+    ref = reference_block_solve(mat, rhs)
+    touched = np.zeros(mat.shape[1], dtype=bool)
+    for rows, cols in _blocks(mat):
+        touched[cols[np.any(rhs[rows] != 0, axis=(1, 2))]] = True
+    assert x.shape == ref.shape and x.dtype == ref.dtype
+    assert x[touched].tobytes() == ref[touched].tobytes()
+    assert not x[~touched].view(np.uint64).any()
+    assert not ref[~touched].any()
+
+
 def reference_correction_system(conn, degree, reach, order):
-    """(layouts of w_0 .. w_order, matrix on w_1 .. w_order, matrix on w_0, block
-    pseudoinverses of the former) of the order-``order`` correction system.
+    """(layouts of w_0 .. w_order, matrix on w_1 .. w_order, matrix on w_0) of the
+    order-``order`` correction system.
 
     One ``bmat`` over the block grid: block row t = 1 .. order is the d rows
     into degree p + 1, then the d* rows into degree p - 1, both over the box
@@ -388,7 +435,7 @@ def reference_correction_system(conn, degree, reach, order):
     full = scipy.sparse.bmat(rows, format="csr")
     unknowns = [_layout(conn, degree, box) for box in boxes]
     n0 = unknowns[0].dim
-    return unknowns, full[:, n0:], full[:, :n0], _block_pinv(full[:, n0:])
+    return unknowns, full[:, n0:], full[:, :n0]
 
 
 def reference_galerkin_polynomial(conn, total_degree, bands):

@@ -11,10 +11,8 @@ from bundlehodge import adiabatic_ss
 from bundlehodge.adiabatic_ss import (
     PageRecursion,
     Tolerances,
-    _block_solve,
     _boxes,
     _correction_lead,
-    _correction_system,
     _layout,
     _solve_columns,
     _split_rows,
@@ -59,6 +57,8 @@ from bundlehodge.lie_algebra import make_su2, make_u1
 from bundlehodge.multiindex import num_indices
 
 from bigraded_reference import (
+    reference_block_solve,
+    reference_correction_system,
     reference_d,
     reference_dstar,
     reference_harmonic_limit,
@@ -332,8 +332,10 @@ def test_flat_lifts_pose_no_correction_system():
 
 def test_zero_rhs_lifts_equal_the_posed_solve():
     """On the curved t4_su2_cs3 some lifts have an exactly-zero right-hand side and
-    some do not.  The zero ones equal the solve on the posed system bit for bit;
-    the nonzero ones, and only they, are posed and solved on their system."""
+    some do not.  Each lift equals the solve of its whole system on every block
+    (np.array_equal), with the right-hand side read from the whole matrix on w_0,
+    whose rows past equation 2 give -0; the nonzero ones, and only they, are
+    posed."""
     conn = load_scenario(packaged_scenario_path("t4_su2_cs3")).connection
     calls = []
     with recording_solves(calls):
@@ -341,12 +343,15 @@ def test_zero_rhs_lifts_equal_the_posed_solve():
         rec._lifts(rec.k_stop)
     posed = {key for key in conn._cache if key[0] == "corrections"}
     zero, nonzero = [], []
+    negative_zero = np.full(1, complex(-0.0, -0.0)).view(np.uint64)
     for degree, reach, lead, order, ws in calls:
-        unknowns, lead_mat = _correction_lead(conn, degree, reach, order)
+        unknowns, mat, lead_mat = reference_correction_system(conn, degree, reach, order)
         rhs = -(lead_mat @ lead)
         (nonzero if rhs.any() else zero).append(("corrections", degree, reach, order))
-        mat, pinvs = _correction_system(conn, degree, reach, order)
-        x = _block_solve(mat, pinvs, rhs, rec.tol, "correction system", order)
+        _, kept = _correction_lead(conn, degree, reach, order)
+        assert rhs[: kept.shape[0]].tobytes() == (-(kept @ lead)).tobytes()
+        assert np.all(rhs[kept.shape[0]:].view(np.uint64) == negative_zero[0])
+        x = reference_block_solve(mat, rhs)
         want = np.split(x, np.cumsum([layout.dim for layout in unknowns[1:]])[:-1])
         assert len(ws) == len(want) == order
         assert all(np.array_equal(w, v) for w, v in zip(ws, want))

@@ -1,6 +1,8 @@
 """The exact block split of sparse systems against dense oracles."""
 
+import importlib.util
 import json
+import pathlib
 import types
 from unittest import mock
 
@@ -14,8 +16,7 @@ from bundlehodge import adiabatic_ss
 from bundlehodge.adiabatic_ss import (
     PageRecursion,
     Tolerances,
-    _block_pinv,
-    _block_solve,
+    _block_lstsq,
     _blocks,
     _boxes,
     _correction_lead,
@@ -26,10 +27,16 @@ from bundlehodge.adiabatic_ss import (
     galerkin_polynomial,
     near_zero_count,
 )
+from bundlehodge.cli import main as cli_main
 from bundlehodge.errors import ConfigError, SolverFailure
 from bundlehodge.harness import Scenario, load_scenario, packaged_scenario_path
 
-from bigraded_reference import csr_bytes, reference_correction_system, reference_galerkin_polynomial
+from bigraded_reference import (
+    assert_block_lstsq_matches_reference,
+    csr_bytes,
+    reference_correction_system,
+    reference_galerkin_polynomial,
+)
 
 # block shapes (rows, columns); the empty ones are zero columns and zero rows
 RECT_SHAPES = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (4, 4)]
@@ -93,6 +100,18 @@ def rectangular_systems(draw):
 
 
 @st.composite
+def rectangular_systems_with_zero_rows(draw):
+    """(matrix, right-hand sides, the same right-hand sides zero on a random subset
+    of rows, from none to all) from rectangular_systems, so that some blocks are
+    not touched."""
+    mat, rhs = draw(rectangular_systems())
+    rng = np.random.default_rng(_bits(draw, 16))
+    zeroed = rhs.copy()
+    zeroed[rng.random(rhs.shape[0]) < _bits(draw, 2) / 3] = 0
+    return mat, rhs, zeroed
+
+
+@st.composite
 def hermitian_matrices(draw):
     rng = np.random.default_rng(_bits(draw, 16))
     sizes = [SQUARE_SIZES[_bits(draw, 3) % len(SQUARE_SIZES)] for _ in range(1 + _bits(draw, 3))]
@@ -152,13 +171,73 @@ def test_one_pass_gather_matches_per_group_gather(system):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(rectangular_systems())
+def test_gather_of_a_block_subset_matches_the_full_gather(system):
+    # every other block of each group, so some groups keep none; the rows of the
+    # dropped blocks are left out, and each kept block is summed as in the full gather
+    mat, _ = system
+    blocks = _blocks(mat)
+    subset = [(rows[::2], cols[::2]) for rows, cols in blocks]
+    full = list(_gather(mat, blocks))
+    for stack, want in zip(_gather(mat, subset), full, strict=True):
+        assert stack.shape == want[::2].shape and stack.dtype == want.dtype
+        assert stack.tobytes() == want[::2].tobytes()
+    assert [stack.shape[0] for stack in _gather(mat, [])] == []
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(rectangular_systems_with_zero_rows())
 def test_block_solve_matches_dense_lstsq(system):
-    mat, rhs = system
+    mat, rhs, zeroed = system
+    dense = mat.toarray()
     # a tolerance no residual exceeds, so inconsistent systems are solved too
     with mock.patch.object(Tolerances, "solver", np.inf):
-        x = _block_solve(mat, _block_pinv(mat), rhs, Tolerances(), "test system", 1)
-    ref = np.linalg.lstsq(mat.toarray(), rhs, rcond=None)[0]
+        x, x_zeroed = (_block_lstsq(mat, _blocks(mat), b, Tolerances(), "test system", 1) for b in (rhs, zeroed))
+    ref = np.linalg.lstsq(dense, rhs, rcond=None)[0]
     assert np.linalg.norm(x - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
+    # zero rows can leave only blocks below the cut touched, where the exact solution
+    # is 0 and the dense solve returns its rounding, eps |A^+| |b| at most: the
+    # zeroed system is held to 1e-10 relative to |A^+| |b| as well as to |ref|
+    ref_zeroed, _, _, sv = np.linalg.lstsq(dense, zeroed, rcond=None)
+    kept = sv[sv > max(dense.shape) * np.finfo(float).eps * np.max(sv, initial=0.0)]
+    scale = np.linalg.norm(zeroed) / np.min(kept, initial=np.inf)
+    assert np.linalg.norm(x_zeroed - ref_zeroed) <= 1e-10 * max(np.linalg.norm(ref_zeroed), scale, 1e-300)
+    assert_block_lstsq_matches_reference(mat, rhs, x)
+    assert_block_lstsq_matches_reference(mat, zeroed, x_zeroed)
+
+
+def test_block_solve_takes_the_exact_cut_between_the_bounds():
+    """The cut of the solved blocks comes from the largest singular value of every
+    block.  An untouched block of norm 1e3 sets it; the touched block has singular
+    values 1 and 1e-13, and 1e-13 lies above the cut that the touched block alone
+    would give and below the whole matrix's, so it must be dropped as lstsq drops
+    it, which needs the untouched block decomposed."""
+    rng = np.random.default_rng(3)
+    rotate = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    small = rotate @ np.diag([1.0, 1e-13]) @ rotate.conj().T
+    mat = scipy.sparse.block_diag([1e3 * np.eye(2), small], format="csr")
+    scale = 4 * np.finfo(float).eps
+    assert scale * 1.0 < 1e-13 < scale * 1e3
+    rhs = np.zeros((4, 1), dtype=complex)
+    rhs[2:, 0] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    # the component along the dropped direction stays in the residual
+    with mock.patch.object(Tolerances, "solver", np.inf):
+        x = _block_lstsq(mat, _blocks(mat), rhs, Tolerances(), "test system", 1)
+    ref = np.linalg.lstsq(mat.toarray(), rhs, rcond=None)[0]
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert_block_lstsq_matches_reference(mat, rhs, x)
+
+
+def test_block_solve_counts_a_nan_as_nonzero():
+    """A NaN in the right-hand side touches its block, which is solved as the
+    oracle solves it; the other block stays exact zeros."""
+    rng = np.random.default_rng(4)
+    mat = _permuted([_random_block(rng, 2, 2, False), _random_block(rng, 3, 3, False)], rng)
+    for rows, _ in _blocks(mat):
+        rhs = np.zeros((mat.shape[0], 1), dtype=complex)
+        rhs[rows[0, 0], 0] = np.nan
+        x = _block_lstsq(mat, _blocks(mat), rhs, Tolerances(), "test system", 1)
+        assert np.isnan(x).any() and not np.isnan(x).all()
+        assert_block_lstsq_matches_reference(mat, rhs, x)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -176,7 +255,7 @@ def test_solve_columns_raises_on_inconsistent_rhs(system):
         scipy.sparse.identity(mat.shape[0], dtype=complex, format="csr"),
     )
     with mock.patch.object(adiabatic_ss, "_correction_lead", return_value=lead_stub), mock.patch.object(
-        adiabatic_ss, "_correction_system", return_value=(mat, _block_pinv(mat))
+        adiabatic_ss, "_correction_system", return_value=(mat, _blocks(mat))
     ):
         if inconsistent:
             with pytest.raises(SolverFailure):
@@ -263,16 +342,12 @@ def test_multi_axis_connection_couples_the_box_into_one_rejected_block():
 # -- correction systems grown order by order ---------------------------------------
 
 
-def _system_bytes(system):
-    unknowns, mat, lead, pinvs = system
-    blocks = [[(arr.dtype, arr.shape, arr.tobytes()) for arr in block] for block in pinvs]
-    return [layout.dim for layout in unknowns], csr_bytes(mat), csr_bytes(lead), blocks
-
-
 def test_correction_systems_match_bmat_stacking():
     """Orders 1-3 of every (degree, reach) a t4_su2_cs3 recursion requests, of
-    degree 0 (no d* rows) and of the top degree (no d rows): both matrices and
-    every block pseudoinverse bit for bit the stacking from scratch."""
+    degree 0 (no d* rows) and of the top degree (no d rows): both matrices bit for
+    bit the stacking from scratch.  The matrix on w_0 is that of order min(order,
+    2), the first rows of the order's own, whose other rows are empty; the system
+    is cached with its blocks from _blocks, and no decomposition."""
     conn = load_scenario(packaged_scenario_path("t4_su2_cs3")).connection
     bands = (1, 1, 1, 0)
     PageRecursion(conn, bands).run()
@@ -281,10 +356,21 @@ def test_correction_systems_match_bmat_stacking():
     top = conn.geometry.n + conn.alg.dim
     for degree, reach in requested + [(0, bands), (top, bands)]:
         for order in (1, 2, 3):
-            want = _system_bytes(reference_correction_system(conn, degree, reach, order))
+            want_unknowns, want_mat, want_lead = reference_correction_system(conn, degree, reach, order)
             unknowns, lead = _correction_lead(conn, degree, reach, order)
-            mat, pinvs = _correction_system(conn, degree, reach, order)
-            assert _system_bytes((unknowns, mat, lead, pinvs)) == want
+            mat, blocks = _correction_system(conn, degree, reach, order)
+            assert [u.dim for u in unknowns] == [u.dim for u in want_unknowns]
+            assert csr_bytes(mat) == csr_bytes(want_mat)
+            assert csr_bytes(lead) == csr_bytes(reference_correction_system(conn, degree, reach, min(order, 2))[2])
+            assert csr_bytes(lead) == csr_bytes(want_lead[: lead.shape[0]])
+            assert want_lead[lead.shape[0]:].nnz == 0
+            cached = conn._cache[("corrections", degree, reach, order)]
+            assert len(cached) == 2 and cached[0] is mat and cached[1] is blocks
+            want_blocks = _blocks(want_mat)
+            assert len(blocks) == len(want_blocks)
+            for (rows, cols), (want_rows, want_cols) in zip(blocks, want_blocks):
+                assert rows.dtype.kind == cols.dtype.kind == "i"
+                assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
 
 def test_next_order_requests_only_its_own_block_rows():
@@ -306,3 +392,59 @@ def test_next_order_requests_only_its_own_block_rows():
     want = [(3 - s, (degree, boxes[s]), (degree + 1, boxes[3])) for s in (1, 2, 3)]
     want += [(3 - s, (degree - 1, boxes[3]), (degree, boxes[s])) for s in (1, 2, 3)]
     assert sorted(requests) == sorted(want)
+
+
+# -- the solves of the recursions and recoveries against the every-block oracle ------
+
+
+def recording_lstsq(calls):
+    """Patch _block_lstsq to append (matrix, right-hand sides, solution) of every
+    call to ``calls``."""
+    solve = adiabatic_ss._block_lstsq
+
+    def recording(mat, blocks, rhs, tolerances, what, order):
+        x = solve(mat, blocks, rhs, tolerances, what, order)
+        calls.append((mat, rhs, x))
+        return x
+
+    return mock.patch.object(adiabatic_ss, "_block_lstsq", recording)
+
+
+@pytest.mark.parametrize("name", ["t4_su2_cs3", "t3_su2_pages"])
+def test_recursion_solves_match_the_every_block_oracle(name):
+    """Every system a recursion poses, its stable page lifted in every degree:
+    the solution bit for bit that of every block's pseudoinverse."""
+    scenario = load_scenario(packaged_scenario_path(name))
+    calls = []
+    with recording_lstsq(calls):
+        rec = scenario.page_recursion()
+        rec._lifts(rec.k_stop)
+    assert calls
+    for mat, rhs, x in calls:
+        assert_block_lstsq_matches_reference(mat, rhs, x)
+
+
+def _generated_scenario(tmp_path):
+    """Connection 0 of seed 1 from the benchmark's scenario generator."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "generator.py"
+    spec = importlib.util.spec_from_file_location("generator", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    scenario = tmp_path / "generated.json"
+    scenario.write_text(generator.scenario_text(generator.connection_config(1, 0, 5)))
+    return str(scenario)
+
+
+@pytest.mark.parametrize("scenario", ["t4_su2_cs3", _generated_scenario], ids=["t4_su2_cs3", "generated"])
+def test_recovery_solve_matches_the_every_block_oracle(tmp_path, scenario):
+    """The order-4 recovery of verify-cs3, on a fixture and on a generated
+    many-mode connection: bit for bit the every-block oracle."""
+    if callable(scenario):
+        scenario = scenario(tmp_path)
+    calls = []
+    with recording_lstsq(calls):
+        argv = ["verify-cs3", "--scenario", scenario, "--out", str(tmp_path / "out"), "--quiet"]
+        assert cli_main(argv) == 0
+    assert len(calls) == 1
+    mat, rhs, x = calls[0]
+    assert_block_lstsq_matches_reference(mat, rhs, x)

@@ -557,6 +557,55 @@ def test_cli_non_finite_number_is_config_error(tmp_path, section, field, value):
     assert cli_main(["verify-cs1", "--scenario", str(path), "--out", out, "--quiet"]) == 2
 
 
+def _with_key(section, key, value):
+    def change(cfg):
+        cfg[section][key] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "scenario, command, change, key",
+    [
+        ("t2_u1_c1zero", "verify-cs1", _with_key("algebra", "dim", 1), "'dim'"),
+        (
+            "t2_u1_c1zero",
+            "verify-cs1",
+            _with_key("algebra", "structure_constants", [[0, 0, 0, "1.0"]]),
+            "'structure_constants'",
+        ),
+        ("t2_u1_c1zero", "verify-cs1", _with_key("algebra", "metric", [["4.0"]]), "'metric'"),
+        ("t4_su2_cs3", "lie-check", _with_key("algebra", "rank", 2), "'rank'"),
+        (
+            "t2_u1_c1zero",
+            "lie-check",
+            lambda cfg: cfg.update(algebra={"dim": 1, "scale": "2.0"}),
+            "'scale'",
+        ),
+        ("t2_u1_c1nonzero", "verify-cs1", _with_key("connection", "components", []), "'components'"),
+    ],
+    ids=["dim-named", "structure-constants-named", "metric-named", "rank-su2", "scale-custom", "components-flux"],
+)
+def test_cli_known_key_the_constructor_does_not_read_is_config_error(
+    tmp_path, capsys, scenario, command, change, key
+):
+    """A key of the format that the chosen constructor does not read (a named
+    algebra has its own metric and structure constants, only u1 has a rank, a
+    custom algebra has no scale, abelian_flux replaces components) would be
+    dropped; it is a configuration error."""
+    with open(packaged_scenario_path(scenario)) as fh:
+        cfg = json.load(fh)
+    change(cfg)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli_main([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "does not read" in err and key in err
+    assert not out.exists()
+
+
 def _su2_constants(index):
     """su(2) structure constants, the index 2 of [e_0, e_1] written as ``index``."""
     return [
