@@ -305,14 +305,19 @@ def _correction_lead(conn, degree, reach, order):
     """The layouts of w_0 .. w_order of the order-``order`` correction system (see
     _correction_system), and its matrix on w_0 down to equation min(order, 2), cached
     on the connection.  Only equations t = 1, 2 have a w_0 block, so the rows of
-    later equations are empty; only the blocks (t, 0) are built, so the right-hand
-    side of a lift can be read without the rest of its system."""
-    unknowns = [_layout(conn, degree, box) for box in _boxes(conn, reach, order)]
-    key = ("correction lead", degree, reach, min(order, 2))
+    later equations are empty, and every order from 2 on shares the order-2 matrix;
+    only the blocks (t, 0) are built, so the right-hand side of a lift can be read
+    without the rest of its system."""
+    key = ("correction lead", degree, reach, order)
     if key not in conn._cache:
-        height, lead = _correction_rows(conn, degree, reach, min(order, 2), lead=True)
-        conn._cache[key] = _csr(lead, (height, unknowns[0].dim))
-    return unknowns, conn._cache[key]
+        unknowns = [_layout(conn, degree, box) for box in _boxes(conn, reach, order)]
+        if order > 2:
+            lead_mat = _correction_lead(conn, degree, reach, 2)[1]
+        else:
+            height, lead = _correction_rows(conn, degree, reach, order, lead=True)
+            lead_mat = _csr(lead, (height, unknowns[0].dim))
+        conn._cache[key] = (unknowns, lead_mat)
+    return conn._cache[key]
 
 
 def _correction_system(conn, degree, reach, order):
