@@ -13,7 +13,9 @@ components of its pattern, solved densely, one stacked call per shape; a
 block above a fixed number of entries is rejected, since a connection that
 couples several axes joins the whole box into one block.  A least-squares
 system is decomposed only on the blocks its right-hand side touches, with
-the singular-value cut of the whole matrix.
+the singular-value cut of the whole matrix.  The blocks of the compressed
+Laplacian pair up under the reality involution x -> conj(x[mirror]), and one
+block of each pair is eigensolved.
 
 One run of the recursion serves every degree and page.  Pages 1 and 2 are
 closed form, and every page basis from page 2 on lies at frequency zero, so
@@ -183,8 +185,8 @@ def _block_lstsq(mat, blocks, rhs, tolerances, what, order):
     singular value of any block.  That top lies between the largest singular value of
     the solved blocks and the largest Frobenius norm of the others; only when a solved
     singular value falls between the cuts of the two is every block decomposed for the
-    exact top.  SolverFailure when a residual |rhs - mat x| exceeds
-    tolerances.solver * (1 + |rhs|).
+    exact top.  SolverFailure when a residual |rhs - mat x| is not at most
+    tolerances.solver * (1 + |rhs|), a NaN residual included.
     """
     # per row the number of its block, counted across the shape groups
     starts = np.cumsum([0] + [len(rows) for rows, _ in blocks])
@@ -214,7 +216,7 @@ def _block_lstsq(mat, blocks, rhs, tolerances, what, order):
         x[cols] = ((vh.conj().swapaxes(1, 2) * inv[:, None, :]) @ u.conj().swapaxes(1, 2)) @ rhs[rows]
     tol_abs = tolerances.solver * (1.0 + np.linalg.norm(rhs, axis=0))
     res = np.linalg.norm(rhs - mat @ x, axis=0)
-    for r in res[res > tol_abs][:1]:
+    for r in res[~(res <= tol_abs)][:1]:
         raise SolverFailure(f"{what} stalled at residual {r:.3e}", order=order, residual=float(r))
     return x
 
@@ -795,19 +797,55 @@ def galerkin_coefficients(conn, total_degree, bands):
     return conn._cache[key]
 
 
+def _mirror_pairs(blocks, mirror):
+    """The blocks of a Hermitian matrix L to eigensolve, and the source of each
+    block's spectrum, when L[mirror][:, mirror] == conj(L) and ``blocks`` (from
+    _blocks, rows equal to columns) is closed under ``mirror``: the mirror sends
+    each block to a partner of its shape holding mirror[c] for each of its columns
+    c, with the same spectrum.  Returns (kept, copies), one entry per shape group:
+    kept holds the first block of each pair and every self-mirror block, and
+    block i of the group has the spectrum of its kept block copies[i]."""
+    kept, copies = [], []
+    for rows, cols in blocks:
+        count = len(cols)
+        at = np.zeros(mirror.size, dtype=int)
+        at[cols] = np.arange(count)[:, None]
+        first = np.minimum(np.arange(count), at[mirror[cols[:, 0]]])
+        keep = first == np.arange(count)
+        kept.append((rows[keep], cols[keep]))
+        copies.append(np.cumsum(keep)[first] - 1)
+    return kept, copies
+
+
 def _galerkin_spectrum(conn, total_degree, delta, bands):
-    """Ascending eigenvalues of the compressed Laplacian A(delta)^H A(delta) at one
-    delta: a stacked eigvalsh per block shape of the pattern |A|^T |A| + I, with
-    |A| = sum_a |A_a|, cached beside the Galerkin matrices."""
+    """Ascending eigenvalues of the compressed Laplacian L = A(delta)^H A(delta) at
+    one delta, one eigensolve per mirror pair of blocks.
+
+    The connection and every Cholesky factor are real, so L[mirror][:, mirror]
+    == conj(L) for the mirror of the degree layout (TruncationLayout.mirror), and
+    the mirror sends each block of L to a partner with the same spectrum.  The
+    blocks are those of the pattern |A|^T |A| + I, |A| = sum_a |A_a|, joined with
+    its mirror image: the image adds nothing for an exactly real connection, but
+    the reality check of a scenario passes a mode of up to 1e-12 relative at k
+    with none at -k.  A stacked eigvalsh per block shape solves one block of each
+    pair and every self-mirror block, and each kept block's eigenvalues are
+    copied to its partner before the sort.  The pairing is cached beside the
+    Galerkin matrices."""
     mats = galerkin_coefficients(conn, total_degree, bands)
     stacked = sum(float(delta) ** a * m for a, m in enumerate(mats))
     key = ("galerkin_blocks", total_degree, tuple(bands))
     if key not in conn._cache:
         pattern = sum(abs(m) for m in mats)
-        conn._cache[key] = _blocks(pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1]))
+        pattern = pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1])
+        mirror = _layout(conn, total_degree, tuple(bands)).mirror()
+        pattern = pattern + pattern[mirror][:, mirror]
+        conn._cache[key] = _mirror_pairs(_blocks(pattern), mirror)
+    kept, copies = conn._cache[key]
     lap = stacked.conj().T @ stacked
     try:
-        evals = [np.linalg.eigvalsh(stack).ravel() for stack in _gather(lap, conn._cache[key])]
+        evals = [
+            np.linalg.eigvalsh(stack)[copy].ravel() for stack, copy in zip(_gather(lap, kept), copies)
+        ]
     except np.linalg.LinAlgError as err:
         raise SolverFailure(f"eigensolver failed at delta = {delta}: {err}")
     return np.sort(np.concatenate([np.zeros(0)] + evals))
@@ -874,7 +912,8 @@ def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
 
 def near_zero_count(conn, total_degree, delta, bands, threshold_rel):
     """Number of eigenvalues below threshold_rel x spectral norm at one delta,
-    and the spectral norm, from the whole spectrum computed block by block."""
+    and the spectral norm, from the whole spectrum of _galerkin_spectrum: one
+    eigensolve per mirror pair of blocks, the partner's eigenvalues copied."""
     evals = _galerkin_spectrum(conn, total_degree, delta, bands)
     top = float(np.max(np.abs(evals))) if evals.size else 0.0
     return int(np.sum(evals <= threshold_rel * max(top, 1e-300))), top

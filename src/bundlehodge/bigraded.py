@@ -391,11 +391,13 @@ class Connection:
 
     def coupling_bands(self):
         """Widest per-axis frequency shift any operator application makes."""
-        reach = [0] * self.geometry.n
-        for key, _, _, _ in self.a_entries() + self.f_entries():
-            for a, k in enumerate(key):
-                reach[a] = max(reach[a], abs(k))
-        return tuple(reach)
+        if "coupling" not in self._cache:
+            reach = [0] * self.geometry.n
+            for key, _, _, _ in self.a_entries() + self.f_entries():
+                for a, k in enumerate(key):
+                    reach[a] = max(reach[a], abs(k))
+            self._cache["coupling"] = tuple(reach)
+        return self._cache["coupling"]
 
 
 class DeltaPolynomial:
@@ -864,7 +866,12 @@ class TruncationLayout:
         """Row permutation sending frequency k to -k within each slot.  The
         Cholesky factors are real, so the coordinates of the conjugate form
         (conjugate values at -k) are conj(x[mirror()]); a box lists its keys in
-        lexicographic order, so -k runs in the reverse order."""
+        lexicographic order, so -k runs in the reverse order.  For a real
+        connection every operator matrix M between two layouts then satisfies
+        M[mirror_out][:, mirror_in] == conj(M), up to the order in which
+        duplicate entries are summed: ``harmonic_limit`` splits real from
+        imaginary parts with it, and the Galerkin spectrum eigensolves one
+        block of each mirror pair."""
         rows = np.arange(self.dim)
         for slot in self.slots:
             block = self._slot_rows(rows, slot)

@@ -48,6 +48,10 @@ polynomial sum_r delta^r M_r, each M_r a sum of Gram products of component
 matrices; ``adiabatic_ss.galerkin_polynomial`` stacks the same components
 into A(delta) with L_delta = A(delta)^H A(delta) instead.
 
+``reference_galerkin_spectrum`` eigensolves every block of the pattern
+|A|^T |A| + I at one delta; ``adiabatic_ss._galerkin_spectrum`` solves one
+block of each mirror pair and copies its eigenvalues to the partner instead.
+
 ``reference_second_page`` computes page 2 from a dense page 1 over every key
 of the page box, by one generic step of projected leading coefficients and
 page-Laplacian kernels; ``PageRecursion`` seeds page 2 in closed form instead.
@@ -80,6 +84,7 @@ from bundlehodge.adiabatic_ss import (
     _gather,
     _layout,
     _split_rows,
+    galerkin_coefficients,
 )
 from bundlehodge.bigraded import (
     _BIDEGREES,
@@ -458,6 +463,18 @@ def reference_galerkin_polynomial(conn, total_degree, bands):
             total = total + t[a] @ t[b].conj().T + s[b].conj().T @ s[a]
         mats.append(total)
     return layout, mats
+
+
+def reference_galerkin_spectrum(conn, total_degree, delta, bands):
+    """Ascending eigenvalues of A(delta)^H A(delta) from a stacked eigvalsh of every
+    block of the pattern |A|^T |A| + I, |A| = sum_a |A_a|."""
+    mats = galerkin_coefficients(conn, total_degree, bands)
+    stacked = sum(float(delta) ** a * m for a, m in enumerate(mats))
+    pattern = sum(abs(m) for m in mats)
+    blocks = _blocks(pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1]))
+    lap = stacked.conj().T @ stacked
+    evals = [np.linalg.eigvalsh(stack).ravel() for stack in _gather(lap, blocks)]
+    return np.sort(np.concatenate([np.zeros(0)] + evals))
 
 
 def reference_second_page(conn, bands):

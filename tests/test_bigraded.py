@@ -38,7 +38,13 @@ from bundlehodge.bigraded import (
     dstar_delta,
     from_fourier,
 )
-from bundlehodge.adiabatic_ss import galerkin_polynomial
+from bundlehodge.adiabatic_ss import (
+    _blocks,
+    _galerkin_spectrum,
+    galerkin_coefficients,
+    galerkin_polynomial,
+    near_zero_count,
+)
 from bundlehodge.errors import ConfigError
 from bundlehodge.lie_algebra import LieAlgebraData, harmonic_subspace, make_su2, make_u1
 from bundlehodge.multiindex import num_indices
@@ -55,6 +61,7 @@ from bigraded_reference import (
     reference_d,
     reference_dstar,
     reference_galerkin_polynomial,
+    reference_galerkin_spectrum,
     rho_scale,
     sq_norms_batch,
 )
@@ -451,6 +458,100 @@ def test_reference_operators_match_production(make_conn, box):
                 assert got.slots() == want.slots()
                 scale = bigraded_norm(want) + bigraded_norm(w)
                 assert bigraded_norm(got - want) <= 1e-13 * scale
+
+
+# every packaged fixture, the su(3) copy of t4_su2_cs3, and the skewed
+# abelian and su(2) connections, whose Cholesky factors are full triangles;
+# each with whether its Laplacian commutes with the mirror to the bit
+MIRROR_CASES = [
+    pytest.param(lambda: _fixture_connection("t2_u1_c1zero"), (2, 2), True, id="t2_u1_c1zero"),
+    pytest.param(lambda: _fixture_connection("t2_u1_c1nonzero"), (2, 2), True, id="t2_u1_c1nonzero"),
+    pytest.param(lambda: _fixture_connection("t3_su2_pages"), (2, 1, 1), True, id="t3_su2_pages"),
+    pytest.param(lambda: _fixture_connection("t4_su2_flat"), (1, 1, 0, 0), True, id="t4_su2_flat"),
+    pytest.param(lambda: _fixture_connection("t4_su2_cs3"), (1, 1, 0, 0), True, id="t4_su2_cs3"),
+    pytest.param(_su3_connection, (1, 0, 0, 0), True, id="t4_su3_cs3"),
+    pytest.param(_skewed_abelian_connection, (1, 1, 1), True, id="skewed_u1x2"),
+    pytest.param(_skewed_su2_connection, (1, 1, 1), False, id="skewed_su2"),
+]
+
+
+def _block_sets(rows, cols):
+    return [(frozenset(r.tolist()), frozenset(c.tolist())) for r, c in zip(rows, cols)]
+
+
+@pytest.mark.parametrize("make_conn, box, exact", MIRROR_CASES)
+def test_galerkin_laplacian_commutes_with_the_reality_involution(make_conn, box, exact):
+    """L[mirror][:, mirror] == conj(L), L = A(delta)^H A(delta): exactly, but on
+    skewed_su2, whose d_1 and d_2 sum several terms into one matrix entry, and
+    in another order at the mirrored entry, only to rounding."""
+    conn = make_conn()
+    for p in range(conn.geometry.n + conn.alg.dim + 1):
+        mirror = TruncationLayout.of_degree(conn.geometry, conn.alg, p, box).mirror()
+        stacked = sum(0.5**a * m for a, m in enumerate(galerkin_coefficients(conn, p, box)))
+        lap = (stacked.conj().T @ stacked).toarray()
+        defect = np.max(np.abs(lap[mirror][:, mirror] - lap.conj()), initial=0.0)
+        if exact:
+            assert defect == 0.0
+        else:
+            assert defect <= 2 * np.finfo(float).eps * np.max(np.abs(lap), initial=0.0)
+
+
+@pytest.mark.parametrize("make_conn, box, _", MIRROR_CASES)
+def test_galerkin_spectrum_pairs_mirror_blocks(make_conn, box, _):
+    """Every block of the pattern is kept, or copied from the one kept block of its
+    shape that is its mirror partner; a self-mirror block is kept; the paired
+    spectrum and its counts match the every-block oracle."""
+    conn = make_conn()
+    for p in range(conn.geometry.n + conn.alg.dim + 1):
+        mirror = TruncationLayout.of_degree(conn.geometry, conn.alg, p, box).mirror()
+        for delta in (0.5, 0.125):
+            got = _galerkin_spectrum(conn, p, delta, box)
+            want = reference_galerkin_spectrum(conn, p, delta, box)
+            top = float(np.max(np.abs(want), initial=0.0))
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * top
+            for threshold in (1e-12, 1e-10):
+                cut = threshold * max(top, 1e-300)
+                assert np.sum(got <= cut) == np.sum(want <= cut)
+            count, _ = near_zero_count(conn, p, delta, box, 1e-8)
+            assert count == int(np.sum(want <= 1e-8 * max(top, 1e-300)))
+        pattern = sum(abs(m) for m in galerkin_coefficients(conn, p, box))
+        blocks = _blocks(pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1]))
+        kept_blocks, copied = conn._cache[("galerkin_blocks", p, box)]
+        assert len(kept_blocks) == len(copied) == len(blocks)
+        for (rows, cols), (kept_rows, kept_cols), copies in zip(blocks, kept_blocks, copied):
+            every, kept = _block_sets(rows, cols), _block_sets(kept_rows, kept_cols)
+            assert set(kept) <= set(every) and len(set(kept)) == len(kept)
+            assert copies.shape == (len(every),)
+            at = {block: n for n, block in enumerate(every)}
+            for n, (block_rows, block_cols) in enumerate(every):
+                partner = at[(frozenset(mirror[list(block_rows)].tolist()), frozenset(mirror[list(block_cols)].tolist()))]
+                source = kept[copies[n]]
+                if partner == n:
+                    assert source == every[n]
+                else:
+                    assert (every[n] in kept) != (every[partner] in kept)
+                    assert source in (every[n], every[partner])
+                    assert copies[partner] == copies[n]
+
+
+def test_galerkin_spectrum_pairs_a_pattern_that_is_not_mirror_closed():
+    """A mode of 1e-14 at k with none at -k passes the scenario's reality check,
+    and leaves the pattern |A|^T |A| + I without the mirror image of some
+    blocks; joined with its mirror image, the pattern pairs them, and the
+    spectrum matches the every-block oracle."""
+    from bundlehodge.harness import Scenario, packaged_scenario_path
+
+    with open(packaged_scenario_path("t3_su2_pages")) as fh:
+        config = json.load(fh)
+    component = config["connection"]["components"][1][1]
+    component.update(band=1, entries=component["entries"] + [[[0, 1, 0], [1], "1e-14", "0"]])
+    conn = Scenario(config).connection
+    for p in range(conn.geometry.n + conn.alg.dim + 1):
+        got = _galerkin_spectrum(conn, p, 0.5, (1, 1, 1))
+        want = reference_galerkin_spectrum(conn, p, 0.5, (1, 1, 1))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
 
 
 # every packaged fixture; skewed metrics, whose Cholesky factors are full

@@ -228,16 +228,19 @@ def test_block_solve_takes_the_exact_cut_between_the_bounds():
 
 
 def test_block_solve_counts_a_nan_as_nonzero():
-    """A NaN in the right-hand side touches its block, which is solved as the
-    oracle solves it; the other block stays exact zeros."""
+    """A NaN in the right-hand side touches its block, which alone is decomposed;
+    the NaN residual it leaves is a solver failure."""
     rng = np.random.default_rng(4)
     mat = _permuted([_random_block(rng, 2, 2, False), _random_block(rng, 3, 3, False)], rng)
-    for rows, _ in _blocks(mat):
+    for rows, cols in _blocks(mat):
         rhs = np.zeros((mat.shape[0], 1), dtype=complex)
         rhs[rows[0, 0], 0] = np.nan
-        x = _block_lstsq(mat, _blocks(mat), rhs, Tolerances(), "test system", 1)
-        assert np.isnan(x).any() and not np.isnan(x).all()
-        assert_block_lstsq_matches_reference(mat, rhs, x)
+        with mock.patch.object(adiabatic_ss, "_svds", wraps=adiabatic_ss._svds) as spy:
+            with pytest.raises(SolverFailure, match="stalled at residual nan") as err:
+                _block_lstsq(mat, _blocks(mat), rhs, Tolerances(), "test system", 1)
+        assert np.isnan(err.value.residual)
+        ((_, solved), _), = spy.call_args_list
+        assert [(r.tolist(), c.tolist()) for r, c in solved] == [(rows[:1].tolist(), cols[:1].tolist())]
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
