@@ -836,9 +836,12 @@ def _galerkin_spectrum(conn, total_degree, delta, bands):
     key = ("galerkin_blocks", total_degree, tuple(bands))
     if key not in conn._cache:
         pattern = sum(abs(m) for m in mats)
-        pattern = pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1])
+        n = pattern.shape[1]
         mirror = _layout(conn, total_degree, tuple(bands)).mirror()
-        pattern = pattern + pattern[mirror][:, mirror]
+        # the permutation matrix of the mirror, an involution: swap^T = swap
+        swap = scipy.sparse.csr_matrix((np.ones(n), mirror, np.arange(n + 1)), shape=(n, n))
+        pattern = pattern.T @ pattern
+        pattern = pattern + swap @ pattern @ swap + scipy.sparse.identity(n)
         conn._cache[key] = _mirror_pairs(_blocks(pattern), mirror)
     kept, copies = conn._cache[key]
     lap = stacked.conj().T @ stacked
