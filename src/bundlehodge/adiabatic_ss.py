@@ -838,7 +838,9 @@ def _galerkin_spectrum(conn, total_degree, delta, bands):
         pattern = sum(abs(m) for m in mats)
         n = pattern.shape[1]
         mirror = _layout(conn, total_degree, tuple(bands)).mirror()
-        # the permutation matrix of the mirror, an involution: swap^T = swap
+        # the mirror is an involution, so with its permutation matrix swap,
+        # swap @ G @ swap is G[mirror][:, mirror]; a product needs no sparse
+        # kernel beyond those G does, where fancy indexing raised the peak RSS
         swap = scipy.sparse.csr_matrix((np.ones(n), mirror, np.arange(n + 1)), shape=(n, n))
         pattern = pattern.T @ pattern
         pattern = pattern + swap @ pattern @ swap + scipy.sparse.identity(n)
