@@ -245,8 +245,8 @@ def _boxes(conn, reach, order):
     return [tuple(r + s * c for r, c in zip(reach, coupling)) for s in range(order + 1)]
 
 
-def _split_rows(layout, slot, box):
-    """Rows of one slot of a layout with frequency inside / outside a box.
+def _box_rows(layout, slot, box):
+    """Rows of one slot of a layout with frequency inside a box.
 
     A box lists its keys in lexicographic order, so the inside rows of a
     wider layout run in the order of the box's own coordinates.
@@ -254,7 +254,7 @@ def _split_rows(layout, slot, box):
     nb, nf = layout.shapes[slot]
     inside = np.all(np.abs(layout.key_array) <= np.array(box), axis=1)
     rows = layout.offsets[slot] + np.arange(inside.size * nb * nf).reshape(inside.size, -1)
-    return rows[inside].ravel(), rows[~inside].ravel()
+    return rows[inside].ravel()
 
 
 def _correction_rows(conn, degree, reach, order, lead):
@@ -382,7 +382,7 @@ class PageRecursion:
     forms every ad*_a vanishes, so the page-1 differential is d_M x 1, and page 2
     is (constant base forms) x H(g), the Kunneth page (Chevalley-Eilenberg;
     Mazzeo-Melrose).  Pages 0 and 1 are kept as counts; the page box sets them
-    and the cut of the projections.  Later pages use projected leading
+    and nothing else in the recursion.  Later pages use projected leading
     coefficients of exactly-computed lifts.
 
     Everything runs on coordinate matrices with one column per basis
@@ -393,8 +393,8 @@ class PageRecursion:
     zero box.  A lift whose right-hand side is exactly zero (every order-1 lift,
     and every lift on a flat connection) is exact zeros, and no system is posed
     for it.  The leading coefficients are products with the cached component
-    matrices over a box that holds them whole and contains the page box, so
-    projecting onto the page is a row selection; an exactly-zero lift term is
+    matrices into the zero box, the only frequency a page holds, so projecting
+    onto a page slot reads its whole block there; an exactly-zero lift term is
     skipped.  Forms are built only when ``entries`` hands a page's basis and
     lifts out.
 
@@ -430,7 +430,6 @@ class PageRecursion:
         # corrections_solved: basis columns lifted by run(), pages 2 .. k_stop - 1
         # in every degree; the final page is lifted per degree, on demand
         self.diagnostics = {
-            "projection_cut": 0.0,
             "offslot_residual": 0.0,
             "adjoint_consistency": 0.0,
             "dsq_residual": 0.0,
@@ -473,7 +472,7 @@ class PageRecursion:
                 basis = self.bases[K][slot]
                 layout = _layout(self.conn, sum(slot), self.zero)
                 lead = np.zeros((layout.dim, basis.shape[1]), dtype=complex)
-                lead[_split_rows(layout, slot, self.zero)[0]] = basis
+                lead[_box_rows(layout, slot, self.zero)] = basis
                 ws = _solve_columns(self.conn, sum(slot), self.zero, lead, K - 1, self.tol)
                 lifts[slot] = [lead] + ws
         return {slot: lifts[slot] for slot in wanted}
@@ -481,12 +480,13 @@ class PageRecursion:
     def _leading(self, K, degree, w, up):
         """Order-K coefficient of d_delta (``up``) or d*_delta on the lifts
         w = [W_0 .. W_(K-1)] of degree-p columns: sum over s = max(K - 2, 0) ..
-        K - 1 of d_(K-s) W_s.  Returns the degree p +- 1 layout over
-        max(K c, page box), which holds the coefficient whole and contains the
-        page box, and its coordinates.  An exactly-zero W_s adds nothing, and
-        its component matrix is not built."""
+        K - 1 of d_(K-s) W_s.  Returns the degree p +- 1 layout of the zero box
+        and the coordinates of the coefficient's frequency-zero part, all that a
+        projection onto a page reads: each row of a component matrix is the same
+        whatever other rows its target holds, so the rest is not computed.  An
+        exactly-zero W_s adds nothing, and its component matrix is not built."""
         boxes = _boxes(self.conn, self.zero, K)
-        outer = (degree + 1 if up else degree - 1, tuple(map(max, boxes[K], self.bands)))
+        outer = (degree + 1 if up else degree - 1, self.zero)
         layout = _layout(self.conn, *outer)
         total = np.zeros((layout.dim, w[0].shape[1]), dtype=complex)
         for s in range(max(K - 2, 0), K):
@@ -500,29 +500,24 @@ class PageRecursion:
         return layout, total
 
     def _project(self, layout, coeff, target, adjoints):
-        """Project the columns of a leading coefficient onto the target page
-        slot, or return None when it has no page.  ``adjoints`` maps each page
-        slot to the conjugate transpose of its basis.  Also accumulates the
-        off-slot and out-of-box (cut) masses, which the page theory says must
-        vanish, relative to the column norms."""
+        """Project the columns of a leading coefficient, coordinates over the
+        zero-box layout ``layout``, onto the target page slot, or return None
+        when it has no page.  ``adjoints`` maps each page slot to the conjugate
+        transpose of its basis, one column per row of the slot's block.  Also
+        accumulates the largest projection onto another page slot relative to
+        the column norms, which the page theory says must vanish."""
         scale = 1.0 + np.linalg.norm(coeff, axis=0)
         out = None
         for slot, adjoint in adjoints.items():
             if slot not in layout.offsets:
                 continue
-            _, outside = _split_rows(layout, slot, self.bands)
-            cut = np.linalg.norm(coeff[outside], axis=0) / scale
-            self.diagnostics["projection_cut"] = max(
-                self.diagnostics["projection_cut"], float(np.max(cut))
-            )
-            proj = adjoint @ coeff[_split_rows(layout, slot, self.zero)[0]]
+            start = layout.offsets[slot]
+            proj = adjoint @ coeff[start : start + adjoint.shape[1]]
             if slot == target:
                 out = proj
             else:
-                off = np.linalg.norm(proj, axis=0) / scale
-                self.diagnostics["offslot_residual"] = max(
-                    self.diagnostics["offslot_residual"], float(np.max(off))
-                )
+                off = float(np.max(np.linalg.norm(proj, axis=0) / scale))
+                self.diagnostics["offslot_residual"] = max(self.diagnostics["offslot_residual"], off)
         return out
 
     # ---- generic step ----------------------------------------------------
@@ -705,8 +700,7 @@ def harmonic_limit(recursion, total_degree):
         for l, (box, term) in enumerate(zip(_boxes(conn, recursion.zero, K - 1), w)):
             slot, src = (i0 + l, j0 - l), _layout(conn, total_degree, box)
             if slot in src.offsets:
-                rows = _split_rows(src, slot, box)[0]
-                limits[_split_rows(layout, slot, box)[0], cols] = term[rows]
+                limits[_box_rows(layout, slot, box), cols] = term[_box_rows(src, slot, box)]
     bar = limits[layout.mirror()].conj()
     # per column its real part, then its imaginary part
     cands = np.stack([0.5 * (limits + bar), -0.5j * (limits - bar)], axis=2)

@@ -786,8 +786,8 @@ def _accumulate(keys, unshifted, groups, move):
 # -- rescaled polynomial family --------------------------------------------------
 
 
-def _delta_series(poly, conn, apply):
-    # coefficient m collects component a applied to coefficient m - a
+def delta_series(poly, conn, apply):
+    """The polynomial whose coefficient m sums apply(coefficient m - a, conn, a), a = 0, 1, 2."""
     out = []
     for m in range(len(poly.coefficients) + 2):
         terms = [
@@ -809,12 +809,12 @@ def _delta_series(poly, conn, apply):
 
 def d_delta(poly, conn):
     """Exact polynomial action of d^(0,1) + delta d^(1,0) + delta^2 d^(2,-1)."""
-    return _delta_series(poly, conn, apply_d_component)
+    return delta_series(poly, conn, apply_d_component)
 
 
 def dstar_delta(poly, conn):
     """Exact polynomial action of the adjoint, d*_delta."""
-    return _delta_series(poly, conn, apply_dstar_component)
+    return delta_series(poly, conn, apply_dstar_component)
 
 
 # -- truncated coordinates and the Galerkin compression ----------------------------

@@ -39,6 +39,7 @@ from .bigraded import (
     bigraded_to_dict,
     coefficient_norms,
     d_delta,
+    delta_series,
     dstar_delta,
     from_fourier,
     poly_norm,
@@ -595,17 +596,21 @@ def cmd_verify_cs3(scenario, out_dir=None, quiet=False):
     geo, alg = scenario.geometry, scenario.algebra
     a03 = BigradedForm(geo, alg, {(0, 3): alpha.components[(0, 3)]})
     a21 = BigradedForm(geo, alg, {(2, 1): alpha.components[(2, 1)]})
-    # the two images of the (2,1) part every check reads: the covariant
-    # coderivative psi, which beta inverts, and the curvature contraction,
-    # the order-4 residual the base primitive cancels
+    # the two images of the (2,1) part every check reads, the residual orders of the
+    # series too: the covariant coderivative psi, which beta inverts, and the curvature
+    # contraction, the order-4 residual the base primitive cancels
     psi = apply_dstar_component(a21, conn, 1)
     residual4 = apply_d_component(a21, conn, 2)
     h_lift = from_fourier(h, alg)
-    zero = BigradedForm.zero(geo, alg)
-    series = DeltaPolynomial([a03, zero, a21, -h_lift - beta_correction(conn, psi)])
+    series = DeltaPolynomial([a03, BigradedForm.zero(geo, alg), a21, -h_lift - beta_correction(conn, psi)])
     scale = poly_norm(series)
     tol = scenario.tolerances.formal * max(scale, 1.0)
-    d_orders, s_orders = residual_orders(series, conn)
+
+    def reusing(apply, which, image):
+        return lambda form, conn, a: image if form is a21 and a == which else apply(form, conn, a)
+
+    d_orders = coefficient_norms(delta_series(series, conn, reusing(apply_d_component, 2, residual4)))
+    s_orders = coefficient_norms(delta_series(series, conn, reusing(apply_dstar_component, 1, psi)))
     low_d = [v for m, v in d_orders if m <= 3]
     low_s = [v for m, v in s_orders if m <= 3]
     harmonic_ok = max(low_d + low_s, default=0.0) <= tol

@@ -52,6 +52,11 @@ into A(delta) with L_delta = A(delta)^H A(delta) instead.
 |A|^T |A| + I at one delta; ``adiabatic_ss._galerkin_spectrum`` solves one
 block of each mirror pair and copies its eigenvalues to the partner instead.
 
+``reference_leading`` forms an order-K leading coefficient of the page
+recursion over max(K c, page box), which holds it whole and contains the page
+box; ``PageRecursion._leading`` computes only its rows at frequency zero, the
+rows a projection onto a page reads, onto the zero box instead.
+
 ``reference_second_page`` computes page 2 from a dense page 1 over every key
 of the page box, by one generic step of projected leading coefficients and
 page-Laplacian kernels; ``PageRecursion`` seeds page 2 in closed form instead.
@@ -79,11 +84,11 @@ import scipy.sparse
 from bundlehodge.adiabatic_ss import (
     Tolerances,
     _blocks,
+    _box_rows,
     _boxes,
     _component,
     _gather,
     _layout,
-    _split_rows,
     galerkin_coefficients,
 )
 from bundlehodge.bigraded import (
@@ -477,6 +482,27 @@ def reference_galerkin_spectrum(conn, total_degree, delta, bands):
     return np.sort(np.concatenate([np.zeros(0)] + evals))
 
 
+def reference_leading(recursion, K, degree, w, up):
+    """Order-K coefficient of d_delta (``up``) or d*_delta on the lifts w = [W_0 ..
+    W_(K-1)] of degree-p columns of a PageRecursion, sum over s = max(K - 2, 0) ..
+    K - 1 of d_(K-s) W_s: (degree p +- 1 layout over max(K c, page box), its
+    coordinates)."""
+    conn = recursion.conn
+    boxes = _boxes(conn, recursion.zero, K)
+    outer = (degree + 1 if up else degree - 1, tuple(map(max, boxes[K], recursion.bands)))
+    layout = _layout(conn, *outer)
+    total = np.zeros((layout.dim, w[0].shape[1]), dtype=complex)
+    for s in range(max(K - 2, 0), K):
+        if not w[s].any():
+            continue
+        inner = (degree, boxes[s])
+        if up:
+            total += _component(conn, K - s, inner, outer) @ w[s]
+        else:
+            total += (_component(conn, K - s, outer, inner).T @ w[s].conj()).conj()
+    return layout, total
+
+
 def reference_second_page(conn, bands):
     """Page 2 from a dense page 1 over the box ``bands``: per slot (single-slot
     layout over the box, page-2 basis in its coordinates).
@@ -505,10 +531,10 @@ def reference_second_page(conn, bands):
             continue
         src, dst = _layout(conn, i + j, bands), _layout(conn, i + j + 1, wide)
         lead = np.zeros((src.dim, basis.shape[1]), dtype=complex)
-        lead[_split_rows(src, (i, j), bands)[0]] = basis
+        lead[_box_rows(src, (i, j), bands)] = basis
         coeff = _component(conn, 1, (i + j, bands), (i + j + 1, wide)) @ lead
         target = page[(i + 1, j)][1]
-        mats[(i, j)] = target.conj().T @ coeff[_split_rows(dst, (i + 1, j), bands)[0]]
+        mats[(i, j)] = target.conj().T @ coeff[_box_rows(dst, (i + 1, j), bands)]
     scale = 1.0 + sum(abs(v) for *_, v in conn.a_entries() + conn.f_entries())
     floor = 1e-18 * max(scale**4, 1.0)
     second = {}

@@ -11,11 +11,11 @@ from bundlehodge import adiabatic_ss
 from bundlehodge.adiabatic_ss import (
     PageRecursion,
     Tolerances,
+    _box_rows,
     _boxes,
     _correction_lead,
     _layout,
     _solve_columns,
-    _split_rows,
     harmonic_limit,
     near_zero_count,
     recover_omega3,
@@ -62,6 +62,7 @@ from bigraded_reference import (
     reference_d,
     reference_dstar,
     reference_harmonic_limit,
+    reference_leading,
     reference_second_page,
 )
 
@@ -115,6 +116,18 @@ def su3_scenario():
     with open(packaged_scenario_path("t4_su2_cs3")) as fh:
         config = json.load(fh)
     return Scenario(dict(config, algebra={"name": "su3", "scale": "0.2"}))
+
+
+def curved_axis0_scenario(band):
+    """t4_su2_cs3 at page box ``band`` with a band-1 mode 0.8 sin(x_0) dx^2 added to
+    its second fiber component: the curvature holds A^1 ^ A^2 at band 2 along axis 0,
+    so leading coefficients reach frequency 2 there, outside the page box of band 1."""
+    with open(packaged_scenario_path("t4_su2_cs3")) as fh:
+        config = json.load(fh)
+    (a0, a1, a2) = config["connection"]["components"]
+    mode = [[[1, 0, 0, 0], [2], "0", "-0.4"], [[-1, 0, 0, 0], [2], "0", "0.4"]]
+    a1 = [1, {"degree": 1, "band": 1, "entries": a1[1]["entries"] + mode}]
+    return Scenario(dict(config, connection={"components": [a0, a1, a2]}, band=band))
 
 
 def kunneth_dim(n, p):
@@ -260,7 +273,7 @@ def test_second_page_closed_form_matches_a_dense_first_page_step(name):
         if not q.shape[1]:
             continue
         p = np.zeros_like(q)
-        p[_split_rows(coords, slot, zero)[0]] = rec.bases[2][slot]
+        p[_box_rows(coords, slot, zero)] = rec.bases[2][slot]
         assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
         sines = np.linalg.svd(p - q @ (q.conj().T @ p), compute_uv=False)
         assert sines.max() <= 1e-12
@@ -311,8 +324,8 @@ def test_flat_lifts_pose_no_correction_system():
     """On the flat t4_su2_flat every page basis is fiber-harmonic at frequency
     zero, so the coupling terms annihilate it: every right-hand side is exactly
     zero, no correction system is posed, and every lift term is exact zeros.
-    The leading coefficients skip those terms, so the only component matrices
-    into or out of the page box are the d_2 of page 2's order-0 term."""
+    The leading coefficients skip those terms and are computed into the zero
+    box, so no component matrix has the page box as its source or target."""
     conn = load_scenario(packaged_scenario_path("t4_su2_flat")).connection
     bands = (1, 1, 0, 0)
     calls = []
@@ -327,7 +340,60 @@ def test_flat_lifts_pose_no_correction_system():
         for w in lifts.values():
             assert all(not term.any() for term in w[1:])
     components = [key for key in conn._cache if key[0] == "component"]
-    assert {key[1] for key in components if bands in (key[2][1], key[3][1])} == {2}
+    assert components
+    assert not [key for key in components if bands in (key[2][1], key[3][1])]
+
+
+def test_pages_do_not_depend_on_the_page_box():
+    """Every page from 2 on lies at frequency zero, so the page box sets only the
+    counts of pages 0 and 1.  On a connection whose curvature has band 2 along axis
+    0, the bases at page box band 1 and band 2 are equal to the bit, and E_inf in
+    degrees 1..3 is 4, 6, 5 = limit_count = galerkin_zero_count at both."""
+    recursions = []
+    for band in (1, 2):
+        scenario = curved_axis0_scenario(band)
+        conn = scenario.connection
+        assert conn.coupling_bands() == (2, 0, 0, 0)
+        rec = PageRecursion(conn, scenario.bands, scenario.k_max, scenario.tolerances).run()
+        assert rec.stabilized
+        for p, total in zip((1, 2, 3), (4, 6, 5)):
+            assert sum(rec.dims_for_degree(rec.k_stop, p).values()) == total
+            assert len(harmonic_limit(rec, p)) == total
+            count, _ = near_zero_count(conn, p, 0.5, scenario.galerkin_bands, scenario.tolerances.spectral)
+            assert count == total
+        recursions.append(rec)
+    narrow, wide = recursions
+    assert narrow.dims_history[0] != wide.dims_history[0]
+    assert narrow.k_stop == wide.k_stop
+    for K in range(2, narrow.k_stop + 1):
+        assert narrow.bases[K].keys() == wide.bases[K].keys()
+        for slot, basis in narrow.bases[K].items():
+            assert np.array_equal(basis, wide.bases[K][slot])
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_projected_page_matrices_match_the_wide_box_leading_coefficients(name):
+    """Every projection of a zero-box leading coefficient onto a page slot, target
+    or not, equals bit for bit the projection of the coefficient over
+    max(K c, page box)."""
+    scenario = load_scenario(packaged_scenario_path(name))
+    rec = PageRecursion(scenario.connection, scenario.bands, scenario.k_max, scenario.tolerances).run()
+    checked = 0
+    for K in range(2, rec.k_stop):
+        adjoints = {slot: basis.conj().T for slot, basis in rec.bases[K].items()}
+        degrees = {sum(slot) for slot in adjoints}
+        for slot, w in rec.lifts[K].items():
+            for up in (True, False):
+                if sum(slot) + (1 if up else -1) not in degrees:
+                    continue
+                layout, coeff = rec._leading(K, sum(slot), w, up)
+                wide, wide_coeff = reference_leading(rec, K, sum(slot), w, up)
+                for target, adjoint in adjoints.items():
+                    if target in layout.offsets:
+                        want = adjoint @ wide_coeff[_box_rows(wide, target, rec.zero)]
+                        assert np.array_equal(rec._project(layout, coeff, target, adjoints), want)
+                        checked += 1
+    assert checked
 
 
 def test_zero_rhs_lifts_equal_the_posed_solve():

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundlehodge import bigraded
-from bundlehodge.adiabatic_ss import PageRecursion
+from bundlehodge.adiabatic_ss import PageRecursion, residual_orders
+from bundlehodge.bigraded import BigradedForm, DeltaPolynomial, apply_dstar_component, from_fourier
+from bundlehodge.chern_weil import beta_correction, cs3, cw4, primitive_h
 from bundlehodge.cli import main as cli_main
 from bundlehodge.errors import ConfigError
 from bundlehodge.harness import (
@@ -19,6 +21,7 @@ from bundlehodge.harness import (
     cmd_report,
     cmd_spectrum,
     cmd_verify_cs1,
+    cmd_verify_cs3,
     load_scenario,
     packaged_scenario_path,
 )
@@ -513,9 +516,10 @@ def test_cli_scenario_degree_above_the_top_is_config_error(tmp_path, command):
 @pytest.mark.parametrize(
     "command, scenario, applications",
     # verify-cs1: d_delta and d*_delta of the two-term series, 6 each;
-    # verify-cs3: the residual orders of the four-term series (24), and the
-    # coderivative and the contraction of alpha^{2,1}
-    [("verify-cs1", "t2_u1_c1zero", 12), ("verify-cs3", "t4_su2_cs3", 26)],
+    # verify-cs3: the coderivative and the contraction of alpha^{2,1}, and the
+    # other 22 terms of the residual orders of the four-term series, which
+    # read those two as their order-3 d* and order-4 d terms
+    [("verify-cs1", "t2_u1_c1zero", 12), ("verify-cs3", "t4_su2_cs3", 24)],
 )
 def test_verify_reports_apply_each_operator_image_once(
     tmp_path, monkeypatch, command, scenario, applications
@@ -530,6 +534,26 @@ def test_verify_reports_apply_each_operator_image_once(
     monkeypatch.setattr(bigraded, "_apply_component", counted)
     assert cli_main([command, "--scenario", scenario, "--out", str(tmp_path), "--quiet"]) == 0
     assert len(calls) == applications
+
+
+def test_verify_cs3_residual_orders_are_those_of_its_series(tmp_path):
+    """verify-cs3 takes psi and d_2 alpha^{2,1} as terms of the residual orders;
+    the orders equal, to the bit, those of d_delta and d*_delta applied afresh to
+    the corrected series alpha^{0,3} + delta^2 alpha^{2,1} - delta^3 (h + beta)."""
+    scenario = load_fixture("t4_su2_cs3")
+    report = cmd_verify_cs3(scenario, out_dir=str(tmp_path), quiet=True)
+    conn, geo, alg = scenario.connection, scenario.geometry, scenario.algebra
+    pair = scenario.polynomial()
+    alpha = cs3(pair, conn)
+    a03, a21 = (BigradedForm(geo, alg, {slot: alpha.components[slot]}) for slot in ((0, 3), (2, 1)))
+    correction = from_fourier(primitive_h(cw4(pair, conn)), alg) + beta_correction(
+        conn, apply_dstar_component(a21, conn, 1)
+    )
+    series = DeltaPolynomial([a03, BigradedForm.zero(geo, alg), a21, -correction])
+    d_orders, s_orders = residual_orders(series, conn)
+    assert report["passed"]
+    assert report["orders_d"] == d_orders
+    assert report["orders_dstar"] == s_orders
 
 
 @pytest.mark.parametrize(
