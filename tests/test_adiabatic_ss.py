@@ -120,11 +120,12 @@ def su3_scenario():
 
 def curved_axis0_scenario(band):
     """t4_su2_cs3 at page box ``band`` with a band-1 mode 0.8 sin(x_0) dx^2 added to
-    its second fiber component: the curvature holds A^1 ^ A^2 at band 2 along axis 0,
-    so leading coefficients reach frequency 2 there, outside the page box of band 1."""
+    its second fiber component: the curvature holds A^0 ^ A^1, with sin^2(x_0) at band
+    2 along axis 0, so leading coefficients reach frequency 2 there, outside the page
+    box of band 1."""
     with open(packaged_scenario_path("t4_su2_cs3")) as fh:
         config = json.load(fh)
-    (a0, a1, a2) = config["connection"]["components"]
+    a0, a1, a2 = config["connection"]["components"]
     mode = [[[1, 0, 0, 0], [2], "0", "-0.4"], [[-1, 0, 0, 0], [2], "0", "0.4"]]
     a1 = [1, {"degree": 1, "band": 1, "entries": a1[1]["entries"] + mode}]
     return Scenario(dict(config, connection={"components": [a0, a1, a2]}, band=band))
