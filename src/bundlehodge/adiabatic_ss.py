@@ -51,7 +51,6 @@ from .bigraded import (
     to_fourier,
 )
 from .errors import ConfigError, NotExact, SolverFailure
-from .lie_algebra import harmonic_subspace
 from .multiindex import num_indices
 
 
@@ -452,7 +451,7 @@ class PageRecursion:
         the harmonic fiber j-forms, orthonormal in the fiber Gram matrix."""
         bases = {}
         for i, j in self.slots:
-            harm = harmonic_subspace(self.alg, j)
+            harm = self.alg.harmonic_basis(j)
             if harm.shape[1]:
                 hat = self.alg.chol(j).T @ harm  # orthonormal columns
                 nb = num_indices(self.geometry.n, i)
@@ -613,7 +612,7 @@ class PageRecursion:
         m = self.alg.dim
         self.dims_history = [
             self._counts(lambda j: num_indices(m, j)),
-            self._counts(lambda j: harmonic_subspace(self.alg, j).shape[1]),
+            self._counts(lambda j: self.alg.harmonic_basis(j).shape[1]),
         ]
         # no differential can act beyond page min(n, m + 1): it would need
         # K base steps and K - 1 fiber steps at once
@@ -783,14 +782,6 @@ def galerkin_polynomial(conn, total_degree, bands):
     return layout, mats
 
 
-def galerkin_coefficients(conn, total_degree, bands):
-    """The matrices A_a of galerkin_polynomial, cached on the connection."""
-    key = ("galerkin", total_degree, tuple(bands))
-    if key not in conn._cache:
-        conn._cache[key] = galerkin_polynomial(conn, total_degree, bands)[1]
-    return conn._cache[key]
-
-
 def _mirror_pairs(blocks, mirror):
     """The blocks of a Hermitian matrix L to eigensolve, and the source of each
     block's spectrum, when L[mirror][:, mirror] == conj(L) and ``blocks`` (from
@@ -823,23 +814,23 @@ def _galerkin_spectrum(conn, total_degree, delta, bands):
     the reality check of a scenario passes a mode of up to 1e-12 relative at k
     with none at -k.  A stacked eigvalsh per block shape solves one block of each
     pair and every self-mirror block, and each kept block's eigenvalues are
-    copied to its partner before the sort.  The pairing is cached beside the
-    Galerkin matrices."""
-    mats = galerkin_coefficients(conn, total_degree, bands)
-    stacked = sum(float(delta) ** a * m for a, m in enumerate(mats))
-    key = ("galerkin_blocks", total_degree, tuple(bands))
+    copied to its partner before the sort.  The Galerkin matrices are assembled
+    once per degree and box and cached on the connection with their pairing."""
+    key = ("galerkin", total_degree, tuple(bands))
     if key not in conn._cache:
+        layout, mats = galerkin_polynomial(conn, total_degree, bands)
         pattern = sum(abs(m) for m in mats)
         n = pattern.shape[1]
-        mirror = _layout(conn, total_degree, tuple(bands)).mirror()
+        mirror = layout.mirror()
         # the mirror is an involution, so with its permutation matrix swap,
         # swap @ G @ swap is G[mirror][:, mirror]; a product needs no sparse
         # kernel beyond those G does, where fancy indexing raised the peak RSS
         swap = scipy.sparse.csr_matrix((np.ones(n), mirror, np.arange(n + 1)), shape=(n, n))
         pattern = pattern.T @ pattern
         pattern = pattern + swap @ pattern @ swap + scipy.sparse.identity(n)
-        conn._cache[key] = _mirror_pairs(_blocks(pattern), mirror)
-    kept, copies = conn._cache[key]
+        conn._cache[key] = (mats,) + _mirror_pairs(_blocks(pattern), mirror)
+    mats, kept, copies = conn._cache[key]
+    stacked = sum(float(delta) ** a * m for a, m in enumerate(mats))
     lap = stacked.conj().T @ stacked
     try:
         evals = [

@@ -121,10 +121,6 @@ class FourierForm:
         shape = tuple(2 * b + 1 for b in bands) + (num_indices(geometry.n, degree),)
         return cls(geometry, degree, bands, np.zeros(shape, dtype=complex))
 
-    @property
-    def band(self):
-        return max(self.bands) if self.bands else 0
-
     def copy(self):
         return FourierForm(self.geometry, self.degree, self.bands, self.coeffs.copy())
 
@@ -203,43 +199,6 @@ class FourierForm:
             k = tuple(int(p - b) for p, b in zip(pos[:-1], self.bands))
             out.append((k, idxs[pos[-1]], self.coeffs[tuple(pos)]))
         return out
-
-
-def monomial(geometry, degree, k, index, value, bands=None):
-    """Form value * e^{i k.x} dx^index (complex; combine for real forms)."""
-    if bands is None:
-        bands = tuple(abs(int(ka)) for ka in k)
-    form = FourierForm.zero(geometry, degree, bands)
-    pos = index_position(geometry.n, degree)[tuple(index)]
-    loc = tuple(int(ka) + b for ka, b in zip(k, form.bands)) + (pos,)
-    form.coeffs[loc] = value
-    return form
-
-
-def cos_wave(geometry, degree, k, index, amplitude=1.0):
-    """amplitude * cos(k.x) dx^index as a real form."""
-    return monomial(geometry, degree, k, index, amplitude / 2.0) + monomial(
-        geometry, degree, tuple(-ka for ka in k), index, amplitude / 2.0
-    )
-
-
-def sin_wave(geometry, degree, k, index, amplitude=1.0):
-    """amplitude * sin(k.x) dx^index as a real form."""
-    return monomial(geometry, degree, k, index, amplitude / 2.0j) + monomial(
-        geometry, degree, tuple(-ka for ka in k), index, -amplitude / 2.0j
-    )
-
-
-def constant_form(geometry, degree, index, value):
-    return monomial(geometry, degree, (0,) * geometry.n, index, value)
-
-
-def random_form(geometry, degree, bands, rng, scale=1.0):
-    """Real band-limited form with independent normal coefficients."""
-    shape = tuple(2 * b + 1 for b in bands) + (num_indices(geometry.n, degree),)
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    flipped = np.conj(raw[(slice(None, None, -1),) * geometry.n])
-    return FourierForm(geometry, degree, bands, scale * 0.5 * (raw + flipped))
 
 
 # -- differential operators --------------------------------------------------
@@ -365,14 +324,6 @@ def coexact_primitive(form):
 
 
 # -- serialization -----------------------------------------------------------
-
-
-def form_to_dict(form):
-    entries = [
-        [list(k), list(idx), float(val.real), float(val.imag)]
-        for k, idx, val in form.entries()
-    ]
-    return {"degree": form.degree, "band": form.band, "entries": entries}
 
 
 def form_from_dict(geometry, data):

@@ -354,7 +354,8 @@ class Connection:
         self._cache = {}
 
     def curvature_forms(self):
-        """F = dA + (1/2)[A ^ A], one 2-form per algebra index."""
+        """F = dA + (1/2)[A ^ A], one 2-form per algebra index (the supplied
+        override for abelian flux scenarios)."""
         if "curv" not in self._cache:
             if self.curvature_override is not None:
                 self._cache["curv"] = self.curvature_override
@@ -1083,24 +1084,3 @@ def bigraded_to_dict(form):
         comps.append({"i": slot[0], "j": slot[1], "entries": entries})
     return {"components": comps}
 
-
-def bigraded_from_dict(geometry, alg, data):
-    entries = {}
-    for comp in data.get("components", []):
-        slot = (int(comp["i"]), int(comp["j"]))
-        nb = num_indices(geometry.n, slot[0])
-        nf = num_indices(alg.dim, slot[1])
-        for key, b, f, re, im in comp.get("entries", []):
-            key = tuple(int(x) for x in key)
-            if len(key) != geometry.n:
-                raise ConfigError("frequency vector has wrong length")
-            if not (0 <= int(b) < nb and 0 <= int(f) < nf):
-                raise ConfigError(f"index out of range for slot {slot}")
-            entries.setdefault(slot, []).append((key, int(b), int(f), complex(float(re), float(im))))
-    tables = {}
-    for (i, j), rows in entries.items():
-        keys, b, f, values = zip(*rows)
-        shape = (num_indices(geometry.n, i), num_indices(alg.dim, j))
-        keys = np.array(keys, dtype=np.int64)
-        tables[(i, j)] = FrequencyTable.of_entries(keys, (np.array(b), np.array(f)), np.array(values), shape)
-    return BigradedForm(geometry, alg, tables)

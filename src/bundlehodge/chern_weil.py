@@ -12,7 +12,6 @@ import numpy as np
 
 from .base_forms import (
     FourierForm,
-    coexact_primitive,
     d as base_d,
     norm as base_norm,
     wedge as base_wedge,
@@ -61,6 +60,10 @@ class InvariantPolynomial:
             raise ConfigError(f"unknown polynomial kind {kind!r}")
 
 
+# the kinds make_polynomial builds, by name
+POLYNOMIAL_KINDS = ("first_chern", "second_chern", "custom_bilinear")
+
+
 def make_polynomial(alg, kind, normalization=1.0):
     """Named constructors used by scenario configs.
 
@@ -81,12 +84,6 @@ def make_polynomial(alg, kind, normalization=1.0):
 
 
 # -- curvature and characteristic forms ---------------------------------------
-
-
-def curvature(conn):
-    """F = dA + (1/2)[A ^ A] per algebra basis index (or the supplied
-    override for abelian flux scenarios)."""
-    return conn.curvature_forms()
 
 
 def bianchi_residual(conn):
@@ -174,16 +171,10 @@ def cs3(pair, conn):
         comps[(2, 1)] = FrequencyTable.of_entries(keys, (np.concatenate(rows),), np.concatenate(terms), shape)
     # (0,3): the constant cubic fiber term
     tau = cs3_fiber_term(alg, pair.matrix)
-    if np.any(tau.coefficients):
-        value = np.asarray(tau.coefficients, dtype=complex).reshape(1, 1, -1)
+    if np.any(tau):
+        value = np.asarray(tau, dtype=complex).reshape(1, 1, -1)
         comps[(0, 3)] = _constant(geo, value)
     return BigradedForm(geo, alg, comps).prune()
-
-
-def primitive_h(cw_form):
-    """Coexact primitive of a characteristic form; raises NotExact when the
-    class is nonzero (the excluded branch of the harmonicity statements)."""
-    return coexact_primitive(cw_form)
 
 
 def beta_correction(conn, psi):

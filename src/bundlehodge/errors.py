@@ -18,7 +18,7 @@ class DegreeOverflow(DegreeError):
 
 
 class NotSemisimple(BundleHodgeError):
-    """The fiber algebra has nonzero first cohomology, so the Green inverse
+    """The fiber algebra has nonzero first cohomology, so the Green matrix
     on degree-one cochains does not exist."""
 
 

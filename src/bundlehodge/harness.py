@@ -25,6 +25,7 @@ from .adiabatic_ss import (
 from .base_forms import (
     TorusGeometry,
     FourierForm,
+    coexact_primitive,
     form_from_dict,
     hodge_decompose,
     norm as base_norm,
@@ -45,6 +46,7 @@ from .bigraded import (
     poly_norm,
 )
 from .chern_weil import (
+    POLYNOMIAL_KINDS,
     abelian_scenario,
     beta_correction,
     bianchi_residual,
@@ -53,17 +55,11 @@ from .chern_weil import (
     cw2,
     cw4,
     make_polynomial,
-    primitive_h,
 )
 from .errors import ConfigError, NotExact
 from .lie_algebra import (
     LieAlgebraData,
-    ce_adjoint,
-    ce_differential,
     direct_sum,
-    green_inverse,
-    harmonic_subspace,
-    LieCochain,
     make_su2,
     make_su3,
     make_u1,
@@ -240,9 +236,14 @@ class Scenario:
         self.connection = self._build_connection(conn_cfg)
         poly_cfg = _section(config, "polynomial", dict, {})
         self.polynomial_kind = poly_cfg.get("kind")
+        if self.polynomial_kind is not None and self.polynomial_kind not in POLYNOMIAL_KINDS:
+            raise ConfigError(f"unknown polynomial kind {self.polynomial_kind!r}")
         self.polynomial_normalization = _number(
             poly_cfg.get("normalization", "1.0"), "normalization"
         )
+        if self.polynomial_normalization == 0.0:
+            # a zero polynomial makes every secondary form zero: nothing left to check
+            raise ConfigError("polynomial normalization must be nonzero")
         self.delta_grid = [
             _number(x, "delta value") for x in _section(config, "delta_grid", list, [])
         ]
@@ -477,12 +478,12 @@ def cmd_lie_check(scenario, out_dir=None, quiet=False):
         betti_ok = True
         rng = np.random.default_rng(scenario.seed)
         for j in range(alg.dim):
-            comp = ce_differential(alg, j + 1) @ ce_differential(alg, j)
+            comp = alg.d_matrix(j + 1) @ alg.d_matrix(j)
             if comp.size:
                 d_sq = max(d_sq, float(np.max(np.abs(comp))))
             a = rng.standard_normal(num_indices(alg.dim, j))
             b = rng.standard_normal(num_indices(alg.dim, j + 1))
-            da, dsb = ce_differential(alg, j) @ a, ce_adjoint(alg, j + 1) @ b
+            da, dsb = alg.d_matrix(j) @ a, alg.dstar_matrix(j + 1) @ b
             g_in, g_out = alg.gram(j), alg.gram(j + 1)
             lhs, rhs = da @ g_out @ b, a @ g_in @ dsb
             # rounding scales with the Cauchy-Schwarz bounds of the pairings, not their values
@@ -490,7 +491,7 @@ def cmd_lie_check(scenario, out_dir=None, quiet=False):
             adjointness = max(adjointness, abs(lhs - rhs))
             adjointness_rel = max(adjointness_rel, abs(lhs - rhs) / max(1.0, *np.sqrt(bounds)))
         for j in range(alg.dim + 1):
-            basis = harmonic_subspace(alg, j)
+            basis = alg.harmonic_basis(j)
             if basis.shape[1] != alg.betti(j):
                 betti_ok = False
             if basis.shape[1] == 0:
@@ -504,11 +505,8 @@ def cmd_lie_check(scenario, out_dir=None, quiet=False):
             for a in range(alg.dim):
                 psi = np.zeros(alg.dim)
                 psi[a] = 1.0
-                beta = green_inverse(alg, LieCochain(1, psi))
-                green_res = max(
-                    green_res,
-                    float(np.max(np.abs(ce_adjoint(alg, 2) @ beta.coefficients - psi))),
-                )
+                beta = alg.green_matrix()[:, a]
+                green_res = max(green_res, float(np.max(np.abs(alg.dstar_matrix(2) @ beta - psi))))
         ok = (
             d_sq <= 1e-13
             and adjointness_rel <= 1e-12
@@ -539,7 +537,7 @@ def cmd_verify_cs1(scenario, out_dir=None, quiet=False):
     w2 = cw2(phi, conn)
     fields = {"branch": "class_zero", "passed": True}
     try:
-        h = primitive_h(w2)
+        h = coexact_primitive(w2)
     except NotExact as err:
         return _emit(scenario, "verify-cs1", "verify_cs1", _excluded(fields, err), out_dir, quiet)
     series = DeltaPolynomial([alpha, (-1.0) * from_fourier(h, scenario.algebra)])
@@ -590,7 +588,7 @@ def cmd_verify_cs3(scenario, out_dir=None, quiet=False):
         "passed": True,
     }
     try:
-        h = primitive_h(w4)
+        h = coexact_primitive(w4)
     except NotExact as err:
         return _emit(scenario, "verify-cs3", "verify_cs3", _excluded(fields, err), out_dir, quiet)
     geo, alg = scenario.geometry, scenario.algebra

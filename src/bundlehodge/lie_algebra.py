@@ -2,7 +2,7 @@
 
 Holds the structure constants, an Ad-invariant metric, the graded
 differential and its metric adjoint, harmonic subspaces, and the Green
-inverse used to build the degree-(1,2) correction term.
+matrix used to build the degree-(1,2) correction term.
 
 Conventions: bases of Lambda^j g* are indexed by strictly increasing
 tuples (lex order, see multiindex).  The differential acts on a j-cochain
@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ConfigError, DegreeError, NotSemisimple
+from .errors import ConfigError, DegreeError
 from .multiindex import gram_adjoint, gram_matrix, multi_indices, num_indices, wedge_axis_matrix
 
 _ATOL_STRUCTURE = 1e-12
@@ -116,6 +116,12 @@ class LieAlgebraData:
         )
 
     def harmonic_basis(self, j):
+        """Orthonormal basis (columns) of the harmonic subspace of Lambda^j g*.
+
+        Harmonic means annihilated by both the differential and its adjoint;
+        for an Ad-invariant metric this is exactly the subspace killed by every
+        coadjoint operator.
+        """
         return self._cached(("harm", j), lambda: _harmonic_basis(self, j))
 
     def betti(self, j):
@@ -124,24 +130,6 @@ class LieAlgebraData:
 
     def is_semisimple(self):
         return self.harmonic_basis(1).shape[1] == 0
-
-
-class LieCochain:
-    """Element of Lambda^j g*, stored as a dense coefficient vector over the
-    sorted multi-index basis."""
-
-    def __init__(self, degree, coefficients):
-        self.degree = int(degree)
-        self.coefficients = np.asarray(coefficients, dtype=float)
-
-    def check(self, alg):
-        expected = num_indices(alg.dim, self.degree)
-        if self.coefficients.shape != (expected,):
-            raise ConfigError(
-                f"degree-{self.degree} cochain needs {expected} coefficients, "
-                f"got shape {self.coefficients.shape}"
-            )
-        return self
 
 
 # -- constructors ----------------------------------------------------------
@@ -220,20 +208,6 @@ def _coadjoint_matrix(alg, a, j):
     return mat
 
 
-def ce_differential(alg, j):
-    """Matrix of the graded differential Lambda^j g* -> Lambda^(j+1) g*."""
-    if j < 0 or j > alg.dim:
-        raise DegreeError(f"degree {j} out of range for dim-{alg.dim} algebra")
-    return alg.d_matrix(j)
-
-
-def ce_adjoint(alg, j):
-    """Matrix of the metric adjoint Lambda^j g* -> Lambda^(j-1) g*."""
-    if j < 0 or j > alg.dim:
-        raise DegreeError(f"degree {j} out of range for dim-{alg.dim} algebra")
-    return alg.dstar_matrix(j)
-
-
 def _harmonic_basis(alg, j):
     n = alg.dim
     size = num_indices(n, j)
@@ -275,36 +249,9 @@ def _betti_number(alg, j):
     return num_indices(alg.dim, j) - rank(d_j) - rank(d_prev)
 
 
-def harmonic_subspace(alg, j):
-    """Orthonormal basis (columns) of the harmonic subspace of Lambda^j g*.
-
-    Harmonic means annihilated by both the differential and its adjoint;
-    for an Ad-invariant metric this is exactly the subspace killed by every
-    coadjoint operator.
-    """
-    if j < 0 or j > alg.dim:
-        raise DegreeError(f"degree {j} out of range for dim-{alg.dim} algebra")
-    return alg.harmonic_basis(j)
-
-
-def green_inverse(alg, psi):
-    """Solve dstar beta = psi with d beta = 0 for a degree-1 cochain psi.
-
-    Needs H^1 of the algebra to vanish; beta lands in the exact part of
-    Lambda^2 and is produced by the Green matrix, which inverts the degree-1
-    Laplacian.
-    """
-    psi = psi if isinstance(psi, LieCochain) else LieCochain(1, psi)
-    if psi.degree != 1:
-        raise DegreeError("green_inverse takes a degree-1 cochain")
-    psi.check(alg)
-    if not alg.is_semisimple():
-        raise NotSemisimple("H^1 of the algebra is nonzero; no Green inverse on g*")
-    return LieCochain(2, alg.green_matrix() @ psi.coefficients)
-
-
 def cs3_fiber_term(alg, pairing=None):
-    """Degree-3 cochain (x,y,z) -> -(1/6) sum_sigma sign(sigma) <x,[y,z]>_sigma.
+    """Coefficients of the degree-3 cochain
+    (x,y,z) -> -(1/6) sum_sigma sign(sigma) <x,[y,z]>_sigma.
 
     ``pairing`` defaults to the algebra metric; any Ad-invariant symmetric
     bilinear form may be supplied.  The result is closed and coclosed.
@@ -321,4 +268,4 @@ def cs3_fiber_term(alg, pairing=None):
             bracket = alg.c[y, z]  # components of [e_y, e_z]
             total += sgn * float(pair[x] @ bracket)
         coeffs[pos] = -total / 6.0
-    return LieCochain(3, coeffs)
+    return coeffs

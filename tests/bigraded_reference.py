@@ -89,7 +89,7 @@ from bundlehodge.adiabatic_ss import (
     _component,
     _gather,
     _layout,
-    galerkin_coefficients,
+    galerkin_polynomial,
 )
 from bundlehodge.bigraded import (
     _BIDEGREES,
@@ -103,7 +103,6 @@ from bundlehodge.bigraded import (
     d_delta,
     dstar_delta,
 )
-from bundlehodge.lie_algebra import harmonic_subspace
 from bundlehodge.multiindex import num_indices, wedge_axis_matrix, wedge_pair_matrix
 
 
@@ -473,7 +472,7 @@ def reference_galerkin_polynomial(conn, total_degree, bands):
 def reference_galerkin_spectrum(conn, total_degree, delta, bands):
     """Ascending eigenvalues of A(delta)^H A(delta) from a stacked eigvalsh of every
     block of the pattern |A|^T |A| + I, |A| = sum_a |A_a|."""
-    mats = galerkin_coefficients(conn, total_degree, bands)
+    mats = galerkin_polynomial(conn, total_degree, bands)[1]
     stacked = sum(float(delta) ** a * m for a, m in enumerate(mats))
     pattern = sum(abs(m) for m in mats)
     blocks = _blocks(pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1]))
@@ -520,7 +519,7 @@ def reference_second_page(conn, bands):
     for i in range(geo.n + 1):
         for j in range(alg.dim + 1):
             coords = TruncationLayout(geo, alg, [(i, j)], bands)
-            harm = harmonic_subspace(alg, j) if coords.slots else np.zeros((0, 0))
+            harm = alg.harmonic_basis(j) if coords.slots else np.zeros((0, 0))
             if harm.shape[1]:
                 hat = alg.chol(j).T @ harm
                 keys_and_base = len(coords.key_array) * num_indices(geo.n, i)

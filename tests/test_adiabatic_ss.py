@@ -26,10 +26,8 @@ from bundlehodge.adiabatic_ss import (
 from bundlehodge.base_forms import (
     FourierForm,
     TorusGeometry,
-    constant_form,
-    cos_wave,
+    coexact_primitive,
     norm as bnorm,
-    sin_wave,
 )
 from bundlehodge.bigraded import (
     BigradedForm,
@@ -49,7 +47,6 @@ from bundlehodge.chern_weil import (
     cw2,
     cw4,
     make_polynomial,
-    primitive_h,
 )
 from bundlehodge.errors import ConfigError, NotExact, SolverFailure
 from bundlehodge.harness import Scenario, load_scenario, packaged_scenario_path
@@ -65,6 +62,7 @@ from bigraded_reference import (
     reference_leading,
     reference_second_page,
 )
+from form_builders import constant_form, cos_wave, sin_wave
 
 FIXTURES = ["t2_u1_c1zero", "t2_u1_c1nonzero", "t3_su2_pages", "t4_su2_flat", "t4_su2_cs3"]
 
@@ -161,7 +159,7 @@ def test_residuals_curved_pullback_order_two():
 def test_residuals_cs1_series_identically_zero():
     conn = abelian_t2(mean=False)
     phi = make_polynomial(conn.alg, "first_chern")
-    h = primitive_h(cw2(phi, conn))
+    h = coexact_primitive(cw2(phi, conn))
     series = DeltaPolynomial(
         [cs1(phi, conn), (-1.0) * from_fourier(h, conn.alg)]
     )
@@ -491,7 +489,7 @@ def test_harmonic_limit_contains_cs3_representative():
     assert len(limits) == 5
     pair = make_polynomial(conn.alg, "second_chern")
     alpha = cs3(pair, conn)
-    h = primitive_h(cw4(pair, conn))
+    h = coexact_primitive(cw4(pair, conn))
     target = alpha + (-1.0) * from_fourier(h, conn.alg)
     gram = np.array([[bigraded_inner_product(x, y) for y in limits] for x in limits])
     rhs = np.array([bigraded_inner_product(x, target) for x in limits])
@@ -728,7 +726,7 @@ def test_corrections_reproduce_primitive():
     phi = make_polynomial(conn.alg, "first_chern")
     v = cs1(phi, conn)
     ws = solve_corrections(conn, v, 2)
-    h = primitive_h(cw2(phi, conn))
+    h = coexact_primitive(cw2(phi, conn))
     target = (-1.0) * from_fourier(h, conn.alg)
     assert bigraded_norm(ws[0] - target) <= 1e-10 * (1.0 + bigraded_norm(target))
     # the order-2 correction appears in no equation, so minimal norm zeroes it
@@ -798,7 +796,7 @@ def test_recover_omega3_matches_primitive():
     a21 = BigradedForm(geo, alg, {(2, 1): alpha.components[(2, 1)]})
     lift = DeltaPolynomial([a03, zero.copy(), a21])
     x = recover_omega3(conn, d_delta(lift, conn).coefficient(4))
-    h = primitive_h(cw4(pair, conn))
+    h = coexact_primitive(cw4(pair, conn))
     assert bnorm(x - (-1.0) * h) <= 1e-8 * max(bnorm(h), 1e-300)
 
 

@@ -8,22 +8,18 @@ from bundlehodge.base_forms import (
     TorusGeometry,
     codifferential,
     coexact_primitive,
-    constant_form,
-    cos_wave,
     d,
     form_from_dict,
-    form_to_dict,
     hodge_decompose,
     hodge_star,
     inner_product,
-    monomial,
     norm,
-    random_form,
-    sin_wave,
     wedge,
 )
 from bundlehodge.errors import ConfigError, DegreeError, DegreeOverflow, NotExact
 from bundlehodge.multiindex import index_position, merge_sign, multi_indices
+
+from form_builders import constant_form, cos_wave, monomial, random_form, sin_wave
 
 
 def rel_err(x, scale):
@@ -325,12 +321,28 @@ def test_coexact_primitive_rejects_harmonic():
 # -- serialization and utilities ----------------------------------------------
 
 
-def test_serialization_roundtrip():
+def test_serialization_reads_a_handwritten_payload():
+    """The scenario reader puts each entry [k, multi-index, re, im] at its
+    frequency and lexicographic index position, adds repeated entries, takes
+    the widest frequency per axis as the bands, and rejects an entry beyond
+    the declared band."""
     geo = TorusGeometry(3)
-    form = random_form(geo, 2, (1, 2, 0), np.random.default_rng(14))
-    data = form_to_dict(form)
-    back = form_from_dict(geo, data)
-    assert norm(back - form) <= 1e-14 * norm(form)
+    entries = [
+        [[1, -2, 0], [0, 2], 0.5, 0.25],
+        [[-1, 2, 0], [0, 2], 0.5, -0.25],
+        [[0, 0, 0], [1, 2], 1.5, 0.0],
+        [[0, 0, 0], [1, 2], 0.5, 0.0],
+    ]
+    form = form_from_dict(geo, {"degree": 2, "band": 2, "entries": entries})
+    assert (form.degree, form.bands, form.coeffs.shape) == (2, (1, 2, 0), (3, 5, 1, 3))
+    # degree-2 indices on three axes: (0, 1), (0, 2), (1, 2)
+    expected = np.zeros((3, 5, 1, 3), dtype=complex)
+    expected[2, 0, 0, 1] = 0.5 + 0.25j
+    expected[0, 4, 0, 1] = 0.5 - 0.25j
+    expected[1, 2, 0, 2] = 2.0
+    assert np.array_equal(form.coeffs, expected)
+    with pytest.raises(ConfigError, match="declared band"):
+        form_from_dict(geo, {"degree": 2, "band": 1, "entries": entries})
 
 
 def test_serialization_rejects_nonreal():

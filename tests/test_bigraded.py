@@ -10,17 +10,13 @@ import scipy.sparse
 from bundlehodge.base_forms import (
     FourierForm,
     TorusGeometry,
-    constant_form,
-    cos_wave,
-    monomial,
-    random_form,
-    sin_wave,
 )
 from bundlehodge.bigraded import (
     _BIDEGREES,
     BigradedForm,
     Connection,
     DeltaPolynomial,
+    FrequencyTable,
     TruncationLayout,
     _accumulate,
     _apply_rows,
@@ -31,6 +27,7 @@ from bundlehodge.bigraded import (
     apply_dstar_component,
     bigraded_inner_product,
     bigraded_norm,
+    bigraded_to_dict,
     csr_entries,
     csr_from_entries,
     d_component_matrix,
@@ -41,12 +38,11 @@ from bundlehodge.bigraded import (
 from bundlehodge.adiabatic_ss import (
     _blocks,
     _galerkin_spectrum,
-    galerkin_coefficients,
     galerkin_polynomial,
     near_zero_count,
 )
 from bundlehodge.errors import ConfigError
-from bundlehodge.lie_algebra import LieAlgebraData, harmonic_subspace, make_su2, make_u1
+from bundlehodge.lie_algebra import LieAlgebraData, make_su2, make_u1
 from bundlehodge.multiindex import num_indices
 
 from bigraded_reference import (
@@ -65,6 +61,7 @@ from bigraded_reference import (
     rho_scale,
     sq_norms_batch,
 )
+from form_builders import constant_form, cos_wave, monomial, random_form, sin_wave
 
 
 def su2_connection(geo, amplitudes=(0.8, 0.9, 1.1)):
@@ -224,7 +221,7 @@ def test_d_delta_on_invariant_section():
     conn = su2_connection(geo)
     alg = conn.alg
     # su(2) degree-3 harmonic (volume) as a constant section
-    vol = harmonic_subspace(alg, 3)[:, 0]
+    vol = alg.harmonic_basis(3)[:, 0]
     phi = BigradedForm(geo, alg, {(0, 3): {(0, 0, 0, 0): vol.reshape(1, -1).astype(complex)}})
     out = d_delta(DeltaPolynomial([phi]), conn)
     assert bigraded_norm(out.coefficient(0)) <= 1e-13
@@ -487,7 +484,7 @@ def test_galerkin_laplacian_commutes_with_the_reality_involution(make_conn, box,
     conn = make_conn()
     for p in range(conn.geometry.n + conn.alg.dim + 1):
         mirror = TruncationLayout.of_degree(conn.geometry, conn.alg, p, box).mirror()
-        stacked = sum(0.5**a * m for a, m in enumerate(galerkin_coefficients(conn, p, box)))
+        stacked = sum(0.5**a * m for a, m in enumerate(galerkin_polynomial(conn, p, box)[1]))
         lap = (stacked.conj().T @ stacked).toarray()
         defect = np.max(np.abs(lap[mirror][:, mirror] - lap.conj()), initial=0.0)
         if exact:
@@ -515,9 +512,9 @@ def test_galerkin_spectrum_pairs_mirror_blocks(make_conn, box, _):
                 assert np.sum(got <= cut) == np.sum(want <= cut)
             count, _ = near_zero_count(conn, p, delta, box, 1e-8)
             assert count == int(np.sum(want <= 1e-8 * max(top, 1e-300)))
-        pattern = sum(abs(m) for m in galerkin_coefficients(conn, p, box))
+        pattern = sum(abs(m) for m in galerkin_polynomial(conn, p, box)[1])
         blocks = _blocks(pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1]))
-        kept_blocks, copied = conn._cache[("galerkin_blocks", p, box)]
+        _, kept_blocks, copied = conn._cache[("galerkin", p, box)]
         assert len(kept_blocks) == len(copied) == len(blocks)
         for (rows, cols), (kept_rows, kept_cols), copies in zip(blocks, kept_blocks, copied):
             every, kept = _block_sets(rows, cols), _block_sets(kept_rows, kept_cols)
@@ -890,20 +887,39 @@ def test_inner_product_mismatch_raises():
         bigraded_inner_product(BigradedForm.zero(geo, alg), BigradedForm.zero(geo2, alg))
 
 
-def test_bigraded_serialization_roundtrip():
-    from bundlehodge.bigraded import bigraded_from_dict, bigraded_to_dict
-
+def test_bigraded_to_dict_lists_each_nonzero_value():
+    """The writer of ``limit_forms``: per slot in slot order, one entry
+    [key, base index, fiber index, re, im] per nonzero value, keys in sorted
+    order whatever the row order, exact zeros skipped; a batched form is a
+    ConfigError."""
     geo = TorusGeometry(3)
-    conn = Connection(
-        make_su2(),
-        [
-            sin_wave(geo, 1, (1, 0, 0), (1,), 0.5),
-            constant_form(geo, 1, (2,), 0.3),
-            FourierForm.zero(geo, 1),
-        ],
+    alg = make_su2()
+    keys = np.array([[1, 0, 0], [-1, 0, 0], [0, 0, 0]], dtype=np.int64)
+    stack = np.zeros((3, 3, 3), dtype=complex)
+    stack[0, 2, 1] = 0.5 - 0.25j
+    stack[1, 0, 0] = -1.5
+    stack[1, 2, 1] = 0.5 + 0.25j
+    lone = np.zeros((1, 1, 1), dtype=complex)
+    lone[0, 0, 0] = 2.0
+    form = BigradedForm(
+        geo,
+        alg,
+        {(1, 1): FrequencyTable(keys, stack), (0, 3): FrequencyTable(keys[2:], lone)},
     )
-    rng = np.random.default_rng(21)
-    form = random_bigraded(geo, conn.alg, 2, (1, 1, 1), rng)
-    data = bigraded_to_dict(form)
-    back = bigraded_from_dict(geo, conn.alg, data)
-    assert bigraded_norm(back - form) <= 1e-13 * bigraded_norm(form)
+    assert bigraded_to_dict(form) == {
+        "components": [
+            {"i": 0, "j": 3, "entries": [[[0, 0, 0], 0, 0, 2.0, 0.0]]},
+            {
+                "i": 1,
+                "j": 1,
+                "entries": [
+                    [[-1, 0, 0], 0, 0, -1.5, 0.0],
+                    [[-1, 0, 0], 2, 1, 0.5, 0.25],
+                    [[1, 0, 0], 2, 1, 0.5, -0.25],
+                ],
+            },
+        ]
+    }
+    batched = BigradedForm(geo, alg, {(0, 3): FrequencyTable(keys[2:], lone[..., None])})
+    with pytest.raises(ConfigError, match="batched"):
+        bigraded_to_dict(batched)

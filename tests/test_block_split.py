@@ -23,7 +23,6 @@ from bundlehodge.adiabatic_ss import (
     _correction_system,
     _gather,
     _solve_columns,
-    galerkin_coefficients,
     galerkin_polynomial,
     near_zero_count,
 )
@@ -335,7 +334,7 @@ def test_multi_axis_connection_couples_the_box_into_one_rejected_block():
         entries.append([[-k for k in key], [axis], "0", "0.4"])
     config["connection"]["components"][0][1]["entries"] = entries
     conn = Scenario(config).connection
-    pattern = sum(abs(m) for m in galerkin_coefficients(conn, 3, (1, 1, 1, 1)))
+    pattern = sum(abs(m) for m in galerkin_polynomial(conn, 3, (1, 1, 1, 1))[1])
     blocks = _blocks(pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1]))
     assert [(r.shape, c.shape) for r, c in blocks] == [((1, 2835), (1, 2835))]
     with pytest.raises(ConfigError, match="7875 rows and 7875 columns"):

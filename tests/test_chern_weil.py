@@ -6,13 +6,10 @@ import pytest
 from bundlehodge.base_forms import (
     FourierForm,
     TorusGeometry,
-    constant_form,
-    cos_wave,
+    coexact_primitive,
     d as base_d,
     hodge_decompose,
     norm as bnorm,
-    random_form,
-    sin_wave,
 )
 from bundlehodge.bigraded import (
     BigradedForm,
@@ -31,14 +28,14 @@ from bundlehodge.chern_weil import (
     bianchi_residual,
     cs1,
     cs3,
-    curvature,
     cw2,
     cw4,
     make_polynomial,
-    primitive_h,
 )
 from bundlehodge.errors import ConfigError, DegreeError, NotExact, NotSemisimple
-from bundlehodge.lie_algebra import harmonic_subspace, make_su2, make_u1
+from bundlehodge.lie_algebra import make_su2, make_u1
+
+from form_builders import constant_form, cos_wave, random_form, sin_wave
 
 
 def su2_connection(geo, amplitudes=(0.8, 0.9, 1.1)):
@@ -68,7 +65,7 @@ def test_curvature_of_flat_connection():
     geo = TorusGeometry(4)
     alg = make_su2()
     conn = Connection(alg, [FourierForm.zero(geo, 1) for _ in range(3)])
-    assert all(bnorm(f) == 0.0 for f in curvature(conn))
+    assert all(bnorm(f) == 0.0 for f in conn.curvature_forms())
 
 
 def test_curvature_abelian_is_da():
@@ -76,7 +73,7 @@ def test_curvature_abelian_is_da():
     alg = make_u1(1)
     a = sin_wave(geo, 1, (1, 0), (1,), 2.0)
     conn = Connection(alg, [a])
-    f = curvature(conn)[0]
+    f = conn.curvature_forms()[0]
     assert bnorm(f - base_d(a)) <= 1e-14 * bnorm(f)
 
 
@@ -85,7 +82,7 @@ def test_curvature_single_generator_pinned():
     alg = make_su2()
     a = sin_wave(geo, 1, (1, 0, 0, 0), (1,), 1.0)
     conn = Connection(alg, [FourierForm.zero(geo, 1), a, FourierForm.zero(geo, 1)])
-    f = curvature(conn)
+    f = conn.curvature_forms()
     expected = cos_wave(geo, 2, (1, 0, 0, 0), (0, 1), 1.0)
     assert bnorm(f[1] - expected) <= 1e-13 * bnorm(expected)
     assert bnorm(f[0]) == 0.0 and bnorm(f[2]) == 0.0
@@ -222,7 +219,7 @@ def test_cs3_fiber_part_harmonic():
     pair = make_polynomial(conn.alg, "second_chern")
     alpha = cs3(pair, conn)
     val = alpha.components[(0, 3)][(0, 0, 0, 0)][0, :].real
-    basis = harmonic_subspace(conn.alg, 3)
+    basis = conn.alg.harmonic_basis(3)
     proj = basis @ (basis.T @ conn.alg.gram(3) @ val)
     np.testing.assert_allclose(proj, val, atol=1e-12)
 
@@ -235,7 +232,7 @@ def test_primitive_h_posts():
     conn = su2_connection(geo)
     pair = make_polynomial(conn.alg, "second_chern")
     w4 = cw4(pair, conn)
-    h = primitive_h(w4)
+    h = coexact_primitive(w4)
     from bundlehodge.base_forms import codifferential
 
     assert bnorm(base_d(h) - w4) <= 1e-10 * bnorm(w4)
@@ -246,7 +243,7 @@ def test_primitive_h_nonexact_branch():
     geo = TorusGeometry(2)
     flux = constant_form(geo, 2, (0, 1), 1.0)
     with pytest.raises(NotExact):
-        primitive_h(flux)
+        coexact_primitive(flux)
 
 
 def coderivative_21(pair, conn):

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from bundlehodge import bigraded
 from bundlehodge.adiabatic_ss import PageRecursion, residual_orders
+from bundlehodge.base_forms import coexact_primitive
 from bundlehodge.bigraded import BigradedForm, DeltaPolynomial, apply_dstar_component, from_fourier
-from bundlehodge.chern_weil import beta_correction, cs3, cw4, primitive_h
+from bundlehodge.chern_weil import beta_correction, cs3, cw4
 from bundlehodge.cli import main as cli_main
 from bundlehodge.errors import ConfigError
 from bundlehodge.harness import (
@@ -25,6 +26,7 @@ from bundlehodge.harness import (
     load_scenario,
     packaged_scenario_path,
 )
+from bundlehodge.lie_algebra import LieAlgebraData
 
 
 def load_fixture(name):
@@ -148,10 +150,8 @@ def test_lie_check_adjointness_gate_is_relative(tmp_path, seed):
 
 
 def test_lie_check_detects_perturbed_adjoint(tmp_path, monkeypatch):
-    from bundlehodge import harness
-
-    original = harness.ce_adjoint
-    monkeypatch.setattr(harness, "ce_adjoint", lambda alg, j: (1.0 + 1e-9) * original(alg, j))
+    original = LieAlgebraData.dstar_matrix
+    monkeypatch.setattr(LieAlgebraData, "dstar_matrix", lambda alg, j: (1.0 + 1e-9) * original(alg, j))
     path = _scaled_su3_scenario(tmp_path)
     assert cli_main(["lie-check", "--scenario", path, "--out", str(tmp_path), "--quiet"]) == 1
     check = json.loads((tmp_path / "t4_su2_cs3_lie_check.json").read_text())["checks"]["su2+u1"]
@@ -409,6 +409,50 @@ def test_cli_verify_cs3_flat_connection_is_config_error(tmp_path):
     )
 
 
+def _polynomial_copy(tmp_path, name, **fields):
+    """A copy of a packaged scenario with its polynomial section updated."""
+    with open(packaged_scenario_path(name)) as fh:
+        cfg = json.load(fh)
+    cfg.setdefault("polynomial", {}).update(fields)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, name", [("verify-cs1", "t2_u1_c1zero"), ("verify-cs3", "t4_su2_cs3")])
+@pytest.mark.parametrize("zero", ["0", "-0.0"])
+def test_cli_zero_normalization_is_config_error(tmp_path, capsys, command, name, zero):
+    """A zero polynomial makes every secondary form zero: verify-cs1 used to pass
+    with no residual order to check, and verify-cs3 to blame the curvature."""
+    path = _polynomial_copy(tmp_path, name, normalization=zero)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli_main([command, "--scenario", path, "--out", str(out), "--quiet"]) == 2
+    assert "normalization must be nonzero" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lie-check", "pages"])
+def test_cli_unknown_polynomial_kind_is_config_error(tmp_path, capsys, command):
+    """The kind is checked when the scenario loads, not when a command first builds
+    the polynomial: lie-check and pages never build it."""
+    path = _polynomial_copy(tmp_path, "t2_u1_c1zero", kind="foo")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli_main([command, "--scenario", path, "--out", str(out), "--quiet"]) == 2
+    assert "unknown polynomial kind 'foo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_absent_polynomial_kind_keeps_its_default():
+    with open(packaged_scenario_path("t2_u1_c1zero")) as fh:
+        cfg = json.load(fh)
+    del cfg["polynomial"]["kind"]
+    assert Scenario(cfg).polynomial().kind == "linear"  # first_chern on u(1)
+    cfg["algebra"] = {"name": "su2"}
+    assert Scenario(cfg).polynomial().kind == "bilinear"  # second_chern on su(2)
+
+
 @pytest.mark.parametrize(
     "command, scenario, degree",
     [
@@ -546,7 +590,7 @@ def test_verify_cs3_residual_orders_are_those_of_its_series(tmp_path):
     pair = scenario.polynomial()
     alpha = cs3(pair, conn)
     a03, a21 = (BigradedForm(geo, alg, {slot: alpha.components[slot]}) for slot in ((0, 3), (2, 1)))
-    correction = from_fourier(primitive_h(cw4(pair, conn)), alg) + beta_correction(
+    correction = from_fourier(coexact_primitive(cw4(pair, conn)), alg) + beta_correction(
         conn, apply_dstar_component(a21, conn, 1)
     )
     series = DeltaPolynomial([a03, BigradedForm.zero(geo, alg), a21, -correction])
