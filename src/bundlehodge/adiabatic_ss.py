@@ -5,33 +5,35 @@ omega + delta omega_1 + ... whose rescaled differential and codifferential
 both vanish through order delta^(K-1).  Each next page is the kernel of a
 Hodge-style Laplacian built from the projected leading coefficients; lifts
 are the minimal-norm (canonical) least-squares solutions of the sparse
-correction systems, each order's grown from the previous order's rows by
-its two new block rows, and the order-4 recovery of the base primitive
-solves d_M and its adjoint over the (3,0) slot the same way.  Each sparse
-system, and the compressed Laplacian, splits exactly into the connected
-components of its pattern, solved densely, one stacked call per shape; a
-block above a fixed number of entries is rejected, since a connection that
-couples several axes joins the whole box into one block.  A least-squares
-system is decomposed only on the blocks its right-hand side touches, with
-the singular-value cut of the whole matrix.  The blocks of the compressed
-Laplacian pair up under the reality involution x -> conj(x[mirror]), and one
-block of each pair is eigensolved.
+correction systems, each order's built in one pass from the cached component
+matrices, and the order-4 recovery of the base primitive solves d_M and its
+adjoint over the (3,0) slot the same way.  Each sparse system, and the
+compressed Laplacian, splits exactly into the connected components of its
+pattern, solved densely, one stacked call per shape; a block above a fixed
+number of entries is rejected, since a connection that couples several axes
+joins the whole box into one block.  A least-squares system is decomposed
+only on the blocks its right-hand side touches, with the singular-value cut
+of the whole matrix.  The blocks of the compressed Laplacian pair up under
+the reality involution x -> conj(x[mirror]), and one block of each pair is
+eigensolved.
 
 One run of the recursion serves every degree and page.  Pages 1 and 2 are
 closed form, and every page basis from page 2 on lies at frequency zero, so
-each lift is solved over the boxes t c of the coupling band c; a lift whose
-right-hand side is exactly zero is zero, and no system is posed for it.  The
-recursion works on coordinate matrices, and its component matrices are cached
-on the connection, where the Galerkin Laplacian reads them too.
-``harmonic_limit`` gathers and realifies the stabilized page in coordinates;
-forms are built for its formal check and its output, and when
-``PageRecursion.entries`` hands a page out.
+each correction system is posed there only, its unknowns over the boxes t c
+of the coupling band c.  Its right-hand side is minus the leading
+coefficients of the page vector alone, read by the same product as the page
+projections (``_coefficient``); a lift whose right-hand side is exactly zero
+is zero, and no system is posed for it.  The recursion works on coordinate
+matrices, and its component matrices are cached on the connection, where the
+Galerkin Laplacian reads them too.  ``harmonic_limit`` gathers and realifies
+the stabilized page in coordinates; forms are built for its formal check and
+its output, and when ``PageRecursion.entries`` hands a page out.
 
-Only the final projections onto the band box are truncated; every operator
-application on lifts is exact, with corrections confined to frequency
-boxes that provably contain the minimal-norm solution (the coupling of the
-connection widens reachable frequencies by at most its own band per order),
-and each equation posed over a box that holds it whole.
+Only the leading coefficients are truncated, to the zero box a page holds;
+every operator application on lifts is exact, with corrections confined to
+frequency boxes that provably contain the minimal-norm solution (the
+coupling of the connection widens reachable frequencies by at most its own
+band per order), and each equation posed over a box that holds it whole.
 """
 
 import numpy as np
@@ -238,10 +240,21 @@ def _component(conn, which, src, dst):
     return conn._cache[key]
 
 
-def _boxes(conn, reach, order):
-    """The boxes reach + s c, s = 0 .. order, c the coupling band."""
-    coupling = conn.coupling_bands()
-    return [tuple(r + s * c for r, c in zip(reach, coupling)) for s in range(order + 1)]
+def _transposed(conn, which, src, dst):
+    """The transpose of the _component matrix, a CSC view of its arrays, cached on
+    the connection: scipy builds a new object on each transpose, which costs as
+    much as the small product it serves."""
+    key = ("transposed", which, src, dst)
+    if key not in conn._cache:
+        conn._cache[key] = _component(conn, which, src, dst).T
+    return conn._cache[key]
+
+
+def _boxes(conn, order, reach=None):
+    """The boxes reach + s c, s = 0 .. order, c the coupling band; reach is the
+    zero box unless given."""
+    reach = reach or (0,) * conn.geometry.n
+    return [tuple(r + s * c for r, c in zip(reach, conn.coupling_bands())) for s in range(order + 1)]
 
 
 def _box_rows(layout, slot, box):
@@ -256,40 +269,6 @@ def _box_rows(layout, slot, box):
     return rows[inside].ravel()
 
 
-def _correction_rows(conn, degree, reach, order, lead):
-    """Nonzeros of the order-``order`` correction system (see _correction_system)
-    in its w_0 column (``lead``) or its w_1 .. w_order columns, cached on the
-    connection: (row count, blocks), each block the (rows, columns, values) of
-    its entries placed in its matrix.
-
-    Block (t, s) does not depend on the order and row t has no block in a
-    column s > t, so the order-K rows are the order-(K - 1) rows and the two
-    block rows of equation t = K: d_(K-s) from w_s into degree p + 1, then
-    d*_(K-s) into degree p - 1, over the box reach + K c.  Only equations
-    t = 1, 2 have a w_0 block.
-    """
-    key = ("correction rows", degree, reach, order, lead)
-    if key not in conn._cache:
-        height, blocks = (0, []) if order == 1 else _correction_rows(conn, degree, reach, order - 1, lead)
-        blocks = list(blocks)
-        boxes = _boxes(conn, reach, order)
-        # column offset of each w_s, s >= 1, in the matrix on w_1 .. w_order
-        starts = np.cumsum([0] + [_layout(conn, degree, box).dim for box in boxes[1:]]).tolist()
-        t = order
-        columns = range(max(t - 2, 0), 1) if lead else range(max(t - 2, 1), t + 1)
-        for other in (degree + 1, degree - 1):
-            for s in columns:
-                unknown, equation = (degree, boxes[s]), (other, boxes[t])
-                if other > degree:
-                    row, col, val = csr_entries(_component(conn, t - s, unknown, equation))
-                else:
-                    row, col, val = _adjoint_entries(_component(conn, t - s, equation, unknown))
-                blocks.append((row + height, col + (starts[s - 1] if s else 0), val))
-            height += _layout(conn, other, boxes[t]).dim
-        conn._cache[key] = (height, blocks)
-    return conn._cache[key]
-
-
 def _adjoint_entries(mat):
     """(rows, columns, values) of the conjugate transpose of a CSR matrix, in the
     storage order of ``mat``."""
@@ -302,69 +281,86 @@ def _csr(blocks, shape):
     return csr_from_entries(*(np.concatenate(part) for part in zip(*blocks)), shape)
 
 
-def _correction_lead(conn, degree, reach, order):
-    """The layouts of w_0 .. w_order of the order-``order`` correction system (see
-    _correction_system), and its matrix on w_0 down to equation min(order, 2), cached
-    on the connection.  Only equations t = 1, 2 have a w_0 block, so the rows of
-    later equations are empty, and every order from 2 on shares the order-2 matrix;
-    only the blocks (t, 0) are built, so the right-hand side of a lift can be read
-    without the rest of its system."""
-    key = ("correction lead", degree, reach, order)
-    if key not in conn._cache:
-        unknowns = [_layout(conn, degree, box) for box in _boxes(conn, reach, order)]
-        if order > 2:
-            lead_mat = _correction_lead(conn, degree, reach, 2)[1]
+def _coefficient(conn, K, degree, w, up, box):
+    """Order-K coefficient of d_delta (``up``) or d*_delta on the lift terms
+    w = [W_0, W_1, ...] of degree-p columns, W_s over the degree layout of the
+    box s c: sum over s = max(K - 2, 0) .. K - 1 of d_(K-s) W_s, the terms past
+    w absent.  Returns the degree p +- 1 layout of ``box`` and the coefficient's
+    coordinates there; each row of a component matrix is the same whatever
+    other rows its target holds, so a box that does not hold the coefficient
+    whole gives its rows inside the box exactly.  An exactly-zero W_s adds
+    nothing, and its component matrix is not built."""
+    coupling = conn.coupling_bands()
+    outer = (degree + 1 if up else degree - 1, box)
+    layout = _layout(conn, *outer)
+    total = np.zeros((layout.dim, w[0].shape[1]), dtype=complex)
+    for s in range(max(K - 2, 0), min(K, len(w))):
+        if not w[s].any():
+            continue
+        inner = (degree, tuple(s * c for c in coupling))
+        if up:
+            total += _component(conn, K - s, inner, outer) @ w[s]
         else:
-            height, lead = _correction_rows(conn, degree, reach, order, lead=True)
-            lead_mat = _csr(lead, (height, unknowns[0].dim))
-        conn._cache[key] = (unknowns, lead_mat)
-    return conn._cache[key]
+            # conj(C^T conj(W)), not C^H W: C.conj() would copy C on every call
+            total += (_transposed(conn, K - s, outer, inner) @ w[s].conj()).conj()
+    return layout, total
 
 
-def _correction_system(conn, degree, reach, order):
-    """Correction operator for lifts of degree-p vectors supported in the box
-    ``reach``, cached on the connection.
+def _correction_system(conn, degree, order):
+    """Correction operator of the order-``order`` lifts of degree-p vectors at
+    frequency zero, cached on the connection.
 
-    The unknown w_s (s = 0 .. order, w_0 the vector itself) lives in the
-    box reach + s c, c the coupling band; equation t = 1 .. order asks that
-    sum_a d_a w_(t-a) and sum_a d*_a w_(t-a) vanish, in the degree p + 1 and
-    p - 1 layouts over the box reach + t c, which hold them whole.  Block
-    (t, s) is d_(t-s), or d*_(t-s) as the conjugate transpose of the matrix
-    from degree p - 1.  Returns (matrix on w_1 .. w_order, its blocks from
-    _blocks), the matrix one CSR build from _correction_rows; the matrix on
-    w_0 is that of _correction_lead.
+    The unknown w_s (s = 1 .. order; w_0 is the vector itself) lives in the box
+    s c, c the coupling band; equation t = 1 .. order asks that sum_a d_a
+    w_(t-a) and sum_a d*_a w_(t-a) vanish, in the degree p + 1 and p - 1 layouts
+    over the box t c, which hold them whole.  Block (t, s) is d_(t-s), or
+    d*_(t-s) as the conjugate transpose of the matrix from degree p - 1; the
+    terms in w_0 form the right-hand side (_solve_columns).  Returns (matrix on
+    w_1 .. w_order, its blocks from _blocks), the matrix one CSR build from the
+    cached component matrices.
     """
-    key = ("corrections", degree, reach, order)
+    key = ("corrections", degree, order)
     if key not in conn._cache:
-        width = sum(_layout(conn, degree, box).dim for box in _boxes(conn, reach, order)[1:])
-        height, rest = _correction_rows(conn, degree, reach, order, lead=False)
-        mat = _csr(rest, (height, width))
+        boxes = _boxes(conn, order)
+        # column offset of each w_s, s >= 1
+        starts = np.cumsum([0] + [_layout(conn, degree, box).dim for box in boxes[1:]]).tolist()
+        height, blocks = 0, []
+        for t in range(1, order + 1):
+            for other in (degree + 1, degree - 1):
+                for s in range(max(t - 2, 1), t + 1):
+                    unknown, equation = (degree, boxes[s]), (other, boxes[t])
+                    if other > degree:
+                        row, col, val = csr_entries(_component(conn, t - s, unknown, equation))
+                    else:
+                        row, col, val = _adjoint_entries(_component(conn, t - s, equation, unknown))
+                    blocks.append((row + height, col + starts[s - 1], val))
+                height += _layout(conn, other, boxes[t]).dim
+        mat = _csr(blocks, (height, starts[-1]))
         conn._cache[key] = (mat, _blocks(mat))
     return conn._cache[key]
 
 
-def _solve_columns(conn, degree, reach, lead, order, tolerances):
+def _solve_columns(conn, degree, lead, order, tolerances):
     """Minimal-norm corrections of the columns of ``lead``, coordinates of
-    degree-p vectors over the layout of the box ``reach``.
+    degree-p vectors over the layout of the zero box.
 
-    The right-hand side is -(matrix on w_0) @ lead.  When it is exactly zero,
-    as it is for page bases whose coupling terms all vanish, the minimal-norm
-    corrections are zero, returned without posing the system; otherwise all
-    columns are solved at once on the correction system, on the blocks the
-    right-hand side touches.
-    Returns [W_1 .. W_order], W_t the corrections over the box reach + t c
-    with one column per column of ``lead``.  Raises SolverFailure when a
-    column's system cannot be driven to zero (it is not on the page).
+    Equation t of the right-hand side is minus the order-t coefficient of
+    d_delta, then of d*_delta, on [lead] alone over the box t c: zero past t = 2.
+    When it is exactly zero, as it is for page bases whose coupling terms all
+    vanish, the minimal-norm corrections are zero, returned without posing the
+    system; otherwise all columns are solved at once on the correction system,
+    on the blocks the right-hand side touches.
+    Returns [W_1 .. W_order], W_t the corrections over the box t c with one
+    column per column of ``lead``.  Raises SolverFailure when a column's system
+    cannot be driven to zero (it is not on the page).
     """
-    unknowns, lead_mat = _correction_lead(conn, degree, reach, order)
-    dims = [layout.dim for layout in unknowns[1:]]
-    rhs = -(lead_mat @ lead)
+    boxes = _boxes(conn, order)
+    dims = [_layout(conn, degree, box).dim for box in boxes[1:]]
+    equations = [(t, up) for t in range(1, order + 1) for up in (True, False)]
+    rhs = -np.concatenate([_coefficient(conn, t, degree, [lead], up, boxes[t])[1] for t, up in equations])
     if not rhs.any():
         return [np.zeros((dim, lead.shape[1]), dtype=complex) for dim in dims]
-    mat, blocks = _correction_system(conn, degree, reach, order)
-    # equations past 2 have no w_0 block: their rows of -(matrix on w_0) @ lead are -0
-    pad = np.full((mat.shape[0] - rhs.shape[0], rhs.shape[1]), complex(-0.0, -0.0))
-    rhs = np.concatenate([rhs, pad])
+    mat, blocks = _correction_system(conn, degree, order)
     x = _block_lstsq(mat, blocks, rhs, tolerances, f"correction system through order {order}", order)
     return np.split(x, np.cumsum(dims)[:-1])
 
@@ -384,18 +380,18 @@ class PageRecursion:
     and nothing else in the recursion.  Later pages use projected leading
     coefficients of exactly-computed lifts.
 
-    Everything runs on coordinate matrices with one column per basis
-    vector.  Page 2 lies at frequency zero, and each later basis is an earlier
-    one times a kernel, so a page slot's basis is stored as the rows of its
-    slot in the degree layout of the zero box.  The lift terms of a page slot
-    are one matrix per order, solved on the cached correction systems of the
-    zero box.  A lift whose right-hand side is exactly zero (every order-1 lift,
-    and every lift on a flat connection) is exact zeros, and no system is posed
-    for it.  The leading coefficients are products with the cached component
-    matrices into the zero box, the only frequency a page holds, so projecting
-    onto a page slot reads its whole block there; an exactly-zero lift term is
-    skipped.  Forms are built only when ``entries`` hands a page's basis and
-    lifts out.
+    Everything runs on coordinate matrices with one column per basis vector.
+    Page 2 lies at frequency zero, and each later basis is an earlier one times
+    a kernel, so a page slot's basis is stored as the rows of its slot in the
+    degree layout of the zero box.  The lift terms of a page slot are one matrix
+    per order, solved on the cached correction systems, which are posed at
+    frequency zero only.  A lift whose right-hand side is exactly zero (every
+    order-1 lift, and every lift on a flat connection) is exact zeros, and no
+    system is posed for it.  The leading coefficients (``_coefficient``) are
+    products with the cached component matrices into the zero box, the only
+    frequency a page holds, so projecting onto a page slot reads its whole block
+    there; an exactly-zero lift term is skipped.  Forms are built only when
+    ``entries`` hands a page's basis and lifts out.
 
     ``run`` computes pages up to ``k_max`` at most.  It stops when
     stabilization is proven: the dimensions repeat from page 2 on and no
@@ -424,7 +420,6 @@ class PageRecursion:
         # degree layout of the box t c, filled per slot on first use
         self.bases = {}
         self.lifts = {}
-        self._handout = {}  # (K, degree) -> entries
         self.dims_history = []
         # corrections_solved: basis columns lifted by run(), pages 2 .. k_stop - 1
         # in every degree; the final page is lifted per degree, on demand
@@ -472,31 +467,9 @@ class PageRecursion:
                 layout = _layout(self.conn, sum(slot), self.zero)
                 lead = np.zeros((layout.dim, basis.shape[1]), dtype=complex)
                 lead[_box_rows(layout, slot, self.zero)] = basis
-                ws = _solve_columns(self.conn, sum(slot), self.zero, lead, K - 1, self.tol)
+                ws = _solve_columns(self.conn, sum(slot), lead, K - 1, self.tol)
                 lifts[slot] = [lead] + ws
         return {slot: lifts[slot] for slot in wanted}
-
-    def _leading(self, K, degree, w, up):
-        """Order-K coefficient of d_delta (``up``) or d*_delta on the lifts
-        w = [W_0 .. W_(K-1)] of degree-p columns: sum over s = max(K - 2, 0) ..
-        K - 1 of d_(K-s) W_s.  Returns the degree p +- 1 layout of the zero box
-        and the coordinates of the coefficient's frequency-zero part, all that a
-        projection onto a page reads: each row of a component matrix is the same
-        whatever other rows its target holds, so the rest is not computed.  An
-        exactly-zero W_s adds nothing, and its component matrix is not built."""
-        boxes = _boxes(self.conn, self.zero, K)
-        outer = (degree + 1 if up else degree - 1, self.zero)
-        layout = _layout(self.conn, *outer)
-        total = np.zeros((layout.dim, w[0].shape[1]), dtype=complex)
-        for s in range(max(K - 2, 0), K):
-            if not w[s].any():
-                continue
-            inner = (degree, boxes[s])
-            if up:
-                total += _component(self.conn, K - s, inner, outer) @ w[s]
-            else:
-                total += (_component(self.conn, K - s, outer, inner).T @ w[s].conj()).conj()
-        return layout, total
 
     def _project(self, layout, coeff, target, adjoints):
         """Project the columns of a leading coefficient, coordinates over the
@@ -537,7 +510,8 @@ class PageRecursion:
             ):
                 if i + j + (1 if up else -1) not in degrees:
                     continue
-                proj = self._project(*self._leading(K, i + j, lifts[slot], up), target, adjoints)
+                coeff = _coefficient(self.conn, K, i + j, lifts[slot], up, self.zero)
+                proj = self._project(*coeff, target, adjoints)
                 if proj is not None:
                     mats[slot] = proj
         # assemble the page Laplacian per slot and cut its kernel
@@ -655,19 +629,14 @@ class PageRecursion:
 
     def entries(self, K, degree):
         """(slot, vector, lift) for every basis column of one degree at page
-        K >= 2, lifts through order K - 1.  The forms are built once per page
-        and degree and shared by every caller, which must not modify them."""
-        key = (K, degree)
-        if key not in self._handout:
-            boxes = _boxes(self.conn, self.zero, K - 1)
-            layouts = [_layout(self.conn, degree, box) for box in boxes]
-            out = []
-            for slot, w in self._lifts(K, degree).items():
-                for col in range(w[0].shape[1]):
-                    terms = [layout.form_from_vector(x[:, col]) for layout, x in zip(layouts, w)]
-                    out.append((slot, terms[0], DeltaPolynomial(terms)))
-            self._handout[key] = out
-        return self._handout[key]
+        K >= 2, lifts through order K - 1, built as forms on each call."""
+        layouts = [_layout(self.conn, degree, box) for box in _boxes(self.conn, K - 1)]
+        out = []
+        for slot, w in self._lifts(K, degree).items():
+            for col in range(w[0].shape[1]):
+                terms = [layout.form_from_vector(x[:, col]) for layout, x in zip(layouts, w)]
+                out.append((slot, terms[0], DeltaPolynomial(terms)))
+        return out
 
 
 # -- harmonic limit ------------------------------------------------------------
@@ -690,13 +659,13 @@ def harmonic_limit(recursion, total_degree):
     page = list(recursion._lifts(K, total_degree).items())
     if not page:
         return []
-    layout = _layout(conn, total_degree, _boxes(conn, recursion.bands, K - 1)[-1])
+    layout = _layout(conn, total_degree, _boxes(conn, K - 1, recursion.bands)[-1])
     limits = np.zeros((layout.dim, sum(w[0].shape[1] for _, w in page)), dtype=complex)
     start = 0
     for (i0, j0), w in page:
         cols = slice(start, start + w[0].shape[1])
         start = cols.stop
-        for l, (box, term) in enumerate(zip(_boxes(conn, recursion.zero, K - 1), w)):
+        for l, (box, term) in enumerate(zip(_boxes(conn, K - 1), w)):
             slot, src = (i0 + l, j0 - l), _layout(conn, total_degree, box)
             if slot in src.offsets:
                 limits[_box_rows(layout, slot, box), cols] = term[_box_rows(src, slot, box)]
@@ -770,7 +739,7 @@ def galerkin_polynomial(conn, total_degree, bands):
         raise ConfigError(
             "frequency box too small: every coupling of the connection would be projected away"
         )
-    box, wide = _boxes(conn, bands, 1)
+    box, wide = _boxes(conn, 1, bands)
     here, up, down = (total_degree, box), (total_degree + 1, wide), (total_degree - 1, wide)
     layout = _layout(conn, *here)
     height = _layout(conn, *down).dim

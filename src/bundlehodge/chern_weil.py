@@ -60,10 +60,6 @@ class InvariantPolynomial:
             raise ConfigError(f"unknown polynomial kind {kind!r}")
 
 
-# the kinds make_polynomial builds, by name
-POLYNOMIAL_KINDS = ("first_chern", "second_chern", "custom_bilinear")
-
-
 def make_polynomial(alg, kind, normalization=1.0):
     """Named constructors used by scenario configs.
 

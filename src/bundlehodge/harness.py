@@ -46,7 +46,6 @@ from .bigraded import (
     poly_norm,
 )
 from .chern_weil import (
-    POLYNOMIAL_KINDS,
     abelian_scenario,
     beta_correction,
     bianchi_residual,
@@ -235,15 +234,15 @@ class Scenario:
         self.algebra = self._build_algebra(alg_cfg)
         self.connection = self._build_connection(conn_cfg)
         poly_cfg = _section(config, "polynomial", dict, {})
-        self.polynomial_kind = poly_cfg.get("kind")
-        if self.polynomial_kind is not None and self.polynomial_kind not in POLYNOMIAL_KINDS:
-            raise ConfigError(f"unknown polynomial kind {self.polynomial_kind!r}")
-        self.polynomial_normalization = _number(
-            poly_cfg.get("normalization", "1.0"), "normalization"
-        )
-        if self.polynomial_normalization == 0.0:
+        normalization = _number(poly_cfg.get("normalization", "1.0"), "normalization")
+        if normalization == 0.0:
             # a zero polynomial makes every secondary form zero: nothing left to check
             raise ConfigError("polynomial normalization must be nonzero")
+        kind = poly_cfg.get("kind")
+        if kind is None:
+            kind = "second_chern" if self.algebra.is_semisimple() else "first_chern"
+        # built here, so that a kind unknown or unfit for the algebra fails every command
+        self.polynomial = make_polynomial(self.algebra, kind, normalization=normalization)
         self.delta_grid = [
             _number(x, "delta value") for x in _section(config, "delta_grid", list, [])
         ]
@@ -341,14 +340,6 @@ class Scenario:
             form = form_from_dict(self.geometry, _form_data(data, "connection component", 1))
             components[index] = components[index] + form
         return Connection(self.algebra, components)
-
-    def polynomial(self):
-        kind = self.polynomial_kind
-        if kind is None:
-            kind = "second_chern" if self.algebra.is_semisimple() else "first_chern"
-        return make_polynomial(
-            self.algebra, kind, normalization=self.polynomial_normalization
-        )
 
 
 def load_scenario(path):
@@ -532,7 +523,7 @@ def cmd_verify_cs1(scenario, out_dir=None, quiet=False):
     """Degree-1 harmonicity: the secondary form minus the primitive is
     harmonic at every value of the adiabatic parameter."""
     conn = scenario.connection
-    phi = scenario.polynomial()
+    phi = scenario.polynomial
     alpha = cs1(phi, conn)
     w2 = cw2(phi, conn)
     fields = {"branch": "class_zero", "passed": True}
@@ -574,7 +565,7 @@ def cmd_verify_cs3(scenario, out_dir=None, quiet=False):
         raise ConfigError("the degree-3 check needs a semisimple algebra")
     if scenario.geometry.n != 4:
         raise ConfigError("the degree-3 check needs a 4-torus base")
-    pair = scenario.polynomial()
+    pair = scenario.polynomial
     alpha = cs3(pair, conn)
     if (2, 1) not in alpha.components:
         raise ConfigError(

@@ -67,9 +67,6 @@ class LieAlgebraData:
         if np.max(np.abs(ad_inv)) > _ATOL_STRUCTURE:
             raise ConfigError("metric is not Ad-invariant")
 
-    def bracket(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.c)
-
     # -- cached linear algebra on the exterior algebra ---------------------
 
     def _cached(self, key, builder):

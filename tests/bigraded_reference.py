@@ -33,10 +33,11 @@ rebuilds the conjugated local block of every term, so the assembly from
 cached blocks must reproduce its CSR arrays bit for bit.
 
 ``reference_correction_system`` stacks the order-K correction system of
-``adiabatic_ss._correction_lead`` and ``adiabatic_ss._correction_system``
-from scratch with ``scipy.sparse.bmat`` and splits off the w_0 columns by
-slicing; the production system grows the order-(K-1) rows of each part
-instead, and keeps the w_0 rows of equations 1 and 2 only.
+``adiabatic_ss._correction_system`` with its w_0 columns from scratch with
+``scipy.sparse.bmat`` and splits off the w_0 columns by slicing; the
+production system lists the entries of its blocks and makes one CSR matrix
+of the w_1 .. w_K columns instead, and ``adiabatic_ss._solve_columns`` reads
+the right-hand side as leading coefficients of w_0 alone.
 
 ``reference_block_pinv`` decomposes every block of a sparse system and
 forms all its pseudoinverses, and ``reference_block_solve`` applies them to
@@ -54,7 +55,7 @@ block of each mirror pair and copies its eigenvalues to the partner instead.
 
 ``reference_leading`` forms an order-K leading coefficient of the page
 recursion over max(K c, page box), which holds it whole and contains the page
-box; ``PageRecursion._leading`` computes only its rows at frequency zero, the
+box; ``adiabatic_ss._coefficient`` computes only its rows at frequency zero, the
 rows a projection onto a page reads, onto the zero box instead.
 
 ``reference_second_page`` computes page 2 from a dense page 1 over every key
@@ -422,17 +423,18 @@ def assert_block_lstsq_matches_reference(mat, rhs, x):
     assert not ref[~touched].any()
 
 
-def reference_correction_system(conn, degree, reach, order):
+def reference_correction_system(conn, degree, order):
     """(layouts of w_0 .. w_order, matrix on w_1 .. w_order, matrix on w_0) of the
-    order-``order`` correction system.
+    order-``order`` correction system of degree-p vectors at frequency zero.
 
     One ``bmat`` over the block grid: block row t = 1 .. order is the d rows
     into degree p + 1, then the d* rows into degree p - 1, both over the box
-    reach + t c, with block (t, s) = d_(t-s) or d*_(t-s) for s = max(t - 2, 0)
-    .. t, read from the connection's cached component matrices; the two
-    matrices are column slices of the whole.
+    t c, with block (t, s) = d_(t-s) or d*_(t-s) for s = max(t - 2, 0) .. t,
+    read from the connection's cached component matrices; the two matrices are
+    column slices of the whole.  Only equations 1 and 2 have a w_0 block, so the
+    rows of later equations are empty in the matrix on w_0.
     """
-    boxes = _boxes(conn, reach, order)
+    boxes = _boxes(conn, order)
     rows = []
     for t in range(1, order + 1):
         up, down = (degree + 1, boxes[t]), (degree - 1, boxes[t])
@@ -487,7 +489,7 @@ def reference_leading(recursion, K, degree, w, up):
     K - 1 of d_(K-s) W_s: (degree p +- 1 layout over max(K c, page box), its
     coordinates)."""
     conn = recursion.conn
-    boxes = _boxes(conn, recursion.zero, K)
+    boxes = _boxes(conn, K)
     outer = (degree + 1 if up else degree - 1, tuple(map(max, boxes[K], recursion.bands)))
     layout = _layout(conn, *outer)
     total = np.zeros((layout.dim, w[0].shape[1]), dtype=complex)
@@ -514,7 +516,7 @@ def reference_second_page(conn, bands):
     tolerance relative to its largest eigenvalue."""
     geo, alg = conn.geometry, conn.alg
     bands = tuple(bands)
-    wide = _boxes(conn, bands, 1)[1]
+    wide = _boxes(conn, 1, bands)[1]
     page = {}
     for i in range(geo.n + 1):
         for j in range(alg.dim + 1):

@@ -13,7 +13,7 @@ from bundlehodge.adiabatic_ss import (
     Tolerances,
     _box_rows,
     _boxes,
-    _correction_lead,
+    _coefficient,
     _layout,
     _solve_columns,
     harmonic_limit,
@@ -280,23 +280,29 @@ def test_second_page_closed_form_matches_a_dense_first_page_step(name):
 
 def test_su3_lifts_are_solved_on_the_zero_box():
     """Page bases live at frequency zero, so every correction system of an su(3)
-    recursion is posed on the zero box; page 2 in degree 3 is Kunneth, 4 + 1."""
+    recursion is posed there: its unknowns and equations are the layouts of the
+    boxes t c, t >= 1; page 2 in degree 3 is Kunneth, 4 + 1."""
     conn = su3_scenario().connection
     rec = PageRecursion(conn, (1, 1, 1, 1), k_max=3).run()
-    reaches = {key[2] for key in conn._cache if key[0] == "corrections"}
-    assert reaches == {(0, 0, 0, 0)}
+    posed = [key[1:] for key in conn._cache if key[0] == "corrections"]
+    assert posed
+    for degree, order in posed:
+        mat, _ = conn._cache[("corrections", degree, order)]
+        boxes = _boxes(conn, order)[1:]
+        height = sum(_layout(conn, p, box).dim for box in boxes for p in (degree + 1, degree - 1))
+        assert mat.shape == (height, sum(_layout(conn, degree, box).dim for box in boxes))
     assert rec.dims_for_degree(2, 3) == {(0, 3): 1, (3, 0): 4}
     assert not rec.stabilized
 
 
 def recording_solves(calls):
-    """Patch _solve_columns to append (degree, reach, lead, order, lift terms) of
-    every call to ``calls``."""
+    """Patch _solve_columns to append (degree, lead, order, lift terms) of every
+    call to ``calls``."""
     solve = adiabatic_ss._solve_columns
 
-    def recording(conn, degree, reach, lead, order, tolerances):
-        ws = solve(conn, degree, reach, lead, order, tolerances)
-        calls.append((degree, reach, lead, order, ws))
+    def recording(conn, degree, lead, order, tolerances):
+        ws = solve(conn, degree, lead, order, tolerances)
+        calls.append((degree, lead, order, ws))
         return ws
 
     return mock.patch.object(adiabatic_ss, "_solve_columns", recording)
@@ -313,9 +319,9 @@ def test_final_page_lifts_are_solved_only_in_the_degree_read():
         assert {degree for degree, *_ in calls} == set(range(8))
         ran = len(calls)
         harmonic_limit(rec, 1)
-    final = [(degree, order) for degree, _, _, order, _ in calls if order == rec.k_stop - 1]
+    final = [(degree, order) for degree, _, order, _ in calls if order == rec.k_stop - 1]
     assert final == [(1, rec.k_stop - 1)]
-    assert [(degree, order) for degree, _, _, order, _ in calls[ran:]] == final
+    assert [(degree, order) for degree, _, order, _ in calls[ran:]] == final
     assert {sum(slot) for slot in rec.lifts[rec.k_stop]} == {1}
 
 
@@ -385,7 +391,7 @@ def test_projected_page_matrices_match_the_wide_box_leading_coefficients(name):
             for up in (True, False):
                 if sum(slot) + (1 if up else -1) not in degrees:
                     continue
-                layout, coeff = rec._leading(K, sum(slot), w, up)
+                layout, coeff = _coefficient(rec.conn, K, sum(slot), w, up, rec.zero)
                 wide, wide_coeff = reference_leading(rec, K, sum(slot), w, up)
                 for target, adjoint in adjoints.items():
                     if target in layout.offsets:
@@ -400,27 +406,38 @@ def test_zero_rhs_lifts_equal_the_posed_solve():
     some do not.  Each lift equals the solve of its whole system on every block
     (np.array_equal), with the right-hand side read from the whole matrix on w_0,
     whose rows past equation 2 give -0; the nonzero ones, and only they, are
-    posed."""
+    posed, each on the right-hand side from the leading coefficients of w_0,
+    bit for bit that of the matrix on w_0, its -0 rows included."""
     conn = load_scenario(packaged_scenario_path("t4_su2_cs3")).connection
-    calls = []
-    with recording_solves(calls):
+    calls, solved = [], []
+    solve = adiabatic_ss._block_lstsq
+
+    def recording(mat, blocks, rhs, *args):
+        solved.append(rhs)
+        return solve(mat, blocks, rhs, *args)
+
+    with recording_solves(calls), mock.patch.object(adiabatic_ss, "_block_lstsq", recording):
         rec = PageRecursion(conn, (1, 1, 1, 0)).run()
         rec._lifts(rec.k_stop)
     posed = {key for key in conn._cache if key[0] == "corrections"}
     zero, nonzero = [], []
     negative_zero = np.full(1, complex(-0.0, -0.0)).view(np.uint64)
-    for degree, reach, lead, order, ws in calls:
-        unknowns, mat, lead_mat = reference_correction_system(conn, degree, reach, order)
+    solved = iter(solved)
+    for degree, lead, order, ws in calls:
+        unknowns, mat, lead_mat = reference_correction_system(conn, degree, order)
         rhs = -(lead_mat @ lead)
-        (nonzero if rhs.any() else zero).append(("corrections", degree, reach, order))
-        _, kept = _correction_lead(conn, degree, reach, order)
-        assert rhs[: kept.shape[0]].tobytes() == (-(kept @ lead)).tobytes()
-        assert np.all(rhs[kept.shape[0]:].view(np.uint64) == negative_zero[0])
+        (nonzero if rhs.any() else zero).append(("corrections", degree, order))
+        boxes = _boxes(conn, min(order, 2))[1:]
+        head = sum(_layout(conn, p, box).dim for box in boxes for p in (degree + 1, degree - 1))
+        assert np.all(rhs[head:].view(np.uint64) == negative_zero[0])
+        if rhs.any():
+            assert next(solved).tobytes() == rhs.tobytes()
         x = reference_block_solve(mat, rhs)
         want = np.split(x, np.cumsum([layout.dim for layout in unknowns[1:]])[:-1])
         assert len(ws) == len(want) == order
         assert all(np.array_equal(w, v) for w, v in zip(ws, want))
-    assert zero and nonzero
+    assert zero and nonzero and any(order > 2 for _, _, order in nonzero)
+    assert next(solved, None) is None
     assert posed == set(nonzero)
 
 
@@ -537,19 +554,13 @@ def test_harmonic_limit_spans_match_form_level_realify(name):
 # -- corrections: canonical lifts and uniqueness ------------------------------------
 
 
-def _reach(keys, n):
-    """Per-axis reach max |k_a| of an (nk, n) array of frequency keys."""
-    keys = np.reshape(keys, (-1, n))
-    return tuple(int(r) for r in np.max(np.abs(keys), axis=0, initial=0))
-
-
 def solve_corrections(conn, v, order, tolerances=None):
     """Corrections w_1..w_order with residual orders 1..order all zero.
 
-    ``v`` has one total degree.  The unknown at order t is confined to the
-    frequency box of v widened by t times the coupling band of the
-    connection, which contains the minimal-norm solution.  The route of the
-    page recursion's lifts, for one form.
+    ``v`` has one total degree and lies at frequency zero, as every page basis
+    does.  The unknown at order t is confined to the box t c of the coupling
+    band c of the connection, which contains the minimal-norm solution.  The
+    route of the page recursion's lifts, for one form.
 
     Raises SolverFailure when the least-squares system cannot be
     driven to zero (the vector is not actually on the page).
@@ -564,12 +575,13 @@ def solve_corrections(conn, v, order, tolerances=None):
     if not degrees:
         return [BigradedForm.zero(geo, alg) for _ in range(order)]
     degree = degrees.pop()
-    reach = _reach(np.concatenate([t.key_array for t in v.components.values()]), geo.n)
-    lead = _layout(conn, degree, reach).vector_from_form(v)[0][:, None]
-    ws = _solve_columns(conn, degree, reach, lead, order, tolerances)
+    lead, cut = _layout(conn, degree, (0,) * geo.n).vector_from_form(v)
+    if cut:
+        raise ConfigError("corrections are solved for vectors at frequency zero only")
+    ws = _solve_columns(conn, degree, lead[:, None], order, tolerances)
     return [
         _layout(conn, degree, box).form_from_vector(w[:, 0])
-        for box, w in zip(_boxes(conn, reach, order)[1:], ws)
+        for box, w in zip(_boxes(conn, order)[1:], ws)
     ]
 
 
@@ -694,9 +706,9 @@ def test_recursion_lifts_match_solve_corrections(make_conn, bands):
     """Every lift term the recursion hands out is the minimal-norm
     correction that solve_corrections finds for its leading vector.
 
-    The recursion solves every lift on the zero box, where page bases live,
-    and widens its leading coefficients to the page box on axes the
-    connection does not couple (the t4 case with box (1, 1, 0, 0)).
+    The recursion solves every lift at frequency zero, where page bases live,
+    whatever the page box, on axes the connection couples or not (the t4 case
+    with box (1, 1, 0, 0)).
     """
     conn = make_conn()
     rec = PageRecursion(conn, bands).run()
@@ -734,15 +746,18 @@ def test_corrections_reproduce_primitive():
 
 
 def test_solver_failure_for_non_page_vector():
-    """A vector outside the second page admits no order-1 correction."""
-    conn = abelian_t2(mean=True)
-    geo, alg = conn.geometry, conn.alg
-    # a non-harmonic base function times the fiber generator: D1-residual
-    # cannot be cancelled because the leading operator vanishes identically
-    one = np.array([[1.0]], dtype=complex)
-    v = BigradedForm(geo, alg, {(0, 1): {(1, 0): one, (-1, 0): one}})
-    with pytest.raises(SolverFailure):
+    """A vector outside the second page admits no order-1 correction.
+
+    A random fiber 1-form at frequency zero is not fiber-harmonic (su(2) has no
+    harmonic 1-forms), so it is not on page 2, and the leading operator cannot
+    cancel its order-1 coupling terms."""
+    conn = su2_t3_connection()
+    rng = np.random.default_rng(0)
+    v = BigradedForm(conn.geometry, conn.alg, {(0, 1): {(0, 0, 0): rng.standard_normal((1, 3))}})
+    with pytest.raises(SolverFailure) as err:
         solve_corrections(conn, v, 1, Tolerances())
+    assert err.value.order == 1
+    assert err.value.residual > 1.0
 
 
 # -- spectra -----------------------------------------------------------------------

@@ -19,7 +19,6 @@ from bundlehodge.adiabatic_ss import (
     _block_lstsq,
     _blocks,
     _boxes,
-    _correction_lead,
     _correction_system,
     _gather,
     _solve_columns,
@@ -250,20 +249,24 @@ def test_solve_columns_raises_on_inconsistent_rhs(system):
     ref = np.linalg.lstsq(dense, rhs, rcond=None)[0]
     res = np.linalg.norm(rhs - dense @ ref, axis=0)
     inconsistent = np.any(res > Tolerances.solver * (1.0 + np.linalg.norm(rhs, axis=0)))
-    # a correction system whose matrix is ``mat`` and whose order-0 block is
-    # the identity, so the right-hand side is -lead
-    lead_stub = (
-        [None, types.SimpleNamespace(dim=mat.shape[1])],
-        scipy.sparse.identity(mat.shape[0], dtype=complex, format="csr"),
-    )
-    with mock.patch.object(adiabatic_ss, "_correction_lead", return_value=lead_stub), mock.patch.object(
-        adiabatic_ss, "_correction_system", return_value=(mat, _blocks(mat))
+    # an order-1 correction system whose matrix is ``mat``, whose unknown has
+    # mat.shape[1] rows, and whose order-1 coefficient of d_delta on the lead is
+    # the lead itself, with no d*_delta rows: the right-hand side is -lead
+    def coefficient(conn, K, degree, w, up, box):
+        return None, w[0] if up else w[0][:0]
+
+    with mock.patch.multiple(
+        adiabatic_ss,
+        _boxes=lambda conn, order: [None] * (order + 1),
+        _layout=lambda conn, degree, box: types.SimpleNamespace(dim=mat.shape[1]),
+        _coefficient=coefficient,
+        _correction_system=lambda conn, degree, order: (mat, _blocks(mat)),
     ):
         if inconsistent:
             with pytest.raises(SolverFailure):
-                _solve_columns(None, 0, None, -rhs, 1, Tolerances())
+                _solve_columns(None, 0, -rhs, 1, Tolerances())
         else:
-            (w,) = _solve_columns(None, 0, None, -rhs, 1, Tolerances())
+            (w,) = _solve_columns(None, 0, -rhs, 1, Tolerances())
             assert np.linalg.norm(w - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
 
 
@@ -341,32 +344,26 @@ def test_multi_axis_connection_couples_the_box_into_one_rejected_block():
         near_zero_count(conn, 3, 0.5, (2, 2, 1, 1), 1e-8)
 
 
-# -- correction systems grown order by order ---------------------------------------
+# -- correction systems at frequency zero ------------------------------------------
 
 
 def test_correction_systems_match_bmat_stacking():
-    """Orders 1-3 of every (degree, reach) a t4_su2_cs3 recursion requests, of
-    degree 0 (no d* rows) and of the top degree (no d rows): both matrices bit for
-    bit the stacking from scratch.  The matrix on w_0 is that of order min(order,
-    2), the first rows of the order's own, whose other rows are empty; the system
-    is cached with its blocks from _blocks, and no decomposition."""
+    """Orders 1-3 of every degree a t4_su2_cs3 recursion requests, of degree 0 (no
+    d* rows) and of the top degree (no d rows), all at the zero box: the matrix
+    on w_1 .. w_order bit for bit the stacking from scratch, cached with its
+    blocks from _blocks, and no decomposition."""
     conn = load_scenario(packaged_scenario_path("t4_su2_cs3")).connection
-    bands = (1, 1, 1, 0)
-    PageRecursion(conn, bands).run()
-    requested = sorted({key[1:3] for key in conn._cache if key[0] == "corrections"})
+    PageRecursion(conn, (1, 1, 1, 0)).run()
+    requested = sorted({key[1] for key in conn._cache if key[0] == "corrections"})
     assert len(requested) >= 2
     top = conn.geometry.n + conn.alg.dim
-    for degree, reach in requested + [(0, bands), (top, bands)]:
+    for degree in requested + [0, top]:
         for order in (1, 2, 3):
-            want_unknowns, want_mat, want_lead = reference_correction_system(conn, degree, reach, order)
-            unknowns, lead = _correction_lead(conn, degree, reach, order)
-            mat, blocks = _correction_system(conn, degree, reach, order)
-            assert [u.dim for u in unknowns] == [u.dim for u in want_unknowns]
+            want_unknowns, want_mat, _ = reference_correction_system(conn, degree, order)
+            mat, blocks = _correction_system(conn, degree, order)
+            assert mat.shape[1] == sum(u.dim for u in want_unknowns[1:])
             assert csr_bytes(mat) == csr_bytes(want_mat)
-            assert csr_bytes(lead) == csr_bytes(reference_correction_system(conn, degree, reach, min(order, 2))[2])
-            assert csr_bytes(lead) == csr_bytes(want_lead[: lead.shape[0]])
-            assert want_lead[lead.shape[0]:].nnz == 0
-            cached = conn._cache[("corrections", degree, reach, order)]
+            cached = conn._cache[("corrections", degree, order)]
             assert len(cached) == 2 and cached[0] is mat and cached[1] is blocks
             want_blocks = _blocks(want_mat)
             assert len(blocks) == len(want_blocks)
@@ -376,24 +373,20 @@ def test_correction_systems_match_bmat_stacking():
 
 
 def test_next_order_requests_only_its_own_block_rows():
-    """Order 3 after order 2 requests the six blocks of equation 3 and no
-    component matrix of an equation t <= 2."""
+    """Order 3 after order 2 builds the six component matrices of equation 3 and
+    no other: the blocks of equations t <= 2 come from the cache."""
     conn = load_scenario(packaged_scenario_path("t4_su2_cs3")).connection
-    degree, reach = 3, (1, 1, 1, 0)
-    _correction_system(conn, degree, reach, 2)
-    boxes = _boxes(conn, reach, 3)
-    requests = []
-    component = adiabatic_ss._component
-
-    def recording(conn, which, src, dst):
-        requests.append((which, src, dst))
-        return component(conn, which, src, dst)
-
-    with mock.patch.object(adiabatic_ss, "_component", recording):
-        _correction_system(conn, degree, reach, 3)
-    want = [(3 - s, (degree, boxes[s]), (degree + 1, boxes[3])) for s in (1, 2, 3)]
-    want += [(3 - s, (degree - 1, boxes[3]), (degree, boxes[s])) for s in (1, 2, 3)]
-    assert sorted(requests) == sorted(want)
+    degree = 3
+    _correction_system(conn, degree, 2)
+    boxes = _boxes(conn, 3)
+    before = {key for key in conn._cache if key[0] == "component"}
+    build = adiabatic_ss.d_component_matrix
+    with mock.patch.object(adiabatic_ss, "d_component_matrix", wraps=build) as spy:
+        _correction_system(conn, degree, 3)
+    want = {("component", 3 - s, (degree, boxes[s]), (degree + 1, boxes[3])) for s in (1, 2, 3)}
+    want |= {("component", 3 - s, (degree - 1, boxes[3]), (degree, boxes[s])) for s in (1, 2, 3)}
+    assert spy.call_count == 6
+    assert {key for key in conn._cache if key[0] == "component"} - before == want
 
 
 # -- the solves of the recursions and recoveries against the every-block oracle ------

@@ -434,8 +434,8 @@ def test_cli_zero_normalization_is_config_error(tmp_path, capsys, command, name,
 
 @pytest.mark.parametrize("command", ["lie-check", "pages"])
 def test_cli_unknown_polynomial_kind_is_config_error(tmp_path, capsys, command):
-    """The kind is checked when the scenario loads, not when a command first builds
-    the polynomial: lie-check and pages never build it."""
+    """The polynomial is built when the scenario loads, so an unknown kind fails
+    lie-check and pages too, which never read it."""
     path = _polynomial_copy(tmp_path, "t2_u1_c1zero", kind="foo")
     out = tmp_path / "out"
     capsys.readouterr()
@@ -444,13 +444,26 @@ def test_cli_unknown_polynomial_kind_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["lie-check", "pages", "spectrum", "verify-cs1", "verify-cs3"])
+def test_cli_polynomial_unfit_for_the_algebra_is_config_error(tmp_path, capsys, command):
+    """first_chern on su(2) is a functional that is not Ad-invariant.  The kind is
+    known, but the polynomial is built when the scenario loads, so every command
+    exits 2 on it, not only verify-cs1 and verify-cs3, which read it."""
+    path = _polynomial_copy(tmp_path, "t4_su2_cs3", kind="first_chern")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli_main([command, "--scenario", path, "--out", str(out), "--quiet"]) == 2
+    assert "functional is not Ad-invariant" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_absent_polynomial_kind_keeps_its_default():
     with open(packaged_scenario_path("t2_u1_c1zero")) as fh:
         cfg = json.load(fh)
     del cfg["polynomial"]["kind"]
-    assert Scenario(cfg).polynomial().kind == "linear"  # first_chern on u(1)
+    assert Scenario(cfg).polynomial.kind == "linear"  # first_chern on u(1)
     cfg["algebra"] = {"name": "su2"}
-    assert Scenario(cfg).polynomial().kind == "bilinear"  # second_chern on su(2)
+    assert Scenario(cfg).polynomial.kind == "bilinear"  # second_chern on su(2)
 
 
 @pytest.mark.parametrize(
@@ -587,7 +600,7 @@ def test_verify_cs3_residual_orders_are_those_of_its_series(tmp_path):
     scenario = load_fixture("t4_su2_cs3")
     report = cmd_verify_cs3(scenario, out_dir=str(tmp_path), quiet=True)
     conn, geo, alg = scenario.connection, scenario.geometry, scenario.algebra
-    pair = scenario.polynomial()
+    pair = scenario.polynomial
     alpha = cs3(pair, conn)
     a03, a21 = (BigradedForm(geo, alg, {slot: alpha.components[slot]}) for slot in ((0, 3), (2, 1)))
     correction = from_fourier(coexact_primitive(cw4(pair, conn)), alg) + beta_correction(
