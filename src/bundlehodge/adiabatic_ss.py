@@ -784,7 +784,11 @@ def _galerkin_spectrum(conn, total_degree, delta, bands):
     with none at -k.  A stacked eigvalsh per block shape solves one block of each
     pair and every self-mirror block, and each kept block's eigenvalues are
     copied to its partner before the sort.  The Galerkin matrices are assembled
-    once per degree and box and cached on the connection with their pairing."""
+    once per degree and box and cached on the connection with their pairing,
+    restricted to the columns of the kept blocks (``columns``, ascending) and the
+    kept blocks renumbered into them: column j of A(delta) enters L only in the
+    block of j, so each delta forms L over those columns alone, and every entry
+    is the same sum, in the same order, as in the whole L."""
     key = ("galerkin", total_degree, tuple(bands))
     if key not in conn._cache:
         layout, mats = galerkin_polynomial(conn, total_degree, bands)
@@ -797,9 +801,15 @@ def _galerkin_spectrum(conn, total_degree, delta, bands):
         swap = scipy.sparse.csr_matrix((np.ones(n), mirror, np.arange(n + 1)), shape=(n, n))
         pattern = pattern.T @ pattern
         pattern = pattern + swap @ pattern @ swap + scipy.sparse.identity(n)
-        conn._cache[key] = (mats,) + _mirror_pairs(_blocks(pattern), mirror)
-    mats, kept, copies = conn._cache[key]
-    stacked = sum(float(delta) ** a * m for a, m in enumerate(mats))
+        kept, copies = _mirror_pairs(_blocks(pattern), mirror)
+        columns = np.sort(np.concatenate([np.zeros(0, dtype=int)] + [c.ravel() for _, c in kept]))
+        at = np.zeros(n, dtype=int)
+        at[columns] = np.arange(columns.size)
+        kept = [(at[rows], at[cols]) for rows, cols in kept]
+        conn._cache[key] = ([m[:, columns] for m in mats], columns, kept, copies)
+    mats, _, kept, copies = conn._cache[key]
+    x = float(delta)
+    stacked = mats[0] + x * mats[1] + x**2 * mats[2]
     lap = stacked.conj().T @ stacked
     try:
         evals = [
@@ -824,49 +834,46 @@ def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
     if len(set(deltas)) < 2:
         raise ConfigError("decay slopes need at least two distinct sweep values")
     raw = np.stack([_galerkin_spectrum(conn, total_degree, delta, bands) for delta in deltas])
-    norms = [float(np.max(np.abs(row), initial=0.0)) for row in raw]
+    norms = np.max(np.abs(raw), axis=1, initial=0.0)
     eigen = np.maximum(raw, 0.0)  # clamped for the fits; the report keeps the minima
-    dim = eigen.shape[1]
     # flag deltas where consecutive branch gaps are too small for sorted
     # matching to be trustworthy
-    close = []
-    for row, top in zip(eigen, norms):
-        gaps = np.diff(row)
-        close.append(bool(np.any(gaps < 1e-3 * max(top, 1e-300))))
+    close = np.any(np.diff(eigen, axis=1) < 1e-3 * np.maximum(norms, 1e-300)[:, None], axis=1)
     floors = 1e-12 * np.maximum(norms, 1e-300)
-    d_min_idx = 0  # deltas sorted ascending: smallest first
-    # the near-zero cut is anchored at the largest delta so it stays
-    # meaningful when the whole spectrum decays (abelian fibers)
-    reference_norm = max(norms[-1], 1e-300)
+    is_floor = np.all(eigen <= floors[:, None], axis=0)
+    # tested at the smallest delta (deltas ascend); the cut is anchored at the
+    # largest so it stays meaningful when the whole spectrum decays (abelian fibers)
+    near_zero = eigen[0] <= tolerances.near_zero_cut * max(norms[-1], 1e-300)
+    # one least-squares fit of every near-zero branch off the floor
+    fitted = np.flatnonzero(near_zero & ~is_floor)
+    slopes = [None] * eigen.shape[1]
+    if fitted.size:
+        logs = np.log(np.asarray(deltas))
+        fit = np.polyfit(logs, np.log(np.maximum(eigen[:, fitted], 1e-300)), 1)[0]
+        for b, slope in zip(fitted.tolist(), fit.tolist()):
+            slopes[b] = slope
     branches = []
-    logs = np.log(np.asarray(deltas))
-    for b in range(dim):
-        values = eigen[:, b]
-        is_floor = bool(np.all(values <= floors))
-        near_zero = values[d_min_idx] <= tolerances.near_zero_cut * reference_norm
-        slope = None
-        group = None
-        within = None
-        if is_floor:
+    for b, (slope, floor, near) in enumerate(zip(slopes, is_floor.tolist(), near_zero.tolist())):
+        group = within = None
+        if floor:
             group = "inf"
-        elif near_zero:
-            safe = np.maximum(values, 1e-300)
-            slope_fit = np.polyfit(logs, np.log(safe), 1)[0]
-            slope = float(slope_fit)
+        elif slope is not None:
             group = int(2 * max(round(slope / 2.0), 0))
-            within = bool(abs(slope - group) <= tolerances.slope_window)
+            within = abs(slope - group) <= tolerances.slope_window
         branches.append(
             {
                 "index": b,
-                "near_zero": bool(near_zero or is_floor),
-                "is_floor": is_floor,
+                "near_zero": near or floor,
+                "is_floor": floor,
                 "slope": slope,
                 "group": group,
                 "within_tolerance": within,
             }
         )
     minima = [float(row[0]) if row.size else 0.0 for row in raw]
-    return SpectrumReport(deltas, eigen, norms, branches, close, minima, floors.tolist())
+    return SpectrumReport(
+        deltas, eigen, norms.tolist(), branches, close.tolist(), minima, floors.tolist()
+    )
 
 
 def near_zero_count(conn, total_degree, delta, bands, threshold_rel):

@@ -6,9 +6,9 @@ runs one verification pipeline, writes its outputs atomically and returns
 a report dictionary with a ``passed`` flag.
 """
 
-import csv
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -392,14 +392,41 @@ def write_json(path, payload):
     )
 
 
-def write_csv(path, header, rows):
-    import io
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+
+def _csv_field(value):
+    """One field as csv.writer writes it: a float (numpy's float64 is one) by the
+    float repr, anything else by str, quoted when it holds a comma, a quote or a
+    line break."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    text = str(value)
+    if _CSV_QUOTED.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_column(values):
+    """The fields of one column; a column of floats, or of plain ints, in one pass
+    with no Python call per field."""
+    kinds = set(map(type, values))
+    if all(issubclass(kind, float) for kind in kinds):
+        return map(float.__repr__, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    return map(_csv_field, values)
+
+
+def write_csv(path, header, rows):
+    """A header and rows of numbers and names as csv.writer's default dialect
+    writes them, byte for byte: fields joined by commas, every line, the last
+    included, ended by \\r\\n.  Every row holds one field per header name."""
+    if set(map(len, rows)) - {len(header)}:
+        raise ValueError(f"a table row does not hold {len(header)} fields")
+    lines = [",".join(map(_csv_field, header))]
+    lines += map(",".join, zip(*map(_csv_column, zip(*rows))))
+    _atomic_write(path, "\r\n".join(lines + [""]))
 
 
 def _slot_key(slot):
@@ -733,10 +760,11 @@ def cmd_spectrum(scenario, degree=None, out_dir=None, quiet=False):
          "expected": page_dims[k_stab]}
     )
     comp_ok = comp_ok and deep == page_dims[k_stab]
-    rows = []
-    for d_idx, delta in enumerate(sweep.deltas):
-        for b_idx in range(sweep.eigenvalues.shape[1]):
-            rows.append([delta, b_idx, sweep.eigenvalues[d_idx, b_idx]])
+    rows = [
+        (delta, b, value)
+        for delta, values in zip(sweep.deltas, sweep.eigenvalues.tolist())
+        for b, value in enumerate(values)
+    ]
     fields = {
         "degree": degree,
         "bands": list(scenario.bands),

@@ -53,6 +53,15 @@ into A(delta) with L_delta = A(delta)^H A(delta) instead.
 |A|^T |A| + I at one delta; ``adiabatic_ss._galerkin_spectrum`` solves one
 block of each mirror pair and copies its eigenvalues to the partner instead.
 
+``reference_kept_block_spectrum`` gathers the kept blocks of one delta's
+spectrum from the whole Laplacian A(delta)^H A(delta); the production
+``adiabatic_ss._galerkin_spectrum`` forms it over the kept blocks' columns only.
+
+``reference_spectrum_branches`` classifies the branches of a spectrum sweep
+one at a time and fits each near-zero branch off the floor with its own
+``np.polyfit``; ``adiabatic_ss.spectrum_sweep`` classifies them in boolean
+arrays and fits them all in one two-dimensional ``np.polyfit`` instead.
+
 ``reference_leading`` forms an order-K leading coefficient of the page
 recursion over max(K c, page box), which holds it whole and contains the page
 box; ``adiabatic_ss._coefficient`` computes only its rows at frequency zero, the
@@ -88,6 +97,7 @@ from bundlehodge.adiabatic_ss import (
     _box_rows,
     _boxes,
     _component,
+    _galerkin_spectrum,
     _gather,
     _layout,
     galerkin_polynomial,
@@ -481,6 +491,55 @@ def reference_galerkin_spectrum(conn, total_degree, delta, bands):
     lap = stacked.conj().T @ stacked
     evals = [np.linalg.eigvalsh(stack).ravel() for stack in _gather(lap, blocks)]
     return np.sort(np.concatenate([np.zeros(0)] + evals))
+
+
+def reference_kept_block_spectrum(conn, total_degree, delta, bands):
+    """Ascending eigenvalues of A(delta)^H A(delta) at one delta from the whole
+    Laplacian of the uncut Galerkin matrices: the kept blocks and copies cached by
+    ``_galerkin_spectrum`` (called first), numbered back into every column."""
+    _galerkin_spectrum(conn, total_degree, delta, bands)
+    _, columns, kept, copies = conn._cache[("galerkin", total_degree, tuple(bands))]
+    mats = galerkin_polynomial(conn, total_degree, bands)[1]
+    stacked = sum(float(delta) ** a * m for a, m in enumerate(mats))
+    lap = stacked.conj().T @ stacked
+    whole = [(columns[rows], columns[cols]) for rows, cols in kept]
+    evals = [np.linalg.eigvalsh(stack)[copy].ravel() for stack, copy in zip(_gather(lap, whole), copies)]
+    return np.sort(np.concatenate([np.zeros(0)] + evals))
+
+
+def reference_spectrum_branches(report, tolerances=None):
+    """The branches of a ``SpectrumReport``, one at a time from its clamped
+    eigenvalues, floors and spectral norms: group "inf" at the floor for every
+    delta, else a slope of its own ``np.polyfit`` of log eigenvalue against log
+    delta when near zero at the smallest delta, grouped at the nearest even
+    integer."""
+    tolerances = tolerances or Tolerances()
+    eigen, floors = report.eigenvalues, np.asarray(report.eigen_floors)
+    logs = np.log(np.asarray(report.deltas))
+    cut = tolerances.near_zero_cut * max(report.spectral_norms[-1], 1e-300)
+    branches = []
+    for b in range(eigen.shape[1]):
+        values = eigen[:, b]
+        is_floor = bool(np.all(values <= floors))
+        near_zero = bool(values[0] <= cut)
+        slope = group = within = None
+        if is_floor:
+            group = "inf"
+        elif near_zero:
+            slope = float(np.polyfit(logs, np.log(np.maximum(values, 1e-300)), 1)[0])
+            group = int(2 * max(round(slope / 2.0), 0))
+            within = bool(abs(slope - group) <= tolerances.slope_window)
+        branches.append(
+            {
+                "index": b,
+                "near_zero": near_zero or is_floor,
+                "is_floor": is_floor,
+                "slope": slope,
+                "group": group,
+                "within_tolerance": within,
+            }
+        )
+    return branches
 
 
 def reference_leading(recursion, K, degree, w, up):

@@ -61,6 +61,7 @@ from bigraded_reference import (
     reference_harmonic_limit,
     reference_leading,
     reference_second_page,
+    reference_spectrum_branches,
 )
 from form_builders import constant_form, cos_wave, sin_wave
 
@@ -778,6 +779,64 @@ def test_spectrum_sweep_abelian_groups():
     for branch in report.branches:
         if branch["near_zero"] and not branch["is_floor"]:
             assert branch["within_tolerance"]
+
+
+def _boxed_scenario(name, **fields):
+    with open(packaged_scenario_path(name)) as fh:
+        config = json.load(fh)
+    return Scenario(dict(config, **fields))
+
+
+def _branch_counts(branches):
+    counts = {}
+    for branch in branches:
+        counts[branch["group"]] = counts.get(branch["group"], 0) + 1
+    return counts
+
+
+def _slope_bits(branches):
+    return [None if b["slope"] is None else np.float64(b["slope"]).tobytes() for b in branches]
+
+
+@pytest.mark.parametrize(
+    "name, fields",
+    [("t4_su2_cs3", {"band": [1, 1, 1, 0]}), ("t2_u1_c1zero", {}), ("t2_u1_c1nonzero", {})],
+)
+def test_spectrum_sweep_one_fit_equals_a_fit_per_branch(name, fields):
+    """The slopes of the one two-dimensional polyfit equal those of one polyfit per
+    near-zero branch bit for bit, and so do every branch field and the group counts."""
+    scenario = _boxed_scenario(name, **fields)
+    with mock.patch.object(np, "polyfit", wraps=np.polyfit) as polyfit:
+        report = spectrum_sweep(
+            scenario.connection, scenario.degree, scenario.delta_grid, scenario.bands, scenario.tolerances
+        )
+    want = reference_spectrum_branches(report)
+    fitted = [b for b in want if b["slope"] is not None]
+    assert fitted and polyfit.call_count == 1
+    assert polyfit.call_args.args[1].shape == (len(report.deltas), len(fitted))
+    assert report.branches == want
+    assert _slope_bits(report.branches) == _slope_bits(want)
+    assert report.group_counts() == _branch_counts(want)
+    near = [b for b in report.branches if b["near_zero"]]
+    assert near == [b for b in want if b["near_zero"]]
+
+
+@pytest.mark.parametrize(
+    "spectrum, groups",
+    [
+        # one floor branch, two far above the near-zero cut: nothing to fit
+        (lambda delta: np.array([0.0, 1.0, 2.0 + delta]), {"inf": 1, None: 2}),
+        # every branch at the floor: a zero spectrum
+        (lambda delta: np.zeros(3), {"inf": 3}),
+    ],
+)
+def test_spectrum_sweep_without_a_fitted_branch_calls_no_polyfit(spectrum, groups):
+    conn = abelian_t2(mean=True)
+    with mock.patch.object(adiabatic_ss, "_galerkin_spectrum", lambda c, p, delta, b: spectrum(delta)):
+        with mock.patch.object(np, "polyfit", side_effect=AssertionError("no branch to fit")):
+            report = spectrum_sweep(conn, 1, [0.4, 0.2, 0.1], (1, 1))
+    assert report.branches == reference_spectrum_branches(report)
+    assert report.group_counts() == groups
 
 
 def test_spectrum_rejects_bad_deltas():

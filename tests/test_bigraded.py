@@ -58,6 +58,7 @@ from bigraded_reference import (
     reference_dstar,
     reference_galerkin_polynomial,
     reference_galerkin_spectrum,
+    reference_kept_block_spectrum,
     rho_scale,
     sq_norms_batch,
 )
@@ -514,10 +515,11 @@ def test_galerkin_spectrum_pairs_mirror_blocks(make_conn, box, _):
             assert count == int(np.sum(want <= 1e-8 * max(top, 1e-300)))
         pattern = sum(abs(m) for m in galerkin_polynomial(conn, p, box)[1])
         blocks = _blocks(pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1]))
-        _, kept_blocks, copied = conn._cache[("galerkin", p, box)]
+        _, columns, kept_blocks, copied = conn._cache[("galerkin", p, box)]
         assert len(kept_blocks) == len(copied) == len(blocks)
         for (rows, cols), (kept_rows, kept_cols), copies in zip(blocks, kept_blocks, copied):
-            every, kept = _block_sets(rows, cols), _block_sets(kept_rows, kept_cols)
+            # the cached kept blocks are numbered within the kept columns
+            every, kept = _block_sets(rows, cols), _block_sets(columns[kept_rows], columns[kept_cols])
             assert set(kept) <= set(every) and len(set(kept)) == len(kept)
             assert copies.shape == (len(every),)
             at = {block: n for n, block in enumerate(every)}
@@ -530,6 +532,31 @@ def test_galerkin_spectrum_pairs_mirror_blocks(make_conn, box, _):
                     assert (every[n] in kept) != (every[partner] in kept)
                     assert source in (every[n], every[partner])
                     assert copies[partner] == copies[n]
+
+
+@pytest.mark.parametrize(
+    "name, box",
+    [("t4_su2_cs3", (1, 1, 1, 0)), ("t3_su2_pages", (10, 1, 1)), ("t4_su2_flat", (1, 1, 1, 1))],
+)
+def test_kept_column_laplacian_equals_the_whole_laplacian_gather(name, box):
+    """The Laplacian formed over the kept blocks' columns gives, in degree 3, the
+    eigenvalues of the same blocks gathered from the whole Laplacian, bit for bit,
+    and the same near-zero counts; the cached matrices hold those columns alone."""
+    conn = _fixture_connection(name)
+    for delta in (0.5, 0.125):
+        got = _galerkin_spectrum(conn, 3, delta, box)
+        want = reference_kept_block_spectrum(conn, 3, delta, box)
+        assert got.tobytes() == want.tobytes()
+        top = float(np.max(np.abs(want), initial=0.0))
+        for threshold in (1e-12, 1e-8):
+            count, norm = near_zero_count(conn, 3, delta, box, threshold)
+            assert (count, norm) == (int(np.sum(want <= threshold * max(top, 1e-300))), top)
+    mats, columns, kept, _ = conn._cache[("galerkin", 3, box)]
+    whole = galerkin_polynomial(conn, 3, box)[1]
+    assert np.all(np.diff(columns) > 0) and columns.size < whole[0].shape[1]
+    assert sorted(np.concatenate([cols.ravel() for _, cols in kept]).tolist()) == list(range(columns.size))
+    for m, w in zip(mats, whole):
+        assert csr_bytes(m) == csr_bytes(w[:, columns])
 
 
 def test_galerkin_spectrum_pairs_a_pattern_that_is_not_mirror_closed():

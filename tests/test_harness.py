@@ -2,13 +2,14 @@
 
 import copy
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bundlehodge import bigraded
+from bundlehodge import bigraded, harness
 from bundlehodge.adiabatic_ss import PageRecursion, residual_orders
 from bundlehodge.base_forms import coexact_primitive
 from bundlehodge.bigraded import BigradedForm, DeltaPolynomial, apply_dstar_component, from_fourier
@@ -275,6 +276,56 @@ def test_cmd_spectrum_reports_minimum_and_floor(tmp_path):
     ):
         assert low <= first[delta]
         assert floor == pytest.approx(1e-12 * top, rel=1e-15)
+
+
+# numpy scalars, a signed zero, the smallest subnormal and a large float, each
+# column of one kind; then mixed columns, with names csv.writer quotes
+CSV_NUMBER_ROWS = [
+    [np.float64(0.1), 7, np.float64(-0.0)],
+    [-0.0, 8, 5e-324],
+    [np.float64(5e-324), 9, 1e300],
+]
+CSV_MIXED_ROWS = [
+    [np.int64(-3), np.float64(1e300), True],
+    ["a,b", 'say "x"', "line\r\nbreak"],
+]
+
+
+def _csv_writer_bytes(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "command, table",
+    [(cmd_spectrum, "t2_u1_c1zero_spectrum_p1.csv"), (cmd_verify_cs1, "t2_u1_c1zero_cs1_residuals.csv")],
+)
+def test_write_csv_equals_csv_writer(tmp_path, monkeypatch, command, table):
+    """A command's table, and the same table with edge rows appended, are the bytes
+    csv.writer writes from its header and rows."""
+    tables = []
+    write_csv = harness.write_csv
+
+    def recording(path, header, rows):
+        tables.append((header, rows))
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(harness, "write_csv", recording)
+    command(load_fixture("t2_u1_c1zero"), out_dir=str(tmp_path), quiet=True)
+    ((header, rows),) = tables
+    assert (tmp_path / table).read_bytes() == _csv_writer_bytes(header, rows)
+    for n, extra in enumerate((CSV_NUMBER_ROWS, CSV_NUMBER_ROWS + CSV_MIXED_ROWS)):
+        edge = list(rows) + extra
+        write_csv(str(tmp_path / f"edge{n}.csv"), header, edge)
+        assert (tmp_path / f"edge{n}.csv").read_bytes() == _csv_writer_bytes(header, edge)
+
+
+def test_write_csv_rejects_a_row_of_another_width(tmp_path):
+    with pytest.raises(ValueError):
+        harness.write_csv(str(tmp_path / "ragged.csv"), ["a", "b"], [[1.0, 2.0], [3.0]])
 
 
 def test_command_outputs_deterministic(tmp_path):
