@@ -846,15 +846,14 @@ def spectrum_sweep(conn, total_degree, deltas, bands, tolerances=None):
     near_zero = eigen[0] <= tolerances.near_zero_cut * max(norms[-1], 1e-300)
     # one least-squares fit of every near-zero branch off the floor
     fitted = np.flatnonzero(near_zero & ~is_floor)
-    slopes = [None] * eigen.shape[1]
+    slopes = {}
     if fitted.size:
         logs = np.log(np.asarray(deltas))
         fit = np.polyfit(logs, np.log(np.maximum(eigen[:, fitted], 1e-300)), 1)[0]
-        for b, slope in zip(fitted.tolist(), fit.tolist()):
-            slopes[b] = slope
+        slopes = dict(zip(fitted.tolist(), fit.tolist()))
     branches = []
-    for b, (slope, floor, near) in enumerate(zip(slopes, is_floor.tolist(), near_zero.tolist())):
-        group = within = None
+    for b, (floor, near) in enumerate(zip(is_floor.tolist(), near_zero.tolist())):
+        slope, group, within = slopes.get(b), None, None
         if floor:
             group = "inf"
         elif slope is not None:

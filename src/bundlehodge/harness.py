@@ -8,7 +8,6 @@ a report dictionary with a ``passed`` flag.
 
 import json
 import os
-import re
 import tempfile
 
 import numpy as np
@@ -392,9 +391,6 @@ def write_json(path, payload):
     )
 
 
-_CSV_QUOTED = re.compile(r'[,"\r\n]')
-
-
 def _csv_field(value):
     """One field as csv.writer writes it: a float (numpy's float64 is one) by the
     float repr, anything else by str, quoted when it holds a comma, a quote or a
@@ -402,7 +398,7 @@ def _csv_field(value):
     if isinstance(value, float):
         return float.__repr__(value)
     text = str(value)
-    if _CSV_QUOTED.search(text):
+    if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 

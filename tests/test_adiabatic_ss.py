@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -787,13 +788,6 @@ def _boxed_scenario(name, **fields):
     return Scenario(dict(config, **fields))
 
 
-def _branch_counts(branches):
-    counts = {}
-    for branch in branches:
-        counts[branch["group"]] = counts.get(branch["group"], 0) + 1
-    return counts
-
-
 def _slope_bits(branches):
     return [None if b["slope"] is None else np.float64(b["slope"]).tobytes() for b in branches]
 
@@ -816,9 +810,7 @@ def test_spectrum_sweep_one_fit_equals_a_fit_per_branch(name, fields):
     assert polyfit.call_args.args[1].shape == (len(report.deltas), len(fitted))
     assert report.branches == want
     assert _slope_bits(report.branches) == _slope_bits(want)
-    assert report.group_counts() == _branch_counts(want)
-    near = [b for b in report.branches if b["near_zero"]]
-    assert near == [b for b in want if b["near_zero"]]
+    assert report.group_counts() == Counter(b["group"] for b in want)
 
 
 @pytest.mark.parametrize(
