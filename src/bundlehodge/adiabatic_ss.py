@@ -17,17 +17,21 @@ of the whole matrix.  The blocks of the compressed Laplacian pair up under
 the reality involution x -> conj(x[mirror]), and one block of each pair is
 eigensolved.
 
-One run of the recursion serves every degree and page.  Pages 1 and 2 are
-closed form, and every page basis from page 2 on lies at frequency zero, so
-each correction system is posed there only, its unknowns over the boxes t c
-of the coupling band c.  Its right-hand side is minus the leading
-coefficients of the page vector alone, read by the same product as the page
-projections (``_coefficient``); a lift whose right-hand side is exactly zero
-is zero, and no system is posed for it.  The recursion works on coordinate
-matrices, and its component matrices are cached on the connection, where the
-Galerkin Laplacian reads them too.  ``harmonic_limit`` gathers and realifies
-the stabilized page in coordinates; forms are built for its formal check and
-its output, and when ``PageRecursion.entries`` hands a page out.
+The recursion computes one (page, degree) at a time, on first use: page K + 1
+in degree p reads page K in degrees p - 1 .. p + 1 only, so a report of one
+degree computes the cone of pages it rests on, and the stop rule, which is
+global, reads a further degree only while it has found no witness that the
+pages go on.  Pages 1 and 2 are closed form, and every page basis from page 2
+on lies at frequency zero, so each correction system is posed there only, its
+unknowns over the boxes t c of the coupling band c.  Its right-hand side is
+minus the leading coefficients of the page vector alone, read by the same
+product as the page projections (``_coefficient``); a lift whose right-hand
+side is exactly zero is zero, and no system is posed for it.  The recursion
+works on coordinate matrices, and its component matrices are cached on the
+connection, where the Galerkin Laplacian reads them too.  ``harmonic_limit``
+gathers and realifies the stabilized page in coordinates; forms are built for
+its formal check and its output, and when ``PageRecursion.entries`` hands a
+page out.
 
 Only the leading coefficients are truncated, to the zero box a page holds;
 every operator application on lifts is exact, with corrections confined to
@@ -369,7 +373,8 @@ def _solve_columns(conn, degree, lead, order, tolerances):
 
 
 class PageRecursion:
-    """Simultaneous page computation in every total degree.
+    """Pages of the adiabatic spectral sequence, computed per (page, degree) on
+    first use.
 
     The first two pages are closed form.  The leading operator is
     frequency-local and acts only on the fiber index, so page 1 is (box) x
@@ -379,6 +384,13 @@ class PageRecursion:
     Mazzeo-Melrose).  Pages 0 and 1 are kept as counts; the page box sets them
     and nothing else in the recursion.  Later pages use projected leading
     coefficients of exactly-computed lifts.
+
+    Page K + 1 in degree p reads page K in degrees p - 1, p and p + 1, and the
+    lifts of page K in degrees p - 1 and p (the differentials d_K into and out of
+    p); so ``page`` computes one (K, degree) at a time and memoizes it, with its
+    lifts and projections.  Page k_stop in degree p rests on the cone of page K
+    in the degrees within k_stop - K of p, and a recursion shared by several
+    reports computes each page of it once.
 
     Everything runs on coordinate matrices with one column per basis vector.
     Page 2 lies at frequency zero, and each later basis is an earlier one times
@@ -393,11 +405,15 @@ class PageRecursion:
     there; an exactly-zero lift term is skipped.  Forms are built only when
     ``entries`` hands a page's basis and lifts out.
 
-    ``run`` computes pages up to ``k_max`` at most.  It stops when
-    stabilization is proven: the dimensions repeat from page 2 on and no
-    later differential can join two nonzero slots, or the page reaches
-    min(n, dim g + 1) + 1, past which no differential acts.  A run that
-    reaches k_max first is not ``stabilized``.
+    ``run(degree)`` settles, once per recursion, the page the sequence stops at,
+    k_stop <= k_max, and computes the pages of ``degree`` up to it.  The stop rule
+    is global: stabilization is proven at page K >= 2 when the dimensions equal
+    those of page K - 1 in every degree and no later differential can join two
+    nonzero slots, or when K reaches min(n, dim g + 1) + 1, past which no
+    differential acts.  A run that reaches k_max first is not ``stabilized``.
+    The degrees of page K are searched outward from the requested one for a
+    witness that the pages go on, and computed only until one turns up; a page
+    that stops the recursion is read in every degree.
     """
 
     def __init__(self, conn, bands, k_max=6, tolerances=None):
@@ -415,71 +431,89 @@ class PageRecursion:
             for j in range(m + 1)
             if num_indices(n, i) and num_indices(m, j)
         ]
-        # bases[K][slot] -> complex matrix (nb * nf, r) on the slot's rows of the
-        # zero-box layout; lifts[K][slot] -> [W_0 .. W_(K-1)], W_t over the
-        # degree layout of the box t c, filled per slot on first use
+        # no differential acts past page min(n, m + 1): it would need K base
+        # steps and K - 1 fiber steps at once
+        self.collapse_bound = min(n, m + 1) + 1
+        # a page Laplacian whose largest eigenvalue is at most this is zero
+        scale = 1.0
+        for _, _, _, v in conn.a_entries() + conn.f_entries():
+            scale += abs(v)
+        self._floor = 1e-18 * max(scale**4, 1.0)
+        # per (K, degree), K >= 2, filled on first use: bases -> {slot: complex
+        # matrix (nb * nf, r) on the slot's rows of the zero-box layout}; lifts ->
+        # {slot: [W_0 .. W_(K-1)]}, W_t over the degree layout of the box t c;
+        # _checks -> the diagnostics of the step from page K to K + 1
         self.bases = {}
         self.lifts = {}
-        self.dims_history = []
-        # corrections_solved: basis columns lifted by run(), pages 2 .. k_stop - 1
-        # in every degree; the final page is lifted per degree, on demand
-        self.diagnostics = {
-            "offslot_residual": 0.0,
-            "adjoint_consistency": 0.0,
-            "dsq_residual": 0.0,
-            "corrections_solved": 0,
-        }
+        self._checks = {}
+        # (K, degree, up) -> (projected leading coefficients, off-slot residual)
+        self._maps = {}
         self.k_stop = None
         self.stabilized = False
 
     # ---- pages 0 to 2 ----------------------------------------------------
 
-    def _counts(self, fiber_dim):
-        """Per slot, box keys x base indices x fiber_dim(j), where nonzero."""
+    def _counts(self, degree, fiber_dim):
+        """Per slot of one degree, box keys x base indices x fiber_dim(j), where
+        nonzero."""
         keys = int(np.prod([2 * b + 1 for b in self.bands]))
         n = self.geometry.n
-        dims = {(i, j): keys * num_indices(n, i) * fiber_dim(j) for i, j in self.slots}
+        slots = [(i, j) for i, j in self.slots if i + j == degree]
+        dims = {(i, j): keys * num_indices(n, i) * fiber_dim(j) for i, j in slots}
         return {slot: r for slot, r in dims.items() if r}
 
-    def _seed_second_page(self):
-        """Page 2 per slot (i, j): kron(I_nb, L_j^T H_j) at frequency zero, with H_j
-        the harmonic fiber j-forms, orthonormal in the fiber Gram matrix."""
+    def _seed_second_page(self, degree):
+        """Page 2 per slot (i, j) of one degree: kron(I_nb, L_j^T H_j) at frequency
+        zero, with H_j the harmonic fiber j-forms, orthonormal in the fiber Gram
+        matrix."""
         bases = {}
         for i, j in self.slots:
             harm = self.alg.harmonic_basis(j)
-            if harm.shape[1]:
+            if i + j == degree and harm.shape[1]:
                 hat = self.alg.chol(j).T @ harm  # orthonormal columns
                 nb = num_indices(self.geometry.n, i)
                 bases[(i, j)] = np.kron(np.eye(nb), hat).astype(complex)
-        self.bases[2] = bases
+        return bases
 
-    # ---- lifts and leading coefficients -----------------------------------
+    # ---- pages, lifts and leading coefficients -------------------------------
 
-    def _lifts(self, K, degree=None):
-        """Per slot of page K >= 2, of one total degree or of all, [W_0 ..
-        W_(K-1)]: the basis columns over the zero-box degree layout, then their
-        minimal-norm lift terms, solved on first use."""
-        lifts = self.lifts.setdefault(K, {})
-        wanted = [slot for slot in self.bases[K] if degree is None or sum(slot) == degree]
-        for slot in wanted:
-            if slot not in lifts:
-                basis = self.bases[K][slot]
-                layout = _layout(self.conn, sum(slot), self.zero)
+    def page(self, K, degree):
+        """Page K >= 2 in one total degree, {slot: basis} over its nonzero slots,
+        computed on first use."""
+        key = (K, degree)
+        if key not in self.bases:
+            if not 0 <= degree <= self.geometry.n + self.alg.dim:
+                self.bases[key] = {}
+            elif K == 2:
+                self.bases[key] = self._seed_second_page(degree)
+            else:
+                self.bases[key] = self._step(K - 1, degree)
+        return self.bases[key]
+
+    def _lifts(self, K, degree):
+        """Per slot of page K >= 2 in one total degree, [W_0 .. W_(K-1)]: the basis
+        columns over the zero-box degree layout, then their minimal-norm lift
+        terms, solved on first use."""
+        key = (K, degree)
+        if key not in self.lifts:
+            lifts = {}
+            for slot, basis in self.page(K, degree).items():
+                layout = _layout(self.conn, degree, self.zero)
                 lead = np.zeros((layout.dim, basis.shape[1]), dtype=complex)
                 lead[_box_rows(layout, slot, self.zero)] = basis
-                ws = _solve_columns(self.conn, sum(slot), lead, K - 1, self.tol)
-                lifts[slot] = [lead] + ws
-        return {slot: lifts[slot] for slot in wanted}
+                lifts[slot] = [lead] + _solve_columns(self.conn, degree, lead, K - 1, self.tol)
+            self.lifts[key] = lifts
+        return self.lifts[key]
 
     def _project(self, layout, coeff, target, adjoints):
         """Project the columns of a leading coefficient, coordinates over the
-        zero-box layout ``layout``, onto the target page slot, or return None
-        when it has no page.  ``adjoints`` maps each page slot to the conjugate
-        transpose of its basis, one column per row of the slot's block.  Also
-        accumulates the largest projection onto another page slot relative to
-        the column norms, which the page theory says must vanish."""
+        zero-box layout ``layout``, onto the target page slot: (the projection,
+        or None when the target has no page; the largest projection onto
+        another page slot relative to the column norms, which the page theory
+        says must vanish).  ``adjoints`` maps each page slot to the conjugate
+        transpose of its basis, one column per row of the slot's block."""
         scale = 1.0 + np.linalg.norm(coeff, axis=0)
-        out = None
+        out, off = None, 0.0
         for slot, adjoint in adjoints.items():
             if slot not in layout.offsets:
                 continue
@@ -488,50 +522,57 @@ class PageRecursion:
             if slot == target:
                 out = proj
             else:
-                off = float(np.max(np.linalg.norm(proj, axis=0) / scale))
-                self.diagnostics["offslot_residual"] = max(self.diagnostics["offslot_residual"], off)
-        return out
+                off = max(off, float(np.max(np.linalg.norm(proj, axis=0) / scale)))
+        return out, off
+
+    def _map(self, K, degree, up):
+        """The page-K differential d_K out of one degree (``up``), or its
+        codifferential: the order-K leading coefficients of d_delta or d*_delta on
+        the page-K lifts of the degree, projected onto page K in degree p +- 1.
+        Returns ({source slot: projection onto its target slot}, the largest
+        off-slot residual), memoized; the lifts are solved even when page K in
+        degree p +- 1 is empty, and then nothing is projected."""
+        key = (K, degree, up)
+        if key not in self._maps:
+            target_page = self.page(K, degree + 1 if up else degree - 1)
+            adjoints = {slot: basis.conj().T for slot, basis in target_page.items()}
+            lifts = self._lifts(K, degree)
+            mats, off = {}, 0.0
+            for (i, j), w in lifts.items() if adjoints else ():
+                target = (i + K, j - K + 1) if up else (i - K, j + K - 1)
+                layout, coeff = _coefficient(self.conn, K, degree, w, up, self.zero)
+                proj, residual = self._project(layout, coeff, target, adjoints)
+                off = max(off, residual)
+                if proj is not None:
+                    mats[(i, j)] = proj
+            self._maps[key] = (mats, off)
+        return self._maps[key]
 
     # ---- generic step ----------------------------------------------------
 
-    def _step(self, K):
-        """Compute page K+1 from page K >= 2."""
-        bases = self.bases[K]
-        lifts = self._lifts(K)
-        self.diagnostics["corrections_solved"] += sum(basis.shape[1] for basis in bases.values())
-        adjoints = {slot: basis.conj().T for slot, basis in bases.items()}
-        degrees = {i + j for i, j in bases}
-        mat_d, mat_s = {}, {}
-        for slot in bases:
-            i, j = slot
-            for up, mats, target in (
-                (True, mat_d, (i + K, j - K + 1)),
-                (False, mat_s, (i - K, j + K - 1)),
-            ):
-                if i + j + (1 if up else -1) not in degrees:
-                    continue
-                coeff = _coefficient(self.conn, K, i + j, lifts[slot], up, self.zero)
-                proj = self._project(*coeff, target, adjoints)
-                if proj is not None:
-                    mats[slot] = proj
-        # assemble the page Laplacian per slot and cut its kernel
+    def _step(self, K, degree):
+        """Page K + 1 in one degree from page K >= 2: per slot, the kernel of the
+        page-K Laplacian d_K^H d_K + d_K d_K^H.  Records the step's diagnostics,
+        each read from the projections the step itself uses."""
+        out_of, off_out = self._map(K, degree, True)
+        into, off_in = self._map(K, degree - 1, True)
+        down, off_down = self._map(K, degree, False)
         new_bases = {}
-        consistency = self.diagnostics["adjoint_consistency"]
-        floor = 1e-18 * max(self._op_scale() ** 4, 1.0)
-        for slot, basis in bases.items():
+        consistency = 0.0
+        for slot, basis in self.page(K, degree).items():
             r = basis.shape[1]
             i, j = slot
             s_in = (i - K, j + K - 1)
             lap = np.zeros((r, r), dtype=complex)
-            m_out = mat_d.get(slot)
+            m_out = out_of.get(slot)
             if m_out is not None:
                 lap += m_out.conj().T @ m_out
-            m_in = mat_d.get(s_in)
+            m_in = into.get(s_in)
             if m_in is not None:
                 lap += m_in @ m_in.conj().T
             # adjoint-consistency: the projected codifferential matrix must be
             # the conjugate transpose of the projected differential matrix
-            m_s = mat_s.get(slot)
+            m_s = down.get(slot)
             if m_s is not None and m_in is not None:
                 consistency = max(
                     consistency,
@@ -545,72 +586,69 @@ class PageRecursion:
                     f"page {K} Laplacian of slot {slot} failed to diagonalize: {err}", order=K
                 )
             lam_max = float(evals[-1]) if evals.size else 0.0
-            if lam_max <= floor:
+            if lam_max <= self._floor:
                 kernel = np.eye(r, dtype=complex)
             else:
                 keep = evals <= self.tol.rank * lam_max
                 kernel = evecs[:, keep]
             if kernel.shape[1]:
                 new_bases[slot] = basis @ kernel
-        self.diagnostics["adjoint_consistency"] = consistency
-        # record the (pi_K d_K)^2 residual across two hops
-        dsq = self.diagnostics["dsq_residual"]
-        for slot, m_first in mat_d.items():
-            i, j = slot
-            m_second = mat_d.get((i + K, j - K + 1))
+        # the (pi_K d_K)^2 residual across the two hops p - 1 -> p -> p + 1
+        dsq = 0.0
+        for (i, j), m_first in into.items():
+            m_second = out_of.get((i + K, j - K + 1))
             if m_second is not None:
                 prod = m_second @ m_first
                 if prod.size:
                     scale = 1.0 + float(np.linalg.norm(m_second) * np.linalg.norm(m_first))
                     dsq = max(dsq, float(np.linalg.norm(prod)) / scale)
-        self.diagnostics["dsq_residual"] = dsq
-        self.bases[K + 1] = new_bases
+        self._checks[(K, degree)] = {
+            "offslot_residual": max(off_out, off_in, off_down),
+            "adjoint_consistency": consistency,
+            "dsq_residual": dsq,
+        }
+        return new_bases
 
-    def _op_scale(self):
-        total = 1.0
-        for _, _, _, v in self.conn.a_entries() + self.conn.f_entries():
-            total += abs(v)
-        return total
+    # ---- the stop rule ------------------------------------------------------
 
-    # ---- driver -----------------------------------------------------------
-
-    def _possible_later_differential(self, dims, K_from):
-        n, m = self.geometry.n, self.alg.dim
-        for K in range(K_from, min(n, m + 1) + 1):
-            for i, j in dims:
-                if dims.get((i + K, j - K + 1), 0) > 0:
+    def _goes_on(self, K, degree):
+        """Whether page K >= 2 holds a witness that the pages go on: a slot whose
+        dimension differs from page K - 1, or two nonzero slots in adjacent
+        degrees that a differential K' = K .. collapse_bound - 1 joins.  The
+        degrees are read outward from ``degree``, each only while no witness
+        has turned up."""
+        top = self.geometry.n + self.alg.dim
+        seen = {}
+        for q in sorted(range(top + 1), key=lambda q: (abs(q - degree), -q)):
+            seen[q] = self.dims_for_degree(K, q)
+            if seen[q] != self.dims_for_degree(K - 1, q):
+                return True
+            for low in (q - 1, q):
+                if low in seen and low + 1 in seen and self._joined(seen[low], seen[low + 1], K):
                     return True
         return False
 
-    def run(self):
-        m = self.alg.dim
-        self.dims_history = [
-            self._counts(lambda j: num_indices(m, j)),
-            self._counts(lambda j: self.alg.harmonic_basis(j).shape[1]),
-        ]
-        # no differential can act beyond page min(n, m + 1): it would need
-        # K base steps and K - 1 fiber steps at once
-        collapse_bound = min(self.geometry.n, m + 1) + 1
-        k_iter = min(self.k_max, collapse_bound)
-        K = 1
-        proven = False
-        while K < k_iter:
-            if K == 1:
-                self._seed_second_page()
-            else:
-                self._step(K)
-            K += 1
-            dims = {slot: basis.shape[1] for slot, basis in self.bases[K].items()}
-            self.dims_history.append(dims)
-            if K >= collapse_bound:
-                proven = True
-                break
-            if dims == self.dims_history[K - 1]:
-                if not self._possible_later_differential(dims, K):
-                    proven = True
+    def _joined(self, low, high, K):
+        """Whether a differential K' >= K joins a nonzero slot of ``low`` to one of
+        ``high``, the dims of two adjacent degrees."""
+        return any((i + k, j - k + 1) in high for i, j in low for k in range(K, self.collapse_bound))
+
+    # ---- driver -----------------------------------------------------------
+
+    def run(self, degree):
+        """Settle k_stop and ``stabilized`` on the first call, searching for stop
+        witnesses outward from ``degree``, and compute the pages of ``degree`` up
+        to k_stop; returns self."""
+        if self.k_stop is None:
+            K = 1
+            while K < min(self.k_max, self.collapse_bound):
+                K += 1
+                if K >= self.collapse_bound or not self._goes_on(K, degree):
+                    self.stabilized = True
                     break
-        self.k_stop = K
-        self.stabilized = proven
+            self.k_stop = K
+        if self.k_stop >= 2:
+            self.page(self.k_stop, degree)
         return self
 
     # ---- extraction ---------------------------------------------------------
@@ -625,7 +663,35 @@ class PageRecursion:
         return self.k_stop
 
     def dims_for_degree(self, K, degree):
-        return {slot: r for slot, r in self.dims_history[K].items() if sum(slot) == degree}
+        """{slot: dimension} of page K in one degree, over its nonzero slots."""
+        if K >= 2:
+            return {slot: basis.shape[1] for slot, basis in self.page(K, degree).items()}
+        if K == 1:
+            return self._counts(degree, lambda j: self.alg.harmonic_basis(j).shape[1])
+        return self._counts(degree, lambda j: num_indices(self.alg.dim, j))
+
+    def diagnostics(self, degree):
+        """The checks of the pages one degree rests on, whatever else the
+        recursion computed.  Its static cone holds page K in the degrees within
+        k_stop - K of p; offslot_residual, adjoint_consistency and dsq_residual
+        are the largest over the steps to the cone's pages K + 1, K = 2 ..
+        k_stop - 1, each read from that step's own projections.
+        corrections_solved counts the basis columns those steps lift, page K in
+        degrees p - (k_stop - K) .. p + k_stop - K - 1, and the stable page's
+        columns of degree p, which harmonic_limit lifts.  Needs k_stop settled
+        (``run``)."""
+        out = dict.fromkeys(("offslot_residual", "adjoint_consistency", "dsq_residual"), 0.0)
+        solved = sum(self.dims_for_degree(self.k_stop, degree).values())
+        for K in range(2, self.k_stop):
+            reach = self.k_stop - K
+            for q in range(degree - reach + 1, degree + reach):
+                self.page(K + 1, q)  # its step records the checks, if q is a degree
+                for name, value in self._checks.get((K, q), {}).items():
+                    out[name] = max(out[name], value)
+            lifted = range(degree - reach, degree + reach)
+            solved += sum(sum(self.dims_for_degree(K, q).values()) for q in lifted)
+        out["corrections_solved"] = solved
+        return out
 
     def entries(self, K, degree):
         """(slot, vector, lift) for every basis column of one degree at page
@@ -644,7 +710,8 @@ class PageRecursion:
 
 def harmonic_limit(recursion, total_degree):
     """Real forms spanning the limit of harmonic spaces in one degree, from a
-    run PageRecursion, on its connection and with its tolerances.
+    PageRecursion whose stop page is settled (``run``), on its connection and
+    with its tolerances.
 
     Each stabilized-page lift omega + delta omega_1 + ... of a leading
     (i0, j0)-vector contributes its anti-diagonal constant term: the sum over

@@ -279,14 +279,15 @@ class Scenario:
         """The declared Galerkin box; when none is declared, the band in force."""
         return self.bands if self._galerkin_bands is None else self._galerkin_bands
 
-    def page_recursion(self):
+    def page_recursion(self, degree):
         """The page recursion of the connection at the scenario's bands, k_max
-        and tolerances, run once and kept until one of them changes."""
+        and tolerances, kept until one of them changes, run for ``degree``:
+        its stop page settled and its pages of that degree computed."""
         bands, tol = tuple(self.bands), self.tolerances
         key = (self.connection, bands, self.k_max, tol.formal, tol.rank, tol.spectral)
         if self._recursion is None or self._recursion[0] != key:
-            self._recursion = (key, PageRecursion(self.connection, bands, self.k_max, tol).run())
-        return self._recursion[1]
+            self._recursion = (key, PageRecursion(self.connection, bands, self.k_max, tol))
+        return self._recursion[1].run(degree)
 
     def _bands(self, raw, what):
         n = self.geometry.n
@@ -656,7 +657,8 @@ def cmd_verify_cs3(scenario, out_dir=None, quiet=False):
 
 def _pages_payload(recursion, degree):
     payload = {}
-    for K, dims in enumerate(recursion.dims_history):
+    for K in range(recursion.k_stop + 1):
+        dims = recursion.dims_for_degree(K, degree)
         payload[str(K)] = {
             _slot_key(slot): dims.get(slot, 0)
             for slot in recursion.slots
@@ -669,7 +671,7 @@ def cmd_pages(scenario, degree=None, out_dir=None, quiet=False):
     """Page dimensions, harmonic limits, and the zero-count consistency."""
     degree = _degree(scenario, degree)
     conn = scenario.connection
-    recursion = scenario.page_recursion()
+    recursion = scenario.page_recursion(degree)
     limits = harmonic_limit(recursion, degree)
     einf = recursion.dims_for_degree(recursion.k_stop, degree)
     fields = {
@@ -680,13 +682,9 @@ def cmd_pages(scenario, degree=None, out_dir=None, quiet=False):
         "dims_per_page": _pages_payload(recursion, degree),
         "einf_dims": {_slot_key(s): r for s, r in einf.items()},
         "einf_total": sum(einf.values()),
-        # corrections_solved counts the lifts of the run and the stabilized lifts
-        # of this degree, which harmonic_limit solves: the recursion is shared, and
-        # the count must not depend on which degrees it reported before
-        "diagnostics": dict(
-            recursion.diagnostics,
-            corrections_solved=recursion.diagnostics["corrections_solved"] + sum(einf.values()),
-        ),
+        # over the pages this degree rests on: the recursion is shared, and the
+        # report must not depend on which degrees it computed before
+        "diagnostics": recursion.diagnostics(degree),
         "limit_count": len(limits),
         "limit_forms": [bigraded_to_dict(f) for f in limits],
     }
@@ -725,7 +723,7 @@ def cmd_spectrum(scenario, degree=None, out_dir=None, quiet=False):
     if not scenario.delta_grid:
         raise ConfigError("spectrum command needs a delta grid")
     # the decay groups are compared with a page only where it is proven stable
-    recursion = scenario.page_recursion()
+    recursion = scenario.page_recursion(degree)
     k_stop = recursion.stable_page()
     sweep = spectrum_sweep(
         conn, degree, scenario.delta_grid, scenario.bands, scenario.tolerances

@@ -71,6 +71,11 @@ rows a projection onto a page reads, onto the zero box instead.
 of the page box, by one generic step of projected leading coefficients and
 page-Laplacian kernels; ``PageRecursion`` seeds page 2 in closed form instead.
 
+``ReferencePages`` runs the page recursion eagerly, every step over every
+degree and the stop rule over whole pages; ``PageRecursion`` computes one (page, degree) at a time and reads a further
+degree for its stop rule only while no witness that the pages go on has
+turned up instead.
+
 ``reference_harmonic_limit`` reads the stabilized page as forms from
 ``PageRecursion.entries``, regrades each lift with form arithmetic and splits
 the results against the reality involution form by form; the production
@@ -96,15 +101,18 @@ from bundlehodge.adiabatic_ss import (
     _blocks,
     _box_rows,
     _boxes,
+    _coefficient,
     _component,
     _galerkin_spectrum,
     _gather,
     _layout,
+    _solve_columns,
     galerkin_polynomial,
 )
 from bundlehodge.bigraded import (
     _BIDEGREES,
     BigradedForm,
+    DeltaPolynomial,
     FrequencyTable,
     TruncationLayout,
     _coupling_terms,
@@ -664,6 +672,117 @@ def reference_harmonic_limit(recursion, total_degree):
                 )
         limits.append(total.prune())
     return reference_realify(limits, recursion.tol)
+
+
+class ReferencePages:
+    """The page recursion run eagerly: every step lifts and projects every slot of
+    every degree, and the stop rule reads whole pages.  ``PageRecursion`` computes
+    one (page, degree) at a time, and its stop rule reads a further degree only
+    while no witness that the pages go on has turned up, instead.
+
+    It hands out what ``harmonic_limit`` and the reports read of a recursion
+    (``conn``, ``tol``, ``bands``, ``stable_page``, ``_lifts``, ``entries``), and
+    keeps every page in ``bases[K][slot]`` and the dims of every page in
+    ``dims_history``.  Each step reads the same production pieces in the same
+    order as the lazy recursion (``_solve_columns``, ``_coefficient``, the
+    projections and the page-Laplacian kernel), so its pages are equal to the
+    bit."""
+
+    def __init__(self, conn, bands, k_max=6, tolerances=None):
+        self.conn, self.geometry, self.alg = conn, conn.geometry, conn.alg
+        self.bands, self.k_max = tuple(bands), int(k_max)
+        self.tol = tolerances or Tolerances()
+        self.zero = (0,) * self.geometry.n
+        n, m = self.geometry.n, self.alg.dim
+        self.slots = [(i, j) for i in range(n + 1) for j in range(m + 1)]
+        self.bases, self.lifts = {}, {}
+        keys = int(np.prod([2 * b + 1 for b in self.bands]))
+        self.dims_history = [
+            {
+                (i, j): r
+                for i, j in self.slots
+                if (r := keys * num_indices(n, i) * fiber(j))
+            }
+            for fiber in (lambda j: num_indices(m, j), lambda j: self.alg.harmonic_basis(j).shape[1])
+        ]
+        scale = 1.0 + sum(abs(v) for *_, v in conn.a_entries() + conn.f_entries())
+        self.floor = 1e-18 * max(scale**4, 1.0)
+        bound = min(n, m + 1) + 1
+        K, self.stabilized = 1, False
+        while K < min(self.k_max, bound):
+            self.bases[K + 1] = self._second_page() if K == 1 else self._step(K)
+            K += 1
+            dims = {slot: basis.shape[1] for slot, basis in self.bases[K].items()}
+            self.dims_history.append(dims)
+            later = any(
+                (i + k, j - k + 1) in dims for k in range(K, bound) for i, j in dims
+            )
+            if K >= bound or (dims == self.dims_history[K - 1] and not later):
+                self.stabilized = True
+                break
+        self.k_stop = K
+
+    def _second_page(self):
+        bases = {}
+        for i, j in self.slots:
+            harm = self.alg.harmonic_basis(j)
+            if harm.shape[1]:
+                hat = self.alg.chol(j).T @ harm
+                bases[(i, j)] = np.kron(np.eye(num_indices(self.geometry.n, i)), hat).astype(complex)
+        return bases
+
+    def _lifts(self, K, degree):
+        lifts = self.lifts.setdefault(K, {})
+        for slot, basis in self.bases[K].items():
+            if sum(slot) == degree and slot not in lifts:
+                layout = _layout(self.conn, degree, self.zero)
+                lead = np.zeros((layout.dim, basis.shape[1]), dtype=complex)
+                lead[_box_rows(layout, slot, self.zero)] = basis
+                lifts[slot] = [lead] + _solve_columns(self.conn, degree, lead, K - 1, self.tol)
+        return {slot: w for slot, w in lifts.items() if sum(slot) == degree}
+
+    def _step(self, K):
+        bases = self.bases[K]
+        adjoints = {slot: basis.conj().T for slot, basis in bases.items()}
+        mats = {}
+        for (i, j) in bases:
+            lifts = self._lifts(K, i + j)[(i, j)]
+            target = (i + K, j - K + 1)
+            layout, coeff = _coefficient(self.conn, K, i + j, lifts, True, self.zero)
+            if target in adjoints and target in layout.offsets:
+                start = layout.offsets[target]
+                mats[(i, j)] = adjoints[target] @ coeff[start : start + adjoints[target].shape[1]]
+        new = {}
+        for (i, j), basis in bases.items():
+            lap = np.zeros((basis.shape[1],) * 2, dtype=complex)
+            if (i, j) in mats:
+                lap += mats[(i, j)].conj().T @ mats[(i, j)]
+            if (i - K, j + K - 1) in mats:
+                lap += mats[(i - K, j + K - 1)] @ mats[(i - K, j + K - 1)].conj().T
+            evals, evecs = np.linalg.eigh(0.5 * (lap + lap.conj().T))
+            if evals[-1] <= self.floor:
+                kernel = np.eye(basis.shape[1], dtype=complex)
+            else:
+                kernel = evecs[:, evals <= self.tol.rank * evals[-1]]
+            if kernel.shape[1]:
+                new[(i, j)] = basis @ kernel
+        return new
+
+    def stable_page(self):
+        assert self.stabilized
+        return self.k_stop
+
+    def dims_for_degree(self, K, degree):
+        return {slot: r for slot, r in self.dims_history[K].items() if sum(slot) == degree}
+
+    def entries(self, K, degree):
+        layouts = [_layout(self.conn, degree, box) for box in _boxes(self.conn, K - 1)]
+        out = []
+        for slot, w in self._lifts(K, degree).items():
+            for col in range(w[0].shape[1]):
+                terms = [layout.form_from_vector(x[:, col]) for layout, x in zip(layouts, w)]
+                out.append((slot, terms[0], DeltaPolynomial(terms)))
+        return out
 
 
 # -- test inputs ------------------------------------------------------------------

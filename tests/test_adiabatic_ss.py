@@ -1,5 +1,6 @@
 """Page recursion, formal residuals, harmonic limits, and eigenvalue decay."""
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -50,11 +51,18 @@ from bundlehodge.chern_weil import (
     make_polynomial,
 )
 from bundlehodge.errors import ConfigError, NotExact, SolverFailure
-from bundlehodge.harness import Scenario, load_scenario, packaged_scenario_path
+from bundlehodge.harness import (
+    Scenario,
+    bigraded_to_dict,
+    cmd_spectrum,
+    load_scenario,
+    packaged_scenario_path,
+)
 from bundlehodge.lie_algebra import make_su2, make_u1
 from bundlehodge.multiindex import num_indices
 
 from bigraded_reference import (
+    ReferencePages,
     reference_block_solve,
     reference_correction_system,
     reference_d,
@@ -111,11 +119,12 @@ def abelian_t2(mean):
     return conn
 
 
-def su3_scenario():
-    """t4_su2_cs3 with an su(3) fiber at the same scale."""
+def su3_scenario(**fields):
+    """t4_su2_cs3 with an su(3) fiber at the same scale, and any other fields
+    replaced."""
     with open(packaged_scenario_path("t4_su2_cs3")) as fh:
         config = json.load(fh)
-    return Scenario(dict(config, algebra={"name": "su3", "scale": "0.2"}))
+    return Scenario(dict(config, algebra={"name": "su3", "scale": "0.2"}, **fields))
 
 
 def curved_axis0_scenario(band):
@@ -195,7 +204,7 @@ def test_declared_formal_tolerance_is_applied():
 
 def test_pages_abelian_flux_with_mean():
     conn = abelian_t2(mean=True)
-    rec = PageRecursion(conn, (2, 2)).run()
+    rec = PageRecursion(conn, (2, 2)).run(1)
     assert sum(rec.dims_for_degree(0, 1).values()) == 75
     dims2 = rec.dims_for_degree(2, 1)
     assert dims2 == {(1, 0): 2, (0, 1): 1}
@@ -208,13 +217,13 @@ def test_pages_abelian_flux_with_mean():
 
 def test_pages_abelian_flux_exact():
     conn = abelian_t2(mean=False)
-    rec = PageRecursion(conn, (2, 2)).run()
+    rec = PageRecursion(conn, (2, 2)).run(1)
     assert sum(rec.dims_for_degree(rec.k_stop, 1).values()) == 3
 
 
 def test_pages_flat_kunneth_all_degrees():
     conn = flat_t4_connection()
-    rec = PageRecursion(conn, (1, 1, 1, 1)).run()
+    rec = PageRecursion(conn, (1, 1, 1, 1)).run(0)
     for p in range(8):
         total = sum(rec.dims_for_degree(rec.k_stop, p).values())
         box = (2 * 1 + 1) ** 4
@@ -232,22 +241,25 @@ def test_pages_monotone_dimensions():
         (su2_t3_connection(), (1, 1, 1)),
         (abelian_t2(mean=True), (2, 2)),
     ):
-        rec = PageRecursion(conn, bands).run()
-        for K in range(1, len(rec.dims_history)):
-            prev = rec.dims_history[K - 1]
-            for slot, r in rec.dims_history[K].items():
-                assert r <= prev.get(slot, 0)
+        rec = PageRecursion(conn, bands).run(1)
+        for p in range(conn.geometry.n + conn.alg.dim + 1):
+            for K in range(1, rec.k_stop + 1):
+                prev = rec.dims_for_degree(K - 1, p)
+                for slot, r in rec.dims_for_degree(K, p).items():
+                    assert r <= prev.get(slot, 0)
 
 
 def test_pages_diagnostics_small():
-    rec = PageRecursion(su2_t3_connection(), (1, 1, 1)).run()
-    assert rec.diagnostics["offslot_residual"] <= 1e-9
-    assert rec.diagnostics["dsq_residual"] <= 1e-9
-    assert rec.diagnostics["adjoint_consistency"] <= 1e-9
+    rec = PageRecursion(su2_t3_connection(), (1, 1, 1))
+    for p in range(7):
+        diagnostics = rec.run(p).diagnostics(p)
+        assert diagnostics["offslot_residual"] <= 1e-9
+        assert diagnostics["dsq_residual"] <= 1e-9
+        assert diagnostics["adjoint_consistency"] <= 1e-9
 
 
 def test_pages_t4_curved_collapse():
-    rec = PageRecursion(su2_t4_connection(), (1, 1, 1, 1)).run()
+    rec = PageRecursion(su2_t4_connection(), (1, 1, 1, 1)).run(3)
     assert rec.dims_for_degree(1, 3) == {(0, 3): 81, (3, 0): 324}
     for K in range(2, rec.k_stop + 1):
         assert rec.dims_for_degree(K, 3) == {(0, 3): 1, (3, 0): 4}
@@ -266,15 +278,17 @@ def test_second_page_closed_form_matches_a_dense_first_page_step(name):
     else:
         scenario = load_scenario(packaged_scenario_path(name))
         conn, bands = scenario.connection, scenario.bands
-    rec = PageRecursion(conn, bands, k_max=2).run()
+    rec = PageRecursion(conn, bands, k_max=2)
     want = reference_second_page(conn, bands)
-    assert rec.dims_history[2] == {slot: b.shape[1] for slot, (_, b) in want.items() if b.shape[1]}
+    degrees = range(conn.geometry.n + conn.alg.dim + 1)
+    got = {slot: r for p in degrees for slot, r in rec.dims_for_degree(2, p).items()}
+    assert got == {slot: b.shape[1] for slot, (_, b) in want.items() if b.shape[1]}
     zero = (0,) * conn.geometry.n
     for slot, (coords, q) in want.items():
         if not q.shape[1]:
             continue
         p = np.zeros_like(q)
-        p[_box_rows(coords, slot, zero)] = rec.bases[2][slot]
+        p[_box_rows(coords, slot, zero)] = rec.page(2, sum(slot))[slot]
         assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
         sines = np.linalg.svd(p - q @ (q.conj().T @ p), compute_uv=False)
         assert sines.max() <= 1e-12
@@ -285,7 +299,7 @@ def test_su3_lifts_are_solved_on_the_zero_box():
     recursion is posed there: its unknowns and equations are the layouts of the
     boxes t c, t >= 1; page 2 in degree 3 is Kunneth, 4 + 1."""
     conn = su3_scenario().connection
-    rec = PageRecursion(conn, (1, 1, 1, 1), k_max=3).run()
+    rec = PageRecursion(conn, (1, 1, 1, 1), k_max=3).run(3)
     posed = [key[1:] for key in conn._cache if key[0] == "corrections"]
     assert posed
     for degree, order in posed:
@@ -310,21 +324,32 @@ def recording_solves(calls):
     return mock.patch.object(adiabatic_ss, "_solve_columns", recording)
 
 
+def lifted_degrees(calls):
+    """{page K: sorted degrees of its lifts} of the recorded _solve_columns calls,
+    the lifts of page K being the corrections of order K - 1."""
+    pages = {}
+    for degree, _, order, _ in calls:
+        pages.setdefault(order + 1, set()).add(degree)
+    return {K: sorted(degrees) for K, degrees in sorted(pages.items())}
+
+
 def test_final_page_lifts_are_solved_only_in_the_degree_read():
-    """The run lifts its pages 2 .. k_stop - 1 in every degree; the stable page is
-    lifted one degree at a time, so harmonic_limit in degree 1 solves the
-    corrections of order k_stop - 1 in degree 1 only."""
+    """The pages of degree 1 on t4_su2_flat lift page K in the degrees of its
+    cone, and in those the stop rule reads besides: the witness that pages 3 and
+    4 go on is the pair (0,3), (4,0) in degrees 3 and 4, which page 3 reaches
+    through the page-2 lifts of degrees up to 5.  The stable page is lifted in
+    degree 1 only, by harmonic_limit, and the stop page is k_stop 5 of the
+    global rule (a rule per degree would stop at 3)."""
     conn = load_scenario(packaged_scenario_path("t4_su2_flat")).connection
     calls = []
     with recording_solves(calls):
-        rec = PageRecursion(conn, (1, 1, 0, 0)).run()
-        assert {degree for degree, *_ in calls} == set(range(8))
+        rec = PageRecursion(conn, (1, 1, 0, 0)).run(1)
+        assert lifted_degrees(calls) == {2: [0, 1, 2, 3, 4, 5], 3: [0, 1, 2, 3, 4], 4: [0, 1]}
         ran = len(calls)
         harmonic_limit(rec, 1)
-    final = [(degree, order) for degree, _, order, _ in calls if order == rec.k_stop - 1]
-    assert final == [(1, rec.k_stop - 1)]
-    assert [(degree, order) for degree, _, order, _ in calls[ran:]] == final
-    assert {sum(slot) for slot in rec.lifts[rec.k_stop]} == {1}
+    assert rec.k_stop == 5 and rec.stabilized
+    assert lifted_degrees(calls[ran:]) == {5: [1]}
+    assert [key for key in rec.lifts if key[0] == 5] == [(5, 1)]
 
 
 def test_flat_lifts_pose_no_correction_system():
@@ -332,16 +357,18 @@ def test_flat_lifts_pose_no_correction_system():
     zero, so the coupling terms annihilate it: every right-hand side is exactly
     zero, no correction system is posed, and every lift term is exact zeros.
     The leading coefficients skip those terms and are computed into the zero
-    box, so no component matrix has the page box as its source or target."""
+    box, so no component matrix has the page box as its source or target.  In
+    degree 3 the stop rule's witnesses lie in the cone, so the lifts are those
+    of the cone exactly: page K in degrees 3 - (5 - K) .. 3 + 4 - K, and the
+    stable page in degree 3."""
     conn = load_scenario(packaged_scenario_path("t4_su2_flat")).connection
     bands = (1, 1, 0, 0)
     calls = []
     with recording_solves(calls):
-        rec = PageRecursion(conn, bands).run()
-        for degree in range(8):
-            harmonic_limit(rec, degree)
-    assert rec.k_stop > 3
-    assert {degree for degree, *_ in calls} == set(range(8))
+        rec = PageRecursion(conn, bands).run(3)
+        harmonic_limit(rec, 3)
+    assert rec.k_stop == 5
+    assert lifted_degrees(calls) == {2: [0, 1, 2, 3, 4, 5], 3: [1, 2, 3, 4], 4: [2, 3], 5: [3]}
     assert not [key for key in conn._cache if key[0] == "corrections"]
     for lifts in rec.lifts.values():
         for w in lifts.values():
@@ -349,6 +376,70 @@ def test_flat_lifts_pose_no_correction_system():
     components = [key for key in conn._cache if key[0] == "component"]
     assert components
     assert not [key for key in components if bands in (key[2][1], key[3][1])]
+
+
+def test_spectrum_lifts_only_the_cone_of_its_degree(tmp_path):
+    """spectrum on t4_su2_cs3 at band (1,1,1,0) in degree 3 reads pages 0 .. 5 of
+    degree 3 and lifts page 2 in degrees 0..5, page 3 in 1..4 and page 4 in 2..3,
+    the cone of page 5 in degree 3; it lifts no stable page."""
+    with open(packaged_scenario_path("t4_su2_cs3")) as fh:
+        config = json.load(fh)
+    scenario = Scenario(dict(config, band=[1, 1, 1, 0]))
+    calls = []
+    with recording_solves(calls):
+        report = cmd_spectrum(scenario, degree=3, out_dir=str(tmp_path), quiet=True)
+    assert report["passed"] and len(report["page_dims"]) == 6
+    assert lifted_degrees(calls) == {2: [0, 1, 2, 3, 4, 5], 3: [1, 2, 3, 4], 4: [2, 3]}
+
+
+def test_stop_below_the_collapse_bound_reads_every_degree():
+    """t3_su2_pages stops at page 3, below its collapse bound 4: no degree of page
+    3 holds a witness that the pages go on, so the stop rule computed page 3 in
+    every degree, degree 0 asked first."""
+    scenario = load_scenario(packaged_scenario_path("t3_su2_pages"))
+    rec = scenario.page_recursion(0)
+    assert (rec.k_stop, rec.collapse_bound, rec.stabilized) == (3, 4, True)
+    assert [p for p in range(8) if (3, p) in rec.bases] == list(range(7))
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["su3"])
+def test_lazy_pages_equal_an_eager_run(name):
+    """A fresh recursion per degree, run for that degree, against one eager run
+    that steps every degree (ReferencePages): the same k_stop and stabilization,
+    the same dims on every page, and the page bases, E_inf, limit forms and the
+    residual orders of the stable lifts equal to the bit; the lifts counted in
+    the diagnostics are those of the degree's cone.  Every degree of the
+    five fixtures; degrees 0..4 of the su(3) copy of t4_su2_cs3, whose page box
+    does not change its pages from 2 on."""
+    if name == "su3":
+        scenario = su3_scenario(band=[1, 0, 0, 0])
+        degrees = range(5)
+    else:
+        scenario = load_scenario(packaged_scenario_path(name))
+        degrees = range(scenario.geometry.n + scenario.algebra.dim + 1)
+    conn, args = scenario.connection, (scenario.bands, scenario.k_max, scenario.tolerances)
+    eager = ReferencePages(conn, *args)
+    assert eager.stabilized
+    for p in degrees:
+        rec = PageRecursion(conn, *args).run(p)
+        assert (rec.k_stop, rec.stabilized) == (eager.k_stop, eager.stabilized)
+        for K in range(rec.k_stop + 1):
+            assert rec.dims_for_degree(K, p) == eager.dims_for_degree(K, p)
+        for K in range(2, rec.k_stop + 1):
+            want = [(slot, basis) for slot, basis in eager.bases[K].items() if sum(slot) == p]
+            assert [slot for slot, _ in want] == list(rec.page(K, p))
+            assert all(np.array_equal(rec.page(K, p)[slot], basis) for slot, basis in want)
+        limits = [bigraded_to_dict(form) for form in harmonic_limit(rec, p)]
+        assert limits == [bigraded_to_dict(form) for form in harmonic_limit(eager, p)]
+        assert len(limits) == sum(rec.dims_for_degree(rec.k_stop, p).values())
+        orders = [residual_orders(lift, conn) for _, _, lift in rec.entries(rec.k_stop, p)]
+        assert orders == [residual_orders(lift, conn) for _, _, lift in eager.entries(eager.k_stop, p)]
+        # the lifts of the cone: page K in degrees p - (k_stop - K) .. p + k_stop - K - 1,
+        # and the stable page in degree p
+        k = rec.k_stop
+        cone = [(K, q) for K in range(2, k) for q in range(p - k + K, p + k - K)] + [(k, p)]
+        solved = sum(sum(eager.dims_for_degree(K, q).values()) for K, q in cone)
+        assert rec.diagnostics(p)["corrections_solved"] == solved
 
 
 def test_pages_do_not_depend_on_the_page_box():
@@ -361,7 +452,7 @@ def test_pages_do_not_depend_on_the_page_box():
         scenario = curved_axis0_scenario(band)
         conn = scenario.connection
         assert conn.coupling_bands() == (2, 0, 0, 0)
-        rec = PageRecursion(conn, scenario.bands, scenario.k_max, scenario.tolerances).run()
+        rec = PageRecursion(conn, scenario.bands, scenario.k_max, scenario.tolerances).run(1)
         assert rec.stabilized
         for p, total in zip((1, 2, 3), (4, 6, 5)):
             assert sum(rec.dims_for_degree(rec.k_stop, p).values()) == total
@@ -370,12 +461,13 @@ def test_pages_do_not_depend_on_the_page_box():
             assert count == total
         recursions.append(rec)
     narrow, wide = recursions
-    assert narrow.dims_history[0] != wide.dims_history[0]
+    assert narrow.dims_for_degree(0, 1) != wide.dims_for_degree(0, 1)
     assert narrow.k_stop == wide.k_stop
     for K in range(2, narrow.k_stop + 1):
-        assert narrow.bases[K].keys() == wide.bases[K].keys()
-        for slot, basis in narrow.bases[K].items():
-            assert np.array_equal(basis, wide.bases[K][slot])
+        for p in range(8):
+            assert narrow.page(K, p).keys() == wide.page(K, p).keys()
+            for slot, basis in narrow.page(K, p).items():
+                assert np.array_equal(basis, wide.page(K, p)[slot])
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -384,22 +476,19 @@ def test_projected_page_matrices_match_the_wide_box_leading_coefficients(name):
     or not, equals bit for bit the projection of the coefficient over
     max(K c, page box)."""
     scenario = load_scenario(packaged_scenario_path(name))
-    rec = PageRecursion(scenario.connection, scenario.bands, scenario.k_max, scenario.tolerances).run()
+    rec = PageRecursion(scenario.connection, scenario.bands, scenario.k_max, scenario.tolerances)
+    rec.run(scenario.degree)
     checked = 0
-    for K in range(2, rec.k_stop):
-        adjoints = {slot: basis.conj().T for slot, basis in rec.bases[K].items()}
-        degrees = {sum(slot) for slot in adjoints}
-        for slot, w in rec.lifts[K].items():
-            for up in (True, False):
-                if sum(slot) + (1 if up else -1) not in degrees:
-                    continue
-                layout, coeff = _coefficient(rec.conn, K, sum(slot), w, up, rec.zero)
-                wide, wide_coeff = reference_leading(rec, K, sum(slot), w, up)
-                for target, adjoint in adjoints.items():
-                    if target in layout.offsets:
-                        want = adjoint @ wide_coeff[_box_rows(wide, target, rec.zero)]
-                        assert np.array_equal(rec._project(layout, coeff, target, adjoints), want)
-                        checked += 1
+    degrees = range(scenario.geometry.n + scenario.algebra.dim + 1)
+    for K, p, up in itertools.product(range(2, rec.k_stop), degrees, (True, False)):
+        adjoints = {slot: basis.conj().T for slot, basis in rec.page(K, p + (1 if up else -1)).items()}
+        for w in rec._lifts(K, p).values() if adjoints else ():
+            layout, coeff = _coefficient(rec.conn, K, p, w, up, rec.zero)
+            wide, wide_coeff = reference_leading(rec, K, p, w, up)
+            for target, adjoint in adjoints.items():
+                want = adjoint @ wide_coeff[_box_rows(wide, target, rec.zero)]
+                assert np.array_equal(rec._project(layout, coeff, target, adjoints)[0], want)
+                checked += 1
     assert checked
 
 
@@ -419,8 +508,9 @@ def test_zero_rhs_lifts_equal_the_posed_solve():
         return solve(mat, blocks, rhs, *args)
 
     with recording_solves(calls), mock.patch.object(adiabatic_ss, "_block_lstsq", recording):
-        rec = PageRecursion(conn, (1, 1, 1, 0)).run()
-        rec._lifts(rec.k_stop)
+        rec = PageRecursion(conn, (1, 1, 1, 0)).run(3)
+        for p in range(8):
+            rec._lifts(rec.k_stop, p)
     posed = {key for key in conn._cache if key[0] == "corrections"}
     zero, nonzero = [], []
     negative_zero = np.full(1, complex(-0.0, -0.0)).view(np.uint64)
@@ -445,7 +535,7 @@ def test_zero_rhs_lifts_equal_the_posed_solve():
 
 def test_stable_entries_orthonormal_with_valid_lifts():
     conn = su2_t3_connection()
-    rec = PageRecursion(conn, (1, 1, 1)).run()
+    rec = PageRecursion(conn, (1, 1, 1)).run(3)
     K = rec.k_stop
     entries = rec.entries(K, 3)
     assert len(entries) == 2
@@ -462,7 +552,7 @@ def test_stable_entries_orthonormal_with_valid_lifts():
 def test_pages_match_galerkin_zero_count():
     # independent oracle: dense kernel count of the compressed operator
     conn = su2_t3_connection()
-    rec = PageRecursion(conn, (1, 1, 1)).run()
+    rec = PageRecursion(conn, (1, 1, 1)).run(0)
     for p in range(4):
         total = sum(rec.dims_for_degree(rec.k_stop, p).values())
         count, _ = near_zero_count(conn, p, 0.5, (10, 1, 1), 1e-8)
@@ -483,7 +573,7 @@ def test_near_zero_count_sparse_branch():
 
 def test_harmonic_limit_base_classes_map_to_themselves():
     conn = su2_t3_connection()
-    rec = PageRecursion(conn, (1, 1, 1)).run()
+    rec = PageRecursion(conn, (1, 1, 1)).run(1)
     limits = harmonic_limit(rec, 1)
     assert len(limits) == 3
     for form in limits:
@@ -492,7 +582,7 @@ def test_harmonic_limit_base_classes_map_to_themselves():
 
 def test_harmonic_limit_flat_kunneth_products():
     conn = flat_t4_connection()
-    rec = PageRecursion(conn, (1, 1, 1, 1)).run()
+    rec = PageRecursion(conn, (1, 1, 1, 1)).run(3)
     limits = harmonic_limit(rec, 3)
     assert len(limits) == 5
     for form in limits:
@@ -503,7 +593,7 @@ def test_harmonic_limit_flat_kunneth_products():
 
 def test_harmonic_limit_contains_cs3_representative():
     conn = su2_t4_connection()
-    rec = PageRecursion(conn, (1, 1, 1, 1)).run()
+    rec = PageRecursion(conn, (1, 1, 1, 1)).run(3)
     limits = harmonic_limit(rec, 3)
     assert len(limits) == 5
     pair = make_polynomial(conn.alg, "second_chern")
@@ -521,7 +611,7 @@ def test_harmonic_limit_contains_cs3_representative():
 
 def test_harmonic_limit_outputs_are_real():
     conn = abelian_t2(mean=False)
-    limits = harmonic_limit(PageRecursion(conn, (2, 2)).run(), 1)
+    limits = harmonic_limit(PageRecursion(conn, (2, 2)).run(1), 1)
     for form in limits:
         for slot, table in form.components.items():
             for key, val in table.items():
@@ -536,7 +626,7 @@ def test_harmonic_limit_spans_match_form_level_realify(name):
     as the form-level regrading and realification of the handed-out lifts,
     in every degree, with real orthonormal forms."""
     scenario = load_scenario(packaged_scenario_path(name))
-    rec = scenario.page_recursion()
+    rec = scenario.page_recursion(0)
     for p in range(scenario.geometry.n + scenario.algebra.dim + 1):
         got = harmonic_limit(rec, p)
         want = reference_harmonic_limit(rec, p)
@@ -668,7 +758,7 @@ def dense_canonical(conn, v, order, constraints):
 def test_lift_uniqueness_two_routes():
     """Two independently computed minimal-norm lifts agree termwise."""
     conn = abelian_t2(mean=False)
-    rec = PageRecursion(conn, (1, 1)).run()
+    rec = PageRecursion(conn, (1, 1)).run(1)
     entries = rec.entries(rec.k_stop, 1)
     slot0, v, _ = [e for e in entries if e[0] == (0, 1)][0]
     order = 2
@@ -681,7 +771,7 @@ def test_lift_uniqueness_two_routes():
 
 def test_lift_uniqueness_curved_t3():
     conn = su2_t3_connection()
-    rec = PageRecursion(conn, (1, 1, 1)).run()
+    rec = PageRecursion(conn, (1, 1, 1)).run(3)
     entries = rec.entries(rec.k_stop, 3)
     slot0, v, _ = [e for e in entries if e[0] == (0, 3)][0]
     # order 3 puts the curvature contraction d_2 on the unknown w_1
@@ -713,7 +803,7 @@ def test_recursion_lifts_match_solve_corrections(make_conn, bands):
     with box (1, 1, 0, 0)).
     """
     conn = make_conn()
-    rec = PageRecursion(conn, bands).run()
+    rec = PageRecursion(conn, bands).run(0)
     checked = 0
     for K in range(2, rec.k_stop + 1):
         for p in range(conn.geometry.n + conn.alg.dim + 1):
@@ -769,7 +859,7 @@ def test_spectrum_sweep_abelian_groups():
     conn = abelian_t2(mean=True)
     report = spectrum_sweep(conn, 1, [0.4, 0.2, 0.1, 0.05], (2, 2))
     counts = report.group_counts()
-    rec = PageRecursion(conn, (2, 2)).run()
+    rec = PageRecursion(conn, (2, 2)).run(1)
     dims = [
         sum(rec.dims_for_degree(K, 1).values()) for K in range(rec.k_stop + 1)
     ]
@@ -888,4 +978,4 @@ def test_recover_omega3_not_exact_branch():
 def test_harmonic_limit_requires_stabilization():
     conn = abelian_t2(mean=True)
     with pytest.raises(SolverFailure):
-        harmonic_limit(PageRecursion(conn, (2, 2), k_max=2).run(), 1)
+        harmonic_limit(PageRecursion(conn, (2, 2), k_max=2).run(1), 1)

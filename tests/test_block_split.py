@@ -353,7 +353,7 @@ def test_correction_systems_match_bmat_stacking():
     on w_1 .. w_order bit for bit the stacking from scratch, cached with its
     blocks from _blocks, and no decomposition."""
     conn = load_scenario(packaged_scenario_path("t4_su2_cs3")).connection
-    PageRecursion(conn, (1, 1, 1, 0)).run()
+    PageRecursion(conn, (1, 1, 1, 0)).run(3)
     requested = sorted({key[1] for key in conn._cache if key[0] == "corrections"})
     assert len(requested) >= 2
     top = conn.geometry.n + conn.alg.dim
@@ -412,8 +412,9 @@ def test_recursion_solves_match_the_every_block_oracle(name):
     scenario = load_scenario(packaged_scenario_path(name))
     calls = []
     with recording_lstsq(calls):
-        rec = scenario.page_recursion()
-        rec._lifts(rec.k_stop)
+        rec = scenario.page_recursion(scenario.degree)
+        for p in range(scenario.geometry.n + scenario.algebra.dim + 1):
+            rec._lifts(rec.k_stop, p)
     assert calls
     for mat, rhs, x in calls:
         assert_block_lstsq_matches_reference(mat, rhs, x)

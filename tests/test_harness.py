@@ -213,23 +213,31 @@ def _pages_then_spectrum(scenario_for, out):
 
 
 def test_page_recursion_runs_once_per_scenario(tmp_path, monkeypatch):
-    runs = []
-    run = PageRecursion.run
-    monkeypatch.setattr(PageRecursion, "run", lambda self: runs.append(self) or run(self))
+    """One recursion per scenario, run for each degree a report asks for; its
+    stop page is searched for once."""
+    runs, searches = [], []
+    run, goes_on = PageRecursion.run, PageRecursion._goes_on
+    monkeypatch.setattr(PageRecursion, "run", lambda self, p: runs.append((self, p)) or run(self, p))
+    monkeypatch.setattr(PageRecursion, "_goes_on", lambda self, K, p: searches.append(K) or goes_on(self, K, p))
     scenario = load_fixture("t2_u1_c1zero")
     _pages_then_spectrum(lambda: scenario, tmp_path / "shared")
-    assert len(runs) == 1
+    assert [p for _, p in runs] == [0, 1, 2, 3, scenario.degree]
+    assert len({id(rec) for rec, _ in runs}) == 1
+    assert searches == [2]
+    recursions = [runs[0][0]]
     scenario.bands = (1, 1)
     cmd_pages(scenario, degree=1, out_dir=str(tmp_path / "narrow"), quiet=True)
-    assert [rec.bands for rec in runs] == [(2, 2), (1, 1)]
-    # one run is kept, under every value the recursion reads
+    recursions.append(runs[-1][0])
+    assert [rec.bands for rec in recursions] == [(2, 2), (1, 1)]
+    # one recursion is kept, under every value it reads
     scenario.k_max = 5
     scenario.tolerances.rank = 1e-9
-    assert scenario.page_recursion() is runs[-1]
-    assert [(rec.k_max, rec.tol.rank) for rec in runs[2:]] == [(5, 1e-9)]
+    assert scenario.page_recursion(1) is runs[-1][0] not in recursions
+    assert (runs[-1][0].k_max, runs[-1][0].tol.rank) == (5, 1e-9)
+    recursions.append(runs[-1][0])
     scenario.bands = (2, 2)
-    assert scenario.page_recursion() is scenario.page_recursion() is runs[-1]
-    assert len(runs) == 4
+    assert scenario.page_recursion(1) is scenario.page_recursion(2) is runs[-1][0] not in recursions
+    assert len({id(rec) for rec, _ in runs}) == 4
 
 
 def test_shared_recursion_writes_the_files_of_fresh_scenarios(tmp_path):
@@ -245,6 +253,36 @@ def test_shared_recursion_writes_the_files_of_fresh_scenarios(tmp_path):
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
     name = "t2_u1_c1zero_pages_p1.json"
     assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, boxes",
+    [
+        ("t4_su2_cs3", {"band": [1, 1, 1, 0], "galerkin_bands": [1, 1, 1, 0]}),
+        ("t3_su2_pages", {"band": [1, 1, 0], "galerkin_bands": [6, 1, 0]}),
+    ],
+)
+def test_pages_reports_do_not_depend_on_the_order_of_the_degrees(tmp_path, name, boxes):
+    """pages in every degree, ascending and then descending on one scenario each,
+    and on a fresh scenario per degree: the same bytes in every report,
+    diagnostics included, though each shared recursion computed different
+    pages before each report (t4_su2_cs3 stops at its collapse bound, 5;
+    t3_su2_pages at page 3, below its bound)."""
+    with open(packaged_scenario_path(name)) as fh:
+        config = dict(json.load(fh), **boxes)
+    ascending, descending = Scenario(config), Scenario(config)
+    degrees = range(ascending.geometry.n + ascending.algebra.dim + 1)
+    for p in degrees:
+        cmd_pages(ascending, degree=p, out_dir=str(tmp_path / "ascending"), quiet=True)
+        cmd_pages(Scenario(config), degree=p, out_dir=str(tmp_path / "fresh"), quiet=True)
+    for p in reversed(degrees):
+        cmd_pages(descending, degree=p, out_dir=str(tmp_path / "descending"), quiet=True)
+    files = sorted(path.name for path in (tmp_path / "fresh").iterdir())
+    assert len(files) == len(degrees)
+    for order in ("ascending", "descending"):
+        assert sorted(path.name for path in (tmp_path / order).iterdir()) == files
+        for file in files:
+            assert (tmp_path / order / file).read_bytes() == (tmp_path / "fresh" / file).read_bytes()
 
 
 @pytest.mark.parametrize("declared, expected", [(None, [1, 1]), ([2, 2], [2, 2])])
