@@ -41,8 +41,6 @@ band per order), and each equation posed over a box that holds it whole.
 """
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .bigraded import (
     BigradedForm,
@@ -115,18 +113,51 @@ def verify_formal_harmonic(poly, conn, order, tolerances=None):
 _MAX_BLOCK_ENTRIES = 2**25
 
 
+def _components(size, u, v):
+    """Connected components of the graph on nodes 0 .. size - 1 with the undirected
+    edges (u[e], v[e]): per node the number of its component, the components
+    numbered by their smallest node, as scipy's weak connected_components numbers
+    them.  Each round hooks every root under the smallest of the smaller roots its
+    edges join it to, and follows the parents until every node points at its root;
+    an edge whose two ends share a root is dropped, and the rounds end when none is
+    left.  A parent is never above its node, so each root is the smallest node of
+    its tree."""
+    parent = np.arange(size)
+    while u.size:
+        ru, rv = parent[u], parent[v]
+        apart = ru != rv
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    return np.cumsum(parent == np.arange(size))[parent] - 1
+
+
 def _blocks(pattern):
     """Blocks of a sparse pattern, the connected components of its graph joining row r
     to column c when it holds (r, c): index arrays (count, nr) and (count, nc) per
     block shape (nr, nc).  A zero row is a (1, 0) block, a zero column a (0, 1) block.
     ConfigError when a block holds more than _MAX_BLOCK_ENTRIES entries."""
     m, n = pattern.shape
-    pattern = pattern.tocsr()
-    indptr = np.concatenate([pattern.indptr, np.full(n, pattern.nnz, dtype=pattern.indptr.dtype)])
-    graph = scipy.sparse.csr_matrix((np.ones(pattern.nnz), m + pattern.indices, indptr), (m + n,) * 2)
-    count, labels = connected_components(graph, connection="weak")
-    sizes = np.stack([np.bincount(part, minlength=count) for part in (labels[:m], labels[m:])], 1)
-    shapes, group, counts = np.unique(sizes, axis=0, return_inverse=True, return_counts=True)
+    row, col, _ = csr_entries(pattern.tocsr())
+    labels = _components(m + n, row, m + col)
+    return _split(labels[:m], labels[m:])
+
+
+def _split(row_labels, col_labels):
+    """The blocks of _blocks from the component of every row and every column, the
+    components numbered 0 .. count - 1: grouped by block shape, each group's blocks
+    in the order of their numbers, each block's indices ascending."""
+    m, n = row_labels.size, col_labels.size
+    count = 1 + max(np.max(row_labels, initial=-1), np.max(col_labels, initial=-1))
+    # each component's shape (nr, nc) as the one integer nr (n + 1) + nc, which
+    # sorts as the pair does; np.unique over rows of pairs is several times slower
+    nrows, ncols = (np.bincount(part, minlength=count) for part in (row_labels, col_labels))
+    codes, group, counts = np.unique(nrows * (n + 1) + ncols, return_inverse=True, return_counts=True)
+    shapes = np.stack(np.divmod(codes, n + 1), 1)
     entries = shapes[:, 0] * shapes[:, 1]
     if np.any(entries > _MAX_BLOCK_ENTRIES):
         nr, nc = shapes[np.argmax(entries)]
@@ -134,11 +165,10 @@ def _blocks(pattern):
             f"a {m} x {n} sparse system couples {nr} rows and {nc} columns into one block, "
             f"above the dense limit of 2**25 entries; choose a smaller frequency box"
         )
-    # nodes by shape group, then component, then index; rows before columns
-    order = np.lexsort((labels, group[labels]))
+    # indices by shape group, then component, then index
     bounds = np.cumsum(counts[:, None] * shapes, axis=0)[:-1]
-    rows = np.split(order[order < m], bounds[:, 0])
-    cols = np.split(order[order >= m] - m, bounds[:, 1])
+    rows = np.split(np.lexsort((row_labels, group[row_labels])), bounds[:, 0])
+    cols = np.split(np.lexsort((col_labels, group[col_labels])), bounds[:, 1])
     groups = zip(shapes, counts, rows, cols)
     return [(r.reshape(k, nr), c.reshape(k, nc)) for (nr, nc), k, r, c in groups]
 
@@ -845,12 +875,14 @@ def _galerkin_spectrum(conn, total_degree, delta, bands):
     The connection and every Cholesky factor are real, so L[mirror][:, mirror]
     == conj(L) for the mirror of the degree layout (TruncationLayout.mirror), and
     the mirror sends each block of L to a partner with the same spectrum.  The
-    blocks are those of the pattern |A|^T |A| + I, |A| = sum_a |A_a|, joined with
-    its mirror image: the image adds nothing for an exactly real connection, but
-    the reality check of a scenario passes a mode of up to 1e-12 relative at k
-    with none at -k.  A stacked eigvalsh per block shape solves one block of each
-    pair and every self-mirror block, and each kept block's eigenvalues are
-    copied to its partner before the sort.  The Galerkin matrices are assembled
+    blocks are the components of the graph joining two columns when a row of some
+    A_a holds both, or holds both their mirrors: the blocks of the pattern
+    |A|^T |A| + I, |A| = sum_a |A_a|, joined with its mirror image.  The image
+    adds nothing for an exactly real connection, but the reality check of a
+    scenario passes a mode of up to 1e-12 relative at k with none at -k.  A
+    stacked eigvalsh per block shape solves one block of each pair and every
+    self-mirror block, and each kept block's eigenvalues are copied to its
+    partner before the sort.  The Galerkin matrices are assembled
     once per degree and box and cached on the connection with their pairing,
     restricted to the columns of the kept blocks (``columns``, ascending) and the
     kept blocks renumbered into them: column j of A(delta) enters L only in the
@@ -859,16 +891,20 @@ def _galerkin_spectrum(conn, total_degree, delta, bands):
     key = ("galerkin", total_degree, tuple(bands))
     if key not in conn._cache:
         layout, mats = galerkin_polynomial(conn, total_degree, bands)
-        pattern = sum(abs(m) for m in mats)
-        n = pattern.shape[1]
+        height, n = mats[0].shape
         mirror = layout.mirror()
-        # the mirror is an involution, so with its permutation matrix swap,
-        # swap @ G @ swap is G[mirror][:, mirror]; a product needs no sparse
-        # kernel beyond those G does, where fancy indexing raised the peak RSS
-        swap = scipy.sparse.csr_matrix((np.ones(n), mirror, np.arange(n + 1)), shape=(n, n))
-        pattern = pattern.T @ pattern
-        pattern = pattern + swap @ pattern @ swap + scipy.sparse.identity(n)
-        kept, copies = _mirror_pairs(_blocks(pattern), mirror)
+        row, col, val = (np.concatenate(part) for part in zip(*map(csr_entries, mats)))
+        # an entry that sums to exactly zero joins nothing, as in |A|^T |A|
+        held = val != 0
+        row, col = row[held], col[held]
+        # columns first, so the components are numbered by their smallest column;
+        # row r joins the columns it holds, and its copy height + r their mirrors
+        labels = _components(
+            n + 2 * height,
+            np.concatenate([col, mirror[col]]),
+            np.concatenate([n + row, n + height + row]),
+        )[:n]
+        kept, copies = _mirror_pairs(_split(labels, labels), mirror)
         columns = np.sort(np.concatenate([np.zeros(0, dtype=int)] + [c.ravel() for _, c in kept]))
         at = np.zeros(n, dtype=int)
         at[columns] = np.arange(columns.size)

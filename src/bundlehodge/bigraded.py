@@ -73,7 +73,6 @@ conjugate transpose of its matrix.  The page recursion and the compressed (Galer
 from collections.abc import Mapping
 
 import numpy as np
-import scipy.sparse
 
 from .base_forms import FourierForm, d as base_d, wedge as base_wedge
 from .errors import ConfigError, DegreeError
@@ -932,7 +931,10 @@ def csr_from_entries(rows, cols, vals, shape):
     summed: the same arrays, bit for bit, as csr_matrix((vals, (rows, cols)),
     shape), without the COO object.  Entries are grouped by row in input
     order, as scipy's coo_tocsr groups them, and scipy's own sum_duplicates
-    sorts each row and adds its duplicates."""
+    sorts each row and adds its duplicates.  scipy.sparse is imported on the
+    first call, so a command that builds no sparse matrix never loads it."""
+    import scipy.sparse
+
     order = np.argsort(rows, kind="stable")
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])

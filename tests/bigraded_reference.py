@@ -39,6 +39,11 @@ production system lists the entries of its blocks and makes one CSR matrix
 of the w_1 .. w_K columns instead, and ``adiabatic_ss._solve_columns`` reads
 the right-hand side as leading coefficients of w_0 alone.
 
+``reference_blocks`` splits a sparse pattern with scipy's
+``connected_components`` on its bipartite row/column graph;
+``adiabatic_ss._blocks`` labels that graph with a numpy union-find
+(``_components``) instead.
+
 ``reference_block_pinv`` decomposes every block of a sparse system and
 forms all its pseudoinverses, and ``reference_block_solve`` applies them to
 every row of the right-hand side; ``adiabatic_ss._block_lstsq`` decomposes
@@ -52,6 +57,12 @@ into A(delta) with L_delta = A(delta)^H A(delta) instead.
 ``reference_galerkin_spectrum`` eigensolves every block of the pattern
 |A|^T |A| + I at one delta; ``adiabatic_ss._galerkin_spectrum`` solves one
 block of each mirror pair and copies its eigenvalues to the partner instead.
+
+``reference_galerkin_pairs`` pairs the blocks of the pattern |A|^T |A| + I
+joined with its mirror image (``reference_galerkin_pattern``), both formed as
+sparse products;
+``adiabatic_ss._galerkin_spectrum`` labels the row/column graph of the A_a
+joined with its mirror partition instead, with no product.
 
 ``reference_kept_block_spectrum`` gathers the kept blocks of one delta's
 spectrum from the whole Laplacian A(delta)^H A(delta); the production
@@ -95,6 +106,7 @@ import itertools
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from bundlehodge.adiabatic_ss import (
     Tolerances,
@@ -106,6 +118,7 @@ from bundlehodge.adiabatic_ss import (
     _galerkin_spectrum,
     _gather,
     _layout,
+    _mirror_pairs,
     _solve_columns,
     galerkin_polynomial,
 )
@@ -400,6 +413,26 @@ def csr_bytes(mat):
     return mat.shape, [(arr.dtype, arr.tobytes()) for arr in (mat.data, mat.indices, mat.indptr)]
 
 
+def reference_blocks(pattern):
+    """The blocks of a sparse pattern as ``adiabatic_ss._blocks`` returns them, from
+    scipy's weak connected components of the graph joining row r to column c
+    when the pattern holds (r, c)."""
+    m, n = pattern.shape
+    pattern = pattern.tocsr()
+    indptr = np.concatenate([pattern.indptr, np.full(n, pattern.nnz, dtype=pattern.indptr.dtype)])
+    graph = scipy.sparse.csr_matrix((np.ones(pattern.nnz), m + pattern.indices, indptr), (m + n,) * 2)
+    count, labels = connected_components(graph, connection="weak")
+    sizes = np.stack([np.bincount(part, minlength=count) for part in (labels[:m], labels[m:])], 1)
+    shapes, group, counts = np.unique(sizes, axis=0, return_inverse=True, return_counts=True)
+    # nodes by shape group, then component, then index; rows before columns
+    order = np.lexsort((labels, group[labels]))
+    bounds = np.cumsum(counts[:, None] * shapes, axis=0)[:-1]
+    rows = np.split(order[order < m], bounds[:, 0])
+    cols = np.split(order[order >= m] - m, bounds[:, 1])
+    groups = zip(shapes, counts, rows, cols)
+    return [(r.reshape(k, nr), c.reshape(k, nc)) for (nr, nc), k, r, c in groups]
+
+
 def reference_block_pinv(mat):
     """(rows, cols, stacked pseudoinverses) per block shape of ``mat``, from the SVD
     of every block, with the singular-value cut of lstsq(rcond=None) on the whole
@@ -499,6 +532,39 @@ def reference_galerkin_spectrum(conn, total_degree, delta, bands):
     lap = stacked.conj().T @ stacked
     evals = [np.linalg.eigvalsh(stack).ravel() for stack in _gather(lap, blocks)]
     return np.sort(np.concatenate([np.zeros(0)] + evals))
+
+
+def reference_galerkin_pattern(conn, total_degree, bands):
+    """(G + swap G swap + I, mirror) for the Galerkin matrices of one degree, with
+    G = |A|^T |A|, |A| = sum_a |A_a|, mirror that of the degree layout and swap
+    its permutation matrix, so that swap G swap is G[mirror][:, mirror]."""
+    layout, mats = galerkin_polynomial(conn, total_degree, bands)
+    pattern = sum(abs(m) for m in mats)
+    n = pattern.shape[1]
+    mirror = layout.mirror()
+    swap = scipy.sparse.csr_matrix((np.ones(n), mirror, np.arange(n + 1)), shape=(n, n))
+    pattern = pattern.T @ pattern
+    return pattern + swap @ pattern @ swap + scipy.sparse.identity(n), mirror
+
+
+def reference_galerkin_pairs(conn, total_degree, bands):
+    """(kept, copies) of ``adiabatic_ss._mirror_pairs`` for the Galerkin blocks of one
+    degree, numbered over every column: the blocks of reference_galerkin_pattern."""
+    pattern, mirror = reference_galerkin_pattern(conn, total_degree, bands)
+    return _mirror_pairs(reference_blocks(pattern), mirror)
+
+
+def assert_galerkin_pairs_match_the_product_oracle(conn, p, box):
+    """The kept blocks and copies cached by _galerkin_spectrum (called first),
+    numbered back into every column, equal those of the blocks of the sparse
+    product pattern joined with its mirror image."""
+    _, columns, kept, copies = conn._cache[("galerkin", p, box)]
+    want_kept, want_copies = reference_galerkin_pairs(conn, p, box)
+    assert len(kept) == len(want_kept) == len(copies) == len(want_copies)
+    for (rows, cols), (want_rows, want_cols) in zip(kept, want_kept):
+        assert np.array_equal(columns[rows], want_rows) and np.array_equal(columns[cols], want_cols)
+    for got, want in zip(copies, want_copies):
+        assert np.array_equal(got, want)
 
 
 def reference_kept_block_spectrum(conn, total_degree, delta, bands):

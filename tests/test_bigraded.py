@@ -46,16 +46,19 @@ from bundlehodge.lie_algebra import LieAlgebraData, make_su2, make_u1
 from bundlehodge.multiindex import num_indices
 
 from bigraded_reference import (
+    assert_galerkin_pairs_match_the_product_oracle,
     csr_bytes,
     form_of,
     laplacian_delta,
     random_bigraded,
     reference_accumulate,
     reference_apply_factor,
+    reference_blocks,
     reference_component_matrix,
     reference_conjugate_form,
     reference_d,
     reference_dstar,
+    reference_galerkin_pairs,
     reference_galerkin_polynomial,
     reference_galerkin_spectrum,
     reference_kept_block_spectrum,
@@ -498,7 +501,8 @@ def test_galerkin_laplacian_commutes_with_the_reality_involution(make_conn, box,
 def test_galerkin_spectrum_pairs_mirror_blocks(make_conn, box, _):
     """Every block of the pattern is kept, or copied from the one kept block of its
     shape that is its mirror partner; a self-mirror block is kept; the paired
-    spectrum and its counts match the every-block oracle."""
+    spectrum and its counts match the every-block oracle, and the pairs those of
+    the sparse product pattern."""
     conn = make_conn()
     for p in range(conn.geometry.n + conn.alg.dim + 1):
         mirror = TruncationLayout.of_degree(conn.geometry, conn.alg, p, box).mirror()
@@ -513,6 +517,7 @@ def test_galerkin_spectrum_pairs_mirror_blocks(make_conn, box, _):
                 assert np.sum(got <= cut) == np.sum(want <= cut)
             count, _ = near_zero_count(conn, p, delta, box, 1e-8)
             assert count == int(np.sum(want <= 1e-8 * max(top, 1e-300)))
+        assert_galerkin_pairs_match_the_product_oracle(conn, p, box)
         pattern = sum(abs(m) for m in galerkin_polynomial(conn, p, box)[1])
         blocks = _blocks(pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1]))
         _, columns, kept_blocks, copied = conn._cache[("galerkin", p, box)]
@@ -560,22 +565,36 @@ def test_kept_column_laplacian_equals_the_whole_laplacian_gather(name, box):
 
 
 def test_galerkin_spectrum_pairs_a_pattern_that_is_not_mirror_closed():
-    """A mode of 1e-14 at k with none at -k passes the scenario's reality check,
-    and leaves the pattern |A|^T |A| + I without the mirror image of some
-    blocks; joined with its mirror image, the pattern pairs them, and the
-    spectrum matches the every-block oracle."""
+    """A mode of 1e-14 or 1e-13 at k with none at -k passes the scenario's reality
+    check, and leaves the pattern |A|^T |A| + I without the mirror image of some
+    blocks; joined with its mirror image, the pattern pairs them, the spectrum
+    matches the every-block oracle, and the kept blocks and copies equal those
+    of the sparse product pattern, whose mirror image joins blocks that the
+    pattern alone leaves apart."""
     from bundlehodge.harness import Scenario, packaged_scenario_path
 
-    with open(packaged_scenario_path("t3_su2_pages")) as fh:
-        config = json.load(fh)
-    component = config["connection"]["components"][1][1]
-    component.update(band=1, entries=component["entries"] + [[[0, 1, 0], [1], "1e-14", "0"]])
-    conn = Scenario(config).connection
-    for p in range(conn.geometry.n + conn.alg.dim + 1):
-        got = _galerkin_spectrum(conn, p, 0.5, (1, 1, 1))
-        want = reference_galerkin_spectrum(conn, p, 0.5, (1, 1, 1))
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+    cases = [
+        ("t3_su2_pages", 1, [[0, 1, 0], [1], "1e-14", "0"], (1, 1, 1)),
+        ("t4_su2_cs3", 0, [[0, 0, 1, 0], [1], "1e-13", "0"], (0, 0, 1, 0)),
+    ]
+    for name, component, mode, box in cases:
+        with open(packaged_scenario_path(name)) as fh:
+            config = json.load(fh)
+        form = config["connection"]["components"][component][1]
+        form.update(band=1, entries=form["entries"] + [mode])
+        conn = Scenario(config).connection
+        joined = 0
+        for p in range(conn.geometry.n + conn.alg.dim + 1):
+            got = _galerkin_spectrum(conn, p, 0.5, box)
+            want = reference_galerkin_spectrum(conn, p, 0.5, box)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+            assert_galerkin_pairs_match_the_product_oracle(conn, p, box)
+            pattern = sum(abs(m) for m in galerkin_polynomial(conn, p, box)[1])
+            alone = reference_blocks(pattern.T @ pattern + scipy.sparse.identity(pattern.shape[1]))
+            _, copies = reference_galerkin_pairs(conn, p, box)
+            joined += sum(len(c) for c in copies) < sum(len(r) for r, _ in alone)
+        assert joined > 0
 
 
 # every packaged fixture; skewed metrics, whose Cholesky factors are full

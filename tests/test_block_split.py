@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from bundlehodge import adiabatic_ss
 from bundlehodge.adiabatic_ss import (
@@ -19,7 +20,9 @@ from bundlehodge.adiabatic_ss import (
     _block_lstsq,
     _blocks,
     _boxes,
+    _components,
     _correction_system,
+    _galerkin_spectrum,
     _gather,
     _solve_columns,
     galerkin_polynomial,
@@ -31,8 +34,11 @@ from bundlehodge.harness import Scenario, load_scenario, packaged_scenario_path
 
 from bigraded_reference import (
     assert_block_lstsq_matches_reference,
+    assert_galerkin_pairs_match_the_product_oracle,
     csr_bytes,
+    reference_blocks,
     reference_correction_system,
+    reference_galerkin_pattern,
     reference_galerkin_polynomial,
 )
 
@@ -121,11 +127,66 @@ def hermitian_matrices(draw):
     return _permuted(blocks, rng, square=True)
 
 
+@st.composite
+def graphs(draw):
+    """(size, u, v) of an undirected graph on nodes 0 .. size - 1: random edges,
+    self-loops and repeated edges among them, and a path through a shuffled run
+    of nodes, whose labels travel its whole length; with no edges at all, and
+    with nodes no edge meets, among the draws."""
+    rng = np.random.default_rng(_bits(draw, 16))
+    size = 1 + _bits(draw, 7)
+    u, v = rng.integers(size, size=(2, _bits(draw, 6)))
+    repeat = _bits(draw, 5) % (u.size + 1)
+    path = rng.permutation(size)[: _bits(draw, 7) % (size + 1)]
+    u = np.concatenate([u, u[:repeat], path[:-1]])
+    v = np.concatenate([v, v[:repeat], path[1:]])
+    return size, u, v
+
+
+def csgraph_labels(size, u, v):
+    graph = scipy.sparse.csr_matrix((np.ones(u.size), (u, v)), shape=(size, size))
+    return connected_components(graph, connection="weak")[1]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(graphs())
+def test_components_match_csgraph_weak_labels(graph):
+    size, u, v = graph
+    labels = _components(size, u, v)
+    assert labels.dtype.kind == "i"
+    assert np.array_equal(labels, csgraph_labels(size, u, v))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_components_label_a_long_path(order):
+    """A path of 20000 nodes, its nodes in ascending, descending or shuffled
+    order, is one component; with every third edge cut, the pieces are
+    numbered by their smallest node."""
+    nodes = np.arange(20000)
+    if order == "descending":
+        nodes = nodes[::-1]
+    elif order == "shuffled":
+        nodes = np.random.default_rng(5).permutation(nodes)
+    u, v = nodes[:-1], nodes[1:]
+    assert not _components(nodes.size, u, v).any()
+    cut = np.arange(u.size) % 3 != 2
+    assert np.array_equal(
+        _components(nodes.size, u[cut], v[cut]), csgraph_labels(nodes.size, u[cut], v[cut])
+    )
+
+
+def assert_same_blocks(got, want):
+    assert len(got) == len(want)
+    for (rows, cols), (want_rows, want_cols) in zip(got, want):
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(rectangular_systems())
 def test_blocks_partition_the_pattern(system):
     mat, _ = system
     blocks = _blocks(mat)
+    assert_same_blocks(blocks, reference_blocks(mat))
     rows = np.concatenate([r.ravel() for r, _ in blocks])
     cols = np.concatenate([c.ravel() for _, c in blocks])
     assert np.array_equal(np.sort(rows), np.arange(mat.shape[0]))
@@ -342,6 +403,26 @@ def test_multi_axis_connection_couples_the_box_into_one_rejected_block():
     assert [(r.shape, c.shape) for r, c in blocks] == [((1, 2835), (1, 2835))]
     with pytest.raises(ConfigError, match="7875 rows and 7875 columns"):
         near_zero_count(conn, 3, 0.5, (2, 2, 1, 1), 1e-8)
+
+
+@pytest.mark.parametrize(
+    "name", ["t2_u1_c1zero", "t2_u1_c1nonzero", "t3_su2_pages", "t4_su2_cs3", "t4_su2_flat"]
+)
+def test_blocks_match_the_csgraph_oracle_on_the_fixture_systems(name):
+    """Every correction system of orders 1-3 in every degree, and the Galerkin
+    pattern of every degree at the fixture's own box, split as scipy's connected
+    components split them; the Galerkin pairs, labelled without the pattern,
+    equal those of its split."""
+    scenario = load_scenario(packaged_scenario_path(name))
+    conn, box = scenario.connection, scenario.galerkin_bands
+    for p in range(conn.geometry.n + conn.alg.dim + 1):
+        for order in (1, 2, 3):
+            mat, blocks = _correction_system(conn, p, order)
+            assert_same_blocks(blocks, reference_blocks(mat))
+        pattern, _ = reference_galerkin_pattern(conn, p, box)
+        assert_same_blocks(_blocks(pattern), reference_blocks(pattern))
+        _galerkin_spectrum(conn, p, 0.5, box)
+        assert_galerkin_pairs_match_the_product_oracle(conn, p, box)
 
 
 # -- correction systems at frequency zero ------------------------------------------

@@ -4,6 +4,10 @@ import copy
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -386,6 +390,24 @@ def test_cmd_report_matrix(tmp_path):
     assert "AC1" in summary["criteria"]
     assert "AC3" in summary["criteria"]
     assert (tmp_path / "summary.json").exists()
+
+
+def test_commands_load_scipy_sparse_only_to_build_sparse_matrices(tmp_path):
+    """import_footprint.py in a fresh process: importing the CLI, loading every
+    scenario, lie-check, verify-cs1, report and a configuration error leave
+    scipy.sparse unloaded; pages, spectrum and verify-cs3 load neither
+    scipy.sparse.csgraph nor scipy.linalg."""
+    root = pathlib.Path(__file__).parents[1]
+    path = [str(root / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    out = subprocess.run(
+        [sys.executable, str(root / "tests" / "import_footprint.py")],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def test_cli_exit_codes(tmp_path, capsys):
